@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import Connection, GroupElement, gauge_transform, is_equivariant
+from .connection import Connection, GroupElement, exp_gauge, is_equivariant
 from .context import OperContext
 from .errors import MalformedOper, NotOfForm, NotRegularSingular
 from .finite_opers import FiniteOperClass, finite_canonical
@@ -77,19 +77,17 @@ def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOpe
     cvec = alg.vec_zero(F)
     u_by_height = {}
     for h in range(0, alg.height_max + 1):
-        g = GroupElement.exp(ctx, m)
-        cand = gauge_transform(Connection(ctx, [a + b for a, b in zip(base, cvec)], "general"), g)
+        cand = exp_gauge(ctx, m, [a + b for a, b in zip(base, cvec)])
         Dh = alg.vec_zero(F)
         for i in alg.blocks.get(h, []):
-            Dh[i] = conn.coeffs[i] - cand.coeffs[i]
+            Dh[i] = conn.coeffs[i] - cand[i]
         mp, ch, acoeffs = alg.split_graded(Dh, h, F)
         m = [a - b for a, b in zip(m, mp)]
         cvec = [a + b for a, b in zip(cvec, ch)]
         u_by_height[h] = acoeffs
     # exactness
-    g = GroupElement.exp(ctx, m, tag="N")
-    target = gauge_transform(Connection(ctx, [a + b for a, b in zip(base, cvec)], "general"), g)
-    if not all(a == b for a, b in zip(target.coeffs, conn.coeffs)):
+    target = exp_gauge(ctx, m, [a + b for a, b in zip(base, cvec)])
+    if not all(a == b for a, b in zip(target, conn.coeffs)):
         raise MalformedOper("canonical-form reassembly failed")
     u = []
     for k in sorted(set(alg.exponents)):

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cartan import CartanDatum
-from .errors import NotFiniteType
+from .errors import MalformedOper, NotFiniteType
 from .linalg import QQ, SparseMat, kernel_basis, mat_inverse, rref
 
 
@@ -291,6 +291,24 @@ class ChevalleyAlgebra:
                     continue
                 for k, c in self.bracket_basis(i, j).items():
                     out[k] = out[k] + xi * yj * K.coerce(c)
+        return out
+
+    def ad_series(self, x, v, K=QQ, shift=0):
+        """sum_k ad_x^k v / (k + shift)! for a nilpotent x (exact, finite).
+
+        shift=0 gives exp(ad_x) v = Ad_{e^x} v; shift=1 gives the series
+        of (d e^x) e^-x with v = x' (Hall, Lie Groups, Thm 5.4)."""
+        out = list(v)
+        term = list(v)
+        k = 1
+        while any(term):
+            term = self.bracket_vec(x, term, K)
+            inv = K.coerce(Fraction(1, k + shift))
+            term = [t * inv for t in term]
+            out = [a + b for a, b in zip(out, term)]
+            k += 1
+            if k > 2 * self.height_max + 4:
+                raise MalformedOper("exp series did not terminate; element not nilpotent")
         return out
 
     def _ad_matrix(self, i):

@@ -70,18 +70,6 @@ class Connection:
             )
         return NotImplemented
 
-    def add_vec(self, vec, shape=None):
-        return Connection(
-            self.ctx, [a + b for a, b in zip(self.coeffs, vec)], shape or "general"
-        )
-
-    def b_part(self):
-        alg = self.ctx.alg
-        return [
-            c if alg.height_of[i] >= 0 else self.ctx.functions.zero
-            for i, c in enumerate(self.coeffs)
-        ]
-
     def h_part(self):
         alg = self.ctx.alg
         return [
@@ -342,8 +330,16 @@ def gauge_transform(conn: Connection, g: GroupElement) -> Connection:
     return out
 
 
-def as_oper(conn: Connection) -> Connection:
-    return conn.with_shape("oper")
+def exp_gauge(ctx: OperContext, X, A) -> list:
+    """Coefficients of e^X . (d + A dt) = d + (Ad_{e^X} A - (d e^X) e^-X) dt
+    for a nilpotent X, by the Lie series on algebra vectors; no matrix is
+    built.  Agrees with gauge_transform(conn, GroupElement.exp(ctx, X))."""
+    F = ctx.functions
+    alg = ctx.alg
+    X = [F.coerce(x) for x in X]
+    A = [F.coerce(a) for a in A]
+    dlog = alg.ad_series(X, [x.derivative() for x in X], F, shift=1)
+    return [a - b for a, b in zip(alg.ad_series(X, A, F), dlog)]
 
 
 def is_equivariant(obj, aut: AlgebraAut, omega=None) -> bool:

@@ -5,7 +5,6 @@ subalgebra, and linkage-class helpers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import MalformedOper
 from .linalg import QQ, kernel_basis, solve_linear
@@ -27,22 +26,6 @@ class FiniteOperClass:
         body = ", ".join(f"c_{k}={c}" for k, c in zip(self.exponents, self.coefficients))
         pre = "-" if self.negated else ""
         return f"{pre}[{body}]" + ("^nu" if self.folded else "")
-
-
-def exp_ad_apply(alg, m, v, K=QQ):
-    """exp(ad_m) v for a nilpotent m (exact, finite series)."""
-    out = list(v)
-    term = list(v)
-    k = 1
-    while any(term):
-        term = alg.bracket_vec(m, term, K)
-        inv = K.coerce(Fraction(1, k))
-        term = [t * inv for t in term]
-        out = [a + b for a, b in zip(out, term)]
-        k += 1
-        if k > 2 * alg.height_max + 4:
-            raise MalformedOper("exp series did not terminate; m not nilpotent?")
-    return out
 
 
 def _diagram_aut(alg, nu):
@@ -126,7 +109,7 @@ def finite_canonical(alg, X, K=QQ, nu=None):
             for h in range(0, alg.height_max + 1)
         }
     for h in range(0, alg.height_max + 1):
-        cur = exp_ad_apply(alg, m, [b + c for b, c in zip(base, cvec)], K)
+        cur = alg.ad_series(m, [b + c for b, c in zip(base, cvec)], K)
         diff = [t - c for t, c in zip(target, cur)]
         Dh = alg.vec_zero(K)
         nonzero = False
@@ -176,8 +159,9 @@ def finite_canonical(alg, X, K=QQ, nu=None):
         cvec = [a + b2 for a, b2 in zip(cvec, ch)]
         coeff_log[h] = acoeffs
     # exactness check
-    final = exp_ad_apply(alg, m, [b + c for b, c in zip(base, cvec)], K)
-    assert final == target, "canonical form reassembly failed"
+    final = alg.ad_series(m, [b + c for b, c in zip(base, cvec)], K)
+    if final != target:
+        raise MalformedOper("canonical form reassembly failed")
     if nu is None:
         exponents = tuple(alg.exponents)
         coeffs = []

@@ -8,6 +8,7 @@ from cycloper.automorphisms import DiagramAut, make_automorphism
 from cycloper.connection import (
     Connection,
     GroupElement,
+    exp_gauge,
     gauge_transform,
     is_equivariant,
     lift_to_cover,
@@ -38,6 +39,47 @@ def rand_unipotent(ctx, rng):
     for r in alg.pos_roots:
         v[alg.index_E[r]] = F.coerce(Fraction(rng.randint(-2, 2))) / (t - rng.randint(1, 3))
     return GroupElement.exp(ctx, v)
+
+
+def rand_function(ctx, rng, point):
+    """A small random element of the function field: a cyclotomic constant
+    plus a multiple of 1/(t - point)."""
+    F = ctx.functions
+    K = ctx.scalars
+    c0 = K.coerce(rng.randint(-2, 2)) * ctx.omega ** rng.randint(0, 3)
+    c1 = K.coerce(Fraction(rng.choice((-2, -1, 1, 2)), rng.randint(1, 2)))
+    return F.coerce(c0) + F.coerce(c1) / (F.gen - F.coerce(point))
+
+
+@pytest.mark.parametrize(
+    "label,T,params",
+    [(lab, T, ()) for lab in ("A1", "A2", "A3", "A4", "D4") for T in (1, 2, 4)]
+    + [("A2", 2, ("z",))],
+)
+def test_exp_gauge_matches_matrix_route(label, T, params):
+    """The Lie-series gauge on vectors equals the adjoint-matrix route."""
+    ctx = OperContext(label, ScalarTower.get(T, params))
+    alg = ctx.alg
+    K = ctx.scalars
+    rng = random.Random(f"{label}-{T}-{params}")
+    points = [K.coerce(1), K.coerce(-2)]
+    if params:
+        points.append(K.coerce(ctx.tower.param("z")))
+    F = ctx.functions
+    X = alg.vec_zero(F)
+    # one simple root vector with a pole, the others of distinct degrees in t,
+    # so that [X, X'] != 0
+    for n, i in enumerate(alg.blocks[1]):
+        X[i] = rand_function(ctx, rng, points[0]) if n == 0 else F.coerce(n) * F.gen ** n
+    for i in range(alg.dim):
+        if alg.height_of[i] > 1 and rng.random() < 0.3:
+            X[i] = F.coerce(K.coerce(rng.randint(-2, 2)) * ctx.omega ** rng.randint(0, 3))
+    A = [
+        rand_function(ctx, rng, rng.choice(points)) if rng.random() < 0.4 else F.zero
+        for _ in range(alg.dim)
+    ]
+    want = gauge_transform(Connection(ctx, A), GroupElement.exp(ctx, X)).coeffs
+    assert exp_gauge(ctx, X, A) == want
 
 
 def test_gauge_identity():

@@ -6,7 +6,7 @@ import pytest
 from cycloper.automorphisms import DiagramAut
 from cycloper.chevalley import build_algebra
 from cycloper.errors import MalformedOper
-from cycloper.finite_opers import class_of_coweight, exp_ad_apply, finite_canonical
+from cycloper.finite_opers import class_of_coweight, finite_canonical
 from cycloper.weyl import Coweight, WeylGroup, coroot_coweight, coweight_to_h, weyl_orbit_shifted
 
 
@@ -44,7 +44,7 @@ def test_reassembly_exact():
         for (k, w), c in zip(g.centralizer_basis, cls.coefficients):
             for j, cw in enumerate(w):
                 can[j] += c * cw
-        assert exp_ad_apply(g, m, can) == X
+        assert g.ad_series(m, can) == X
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "B2"])
@@ -82,4 +82,21 @@ def test_malformed():
     g = build_algebra("A2")
     X = g.vec_zero()
     with pytest.raises(MalformedOper):
+        finite_canonical(g, X)
+
+
+def test_reassembly_failure_is_typed(monkeypatch):
+    """A wrong graded split (centraliser part dropped) fails the reassembly
+    check with MalformedOper, which survives python -O."""
+    g = build_algebra("A2")
+    split = g.split_graded
+
+    def drop_centraliser(X, height, K):
+        m, c, a = split(X, height, K)
+        return m, g.vec_zero(K), a
+
+    monkeypatch.setattr(g, "split_graded", drop_centraliser)
+    X = [Fraction(c) for c in g.p_minus1]
+    X[g.index_E[(1, 1)]] = Fraction(1)
+    with pytest.raises(MalformedOper, match="reassembly"):
         finite_canonical(g, X)
