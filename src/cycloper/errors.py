@@ -119,6 +119,11 @@ class LimitUndefined(CycloperError):
     exit_code = 13
 
 
+class ModulusError(CycloperError):
+    """Bug trap in Q(zeta_T): Phi_d did not divide x^n - 1 exactly, or a
+    nonzero element had a non-unit gcd with the modulus."""
+
+
 class MonodromyObstruction(CycloperError):
     """Nonzero residues met while integrating; a value as much as an error.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import IrreducibleDenominator, MonodromyObstruction
-from .scalars import CycNum, CyclotomicField
+from .scalars import CycNum, CyclotomicField, LRUCache
 
 INFINITY = "inf"  # marker for the point at infinity
 
@@ -226,19 +226,12 @@ class FunctionField:
         self.one = RatFunc(self, (coeff.one,), (coeff.one,), reduce=False)
         self.gen = RatFunc(self, (coeff.zero, coeff.one), (coeff.one,), reduce=False)
         self.points = []  # registered candidate pole locations (elements of K)
-        self._gcd_cache = {}
+        self._gcd_cache = LRUCache()
 
     def cached_gcd(self, a, b):
         if len(a) == 1 or len(b) == 1:
             return (self.coeff.one,) if (a and b) else pmonic(self.coeff, a or b)
-        key = (a, b)
-        hit = self._gcd_cache.get(key)
-        if hit is None:
-            hit = pgcd(self.coeff, a, b)
-            if len(self._gcd_cache) > 40000:
-                self._gcd_cache.clear()
-            self._gcd_cache[key] = hit
-        return hit
+        return self._gcd_cache.lookup((a, b), lambda: pgcd(self.coeff, a, b))
 
     @classmethod
     def get(cls, var, coeff):

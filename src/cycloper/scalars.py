@@ -1,6 +1,9 @@
 """Exact scalar arithmetic.
 
 The ground field is Q(zeta_T), realised as Q[x]/Phi_T(x) in the power basis.
+An element is an integer numerator vector over one positive common
+denominator, in lowest terms (the layout of FLINT's nf_elem); Phi_T is monic
+with integer coefficients, so products reduce mod Phi_T in integers.
 Transcendental parameters (z, a, b, ...) are adjoined one at a time as
 univariate rational-function layers over the previous field, and the global
 coordinate t is one more such layer (see ratfunc.RatFunc).  Every element is
@@ -9,55 +12,98 @@ immutable and hashable; equality is canonical-representation equality.
 
 from __future__ import annotations
 
-import itertools
+import math
+import operator
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ModulusError
+
+CACHE_SIZE = 1024
+"""Entries kept by each LRU cache: inverses here, polynomial gcds in ratfunc.
+Most repeated keys recur within a few hundred calls, so a larger cap buys
+little speed for much more memory."""
+
+
+class LRUCache(OrderedDict):
+    """A dict of at most CACHE_SIZE entries; the least recently used goes first."""
+
+    def lookup(self, key, compute):
+        """The cached value of key, or compute() stored under key."""
+        hit = self.get(key)
+        if hit is None:
+            hit = self[key] = compute()
+            if len(self) > CACHE_SIZE:
+                self.popitem(last=False)
+        else:
+            self.move_to_end(key)
+        return hit
+
 
 def euler_phi(n: int) -> int:
-    count = 0
-    for k in range(1, n + 1):
-        a, b = k, n
-        while b:
-            a, b = b, a % b
-        if a == 1:
-            count += 1
-    return count
+    return sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
+
+
+def _trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_divmod(p, q):
+    """Quotient and trimmed remainder of p by q in Q[x] (ascending
+    coefficient lists, q[-1] != 0)."""
+    p = [Fraction(c) for c in p]
+    lead = q[-1]
+    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+    for i in range(len(out) - 1, -1, -1):
+        c = out[i] = p[i + len(q) - 1] / lead
+        if c:
+            for j, qc in enumerate(q):
+                p[i + j] -= c * qc
+    return out, _trim(p)
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
     """Coefficients (ascending) of Phi_n over Q, computed by the recursive
     exact division of x^n - 1 by the Phi_d with d | n, d < n."""
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
-        if n % d:
-            continue
-        phi_d = list(cyclotomic_polynomial(d))
-        # exact polynomial division num //= phi_d
-        out = [Fraction(0)] * (len(num) - len(phi_d) + 1)
-        rem = list(num)
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + len(phi_d) - 1] / phi_d[-1]
-            out[i] = c
-            if c:
-                for j, pc in enumerate(phi_d):
-                    rem[i + j] -= c * pc
-        assert not any(rem[: len(phi_d) - 1]) or all(x == 0 for x in rem)
-        num = out
-    return tuple(num)
+        if n % d == 0:
+            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
+            if rem:
+                raise ModulusError(f"Phi_{d} does not divide x^{n} - 1 exactly")
+    return tuple(Fraction(c) for c in num)
+
+
+def _integral(coeffs):
+    """(num, den) with num / den == coeffs, den the lcm of the denominators;
+    a tuple of Fractions in lowest terms gives (num, den) in lowest terms."""
+    fs = [Fraction(c) for c in coeffs]
+    den = math.lcm(*(f.denominator for f in fs))
+    return tuple(f.numerator * (den // f.denominator) for f in fs), den
 
 
 class CycNum:
-    """Element of Q(zeta_T): coefficient vector in the power basis
-    1, zeta, ..., zeta^(phi(T)-1), always reduced mod Phi_T."""
+    """Element num/den of Q(zeta_T): num is the integer coefficient vector in
+    the power basis 1, zeta, ..., zeta^(phi(T)-1), reduced mod Phi_T, and
+    den > 0 with gcd(den, *num) == 1; zero is (0, ..., 0)/1."""
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "num", "den", "_hash")
 
     def __init__(self, field, coeffs):
+        """coeffs: phi(T) rationals (int or Fraction) in the power basis."""
         self.field = field
-        self.coeffs = coeffs  # tuple of Fraction, length phi(T)
+        self.num, self.den = _integral(coeffs)
         self._hash = None
+
+    @property
+    def coeffs(self):
+        """The coefficients in the power basis, as a tuple of Fraction."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.num)
 
     # -- helpers -----------------------------------------------------------
     def _coerce(self, other):
@@ -70,18 +116,18 @@ class CycNum:
         return None
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(("CycNum", self.field.order, self.coeffs))
+            self._hash = hash((self.field.order, self.num, self.den))
         return self._hash
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -92,18 +138,22 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        if not any(o.num):
+            return self
+        if not any(self.num):
+            return o
+        return _combine(self.field, operator.add, self.num, self.den, o.num, o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycNum(self.field, tuple(-a for a in self.coeffs))
+        return _make(self.field, tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return _combine(self.field, operator.sub, self.num, self.den, o.num, o.den)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -115,21 +165,19 @@ class CycNum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return CycNum(self.field, self.field._mul(self.coeffs, o.coeffs))
+        field = self.field
+        return _lowest(field, field._mul(self.num, o.num), self.den * o.den)
 
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self:
+        if not any(self.num):
             raise ZeroDivisionError("inverse of zero in Q(zeta)")
-        cache = self.field._inv_cache
-        hit = cache.get(self.coeffs)
-        if hit is None:
-            hit = CycNum(self.field, self.field._inv(self.coeffs))
-            if len(cache) > 60000:
-                cache.clear()
-            cache[self.coeffs] = hit
-        return hit
+        return self.field._inv_cache.lookup((self.num, self.den), self._inverse)
+
+    def _inverse(self):
+        num, den = self.field._inv(self.num)
+        return _lowest(self.field, tuple([c * self.den for c in num]), den)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -157,29 +205,51 @@ class CycNum:
 
     # -- queries -----------------------------------------------------------
     def is_rational(self):
-        return not any(self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_fraction(self):
         if not self.is_rational():
             raise ValueError(f"{self} is not rational")
-        return self.coeffs[0]
-
-    def conjugate_power(self, k):
-        """Image under the Galois map zeta -> zeta^k (k coprime to T)."""
-        field = self.field
-        out = field.zero
-        pw = field.one
-        zk = field.zeta ** k
-        for c in self.coeffs:
-            out = out + CycNum(field, field._scale(pw.coeffs, c))
-            pw = pw * zk
-        return out
+        return Fraction(self.num[0], self.den)
 
     def __repr__(self):
         return f"CycNum({self})"
 
     def __str__(self):
         return self.field.to_str(self)
+
+
+_new_object = object.__new__
+
+
+def _make(field, num, den):
+    """Trusted constructor: num, den already in lowest terms."""
+    x = _new_object(CycNum)
+    x.field = field
+    x.num = num
+    x.den = den
+    x._hash = None
+    return x
+
+
+def _lowest(field, num, den):
+    """num / den (den > 0) brought to lowest terms."""
+    if den != 1:
+        g = math.gcd(den, *num)
+        if g != 1:
+            num = tuple([c // g for c in num])
+            den //= g
+    return _make(field, num, den)
+
+
+def _combine(field, op, a, da, b, db):
+    """a/da op b/db, for op in (operator.add, operator.sub)."""
+    if da == db:
+        num = tuple(map(op, a, b))
+    else:
+        num = tuple(map(op, [x * db for x in a], [y * da for y in b]))
+        da *= db
+    return _lowest(field, num, da)
 
 
 class CyclotomicField:
@@ -191,20 +261,19 @@ class CyclotomicField:
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self.degree = euler_phi(order)
+        self.degree = d = euler_phi(order)
         self.modulus = cyclotomic_polynomial(order)
-        self._inv_cache = {}
-        zero = Fraction(0)
-        self._zero_vec = (zero,) * self.degree
-        self.zero = CycNum(self, self._zero_vec)
-        self.one = CycNum(self, (Fraction(1),) + (zero,) * (self.degree - 1))
-        if self.degree > 1:
-            zv = [zero] * self.degree
-            zv[1] = Fraction(1)
-            self.zeta = CycNum(self, tuple(zv))
+        # Phi_T is monic with integer coefficients: x^d = -sum_j m_j x^j
+        self._mod_terms = tuple((j, int(m)) for j, m in enumerate(self.modulus[:d]) if m)
+        self._inv_cache = LRUCache()
+        self._zeros = (0,) * (d - 1)
+        self.zero = _make(self, (0,) * d, 1)
+        self.one = _make(self, (1,) + self._zeros, 1)
+        if d > 1:
+            self.zeta = _make(self, (0, 1) + self._zeros[1:], 1)
         else:
             # T in {1, 2}: zeta is rational (1 or -1)
-            self.zeta = CycNum(self, (Fraction(1 if order == 1 else -1),))
+            self.zeta = _make(self, (1 if order == 1 else -1,), 1)
 
     @classmethod
     def get(cls, order):
@@ -216,78 +285,52 @@ class CyclotomicField:
     def _reduce(self, vec):
         """Reduce a raw coefficient list (any length) mod Phi_T."""
         vec = list(vec)
-        mod = self.modulus
         d = self.degree
+        terms = self._mod_terms
         for i in range(len(vec) - 1, d - 1, -1):
             c = vec[i]
             if c:
-                for j in range(d + 1):
-                    vec[i - d + j] -= c * mod[j]
-        vec = vec[:d] + [Fraction(0)] * (d - len(vec))
-        return tuple(vec[:d])
+                for j, m in terms:
+                    vec[i - d + j] -= c * m
+        return tuple(vec[:d]) + (0,) * (d - len(vec))
 
     def _mul(self, a, b):
-        d = self.degree
-        if d == 1:
-            return (a[0] * b[0],)
-        if d == 2:
-            # reduce a1 b1 x^2 against x^2 = -m1 x - m0
-            k = a[1] * b[1]
-            m0, m1 = self.modulus[0], self.modulus[1]
-            return (a[0] * b[0] - m0 * k, a[0] * b[1] + a[1] * b[0] - m1 * k)
-        n = len(a)
-        out = [Fraction(0)] * (2 * n - 1)
+        """Product of two integer vectors, reduced mod Phi_T."""
+        if not any(b[1:]):
+            a, b = b, a
+        if not any(a[1:]):
+            x = a[0]
+            return tuple([x * y for y in b])
+        out = [0] * (2 * self.degree - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
+                    out[i + j] += x * y
         return self._reduce(out)
 
     def _scale(self, a, c):
         return tuple(x * c for x in a)
 
     def _inv(self, a):
-        """Extended Euclid in Q[x] against Phi_T."""
-        if self.degree == 1:
-            return (1 / a[0],)
-        def trim(p):
-            while p and not p[-1]:
-                p.pop()
-            return p
-
-        def divmod_(p, q):
-            p = list(p)
-            out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
-            for i in range(len(out) - 1, -1, -1):
-                c = p[i + len(q) - 1] / q[-1]
-                out[i] = c
-                if c:
-                    for j, qc in enumerate(q):
-                        p[i + j] -= c * qc
-            return out, trim(p)
-
-        r0, r1 = list(self.modulus), trim(list(a))
+        """(num, den) of the inverse of the nonzero integer vector a, by the
+        extended Euclidean algorithm in Q[x] against the modulus."""
+        r0, r1 = list(self.modulus), _trim([Fraction(c) for c in a])
         s0, s1 = [], [Fraction(1)]
         while r1:
-            q, r = divmod_(r0, r1)
+            q, r = _poly_divmod(r0, r1)
             r0, r1 = r1, r
-            # s_new = s0 - q*s1
-            prod = [Fraction(0)] * (len(q) + len(s1) - 1) if q and s1 else []
-            for i, x in enumerate(q):
-                if x:
-                    for j, y in enumerate(s1):
-                        prod[i + j] += x * y
-            new = [Fraction(0)] * max(len(s0), len(prod))
+            # s0, s1 = s1, s0 - q*s1
+            new = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
             for i, x in enumerate(s0):
                 new[i] += x
-            for i, x in enumerate(prod):
-                new[i] -= x
-            s0, s1 = s1, trim(new)
-        # r0 is the gcd (a nonzero constant since Phi_T is irreducible)
-        assert len(r0) == 1, "gcd with Phi_T must be a unit"
+            for i, x in enumerate(q):
+                for j, y in enumerate(s1):
+                    new[i + j] -= x * y
+            s0, s1 = s1, _trim(new)
+        if len(r0) != 1:
+            raise ModulusError(f"{a} has a non-unit gcd with the modulus {self.modulus}")
         c = r0[0]
-        return self._reduce([x / c for x in s0])
+        return _integral(self._reduce([x / c for x in s0]))
 
     # -- field facade ---------------------------------------------------------
     def coerce(self, x):
@@ -299,8 +342,10 @@ class CyclotomicField:
             if x.field.order % self.order == 0:
                 return self.restrict(x)
             raise TypeError(f"cannot coerce {x} into Q(zeta_{self.order})")
-        if isinstance(x, (int, Fraction)):
-            return CycNum(self, (Fraction(x),) + self._zero_vec[1:])
+        if isinstance(x, int):
+            return _make(self, (x,) + self._zeros, 1)
+        if isinstance(x, Fraction):
+            return _make(self, (x.numerator,) + self._zeros, x.denominator)
         raise TypeError(f"cannot coerce {x!r} into Q(zeta_{self.order})")
 
     def restrict(self, x: CycNum):
@@ -331,21 +376,11 @@ class CyclotomicField:
         out = self.zero
         pw = self.one
         step = self.zeta ** k
-        for c in x.coeffs:
+        for c in x.num:
             if c:
-                out = out + CycNum(self, self._scale(pw.coeffs, c))
+                out = out + pw * c
             pw = pw * step
-        return out
-
-    def is_zero(self, x):
-        return not x
-
-    def contains(self, x):
-        return isinstance(x, CycNum) and x.field.order == self.order
-
-    @property
-    def characteristic_descr(self):
-        return f"Q(zeta_{self.order})"
+        return _lowest(self, out.num, out.den * x.den)
 
     def zeta_power(self, k: int):
         return self.zeta ** (k % self.order)
@@ -381,14 +416,6 @@ class CyclotomicField:
                 parts.append(f" {sign} {body}")
         return "".join(parts)
 
-    def random(self, rng, size=4):
-        from fractions import Fraction as F
-
-        return CycNum(
-            self,
-            tuple(F(rng.randint(-size, size), rng.randint(1, 3)) for _ in range(self.degree)),
-        )
-
     def __repr__(self):
         return f"CyclotomicField({self.order})"
 
@@ -396,4 +423,5 @@ class CyclotomicField:
 def scalar_reduce(field: CyclotomicField, raw_coeffs) -> CycNum:
     """Canonical residue mod Phi_T of a raw polynomial-in-zeta over Q
     (coefficients ascending, any length)."""
-    return CycNum(field, field._reduce([Fraction(c) for c in raw_coeffs]))
+    num, den = _integral(raw_coeffs)
+    return _lowest(field, field._reduce(num), den)

@@ -1,0 +1,113 @@
+"""The integer kernel of Q(zeta_T) against sympy as an oracle, its bounded
+caches, and its typed internal errors."""
+
+import math
+from fractions import Fraction
+
+import pytest
+import sympy
+from hypothesis import given, settings
+import hypothesis.strategies as st
+
+from cycloper import scalars
+from cycloper.errors import ModulusError
+from cycloper.ratfunc import FunctionField, pgcd, pmul
+from cycloper.scalars import CACHE_SIZE, CycNum, CyclotomicField, LRUCache, euler_phi
+
+X = sympy.Symbol("x")
+ORDERS = [1, 2, 3, 4, 5, 8, 12]
+coeff = st.fractions(min_value=-60, max_value=60, max_denominator=12)
+
+
+def vectors(T):
+    return st.lists(coeff, min_size=euler_phi(T), max_size=euler_phi(T))
+
+
+def to_poly(cs):
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator) for c in reversed(cs)], X, domain="QQ")
+
+
+def from_poly(F, p):
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(p.all_coeffs())]
+    return tuple(cs + [Fraction(0)] * (F.degree - len(cs)))
+
+
+def in_lowest_terms(x):
+    return x.den > 0 and math.gcd(x.den, *x.num) == 1 and all(isinstance(c, int) for c in x.num)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), T=st.sampled_from(ORDERS))
+def test_arithmetic_matches_sympy(data, T):
+    F = CyclotomicField.get(T)
+    phi = sympy.Poly(sympy.cyclotomic_poly(T, X), X, domain="QQ")
+    a, b = data.draw(vectors(T)), data.draw(vectors(T))
+    A, B = CycNum(F, a), CycNum(F, b)
+    pa, pb = to_poly(a), to_poly(b)
+    for got, want in [(A + B, pa + pb), (A - B, pa - pb), (A * B, pa * pb)]:
+        assert in_lowest_terms(got)
+        assert got.coeffs == from_poly(F, want.rem(phi))
+    if A:
+        inv = A.inverse()
+        assert in_lowest_terms(inv)
+        assert inv.coeffs == from_poly(F, pa.invert(phi))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), T=st.sampled_from(ORDERS))
+def test_coeffs_round_trip_in_lowest_terms(data, T):
+    F = CyclotomicField.get(T)
+    cs = data.draw(vectors(T))
+    x = CycNum(F, cs)
+    assert in_lowest_terms(x)
+    assert x.coeffs == tuple(cs)
+    assert all(Fraction(n, x.den) == c for n, c in zip(x.num, cs))
+    if not x:
+        assert x.num == (0,) * F.degree and x.den == 1
+    assert F.coerce(x.coeffs[0]) == CycNum(F, (cs[0],) + (0,) * (F.degree - 1))
+
+
+def test_lru_cache_evicts_the_least_recently_used():
+    cache = LRUCache()
+    for k in range(CACHE_SIZE):
+        cache.lookup(k, lambda: -1)
+    assert cache.lookup(0, lambda: pytest.fail("0 was cached")) == -1
+    cache.lookup(CACHE_SIZE, lambda: -1)
+    assert len(cache) == CACHE_SIZE
+    assert 0 in cache and 1 not in cache
+
+
+def test_caches_stay_bounded_and_agree_with_uncached_answers():
+    K = CyclotomicField(12)
+    F = FunctionField("t", K)
+    z = K.zeta
+    for k in range(CACHE_SIZE + 200):
+        root = z + k
+        root.inverse()
+        a = pmul(K, (-root, K.one), (z * z - k, K.one))
+        b = pmul(K, (-root, K.one), (K.coerce(k + 1), K.one))
+        F.cached_gcd(a, b)
+    assert len(K._inv_cache) == CACHE_SIZE
+    assert len(F._gcd_cache) == CACHE_SIZE
+    for (num, den), inv in K._inv_cache.items():
+        x = CycNum(K, [Fraction(c, den) for c in num])
+        n, d = K._inv(num)
+        assert inv == CycNum(K, [Fraction(c * den, d) for c in n])
+        assert inv * x == K.one
+    for (a, b), g in F._gcd_cache.items():
+        assert g == pgcd(K, a, b)
+        assert len(g) == 2
+
+
+def test_non_unit_gcd_with_the_modulus_is_typed():
+    F = CyclotomicField(4)
+    F.modulus = (Fraction(-1), Fraction(0), Fraction(1))  # x^2 - 1, reducible
+    with pytest.raises(ModulusError):
+        F._inv((-1, 1))  # x - 1 divides it
+
+
+def test_inexact_cyclotomic_division_is_typed(monkeypatch):
+    uncached = scalars.cyclotomic_polynomial.__wrapped__
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda d: (Fraction(2), Fraction(1)))
+    with pytest.raises(ModulusError):
+        uncached(4)  # x + 2 does not divide x^4 - 1
