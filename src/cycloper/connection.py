@@ -4,7 +4,7 @@ tests, residues, regularisation and the cover lift."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import AlgebraAut, as_int
@@ -139,15 +139,26 @@ class Connection:
         return "Connection(d + [" + "; ".join(parts) + "] dt)"
 
 
-@dataclass
 class GroupElement:
-    """Invertible adjoint-representation matrix over the function field,
-    with its inverse carried along."""
+    """Invertible adjoint-representation matrix over the function field.
 
-    ctx: OperContext
-    mat: SparseMat
-    inv: SparseMat
-    tag: str = None
+    The inverse is computed the first time it is read and then kept: `inv`
+    is given as a matrix or as a function of no arguments that builds it.
+    An element built by `exp` keeps its log X: `log_vec` returns it without
+    the matrix series, and `inverse` carries -X."""
+
+    def __init__(self, ctx: OperContext, mat: SparseMat, inv, tag=None, log=None):
+        self.ctx = ctx
+        self.mat = mat
+        self._inv = inv
+        self.tag = tag
+        self.log = log
+
+    @property
+    def inv(self) -> SparseMat:
+        if callable(self._inv):
+            self._inv = self._inv()
+        return self._inv
 
     @classmethod
     def identity(cls, ctx):
@@ -159,14 +170,19 @@ class GroupElement:
     def exp(cls, ctx, vec, tag=None):
         """exp(ad_X) for a nilpotent algebra vector X over the functions."""
         F = ctx.functions
+        alg = ctx.alg
         vec = [F.coerce(v) for v in vec]
-        mat = _exp_ad(ctx, vec)
-        inv = _exp_ad(ctx, [-v for v in vec])
         if tag is None:
             tag = "N" if all(
-                not v or ctx.alg.height_of[i] > 0 for i, v in enumerate(vec)
+                not v or alg.height_of[i] > 0 for i, v in enumerate(vec)
             ) else None
-        return cls(ctx, mat, inv, tag=tag)
+        return cls(
+            ctx,
+            _exp_ad(alg, vec, F),
+            lambda: _exp_ad(alg, [-v for v in vec], F),
+            tag=tag,
+            log=vec,
+        )
 
     @classmethod
     def torus(cls, ctx, lam: Coweight, base=None, tag="H"):
@@ -210,17 +226,19 @@ class GroupElement:
             e = cls.exp(ctx, alg.vec_E(r, F))
             f = cls.exp(ctx, [-x for x in alg.vec_F(r, F)])
             g = g @ (e @ f @ e)
-        return replace(g, tag="W-rep")
+        g.tag = "W-rep"
+        return g
 
     def __matmul__(self, other):
         if isinstance(other, GroupElement):
             return GroupElement(
-                self.ctx, self.mat @ other.mat, other.inv @ self.inv, tag=None
+                self.ctx, self.mat @ other.mat, lambda: other.inv @ self.inv, tag=None
             )
         return NotImplemented
 
     def inverse(self):
-        return GroupElement(self.ctx, self.inv, self.mat, tag=self.tag)
+        log = None if self.log is None else [-v for v in self.log]
+        return GroupElement(self.ctx, self.inv, self.mat, tag=self.tag, log=log)
 
     def ad_apply(self, vec):
         """Ad_g X for an algebra vector X."""
@@ -248,7 +266,10 @@ class GroupElement:
         return all(f.is_regular_at(p) for row in self.mat.rows for f in row.values())
 
     def log_vec(self):
-        """X with exp(ad_X) = self (requires unipotent)."""
+        """X with exp(ad_X) = self (requires unipotent): the stored log, or
+        else the log series of the matrix."""
+        if self.log is not None:
+            return list(self.log)
         F = self.ctx.functions
         n = self.mat.nrows
         N = self.mat.add(SparseMat.identity(F, n).scale(-F.one))
@@ -268,7 +289,9 @@ class GroupElement:
     def conjugate_by_torus(self, lam: Coweight, base=None):
         """t^-lam g t^lam (the regularised gauge parameter)."""
         T = GroupElement.torus(self.ctx, lam, base)
-        return GroupElement(self.ctx, (T.inv @ self.mat) @ T.mat, (T.inv @ self.inv) @ T.mat, tag=self.tag)
+        return GroupElement(
+            self.ctx, (T.inv @ self.mat) @ T.mat, lambda: (T.inv @ self.inv) @ T.mat, tag=self.tag
+        )
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -277,6 +300,21 @@ class GroupElement:
 
     def __repr__(self):
         return f"GroupElement(tag={self.tag}, {self.mat!r})"
+
+
+def torus_conjugate_vec(ctx: OperContext, vec, lam: Coweight, base=None) -> list:
+    """Ad_{base^-lam} X: the coordinate of each root beta scaled by
+    base^-<beta, lam>, h untouched; the log of t^-lam e^X t^lam."""
+    F = ctx.functions
+    base = F.gen if base is None else F.coerce(base)
+    out = []
+    for (kind, r), v in zip(ctx.alg.basis, vec):
+        v = F.coerce(v)
+        if kind != "H" and v:
+            root = r if kind == "E" else tuple(-x for x in r)
+            v = v * base ** (-_integer_pairing(lam, root))
+        out.append(v)
+    return out
 
 
 def _integer_pairing(lam: Coweight, root):
@@ -290,29 +328,23 @@ def _integer_pairing(lam: Coweight, root):
     return as_int(acc)
 
 
-def _exp_ad(ctx, vec):
-    F = ctx.functions
-    n = ctx.alg.dim
-    A = ctx.alg.ad_of_vec(vec, F)
-    out = SparseMat.identity(F, n)
-    term = SparseMat.identity(F, n)
+def _exp_ad(alg, vec, K):
+    """exp(ad_X) as a sparse matrix over K, for a nilpotent vector X over K."""
+    n = alg.dim
+    A = alg.ad_of_vec(vec, K)
+    out = SparseMat.identity(K, n)
+    term = SparseMat.identity(K, n)
     k = 1
+    fact = 1
     while True:
         term = A @ term
         if not any(term.rows[i] for i in range(n)):
             break
-        out = out.add(term.scale(F.coerce(Fraction(1, _fact(k)))))
-        # use incremental scaling instead: term holds A^k, scale by 1/k!
+        fact *= k
+        out = out.add(term.scale(K.coerce(Fraction(1, fact))))
         k += 1
-        if k > 2 * ctx.alg.height_max + 4:
+        if k > 2 * alg.height_max + 4:
             raise MalformedOper("exp did not terminate; element not nilpotent")
-    return out
-
-
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
     return out
 
 

@@ -7,10 +7,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import GroupElement, lift_to_cover
+from .connection import GroupElement, _exp_ad, lift_to_cover
 from .context import OperContext
 from .errors import LimitUndefined, NotInOpenCell, ValidationError
-from .linalg import SparseMat, mat_inverse, rref, solve_linear
+from .linalg import mat_inverse, mat_mul, rref, solve_linear
 from .miura import MiuraOper, theta_for
 from .ratfunc import as_rational
 from .solve import gauss_factorize
@@ -162,11 +162,13 @@ def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoin
     else:
         wctx = ctx.cover(q)
         F2 = wctx.functions
-        mat = g.mat.map_entries(lambda f: f.subs_power(q, F2))
-        inv = g.inv.map_entries(lambda f: f.subs_power(q, F2))
-        mat.K = F2
-        inv.K = F2
-        gq = GroupElement(wctx, mat, inv, tag=g.tag)
+
+        def lift(m):
+            out = m.map_entries(lambda f: f.subs_power(q, F2))
+            out.K = F2
+            return out
+
+        gq = GroupElement(wctx, lift(g.mat), lambda: lift(g.inv), tag=g.tag)
         gr = gq.conjugate_by_torus(lam0.scale(Fraction(q)))
     K = wctx.scalars
     # fast path: g_r regular and invertible at the origin
@@ -212,13 +214,11 @@ def _constant_flag_point(ctx, M0, cyclotomic):
                 cols.append([M0[r][idx] for r in range(alg.dim)])
             flags.append((h, [list(c) for c in cols]))
         return _match_cell(ctx, flags, cyclotomic)
-    ninv = n.inverse()
-    vec = ninv.log_vec()
     coords = {}
-    for i, v in enumerate(vec):
+    for i, v in enumerate(n.log_vec()):
         if v:
             kind, r = alg.basis[i]
-            coords[r] = v.constant_value()
+            coords[r] = (-v).constant_value()  # log n^-1 = -log n
     W = ctx.weyl
     return FlagPoint(
         w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest))
@@ -309,8 +309,8 @@ def _cell_coordinates(ctx, w, Wd, flags):
            for c in range(len(chosen))] for r in range(alg.dim)]
 
     def defects(xvec, level=None):
-        g = _exp_dense(ctx, [-c for c in xvec])
-        Q = _dense_mul_K(K, g, Pp)
+        g = _exp_ad(alg, [-c for c in xvec], K).to_dense()
+        Q = mat_mul(K, g, Pp)
         out = []
         for i in range(alg.dim):
             for c in range(len(chosen)):
@@ -342,7 +342,7 @@ def _cell_coordinates(ctx, w, Wd, flags):
     if any(defects(x)):
         raise LimitUndefined("cell coordinates did not close up")
     # conjugate back: log n = Ad_wdot (log n')
-    big = _dense_mul_K(K, Wd, [[K.coerce(v)] for v in x])
+    big = mat_mul(K, Wd, [[K.coerce(v)] for v in x])
     nvec = [row[0] for row in big]
     out = {}
     rootset = set(roots)
@@ -352,45 +352,6 @@ def _cell_coordinates(ctx, w, Wd, flags):
             if kind != "E" or r not in rootset:
                 raise LimitUndefined("conjugated coordinates left the cell group")
             out[r] = v
-    return out
-
-
-def _exp_dense(ctx, vec):
-    K = ctx.scalars
-    alg = ctx.alg
-    ad = alg.ad_of_vec(vec, K)
-    n = alg.dim
-    out = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
-    term = [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
-    k = 1
-    fact = 1
-    while True:
-        term = _dense_mul_K(K, ad.to_dense(), term)
-        if not any(any(row) for row in term):
-            break
-        fact *= k
-        inv = K.coerce(Fraction(1, fact))
-        out = [[o + t * inv for o, t in zip(ro, rt)] for ro, rt in zip(out, term)]
-        k += 1
-        if k > 2 * alg.height_max + 4:
-            break
-    return out
-
-
-def _dense_mul_K(K, A, B):
-    n = len(A)
-    p = len(B)
-    m = len(B[0]) if B else 0
-    out = [[K.zero] * m for _ in range(n)]
-    for i in range(n):
-        for kk in range(p):
-            a = A[i][kk]
-            if a:
-                Bk = B[kk]
-                for j in range(m):
-                    b = Bk[j]
-                    if b:
-                        out[i][j] = out[i][j] + a * b
     return out
 
 

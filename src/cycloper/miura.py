@@ -11,15 +11,18 @@ from .automorphisms import AlgebraAut
 from .connection import (
     Connection,
     GroupElement,
+    exp_gauge,
     gauge_transform,
     is_equivariant,
     lift_to_cover,
     regularize,
+    torus_conjugate_vec,
 )
 from .context import OperContext
 from .errors import (
     CyclotomyObstruction,
     FixedPointViolation,
+    MalformedOper,
     MonodromyObstruction,
     NoRationalSolution,
     NotInOpenCell,
@@ -492,30 +495,29 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     if isinstance(Y, MonodromyObstruction):
         raise Y
     n, Ytil = gauss_factorize(Y @ g0el.inverse())
-    gtil = n.conjugate_by_torus(Coweight([-c for c in lam_reg.coords]))
+    # g = t^lam_reg n t^-lam_reg, descended from the cover, on its log
+    X_g = torus_conjugate_vec(ctx2, n.log_vec(), Coweight([-c for c in lam_reg.coords]))
     if q > 1:
         base_F = ctx.functions
-        mat = gtil.mat.map_entries(lambda f: f.descend_power(q, base_F))
-        inv = gtil.inv.map_entries(lambda f: f.descend_power(q, base_F))
-        mat.K = base_F
-        inv.K = base_F
-        g = GroupElement(ctx, mat, inv, tag="N")
-    else:
-        g = gtil
-    out = gauge_transform(miura.connection(), g)
+        X_g = [x.descend_power(q, base_F) for x in X_g]
+    g = GroupElement.exp(ctx, X_g, tag="N")
+    out = exp_gauge(ctx, X_g, miura.connection().coeffs)
     # must be a Miura oper again
-    for i, c in enumerate(out.coeffs):
+    for i, c in enumerate(out):
         if alg.height_of[i] > 0 and c:
             raise NotInOpenCell(None, "generic reproduction left positive components")
-    new_u = [out.coeffs[alg.index_H[j]] for j in range(alg.rank)]
+    new_u = [out[alg.index_H[j]] for j in range(alg.rank)]
     new = MiuraOper(ctx, new_u)
     cyc = new.is_cyclotomic()
-    assert cyc, "generic reproduction must be cyclotomic for theta-fixed g0"
+    if not cyc:
+        raise MalformedOper("generic reproduction must be cyclotomic for theta-fixed g0")
     led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     r0_old, r0_new = led[K.zero]
-    assert r0_new == r0_old, "generic reproduction must preserve res_0"
+    if r0_new != r0_old:
+        raise MalformedOper("generic reproduction must preserve res_0")
     # initial-value certificate: the regularised gauge parameter at 0 is g0
-    assert n.eval_at(0, ctx2.scalars) == g0el.eval_at(0, ctx2.scalars), "g_r(0) != g0"
+    if n.eval_at(0, ctx2.scalars) != g0el.eval_at(0, ctx2.scalars):
+        raise MalformedOper("g_r(0) != g0")
     res = ReproductionResult(miura, new, g, "regular-at-0", led, cyc)
     res.fundamental = Y
     res.factor_n = n

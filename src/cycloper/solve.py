@@ -9,7 +9,7 @@ from fractions import Fraction
 from .connection import Connection, GroupElement
 from .context import OperContext
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
-from .linalg import SparseMat, mat_inverse
+from .linalg import SparseMat, mat_inverse, mat_mul
 from .ratfunc import rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
@@ -112,16 +112,20 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
     for k, Zk in Z_parts.items():
         if k:
             Z = Z.add(Zk)
-    # inverse of Z: Neumann series of the nilpotent part
-    Nmat = Z.add(SparseMat.identity(F, alg.dim).scale(-F.one))
-    Zi = SparseMat.identity(F, alg.dim)
-    term = SparseMat.identity(F, alg.dim)
-    while True:
-        term = (term @ Nmat).scale(-F.one)
-        if not any(term.rows[i] for i in range(alg.dim)):
-            break
-        Zi = Zi.add(term)
-    Yhat = GroupElement(ctx, Yh.mat @ Z, Zi @ Yh.inv, tag="B-")
+
+    def yhat_inv():
+        # inverse of Z: Neumann series of the nilpotent part
+        Nmat = Z.add(SparseMat.identity(F, alg.dim).scale(-F.one))
+        Zi = SparseMat.identity(F, alg.dim)
+        term = SparseMat.identity(F, alg.dim)
+        while True:
+            term = (term @ Nmat).scale(-F.one)
+            if not any(term.rows[i] for i in range(alg.dim)):
+                break
+            Zi = Zi.add(term)
+        return Zi @ Yh.inv
+
+    Yhat = GroupElement(ctx, Yh.mat @ Z, yhat_inv, tag="B-")
 
     # --- fix the initial value ---------------------------------------------------
     C0 = Yhat.eval_at(base)
@@ -130,12 +134,12 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
         raise MalformedOper("fundamental solution singular at the base point")
     target = Y0.eval_at(base) if Y0 is not None else None
     if target is not None:
-        Cd = _dense_mul(K, C0inv, target)
+        Cd = mat_mul(K, C0inv, target)
     else:
         Cd = C0inv
     Cinv = mat_inverse(K, Cd)
     Cel = GroupElement.from_constant(ctx, Cd, Cinv, tag=None)
-    Y = GroupElement(ctx, Yhat.mat @ Cel.mat, Cel.inv @ Yhat.inv, tag="B-")
+    Y = GroupElement(ctx, Yhat.mat @ Cel.mat, lambda: Cel.inv @ Yhat.inv, tag="B-")
 
     # --- exactness: dY + ad_A Y = 0 ----------------------------------------------
     adA = alg.ad_of_vec(conn.coeffs, F)
@@ -143,22 +147,6 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
     if any(check.rows[i] for i in range(alg.dim)):
         raise MalformedOper("fundamental solution verification failed")
     return Y
-
-
-def _dense_mul(K, A, B):
-    n = len(A)
-    p = len(A[0]) if A else 0
-    m = len(B[0]) if B else 0
-    out = [[K.zero] * m for _ in range(n)]
-    for i in range(n):
-        for k in range(p):
-            a = A[i][k]
-            if a:
-                for j in range(m):
-                    b = B[k][j]
-                    if b:
-                        out[i][j] = out[i][j] + a * b
-    return out
 
 
 def gauss_factorize(M: GroupElement):
@@ -189,7 +177,7 @@ def gauss_factorize(M: GroupElement):
             blk = [[cur.rows[i].get(j, F.zero) for j in cols] for i in rows]
             if not any(any(r) for r in blk):
                 continue
-            mult = _dense_mul(F, blk, pinv)
+            mult = mat_mul(F, blk, pinv)
             for a, i in enumerate(rows):
                 for b2, j in enumerate(cols):
                     m_ab = mult[a][b2]
@@ -217,5 +205,5 @@ def gauss_factorize(M: GroupElement):
     n = GroupElement.exp(ctx, vec, tag="N")
     if not (n.mat == N_acc):
         raise NotInOpenCell(None, "unipotent factor reassembly failed")
-    b = GroupElement(ctx, cur, M.inv @ n.inv, tag="B-")
+    b = GroupElement(ctx, cur, lambda: M.inv @ n.inv, tag="B-")
     return n, b

@@ -14,6 +14,7 @@ from cycloper.connection import (
     lift_to_cover,
     monodromy_at_origin,
     regularize,
+    torus_conjugate_vec,
 )
 from cycloper.context import OperContext
 from cycloper.errors import NonIntegralCoweight
@@ -80,6 +81,48 @@ def test_exp_gauge_matches_matrix_route(label, T, params):
     ]
     want = gauge_transform(Connection(ctx, A), GroupElement.exp(ctx, X)).coeffs
     assert exp_gauge(ctx, X, A) == want
+
+
+@pytest.mark.parametrize(
+    "label,T", [(lab, T) for lab in ("A1", "A2", "A3", "A4", "D4") for T in (1, 2, 4)]
+)
+def test_group_element_inverse_and_log(label, T):
+    """Inverses computed on demand and stored logs, against the matrices:
+    g.mat @ g.inv is the identity, and a stored log equals the log series
+    of the matrix."""
+    ctx = OperContext(label, ScalarTower.get(T))
+    alg = ctx.alg
+    F = ctx.functions
+    K = ctx.scalars
+    rng = random.Random(f"group-{label}-{T}")
+
+    def rand_nilpotent():
+        v = alg.vec_zero(F)
+        # distinct degrees in t on the simple roots, so that [X, X'] != 0
+        for n, i in enumerate(alg.blocks[1]):
+            v[i] = F.coerce(K.coerce(rng.choice((-2, -1, 1, 2))) * ctx.omega ** n) * F.gen ** n
+        for i in range(alg.dim):
+            if alg.height_of[i] > 1 and rng.random() < 0.3:
+                v[i] = F.coerce(K.coerce(rng.randint(-2, 2)) * ctx.omega ** rng.randint(0, 3))
+        return v
+
+    def series_log(g):
+        return GroupElement(ctx, g.mat, g.mat).log_vec()
+
+    X, Y = rand_nilpotent(), rand_nilpotent()
+    g, h = GroupElement.exp(ctx, X), GroupElement.exp(ctx, Y)
+    lam = Coweight(tuple(Fraction(rng.choice((-2, -1, 1, 2))) for _ in range(alg.rank)))
+    W = ctx.weyl
+    w = W.mult(W.simple(0), W.simple(alg.rank - 1))
+    conj = g.conjugate_by_torus(lam)
+    wdot = GroupElement.weyl_representative(ctx, w)
+    one = GroupElement.identity(ctx).mat
+    for el in (g, GroupElement.torus(ctx, lam), g @ h, conj, wdot, g.inverse()):
+        assert el.mat @ el.inv == one
+    assert wdot.tag == "W-rep"
+    assert g.log_vec() == X == series_log(g)
+    assert g.inverse().log_vec() == [-x for x in X] == series_log(g.inverse())
+    assert torus_conjugate_vec(ctx, X, lam) == series_log(conj)
 
 
 def test_gauge_identity():

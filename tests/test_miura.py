@@ -3,12 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fSl3_seed, sl3_miura, sl4_miura, sl4_miura_at
+from conftest import fSl3_seed, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
+from cycloper.automorphisms import theta_fixed_nilpotent
 from cycloper.connection import GroupElement, gauge_transform, is_equivariant
 from cycloper.context import OperContext
 from cycloper.errors import (
     CyclotomyObstruction,
     FixedPointViolation,
+    MalformedOper,
     NoRationalSolution,
     OrbitCollision,
     RiccatiViolated,
@@ -25,6 +27,7 @@ from cycloper.miura import (
     reproduce_simple,
     riccati_residual,
     riccati_solve,
+    theta_for,
 )
 from cycloper.ratfunc import INFINITY
 from cycloper.tower import ScalarTower
@@ -393,6 +396,61 @@ def test_generic_half_integral_cover():
     f2 = -F.coerce(4 * mu ** 3) * t ** 2 / D
     assert res.new.u_coroot[0] == m.u_coroot[0] + f1 + f2
     assert res.new.u_coroot[1] == m.u_coroot[1] + f1 - f2
+
+
+def _half_integral_miura():
+    ctx = sl3_context(2)
+    F = ctx.functions
+    alg = ctx.alg
+    hv = coweight_to_h(alg, Coweight((Fraction(1, 2), Fraction(1, 2))), F)
+    return ctx, MiuraOper(ctx, [-hv[alg.index_H[j]] / F.gen for j in range(alg.rank)])
+
+
+@pytest.mark.parametrize(
+    "T,eta",
+    [(T, eta) for T in (2, 4) for eta in (0, 1, 2)] + [(2, Fraction(1, 2))],
+    ids=str,
+)
+def test_generic_gauge_on_vectors_matches_matrix_route(T, eta):
+    """reproduce_generic gauges by g = t^lam n t^-lam on its log; the matrix
+    route conjugates n by the torus (and descends from the cover)."""
+    if eta == Fraction(1, 2):
+        ctx, m = _half_integral_miura()
+    else:
+        ctx, m = sl3_miura(T, eta)
+    F = ctx.functions
+    q = 2 if eta == Fraction(1, 2) else 1
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
+    res = reproduce_generic(m, [Fraction(-3, 2) * x for x in basis[0]])
+    assert res.cover_power == q
+    lam0 = Coweight([-c for c in m.residue_coweight(0).coords])
+    gtil = res.factor_n.conjugate_by_torus(Coweight([-c * q for c in lam0.coords]))
+    want = gtil.mat.map_entries(lambda f: f.descend_power(q, F)) if q > 1 else gtil.mat
+    assert res.gauge.mat == want
+    out = gauge_transform(m.connection(), res.gauge)
+    assert out.coeffs == res.new.connection().coeffs
+
+
+def test_generic_certificate_failure_is_typed(monkeypatch):
+    """A factor n whose value at 0 is not g0 fails the initial-value
+    certificate with a typed error, not an assert."""
+    import cycloper.miura as miura_mod
+
+    real = miura_mod.gauss_factorize
+
+    def broken(M):
+        n, b = real(M)
+        two = n.mat.scale(n.ctx.functions.coerce(2))
+        return GroupElement(n.ctx, two, n.inv, tag=n.tag, log=n.log), b
+
+    monkeypatch.setattr(miura_mod, "gauss_factorize", broken)
+    ctx, m = sl3_miura(2, 1)
+    F = ctx.functions
+    alg = ctx.alg
+    E1 = alg.vec_E(alg.simple_root(0), F)
+    E2 = alg.vec_E(alg.simple_root(1), F)
+    with pytest.raises(MalformedOper, match="g_r"):
+        reproduce_generic(m, [x + y for x, y in zip(E1, E2)])
 
 
 def test_generic_reproduction_with_sites():
