@@ -177,9 +177,6 @@ class AlgebraAut:
                 out[self.image[i]] = c * K.coerce(self.factor[i])
         return out
 
-    def apply_index(self, i):
-        return self.image[i], self.factor[i]
-
     def fixed_subspace(self, indices, K=None):
         """Basis of the fixed subspace of span(basis[indices])."""
         K = K or self.K

@@ -4,12 +4,12 @@ the energy/oper-residue consistency identity."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import AlgebraAut, DiagramAut
 from .cartan import CartanDatum
-from .chevalley import ChevalleyAlgebra, build_algebra
+from .chevalley import ChevalleyAlgebra
 from .canonical import u1_coefficient, is_regular_at
 from .context import OperContext
 from .errors import NoDominantRepresentative, ValidationError

@@ -10,14 +10,13 @@ from fractions import Fraction
 from .connection import Connection, GroupElement, exp_gauge, is_equivariant
 from .context import OperContext
 from .errors import MalformedOper, NotOfForm, NotRegularSingular
-from .finite_opers import FiniteOperClass, finite_canonical
+from .finite_opers import FiniteOperClass, finite_canonical, slice_gauge
 from .ratfunc import INFINITY
 from .weyl import (
     Coweight,
     coweight_to_h,
     dominant_shift_representative,
     find_shift_element,
-    h_to_coweight,
     rho_coweight,
 )
 
@@ -61,7 +60,8 @@ class CanonicalOper:
 
 
 def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOper:
-    """Degree-by-degree construction of the unique slice representative.
+    """Degree-by-degree construction of the unique slice representative:
+    slice_gauge with the gauge action e^X . (d + A dt) of exp_gauge.
 
     At each height the mismatch against the current candidate splits as
     c_h + [m_{h+1}, p_-1 dt]; uniqueness of both parts certifies freeness of
@@ -72,23 +72,9 @@ def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOpe
     conn.with_shape("oper")
     if cyclotomic and not is_equivariant(conn, ctx.varsigma):
         raise MalformedOper("claimed cyclotomic but the connection is not equivariant")
-    m = alg.vec_zero(F)
-    base = [F.coerce(c) for c in alg.p_minus1]
-    cvec = alg.vec_zero(F)
-    u_by_height = {}
-    for h in range(0, alg.height_max + 1):
-        cand = exp_gauge(ctx, m, [a + b for a, b in zip(base, cvec)])
-        Dh = alg.vec_zero(F)
-        for i in alg.blocks.get(h, []):
-            Dh[i] = conn.coeffs[i] - cand[i]
-        mp, ch, acoeffs = alg.split_graded(Dh, h, F)
-        m = [a - b for a, b in zip(m, mp)]
-        cvec = [a + b for a, b in zip(cvec, ch)]
-        u_by_height[h] = acoeffs
-    # exactness
-    target = exp_gauge(ctx, m, [a + b for a, b in zip(base, cvec)])
-    if not all(a == b for a, b in zip(target, conn.coeffs)):
-        raise MalformedOper("canonical-form reassembly failed")
+    m, u_by_height = slice_gauge(
+        alg, conn.coeffs, F, lambda X, A, _: exp_gauge(ctx, X, A), alg.split_graded
+    )
     u = []
     for k in sorted(set(alg.exponents)):
         u.extend(u_by_height.get(k, []))

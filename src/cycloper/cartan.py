@@ -105,10 +105,6 @@ class CartanDatum:
     def rank(self):
         return len(self.matrix)
 
-    @property
-    def index_set(self):
-        return tuple(range(1, self.rank + 1))
-
     def a(self, i, j):
         """1-based entry a_ij."""
         return self.matrix[i - 1][j - 1]

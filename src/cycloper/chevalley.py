@@ -116,9 +116,6 @@ class ChevalleyAlgebra:
             return True
         return tuple(-c for c in r) in self._posset
 
-    def root_height(self, r):
-        return sum(r)
-
     def root_pairing(self, r, i):
         """<r, coroot_i> (0-based i)."""
         A = self.cartan.matrix
@@ -478,7 +475,8 @@ class ChevalleyAlgebra:
             cols.append([v[j] for j in idxs])
         M = [[cols[c][r] for c in range(len(cols))] for r in range(len(idxs))]
         inv = mat_inverse(QQ, M) if M and len(M) == len(cols) else None
-        assert inv is not None or not idxs, f"graded splitting failed at height {height}"
+        if inv is None and idxs:
+            raise MalformedOper(f"graded splitting failed at height {height}")
         data = (inv, m_basis, a_basis, idxs)
         self._split_cache[height] = data
         return data
@@ -496,20 +494,18 @@ class ChevalleyAlgebra:
                 if c and x:
                     acc = acc + K.coerce(c) * x
             sol.append(acc)
-        m = self.vec_zero(K)
-        for u, bv in zip(sol[: len(m_basis)], m_basis):
+        m_coeffs, a_coeffs = sol[: len(m_basis)], sol[len(m_basis):]
+        return self.span_vec(m_coeffs, m_basis, K), self.span_vec(a_coeffs, a_basis, K), a_coeffs
+
+    def span_vec(self, coeffs, basis, K=QQ):
+        """sum_i coeffs[i] basis[i] for rational basis vectors, over K."""
+        out = self.vec_zero(K)
+        for u, bv in zip(coeffs, basis):
             if u:
                 for j, c in enumerate(bv):
                     if c:
-                        m[j] = m[j] + u * K.coerce(c)
-        cvec = self.vec_zero(K)
-        a_coeffs = sol[len(m_basis):]
-        for u, bv in zip(a_coeffs, a_basis):
-            if u:
-                for j, c in enumerate(bv):
-                    if c:
-                        cvec[j] = cvec[j] + u * K.coerce(c)
-        return m, cvec, a_coeffs
+                        out[j] = out[j] + u * K.coerce(c)
+        return out
 
     def __repr__(self):
         return f"ChevalleyAlgebra(rank={self.rank}, dim={self.dim})"

@@ -6,15 +6,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .canonical import canonical_representative, classify_general_form, oper_residue
 from .bethe import bethe_regularity, energies, energy_oper_identity, weight_at_infinity
 from .connection import lift_to_cover
 from .errors import CycloperError, ValidationError
-from .flags import fixed_flag_cells, flag_position
+from .flags import fixed_flag_cells
 from .miura import (
-    MiuraOper,
     build_miura,
     reproduce_generic,
     reproduce_orbit_A1,
@@ -25,7 +23,6 @@ from .miura import (
 )
 from .problems import parse_instantiate, parse_problem, parse_scalar
 from .ratfunc import INFINITY
-from .weyl import Coweight
 
 COMMANDS = (
     "canonical",

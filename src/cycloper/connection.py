@@ -16,8 +16,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SparseMat, mat_inverse
-from .ratfunc import INFINITY, RatFunc
-from .weyl import Coweight, coweight_to_h, h_to_coweight
+from .ratfunc import INFINITY
+from .weyl import Coweight, h_to_coweight
 
 SHAPES = ("general", "b", "b-", "h", "oper")
 
@@ -83,13 +83,6 @@ class Connection:
         for i in alg.blocks.get(h, []):
             out[i] = self.coeffs[i]
         return out
-
-    def h_coweight(self):
-        """The h-part as a Coweight of rational functions."""
-        return h_to_coweight(self.ctx.alg, self.h_part())
-
-    def is_zero(self):
-        return not any(self.coeffs)
 
     def __eq__(self, other):
         if not isinstance(other, Connection):
@@ -458,19 +451,6 @@ def monodromy_at_origin(ctx: OperContext, lam0: Coweight, q: int) -> GroupElemen
     if not qlam.is_integral():
         raise NonIntegralAfterCover(f"{q} * {lam0} is not integral")
     ctx2 = ctx.cover(q) if q > 1 else ctx
-    K = ctx2.scalars
-    zq = ctx2.tower.zeta_power(ctx.tower.order) if q > 1 else K.one  # zeta_q = zeta_{qT}^T
-    alg = ctx.alg
-    F2 = ctx2.functions
-    mat = SparseMat(F2, alg.dim, alg.dim)
-    inv = SparseMat(F2, alg.dim, alg.dim)
-    for idx, (kind, r) in enumerate(alg.basis):
-        if kind == "H":
-            mat.rows[idx][idx] = F2.one
-            inv.rows[idx][idx] = F2.one
-        else:
-            root = r if kind == "E" else tuple(-x for x in r)
-            e = _integer_pairing(qlam, root)
-            mat.rows[idx][idx] = F2.coerce(zq ** e)
-            inv.rows[idx][idx] = F2.coerce(zq ** (-e))
-    return GroupElement(ctx2, mat, inv, tag="H")
+    # zeta_q = zeta_{qT}^T
+    zq = ctx2.tower.zeta_power(ctx.tower.order) if q > 1 else ctx2.scalars.one
+    return GroupElement.torus(ctx2, qlam, base=zq)

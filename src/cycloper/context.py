@@ -7,9 +7,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .automorphisms import DiagramAut, make_automorphism
-from .chevalley import ChevalleyAlgebra, build_algebra
+from .chevalley import build_algebra
 from .folding import fold
-from .linalg import QQ, mat_inverse, rref
+from .linalg import QQ, mat_inverse
 from .tower import ScalarTower
 from .weyl import WeylGroup
 

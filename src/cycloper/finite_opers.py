@@ -33,9 +33,7 @@ def _diagram_aut(alg, nu):
     factors on non-simple root vectors)."""
     from .automorphisms import make_automorphism
 
-    cache = getattr(alg, "_diag_aut_cache", None)
-    if cache is None:
-        cache = alg._diag_aut_cache = {}
+    cache = alg.__dict__.setdefault("_diag_aut_cache", {})
     key = nu.perm
     if key not in cache:
         cache[key] = make_automorphism(alg, nu, "diagram", order_divides=nu.order)
@@ -63,16 +61,74 @@ def nu_fixed_centralizer_basis(alg, nu, height):
         img = aut.apply_vec(w, QQ)
         cols.append([img[idx] - w[idx] for idx in idxs])
     mat = [[cols[j][i] for j in range(len(vecs))] for i in range(len(idxs))]
-    kb = kernel_basis(QQ, mat, ncols=len(vecs))
-    out = []
-    for x in kb:
-        w = alg.vec_zero()
-        for c, v in zip(x, vecs):
-            if c:
-                for idx in idxs:
-                    w[idx] += c * v[idx]
-        out.append(w)
-    return out
+    return [alg.span_vec(x, vecs) for x in kernel_basis(QQ, mat, ncols=len(vecs))]
+
+
+def _nu_split_data(alg, nu, height):
+    """(m_basis, a_basis, idxs, A): the nu-fixed bases of g_{height+1} and
+    of a cap g_height, and the rational matrix [ad_{p_-1} m_basis | a_basis]
+    over the g_height coordinates idxs.  Computed once per height."""
+    cache = alg.__dict__.setdefault("_nu_split_cache", {})
+    key = (nu.perm, height)
+    if key not in cache:
+        m_basis = nu_fixed_block_basis(alg, nu, height + 1)
+        a_basis = nu_fixed_centralizer_basis(alg, nu, height)
+        idxs = alg.blocks.get(height, [])
+        cols = [alg.bracket_vec(alg.p_minus1, v) for v in m_basis] + a_basis
+        A = [[col[j] for col in cols] for j in idxs]
+        cache[key] = (m_basis, a_basis, idxs, A)
+    return cache[key]
+
+
+def nu_fixed_split(alg, nu):
+    """ChevalleyAlgebra.split_graded inside the nu-fixed subalgebra, with
+    the same (m, c, coefficients) contract: D in g_h^nu as [p_-1, m] + c
+    with m in g_{h+1}^nu and c in a^nu cap g_h."""
+
+    def split(D, height, K):
+        m_basis, a_basis, idxs, A = _nu_split_data(alg, nu, height)
+        b = [D[j] for j in idxs]
+        if any(b):
+            sol = solve_linear(K, [[K.coerce(x) for x in row] for row in A], b)
+            if sol is None:
+                raise MalformedOper("graded splitting failed in the nu-fixed subalgebra")
+        else:
+            sol = [K.zero] * (len(m_basis) + len(a_basis))
+        acoeffs = sol[len(m_basis):]
+        return (
+            alg.span_vec(sol[: len(m_basis)], m_basis, K),
+            alg.span_vec(acoeffs, a_basis, K),
+            acoeffs,
+        )
+
+    return split
+
+
+def slice_gauge(alg, target, K, gauge, split):
+    """Drinfeld-Sokolov gauge fixing of target in p_-1 + b, height by height.
+
+    gauge(m, v, K) is the action of e^m on v, and split(D, h, K) writes a
+    vector D on g_h as [p_-1, m'] + c with c in the slice, returning
+    (m', c, slice coefficients).  At each height the mismatch between
+    target and the current candidate gauge(m, p_-1 + c) is split, and m and
+    c absorb its two parts.  Returns (m, {height: slice coefficients}); a
+    candidate that does not reassemble to target raises MalformedOper."""
+    base = [K.coerce(c) for c in alg.p_minus1]
+    m = alg.vec_zero(K)
+    cvec = alg.vec_zero(K)
+    coeffs = {}
+    for h in range(alg.height_max + 1):
+        cur = gauge(m, [a + c for a, c in zip(base, cvec)], K)
+        D = alg.vec_zero(K)
+        for i in alg.blocks.get(h, []):
+            D[i] = target[i] - cur[i]
+        mp, ch, coeffs[h] = split(D, h, K)
+        m = [a - b for a, b in zip(m, mp)]
+        cvec = [a + b for a, b in zip(cvec, ch)]
+    final = gauge(m, [a + c for a, c in zip(base, cvec)], K)
+    if not all(a == b for a, b in zip(final, target)):
+        raise MalformedOper("canonical-form reassembly failed")
+    return m, coeffs
 
 
 def _check_oper_shape(alg, X, K):
@@ -91,93 +147,22 @@ def finite_canonical(alg, X, K=QQ, nu=None):
     """Unique representative of X in p_-1 + a (or p_-1 + a^nu) under N
     (resp. N^nu), plus the gauge parameter m with exp(ad_m)(canonical) = X.
 
-    Degree-by-degree scalar specialisation of the canonical-form algorithm:
-    all derivative terms absent."""
+    The scalar case of slice_gauge: the gauge is exp(ad_m), with no
+    derivative term."""
     X = [K.coerce(x) for x in X]
     _check_oper_shape(alg, X, K)
-    target = X
-    m = alg.vec_zero(K)
-    base = [K.coerce(c) for c in alg.p_minus1]
-    cvec = alg.vec_zero(K)
-    coeff_log = {}
-    if nu is not None:
-        fixed = {
-            h: (
-                nu_fixed_block_basis(alg, nu, h + 1),
-                nu_fixed_centralizer_basis(alg, nu, h),
-            )
-            for h in range(0, alg.height_max + 1)
-        }
-    for h in range(0, alg.height_max + 1):
-        cur = alg.ad_series(m, [b + c for b, c in zip(base, cvec)], K)
-        diff = [t - c for t, c in zip(target, cur)]
-        Dh = alg.vec_zero(K)
-        nonzero = False
-        for idx in alg.blocks.get(h, []):
-            if diff[idx]:
-                Dh[idx] = diff[idx]
-                nonzero = True
-        if not nonzero:
-            if nu is None:
-                _, _, acoeffs = alg.split_graded(alg.vec_zero(K), h, K)
-                coeff_log[h] = acoeffs
-            else:
-                coeff_log[h] = [K.zero] * len(fixed[h][1])
-            continue
-        if nu is None:
-            mp, ch, acoeffs = alg.split_graded(Dh, h, K)
-            m_new = [-x for x in mp]
-        else:
-            m_basis, a_basis = fixed[h]
-            idxs = alg.blocks.get(h, [])
-            cols = []
-            for v in m_basis:
-                img = alg.bracket_vec([K.coerce(c) for c in alg.p_minus1], [K.coerce(c) for c in v], K)
-                cols.append([img[j] for j in idxs])
-            for v in a_basis:
-                cols.append([K.coerce(v[j]) for j in idxs])
-            A = [[cols[c][r] for c in range(len(cols))] for r in range(len(idxs))]
-            b = [Dh[j] for j in idxs]
-            sol = solve_linear(K, A, b) if A and A[0] else []
-            if sol is None:
-                raise MalformedOper("graded splitting failed in the nu-fixed subalgebra")
-            mp = alg.vec_zero(K)
-            for u, bv in zip(sol[: len(m_basis)], m_basis):
-                if u:
-                    for j, c in enumerate(bv):
-                        if c:
-                            mp[j] = mp[j] + u * K.coerce(c)
-            acoeffs = sol[len(m_basis):]
-            ch = alg.vec_zero(K)
-            for u, bv in zip(acoeffs, a_basis):
-                if u:
-                    for j, c in enumerate(bv):
-                        if c:
-                            ch[j] = ch[j] + u * K.coerce(c)
-            m_new = [-x for x in mp]
-        m = [a + b2 for a, b2 in zip(m, m_new)]
-        cvec = [a + b2 for a, b2 in zip(cvec, ch)]
-        coeff_log[h] = acoeffs
-    # exactness check
-    final = alg.ad_series(m, [b + c for b, c in zip(base, cvec)], K)
-    if final != target:
-        raise MalformedOper("canonical form reassembly failed")
     if nu is None:
-        exponents = tuple(alg.exponents)
+        m, coeff_log = slice_gauge(alg, X, K, alg.ad_series, alg.split_graded)
         coeffs = []
         for k in sorted(set(alg.exponents)):
             coeffs.extend(coeff_log.get(k, []))
-        cls = FiniteOperClass(exponents, tuple(coeffs))
-    else:
-        exps, coeffs = [], []
-        for h in range(1, alg.height_max + 1):
-            a_basis = fixed[h][1]
-            got = coeff_log.get(h, [K.zero] * len(a_basis))
-            for q, _ in enumerate(a_basis):
-                exps.append(h)
-                coeffs.append(got[q] if q < len(got) else K.zero)
-        cls = FiniteOperClass(tuple(exps), tuple(coeffs), folded=True)
-    return cls, m
+        return FiniteOperClass(tuple(alg.exponents), tuple(coeffs)), m
+    m, coeff_log = slice_gauge(alg, X, K, alg.ad_series, nu_fixed_split(alg, nu))
+    exps, coeffs = [], []
+    for h in range(1, alg.height_max + 1):
+        exps.extend([h] * len(coeff_log[h]))
+        coeffs.extend(coeff_log[h])
+    return FiniteOperClass(tuple(exps), tuple(coeffs), folded=True), m
 
 
 def class_of_coweight(alg, lam: Coweight, K=QQ, nu=None):

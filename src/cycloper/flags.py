@@ -7,12 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import GroupElement, _exp_ad, lift_to_cover
+from .connection import GroupElement, _exp_ad
 from .context import OperContext
 from .errors import LimitUndefined, NotInOpenCell, ValidationError
 from .linalg import mat_inverse, mat_mul, rref, solve_linear
-from .miura import MiuraOper, theta_for
-from .ratfunc import as_rational
+from .miura import MiuraOper
 from .solve import gauss_factorize
 from .weyl import Coweight
 
@@ -34,12 +33,6 @@ def root_action_matrix(cartan, word):
             new[letter][j] -= coeff
         out = new
     return out
-
-
-def apply_root(cartan, w, root):
-    M = root_action_matrix(cartan, w.word)
-    n = cartan.rank
-    return tuple(sum(M[i][j] * root[j] for j in range(n)) for i in range(n))
 
 
 def inversion_set(alg, w):
@@ -150,12 +143,9 @@ def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoin
     ctx = base.ctx
     alg = ctx.alg
     lam0 = Coweight([-c for c in base.residue_coweight(0).coords])
-    q = 1
-    for c in lam0.coords:
-        r = as_rational(c)
-        if r is None:
-            raise ValidationError("lam0 must be rational")
-        q = q * r.denominator // _gcd(q, r.denominator)
+    q = lam0.denominator()
+    if q is None:
+        raise ValidationError("lam0 must be rational")
     if q == 1:
         gr = g.conjugate_by_torus(lam0)
         wctx = ctx
@@ -174,8 +164,9 @@ def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoin
     # fast path: g_r regular and invertible at the origin
     if gr.is_regular_at(K.zero):
         M0 = gr.eval_at(K.zero, K)
-        if mat_inverse(K, M0) is not None:
-            return _constant_flag_point(wctx, M0, cyclotomic)
+        M0inv = mat_inverse(K, M0)
+        if M0inv is not None:
+            return _constant_flag_point(wctx, M0, M0inv, cyclotomic)
     # general path: limit of the flag
     heights = sorted(alg.blocks)
     order = []
@@ -196,11 +187,11 @@ def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoin
     return _match_cell(wctx, flags, cyclotomic)
 
 
-def _constant_flag_point(ctx, M0, cyclotomic):
+def _constant_flag_point(ctx, M0, M0inv, cyclotomic):
     K = ctx.scalars
     F = ctx.functions
     alg = ctx.alg
-    el = GroupElement.from_constant(ctx, M0)
+    el = GroupElement.from_constant(ctx, M0, M0inv)
     try:
         n, b = gauss_factorize(el)
     except NotInOpenCell:
@@ -353,9 +344,3 @@ def _cell_coordinates(ctx, w, Wd, flags):
                 raise LimitUndefined("conjugated coordinates left the cell group")
             out[r] = v
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

@@ -3,7 +3,7 @@ Chevalley-Serre data and the corresponding simple reflections in W."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cartan import CartanDatum

@@ -20,10 +20,6 @@ class QQ:
     def coerce(x):
         return Fraction(x)
 
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
 
 def mat_mul(K, A, B):
     n, m, p = len(A), len(B), len(B[0]) if B else 0
@@ -40,21 +36,6 @@ def mat_mul(K, A, B):
                     if b:
                         row[j] = row[j] + a * b
     return out
-
-
-def mat_vec(K, A, v):
-    out = []
-    for row in A:
-        acc = K.zero
-        for a, x in zip(row, v):
-            if a and x:
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def mat_identity(K, n):
-    return [[K.one if i == j else K.zero for j in range(n)] for i in range(n)]
 
 
 def rref(K, rows, ncols=None):
@@ -139,10 +120,6 @@ def mat_inverse(K, A):
     if len(pivots) != n:
         return None
     return [row[n:] for row in red]
-
-
-def mat_rank(K, A, ncols=None):
-    return len(rref(K, A, ncols)[1])
 
 
 # -- sparse matrices (dict-of-rows), used for adjoint-representation work ----

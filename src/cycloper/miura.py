@@ -4,7 +4,7 @@ factorisation route through the fundamental solution."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import AlgebraAut
@@ -33,7 +33,7 @@ from .errors import (
 )
 from .ratfunc import INFINITY, partial_fractions, rational_antiderivative, as_rational
 from .solve import gauss_factorize, solve_fundamental
-from .weyl import Coweight, coweight_to_h, h_to_coweight, rho_coweight
+from .weyl import Coweight, coweight_to_h, rho_coweight
 
 
 @dataclass
@@ -230,6 +230,12 @@ def _ledger(ctx, old: MiuraOper, new: MiuraOper, points):
     return out
 
 
+def _check_reassembly(gauged: Connection, new: MiuraOper):
+    """The gauged Miura connection must be the connection of the new Miura oper."""
+    if not all(a == b for a, b in zip(gauged.coeffs, new.connection().coeffs)):
+        raise MalformedOper("gauge reassembly failed: g . (old Miura oper) is not the new one")
+
+
 def reproduce_simple(miura: MiuraOper, k, f, expect_rule_check=True) -> ReproductionResult:
     """Gauge by e^{f E_k}: new Miura is u + f coroot_k, provided f solves the
     Riccati equation in direction alpha_k."""
@@ -241,8 +247,7 @@ def reproduce_simple(miura: MiuraOper, k, f, expect_rule_check=True) -> Reproduc
         raise RiccatiViolated(f"f does not satisfy the Riccati equation in direction {k+1}")
     g = GroupElement.exp(ctx, [f * c for c in alg.vec_E(alg.simple_root(k), F)])
     new = miura.add(k, f)
-    check = gauge_transform(miura.connection(), g)
-    assert all(a == b for a, b in zip(check.coeffs, new.connection().coeffs)), "reassembly failed"
+    _check_reassembly(gauge_transform(miura.connection(), g), new)
     branch = "singular-at-0" if (f and not f.is_regular_at(0)) else "regular-at-0"
     led = _ledger(ctx, miura, new, [ctx.scalars.zero, INFINITY])
     if expect_rule_check:
@@ -317,8 +322,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     new = miura
     for i, fi in fs.items():
         new = new.add(i, fi)
-    check = gauge_transform(miura.connection(), g)
-    assert all(a == b for a, b in zip(check.coeffs, new.connection().coeffs)), "reassembly failed"
+    _check_reassembly(gauge_transform(miura.connection(), g), new)
     cyc = is_equivariant(g, ctx.varsigma)
     assert cyc, "closing relation held but g is not equivariant"
     led = _ledger(ctx, miura, new, [K.zero, INFINITY])
@@ -402,8 +406,7 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
         vec = [a * (x + y) + b * (x - y) + c * z for x, y, z in zip(Ei, Eib, Eibr)]
         g = g @ GroupElement.exp(ctx, vec)
         new = new.add(i, a + b).add(ib, a - b)
-    out_conn = gauge_transform(miura.connection(), g)
-    assert all(a == b for a, b in zip(out_conn.coeffs, new.connection().coeffs)), "reassembly failed"
+    _check_reassembly(gauge_transform(miura.connection(), g), new)
     singular = any(not f.is_regular_at(0) for f in (f1, f2, f3) if f)
     if branch is not None:
         want_singular = branch == "singular"
@@ -468,9 +471,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
         raise ValidationError("lam0 must be rational")
     if not lam0.is_dominant():
         raise ValidationError("lam0 must be dominant")
-    q = 1
-    for c in lam0.coords:
-        q = q * as_rational(c).denominator // _gcd(q, as_rational(c).denominator)
+    q = lam0.denominator()
     conn = miura.connection()
     if q > 1:
         conn2, ctx2 = lift_to_cover(conn, q)
@@ -524,9 +525,3 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     res.factor_b = Ytil
     res.cover_power = q
     return res
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a

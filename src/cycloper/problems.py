@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import ast
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import DiagramAut, make_automorphism

@@ -274,12 +274,6 @@ class FunctionField:
         den = (self.coeff.one,) if den is None else tuple(self.coeff.coerce(c) for c in den)
         return RatFunc(self, num, den)
 
-    def is_zero(self, x):
-        return not x
-
-    def contains(self, x):
-        return isinstance(x, RatFunc) and x.field is self
-
     def register_points(self, pts):
         for p in pts:
             p = self.coeff.coerce(p)
@@ -287,16 +281,6 @@ class FunctionField:
                 self.points.append(p)
 
     # -- helpers ------------------------------------------------------------
-    def chain_fields(self):
-        """The tower below (and including) this field, outermost first."""
-        out = [self]
-        f = self.coeff
-        while isinstance(f, FunctionField):
-            out.append(f)
-            f = f.coeff
-        out.append(f)  # the CyclotomicField at the bottom
-        return out
-
     def bottom(self) -> CyclotomicField:
         f = self.coeff
         while isinstance(f, FunctionField):
@@ -577,11 +561,6 @@ class RatFunc:
     def is_polynomial(self):
         return len(self.den) == 1 and self.den[0] == self.field.coeff.one
 
-    def as_poly(self):
-        if not self.is_polynomial():
-            raise ValueError(f"{self} is not polynomial")
-        return self.num
-
     def degree(self):
         """deg num - deg den (degree at infinity)."""
         return pdeg(self.num) - pdeg(self.den)
@@ -661,12 +640,6 @@ class RatFunc:
         c = K.coerce(c)
         return RatFunc(self.field, pscale_var(K, self.num, c), pscale_var(K, self.den, c))
 
-    def subs_shift(self, a):
-        """f(var + a)."""
-        K = self.field.coeff
-        a = K.coerce(a)
-        return RatFunc(self.field, pshift(K, self.num, a), pshift(K, self.den, a))
-
     def subs_power(self, q, target_field=None):
         """f(u^q) in the field of target_field (default: same field)."""
         tf = target_field or self.field
@@ -706,24 +679,6 @@ class RatFunc:
         return RatFunc(tf, n2, d2)
 
     # -- local data ---------------------------------------------------------------
-    def series_at(self, p, n):
-        """First n Taylor coefficients at a regular point p."""
-        K = self.field.coeff
-        p = K.coerce(p)
-        num = pshift(K, self.num, p)
-        den = pshift(K, self.den, p)
-        v = next((i for i, c in enumerate(den) if c), None)
-        vn = next((i for i, c in enumerate(num) if c), len(num))
-        if v is None:
-            raise ZeroDivisionError("zero denominator")
-        if vn < v:
-            raise ZeroDivisionError(f"pole of {self} at {p}")
-        num, den = num[v:] if num else (), den[v:]
-        inv = pseries_inv(K, den, n) if den else ()
-        prod = pmul(K, num, inv)
-        out = list(prod[:n]) + [K.zero] * max(0, n - len(prod))
-        return tuple(out[:n])
-
     def principal_part_at(self, p):
         """Coefficients (c_1, ..., c_k) of (x-p)^-1, ..., (x-p)^-k."""
         K = self.field.coeff

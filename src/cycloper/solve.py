@@ -4,10 +4,7 @@ elimination in the adjoint representation."""
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .connection import Connection, GroupElement
-from .context import OperContext
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import SparseMat, mat_inverse, mat_mul
 from .ratfunc import rational_antiderivative

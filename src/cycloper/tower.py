@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import CycNum, CyclotomicField, scalar_reduce
+from .scalars import CyclotomicField
 from .ratfunc import FunctionField, RatFunc
 
 
@@ -69,15 +69,8 @@ class ScalarTower:
         """Coerce into the scalar field (constants of t)."""
         return self.scalars.coerce(x)
 
-    def fun(self, x):
-        """Coerce into the function field K(t)."""
-        return self.functions.coerce(x)
-
     def rational(self, p, q=1):
         return self.scalar(Fraction(p, q))
-
-    def zeta_raw(self, coeffs):
-        return self.scalar(scalar_reduce(self.base, coeffs))
 
     def register_points(self, pts):
         self.functions.register_points(pts)

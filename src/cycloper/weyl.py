@@ -8,10 +8,11 @@ enumerated by breadth-first closure with matrix deduplication.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import GroupTooLarge
-from .linalg import QQ, mat_inverse
+from .linalg import QQ, mat_inverse, mat_mul
 from .ratfunc import as_rational
 
 
@@ -64,8 +65,13 @@ class Coweight:
     def is_rational(self):
         return all(as_rational(c) is not None for c in self.coords)
 
-    def rational_coords(self):
-        return tuple(as_rational(c) for c in self.coords)
+    def denominator(self):
+        """lcm of the coordinate denominators: the least q with q lam
+        integral.  None if a coordinate is not rational."""
+        rc = [as_rational(c) for c in self.coords]
+        if any(r is None for r in rc):
+            return None
+        return math.lcm(*(r.denominator for r in rc))
 
     def is_dominant(self):
         rc = [as_rational(c) for c in self.coords]
@@ -153,7 +159,7 @@ class WeylElement:
         return self.apply(lam + rho) - rho
 
     def inverse(self):
-        return self.group.by_matrix[_mat_inv_frac(self.matrix)]
+        return self.group.by_matrix[_key(mat_inverse(QQ, self.matrix))]
 
     @property
     def length(self):
@@ -171,10 +177,9 @@ class WeylElement:
         return "W<" + ".".join(f"s{i+1}" for i in self.word) + ">"
 
 
-def _mat_inv_frac(m):
-    n = len(m)
-    inv = mat_inverse(QQ, [list(r) for r in m])
-    return tuple(tuple(row) for row in inv)
+def _key(m):
+    """A matrix as the tuple of its row tuples (the by_matrix key)."""
+    return tuple(map(tuple, m))
 
 
 class WeylGroup:
@@ -193,7 +198,7 @@ class WeylGroup:
             m = [[Fraction(1) if i == k else Fraction(0) for k in range(n)] for i in range(n)]
             for i in range(n):
                 m[i][j] -= Fraction(A[j][i])  # c_i -> c_i - c_j a_ji
-            gens.append(tuple(tuple(row) for row in m))
+            gens.append(_key(m))
         self.identity = WeylElement(self, (), ident)
         self.generators = [WeylElement(self, (j,), gens[j]) for j in range(n)]
         self.by_matrix = {ident: self.identity}
@@ -203,7 +208,7 @@ class WeylGroup:
             new = []
             for w in frontier:
                 for j in range(n):
-                    m = _mat_mul_frac(gens[j], w.matrix)
+                    m = _key(mat_mul(QQ, gens[j], w.matrix))
                     if m not in self.by_matrix:
                         el = WeylElement(self, (j,) + w.word, m)
                         self.by_matrix[m] = el
@@ -216,8 +221,7 @@ class WeylGroup:
         self.longest = max(elements, key=lambda w: w.length)
 
     def mult(self, w1, w2):
-        m = _mat_mul_frac(w1.matrix, w2.matrix)
-        return self.by_matrix[m]
+        return self.by_matrix[_key(mat_mul(QQ, w1.matrix, w2.matrix))]
 
     def simple(self, j):
         """0-based simple reflection."""
@@ -238,31 +242,13 @@ class WeylGroup:
         n = self.rank
         P = [[Fraction(1) if j == nu.inv_perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
         Pi = [[Fraction(1) if j == nu.perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
-        m = _mat_mul_frac(tuple(map(tuple, P)), _mat_mul_frac(w.matrix, tuple(map(tuple, Pi))))
-        return self.by_matrix[m]
+        return self.by_matrix[_key(mat_mul(QQ, P, mat_mul(QQ, w.matrix, Pi)))]
 
     def nu_invariant_elements(self, nu):
         return [w for w in self.elements if self.nu_action(nu, w) == w]
 
     def __repr__(self):
         return f"WeylGroup(rank={self.rank}, order={len(self.elements)})"
-
-
-def _mat_mul_frac(a, b):
-    n = len(a)
-    m = len(b[0])
-    k = len(b)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(m):
-            acc = Fraction(0)
-            for l in range(k):
-                if a[i][l] and b[l][j]:
-                    acc += a[i][l] * b[l][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def weyl_orbit_shifted(group: WeylGroup, lam: Coweight, nu=None):

@@ -6,7 +6,7 @@ import pytest
 
 from cycloper.cartan import CartanDatum
 from cycloper.chevalley import build_algebra
-from cycloper.errors import NotFiniteType
+from cycloper.errors import MalformedOper, NotFiniteType
 
 # dimensions and exponents from the classical tables: the independent oracle
 TABLE = {
@@ -250,3 +250,14 @@ def test_fundamental_rep_over_functions():
     assert M[1][1] == F.zero
     assert M[2][2] == F.coerce(eta) / t
     assert M[1][0] == F.one and M[2][1] == F.one
+
+
+def test_split_data_failure_is_typed(monkeypatch):
+    """A height whose graded splitting matrix is singular raises
+    MalformedOper instead of an assertion."""
+    import cycloper.chevalley as chevalley
+
+    g = build_algebra("A2")
+    monkeypatch.setattr(chevalley, "mat_inverse", lambda K, M: None)
+    with pytest.raises(MalformedOper, match="graded splitting failed"):
+        g.split_data(1)

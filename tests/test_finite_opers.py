@@ -4,9 +4,13 @@ from fractions import Fraction
 import pytest
 
 from cycloper.automorphisms import DiagramAut
+from cycloper.canonical import canonical_representative
 from cycloper.chevalley import build_algebra
+from cycloper.connection import Connection
+from cycloper.context import OperContext
 from cycloper.errors import MalformedOper
 from cycloper.finite_opers import class_of_coweight, finite_canonical
+from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, WeylGroup, coroot_coweight, coweight_to_h, weyl_orbit_shifted
 
 
@@ -100,3 +104,39 @@ def test_reassembly_failure_is_typed(monkeypatch):
     X[g.index_E[(1, 1)]] = Fraction(1)
     with pytest.raises(MalformedOper, match="reassembly"):
         finite_canonical(g, X)
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "G2", "D4"])
+def test_constant_oper_canonical_form_is_finite_class(label):
+    """For a t-independent oper d + X dt the derivative terms vanish, so its
+    canonical form is the finite-oper class of X: the same slice
+    coefficients u and the same gauge parameter m."""
+    ctx = OperContext(label, ScalarTower.get(1))
+    g = ctx.alg
+    F = ctx.functions
+    rng = random.Random(11)
+    X = [Fraction(c) for c in g.p_minus1]
+    for h in range(0, g.height_max + 1):
+        for i in g.blocks.get(h, []):
+            X[i] += Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    can = canonical_representative(Connection(ctx, [F.coerce(x) for x in X], "oper"))
+    cls, m = finite_canonical(g, X)
+    assert any(cls.coefficients)
+    assert can.u == [F.coerce(c) for c in cls.coefficients]
+    assert can.gauge_vec == [F.coerce(x) for x in m]
+
+
+@pytest.mark.parametrize("label, cycles", [("A2", [[1, 2]]), ("A3", [[1, 3]]), ("D4", [[1, 3]])])
+def test_non_nu_fixed_element_is_malformed(label, cycles):
+    """An element of p_-1 + b that nu moves has no class in the nu-fixed
+    slice."""
+    g = build_algebra(label)
+    nu = DiagramAut.from_cycles(g.rank, cycles)
+    nu.validate(g.cartan)
+    X = [Fraction(c) for c in g.p_minus1]
+    X[g.index_E[g.simple_root(0)]] = Fraction(1)
+    with pytest.raises(MalformedOper):
+        finite_canonical(g, X, nu=nu)
+    X = [a - b for a, b in zip(g.p_minus1, coweight_to_h(g, coroot_coweight(g, 0)))]
+    with pytest.raises(MalformedOper):
+        finite_canonical(g, X, nu=nu)

@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import cycloper
 from conftest import fSl3_seed, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
 from cycloper.automorphisms import theta_fixed_nilpotent
 from cycloper.connection import GroupElement, gauge_transform, is_equivariant
@@ -479,3 +483,56 @@ def test_generic_reproduction_with_sites():
 
         site_res = Coweight([-x for x in res.new.residue_coweight(ctx.scalars.coerce(3)).coords])
         assert linkage_equal(ctx.weyl, Coweight((Fraction(2),)), site_res)
+
+
+def test_gauge_reassembly_failure_is_typed(monkeypatch):
+    """A gauge that does not reproduce the new Miura oper fails the
+    reassembly check with MalformedOper."""
+    import cycloper.miura as miura_mod
+
+    ctx = OperContext("A1", ScalarTower.get(1))
+    m = build_miura(ctx, Coweight((Fraction(1),)))
+    f = riccati_solve(m.pairing(0), "general", constant=Fraction(1))
+    monkeypatch.setattr(miura_mod, "gauge_transform", lambda conn, g: conn)
+    with pytest.raises(MalformedOper, match="reassembly"):
+        reproduce_simple(m, 0, f)
+
+
+_TYPED_CHECKS_UNDER_O = """
+from fractions import Fraction
+import cycloper.chevalley as chevalley
+import cycloper.miura as miura
+from cycloper.context import OperContext
+from cycloper.errors import MalformedOper
+from cycloper.tower import ScalarTower
+from cycloper.weyl import Coweight
+
+ctx = OperContext("A1", ScalarTower.get(1))
+m = miura.build_miura(ctx, Coweight((Fraction(1),)))
+f = miura.riccati_solve(m.pairing(0), "general", constant=Fraction(1))
+miura.gauge_transform = lambda conn, g: conn
+try:
+    miura.reproduce_simple(m, 0, f)
+    raise SystemExit("reproduce_simple: no error")
+except MalformedOper:
+    pass
+alg = chevalley.build_algebra("A2")
+chevalley.mat_inverse = lambda K, M: None
+try:
+    alg.split_data(1)
+    raise SystemExit("split_data: no error")
+except MalformedOper:
+    pass
+"""
+
+
+def test_typed_checks_survive_python_O():
+    """The reassembly and graded-splitting checks raise MalformedOper, so
+    they still run when python -O strips assert statements."""
+    src = os.path.dirname(os.path.dirname(cycloper.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _TYPED_CHECKS_UNDER_O],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
