@@ -8,39 +8,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .automorphisms import AlgebraAut, DiagramAut
-from .cartan import CartanDatum
-from .chevalley import ChevalleyAlgebra
+from .chevalley import ChevalleyAlgebra, dual_algebra
 from .canonical import u1_coefficient, is_regular_at
 from .context import OperContext
 from .errors import NoDominantRepresentative, ValidationError
-from .linalg import QQ, mat_inverse
+from .linalg import QQ
 from .miura import MiuraOper, _gamma_orbits_disjoint
 from .ratfunc import INFINITY
 from .weyl import Coweight, coweight_to_h, dominant_shift_representative, rho_coweight
-
-
-def dual_cartan(cartan: CartanDatum) -> CartanDatum:
-    return cartan.transpose()
-
-
-def dual_form_scales(alg: ChevalleyAlgebra):
-    """Scales making the dual algebra's invariant form agree with the form
-    induced on h^* through the form of alg itself: 1/(min d_i) per
-    component, divided by alg's own scale (the induced form varies
-    inversely with the form on h)."""
-    scales = []
-    for ci, comp in enumerate(alg.components):
-        m = min(alg.d[i] for i in comp)
-        scales.append(Fraction(1) / (m * alg.form_scales[ci]))
-    return scales
-
-
-def dual_algebra(alg: ChevalleyAlgebra) -> ChevalleyAlgebra:
-    return ChevalleyAlgebra(dual_cartan(alg.cartan), form_scales=dual_form_scales(alg))
-
-
-def dual_context(ctx: OperContext) -> OperContext:
-    return OperContext(dual_algebra(ctx.alg), ctx.tower, ctx.nu)
 
 
 def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
@@ -48,12 +23,9 @@ def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
     lam = sum l_i alpha_i with A^T l = c."""
     n = alg.rank
     A = alg.cartan.matrix
-    AT = [[Fraction(A[i][j]) for i in range(n)] for j in range(n)]
-    inv = mat_inverse(QQ, AT)
+    inv = alg.cartan_transpose_inverse
     if K is None:
-        from .linalg import QQ as K0
-
-        K = K0
+        K = QQ
 
     def to_alpha(c):
         out = []
@@ -188,7 +160,7 @@ def _root_weight(alg, k) -> Coweight:
 def miura_from_bethe(data: BetheSystemData):
     """The cyclotomic Miura oper over the Langlands dual built from the
     rational weight function lambda(t); returns (MiuraOper, dual context)."""
-    Lctx = dual_context(data.ctx)
+    Lctx = data.ctx.dual
     Lalg = Lctx.alg
     F = Lctx.functions
     K = Lctx.scalars

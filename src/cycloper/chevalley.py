@@ -109,6 +109,16 @@ class ChevalleyAlgebra:
 
         # splitting data for canonical forms, lazily built per (height, fixed-space)
         self._split_cache = {}
+        self._at_inverse = None
+
+    @property
+    def cartan_transpose_inverse(self):
+        """(A^T)^-1 over Q, built on first use: the weight with values c on
+        the coroots is sum_i l_i alpha_i with l = (A^T)^-1 c."""
+        if self._at_inverse is None:
+            A, n = self.cartan.matrix, self.rank
+            self._at_inverse = mat_inverse(QQ, [[Fraction(A[i][j]) for i in range(n)] for j in range(n)])
+        return self._at_inverse
 
     # ------------------------------------------------------------------ roots --
     def is_root(self, r):
@@ -518,6 +528,16 @@ def build_algebra(cartan, form_scales=None) -> ChevalleyAlgebra:
     elif not isinstance(cartan, CartanDatum):
         cartan = CartanDatum.from_rows(cartan)
     return ChevalleyAlgebra(cartan, form_scales)
+
+
+def dual_algebra(alg: ChevalleyAlgebra) -> ChevalleyAlgebra:
+    """The Langlands dual (transposed Cartan matrix), its invariant form
+    agreeing with the form induced on h^* through the form of alg: scale
+    1/(min d_i) per component, divided by alg's own scale (the induced form
+    varies inversely with the form on h)."""
+    scales = [Fraction(1) / (min(alg.d[i] for i in comp) * alg.form_scales[ci])
+              for ci, comp in enumerate(alg.components)]
+    return ChevalleyAlgebra(alg.cartan.transpose(), form_scales=scales)
 
 
 def principal_triple(alg: ChevalleyAlgebra):

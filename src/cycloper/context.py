@@ -7,7 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .automorphisms import DiagramAut, make_automorphism
-from .chevalley import build_algebra
+from .chevalley import build_algebra, dual_algebra
 from .folding import fold
 from .linalg import QQ, mat_inverse
 from .tower import ScalarTower
@@ -31,6 +31,7 @@ class OperContext:
         self._weyl = None
         self._varsigma = None
         self._folded = None
+        self._dual = None
         self._probe = None
 
     @property
@@ -62,6 +63,14 @@ class OperContext:
         if self._folded is None:
             self._folded = fold(self.alg, self.nu, self.weyl)
         return self._folded
+
+    @property
+    def dual(self) -> "OperContext":
+        """The Langlands-dual context: the dual algebra over the same tower
+        and nu, built on first use."""
+        if self._dual is None:
+            self._dual = OperContext(dual_algebra(self.alg), self.tower, self.nu)
+        return self._dual
 
     def vartheta(self, lam0):
         return make_automorphism(self.alg, self.nu, "vartheta", tower=self.tower, lam0=lam0)

@@ -124,6 +124,14 @@ class ModulusError(CycloperError):
     nonzero element had a non-unit gcd with the modulus."""
 
 
+class PartialFractionError(CycloperError):
+    """Bug trap in Hermite reduction: factors that must be coprime had a
+    non-unit extended gcd, or the fraction to split was not proper.  Exit
+    code 15."""
+
+    exit_code = 15
+
+
 class MonodromyObstruction(CycloperError):
     """Nonzero residues met while integrating; a value as much as an error.
 

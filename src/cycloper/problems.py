@@ -18,6 +18,13 @@ from .tower import ScalarTower
 from .weyl import Coweight
 
 
+MAX_ORDER = 1000
+"""Largest cyclotomic order T a problem file may ask for.  Building
+Q(zeta_T) divides x^T - 1 by every Phi_d with d | T, which takes under a
+second for T <= 1000 (T = 100000 runs for more than 20 s); the split prime of
+scalars.split_prime needs T far below 2^30."""
+
+
 def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
     """Exact scalar expressions: integer literals, 'zeta', parameter names,
     + - * / ** and parentheses; with allow_t also the coordinate."""
@@ -132,7 +139,15 @@ def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
     else:
         raise ParseError("algebra must be a type label or {'cartan': rows}")
 
-    T = int(raw.get("T", 1))
+    T = raw.get("T", 1)
+    try:
+        if isinstance(T, bool) or not isinstance(T, (int, str)):
+            raise ValueError
+        T = int(T)
+    except ValueError:
+        raise ValidationError(f"T must be an integer, got {raw['T']!r}") from None
+    if not 1 <= T <= MAX_ORDER:
+        raise ValidationError(f"T = {T} is outside 1..{MAX_ORDER}")
     declared = list(raw.get("parameters", []))
     params = tuple(p for p in declared if p not in instantiate)
     tower = ScalarTower.get(T, params)

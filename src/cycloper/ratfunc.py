@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import IrreducibleDenominator, MonodromyObstruction
+from .errors import IrreducibleDenominator, MonodromyObstruction, PartialFractionError
 from .scalars import CycNum, CyclotomicField, LRUCache
 
 INFINITY = "inf"  # marker for the point at infinity
@@ -101,8 +101,34 @@ def pmonic(K, a):
     return pscale(a, K.one / lc)
 
 
+def _coprime_mod_prime(K, a, b):
+    """True only when a and b in Q(zeta_T)[t] are proven coprime.  With
+    P = (p, zeta - w) the prime of K.residues, Z[zeta_T]_P is a discrete
+    valuation ring; when both leading coefficients are units there, Gauss's
+    lemma reduces the true gcd to a common divisor of the images of the same
+    degree, so a constant gcd over F_p proves the gcd is 1."""
+    ra, rb = K.residues(a), K.residues(b)
+    if ra is None or rb is None or not ra[-1] or not rb[-1]:
+        return False
+    p = K.split[0]
+    while rb:
+        inv, n = pow(rb[-1], -1, p), len(rb) - 1
+        for i in range(len(ra) - 1, n - 1, -1):
+            c = ra[i] * inv % p
+            if c:
+                for j in range(n):
+                    ra[i - n + j] = (ra[i - n + j] - c * rb[j]) % p
+        del ra[n:]
+        while ra and not ra[-1]:
+            ra.pop()
+        ra, rb = rb, ra
+    return len(ra) == 1
+
+
 def pgcd(K, a, b):
     a, b = ptrim(a), ptrim(b)
+    if a and b and isinstance(K, CyclotomicField) and _coprime_mod_prime(K, a, b):
+        return (K.one,)
     while b:
         a, b = b, pdivmod(K, a, b)[1]
     return pmonic(K, a)
@@ -884,7 +910,8 @@ def _coprime_split(K, num, dens):
     for d in dens[1:]:
         rest = pmul(K, rest, d)
     g, s, t = pxgcd(K, d0, rest)
-    assert pdeg(g) == 0 and g, "factors are not coprime"
+    if pdeg(g) != 0:
+        raise PartialFractionError("squarefree factors are not coprime")
     # 1 = s*d0 + t*rest  =>  num/(d0*rest) = num*t/d0 + num*s/rest
     n0 = pmul(K, num, t)
     q0, r0 = pdivmod(K, n0, d0)
@@ -905,7 +932,8 @@ def hermite_reduce(F: FunctionField, num, den):
     num = pscale(num, K.one / lc)
     dens = [ppow(K, P, i) for P, i in sqf]
     poly, nums = _coprime_split(K, num, dens)
-    assert not poly, "input fraction was not proper"
+    if poly:
+        raise PartialFractionError("input fraction was not proper")
     rational = F.zero
     logs = []
     for (P, i), A in zip(sqf, nums):
@@ -913,7 +941,8 @@ def hermite_reduce(F: FunctionField, num, den):
         while k >= 2:
             # 1 = u*P + v*P'
             g, u, v = pxgcd(K, P, pderiv_(K, P))
-            assert pdeg(g) == 0 and g
+            if pdeg(g) != 0:
+                raise PartialFractionError("a squarefree factor shares a root with its derivative")
             Av = pmul(K, A, v)
             # A/P^k = (A*u)/P^(k-1) + Av*P'/P^k
             # int Av*P'/P^k = Av/((1-k)P^(k-1)) - int Av'/((1-k)P^(k-1))

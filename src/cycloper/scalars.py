@@ -8,6 +8,8 @@ Transcendental parameters (z, a, b, ...) are adjoined one at a time as
 univariate rational-function layers over the previous field, and the global
 coordinate t is one more such layer (see ratfunc.RatFunc).  Every element is
 immutable and hashable; equality is canonical-representation equality.
+A residue map onto F_p, zeta -> w for a root w of Phi_T mod a prime
+p = 1 mod T, lets ratfunc certify coprime gcds.
 """
 
 from __future__ import annotations
@@ -76,6 +78,19 @@ def cyclotomic_polynomial(n: int) -> tuple:
             if rem:
                 raise ModulusError(f"Phi_{d} does not divide x^{n} - 1 exactly")
     return tuple(Fraction(c) for c in num)
+
+
+def split_prime(T: int):
+    """(p, w): the largest prime p < 2^30 with p = 1 mod T, found by trial
+    division, and a root w of Phi_T mod p (an element of order T)."""
+    p = (2**30 - 2) // T * T + 1
+    while not (p % 2 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))):
+        p -= T
+    phi = [int(c) for c in cyclotomic_polynomial(T)]
+    for a in range(2, p):
+        w = pow(a, (p - 1) // T, p)
+        if not sum(c * pow(w, i, p) for i, c in enumerate(phi)) % p:
+            return p, w
 
 
 def _integral(coeffs):
@@ -266,6 +281,7 @@ class CyclotomicField:
         # Phi_T is monic with integer coefficients: x^d = -sum_j m_j x^j
         self._mod_terms = tuple((j, int(m)) for j, m in enumerate(self.modulus[:d]) if m)
         self._inv_cache = LRUCache()
+        self._split = None
         self._zeros = (0,) * (d - 1)
         self.zero = _make(self, (0,) * d, 1)
         self.one = _make(self, (1,) + self._zeros, 1)
@@ -331,6 +347,29 @@ class CyclotomicField:
             raise ModulusError(f"{a} has a non-unit gcd with the modulus {self.modulus}")
         c = r0[0]
         return _integral(self._reduce([x / c for x in s0]))
+
+    # -- residues modulo a degree-1 prime -------------------------------------
+    @property
+    def split(self):
+        """(p, (w^0, ..., w^(d-1))) for (p, w) = split_prime(T), built on first use."""
+        if self._split is None:
+            p, w = split_prime(self.order)
+            self._split = p, tuple(pow(w, i, p) for i in range(self.degree))
+        return self._split
+
+    def residues(self, xs):
+        """[x mod P for x in xs] as ints in [0, p), where P = (p, zeta - w) is
+        the degree-1 prime of split; None when p divides a denominator."""
+        p, powers = self.split
+        out = []
+        for x in xs:
+            r = sum(map(operator.mul, x.num, powers))
+            if x.den != 1:
+                if not x.den % p:
+                    return None
+                r *= pow(x.den, -1, p)
+            out.append(r % p)
+        return out
 
     # -- field facade ---------------------------------------------------------
     def coerce(self, x):

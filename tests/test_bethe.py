@@ -225,6 +225,16 @@ def test_weight_at_infinity_folded_consistency():
     assert (lam_inf + rho_coweight(2)).is_dominant()
 
 
+def test_dual_context_and_weight_basis_are_built_once():
+    ctx = OperContext("B2", ScalarTower.get(2))
+    assert ctx.dual is ctx.dual
+    assert ctx.dual.alg.cartan.matrix == dual_algebra(ctx.alg).cartan.matrix
+    assert ctx.dual.tower is ctx.tower and ctx.dual.nu is ctx.nu
+    assert ctx.alg.cartan_transpose_inverse is ctx.alg.cartan_transpose_inverse
+    data = BetheSystemData(ctx, ctx.varsigma, [(Fraction(1), Coweight((Fraction(1), Fraction(0))))], [], [])
+    assert miura_from_bethe(data)[1] is ctx.dual
+
+
 def test_dual_algebra_double():
     for lbl in ("A2", "B2", "G2", "D4"):
         g = build_algebra(lbl)

@@ -9,7 +9,8 @@ from conftest import FIXTURES
 from cycloper.cli import main
 from cycloper.problems import parse_instantiate, parse_problem, parse_scalar
 from cycloper.tower import ScalarTower
-from cycloper.errors import ParseError
+from cycloper.errors import ParseError, ValidationError
+from cycloper.problems import MAX_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -47,6 +48,20 @@ def test_parse_problem_minimal():
     p = parse_problem(fx("minimal_a1.json"))
     assert p.ctx.alg.rank == 1
     assert p.lam0.coords[0] == 1
+
+
+@pytest.mark.parametrize("T", ["abc", 0, -3, MAX_ORDER + 1, 100000, True, 4.5, None])
+def test_parse_problem_rejects_bad_orders(T):
+    with pytest.raises(ValidationError, match="T"):
+        parse_problem({"algebra": "A1", "T": T, "lambda0": ["1"]})
+
+
+def test_bad_order_exits_with_the_validation_code(tmp_path, capsys):
+    path = tmp_path / "bad_order.json"
+    path.write_text(json.dumps({"algebra": "A1", "T": "abc", "lambda0": ["1"]}))
+    assert main(["--problem", str(path), "--command", "residues"]) == 3
+    assert "ValidationError" in capsys.readouterr().err
+    assert parse_problem({"algebra": "A1", "T": "4", "lambda0": ["1"]}).ctx.tower.order == 4
 
 
 def test_parse_problem_instantiate():

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,9 +9,12 @@ import sympy
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from cycloper.errors import IrreducibleDenominator, MonodromyObstruction
+import cycloper
+from cycloper import ratfunc
+from cycloper.errors import IrreducibleDenominator, MonodromyObstruction, PartialFractionError
 from cycloper.ratfunc import (
     INFINITY,
+    hermite_reduce,
     partial_fractions,
     poles_of,
     rational_antiderivative,
@@ -217,3 +223,50 @@ def test_function_field_laws(n1, d1, n2, d2):
         assert (f * g) / g == f
         assert g * g.inverse() == ScalarTower.get(1).functions.one
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
+
+
+def _non_unit_xgcd(K, a, b):
+    """A stand-in for pxgcd that reports the non-unit gcd t."""
+    return (K.zero, K.one), (K.one,), (K.one,)
+
+
+def test_hermite_reduction_failures_are_typed(monkeypatch):
+    tw = ScalarTower.get(1)
+    t1, F1, K1 = tw.t, tw.functions, tw.scalars
+    with pytest.raises(PartialFractionError, match="not proper"):
+        hermite_reduce(F1, (K1.one, K1.one), (K1.zero, K1.one))
+    monkeypatch.setattr(ratfunc, "pxgcd", _non_unit_xgcd)
+    with pytest.raises(PartialFractionError, match="not coprime"):
+        rational_antiderivative(1 / (t1 ** 2 * (t1 - 1)))
+    with pytest.raises(PartialFractionError, match="derivative"):
+        rational_antiderivative(1 / t1 ** 2)
+    assert PartialFractionError.exit_code == 15
+
+
+_HERMITE_CHECKS_UNDER_O = """
+import cycloper.ratfunc as ratfunc
+from cycloper.errors import PartialFractionError
+from cycloper.tower import ScalarTower
+
+tw = ScalarTower.get(1)
+t, F, K = tw.t, tw.functions, tw.scalars
+calls = [lambda: ratfunc.hermite_reduce(F, (K.one, K.one), (K.zero, K.one))]
+ratfunc.pxgcd = lambda K, a, b: ((K.zero, K.one), (K.one,), (K.one,))
+calls += [lambda: ratfunc.rational_antiderivative(1 / (t ** 2 * (t - 1))),
+          lambda: ratfunc.rational_antiderivative(1 / t ** 2)]
+for call in calls:
+    try:
+        call()
+        raise SystemExit("no error")
+    except PartialFractionError:
+        pass
+"""
+
+
+def test_hermite_reduction_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(cycloper.__file__))
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", _HERMITE_CHECKS_UNDER_O],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

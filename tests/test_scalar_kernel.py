@@ -1,5 +1,6 @@
 """The integer kernel of Q(zeta_T) against sympy as an oracle, its bounded
-caches, and its typed internal errors."""
+caches, its typed internal errors, and the coprime certificate of pgcd by
+the residue map modulo a split prime."""
 
 import math
 from fractions import Fraction
@@ -12,7 +13,15 @@ import hypothesis.strategies as st
 from cycloper import scalars
 from cycloper.errors import ModulusError
 from cycloper.ratfunc import FunctionField, pgcd, pmul
-from cycloper.scalars import CACHE_SIZE, CycNum, CyclotomicField, LRUCache, euler_phi
+from cycloper.scalars import (
+    CACHE_SIZE,
+    CycNum,
+    CyclotomicField,
+    LRUCache,
+    cyclotomic_polynomial,
+    euler_phi,
+    split_prime,
+)
 
 X = sympy.Symbol("x")
 ORDERS = [1, 2, 3, 4, 5, 8, 12]
@@ -111,3 +120,103 @@ def test_inexact_cyclotomic_division_is_typed(monkeypatch):
     monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda d: (Fraction(2), Fraction(1)))
     with pytest.raises(ModulusError):
         uncached(4)  # x + 2 does not divide x^4 - 1
+
+
+# -- the coprime certificate: residues modulo a degree-1 prime ---------------
+
+def sympy_domain(T):
+    """Q(zeta_T) as a sympy domain whose elements are polynomials in zeta."""
+    if T <= 2:
+        return sympy.QQ
+    return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / T))
+
+
+def sympy_gcd(K, a, b):
+    """gcd of two polynomials over Q(zeta_T) computed by sympy, returned as
+    a monic coefficient tuple of CycNums (ascending)."""
+    D = sympy_domain(K.order)
+    Q = sympy.QQ
+
+    def to_d(x):
+        if D is Q:
+            return Q(x.num[0], x.den)
+        return D([Q(n, x.den) for n in reversed(x.num)])
+
+    def from_d(c):
+        cs = [c] if D is Q else c.to_list()
+        fs = [Fraction(int(q.numerator), int(q.denominator)) for q in reversed(cs)]
+        return CycNum(K, fs + [Fraction(0)] * (K.degree - len(fs)))
+
+    def poly(cs):
+        return sympy.Poly([to_d(c) for c in reversed(cs)], sympy.Symbol("t"), domain=D)
+
+    g = poly(a).gcd(poly(b))
+    return tuple(from_d(c) for c in reversed(g.rep.to_list()))
+
+
+def cyc_polys(K, min_degree, max_degree):
+    """Polynomials over Q(zeta_T) with nonzero leading coefficient."""
+    elems = vectors(K.order).map(lambda cs: CycNum(K, cs))
+    return st.tuples(
+        st.lists(elems, min_size=min_degree, max_size=max_degree), elems.filter(bool)
+    ).map(lambda p: tuple(p[0]) + (p[1],))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), T=st.sampled_from(ORDERS), k=st.integers(0, 3))
+def test_pgcd_matches_sympy_with_planted_factors(data, T, k):
+    K = CyclotomicField.get(T)
+    g = data.draw(cyc_polys(K, k, k))
+    f1, f2 = data.draw(cyc_polys(K, 0, 3)), data.draw(cyc_polys(K, 0, 3))
+    a, b = pmul(K, g, f1), pmul(K, g, f2)
+    got = pgcd(K, a, b)
+    assert got == sympy_gcd(K, a, b)
+    assert len(got) >= k + 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), T=st.sampled_from(ORDERS))
+def test_residue_map_is_a_ring_homomorphism(data, T):
+    K = CyclotomicField.get(T)
+    p = K.split[0]
+    x, y = (CycNum(K, data.draw(vectors(T))) for _ in range(2))
+    rx, ry = K.residues([x, y])
+    assert K.residues([x + y]) == [(rx + ry) % p]
+    assert K.residues([x - y]) == [(rx - ry) % p]
+    assert K.residues([x * y]) == [rx * ry % p]
+    assert K.residues([K.one, K.zero]) == [1, 0]
+    if rx:
+        inv = K.residues([x.inverse()])
+        assert inv is None or inv == [pow(rx, -1, p)]
+
+
+@pytest.mark.parametrize("T", ORDERS)
+def test_split_prime_splits_phi(T):
+    p, w = split_prime(T)
+    assert sympy.isprime(p) and p < 2**30 and p % T == 1 % T
+    assert not any(sympy.isprime(q) for q in range(p + T, 2**30, T))
+    assert sum(int(c) * pow(w, i, p) for i, c in enumerate(cyclotomic_polynomial(T))) % p == 0
+    K = CyclotomicField.get(T)
+    assert K.split[0] == p and K.residues([K.zeta]) == [w]
+
+
+@pytest.mark.parametrize("T", ORDERS)
+def test_pgcd_falls_back_where_the_certificate_cannot_decide(T):
+    K = CyclotomicField.get(T)
+    p = K.split[0]
+    c = K.coerce
+    t = (K.zero, K.one)
+    cases = [
+        # a coefficient whose denominator p divides: no residue
+        (pmul(K, (c(Fraction(-1, p)), K.one), (c(2), K.one)),
+         pmul(K, (c(Fraction(-1, p)), K.one), (c(3), K.one))),
+        ((c(Fraction(1, p)), K.one), (K.one, K.one)),
+        # leading coefficients p: coprime images t and t + 1, common factor p*t + 1
+        (pmul(K, (K.one, c(p)), t), pmul(K, (K.one, c(p)), (K.one, K.one))),
+        # coprime over Q(zeta_T), not modulo p
+        (t, (c(p), K.one)),
+    ]
+    for a, b in cases:
+        assert pgcd(K, a, b) == sympy_gcd(K, a, b)
+    assert pgcd(K, cases[2][0], cases[2][1]) == (c(Fraction(1, p)), K.one)
+    assert pgcd(K, t, (c(p), K.one)) == (K.one,)
