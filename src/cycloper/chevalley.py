@@ -398,7 +398,8 @@ class ChevalleyAlgebra:
             for w in vecs:
                 self.exponents.append(k)
                 self.centralizer_basis.append((k, w))
-        assert len(self.exponents) == self.rank, "centralizer dimension must equal rank"
+        if len(self.exponents) != self.rank:
+            raise MalformedOper("centralizer dimension must equal rank")
 
     def vec_zero(self, K=QQ):
         return [K.zero] * self.dim

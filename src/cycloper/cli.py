@@ -21,7 +21,7 @@ from .miura import (
     riccati_solve,
     theta_for,
 )
-from .problems import parse_instantiate, parse_problem, parse_scalar
+from .problems import parse_cover_power, parse_instantiate, parse_problem, parse_scalar
 from .ratfunc import INFINITY
 
 COMMANDS = (
@@ -244,7 +244,7 @@ def cmd_spectrum_crosscheck(problem, args):
 
 
 def cmd_lift_cover(problem, args):
-    q = int(args.q or 2)
+    q = parse_cover_power(args.q, problem.ctx.tower.order)
     m = _miura_of(problem)
     lifted, ctx2 = lift_to_cover(m.connection(), q)
     alg = ctx2.alg

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 from .automorphisms import DiagramAut, make_automorphism
 from .chevalley import build_algebra, dual_algebra
+from .errors import MalformedOper
 from .folding import fold
 from .linalg import QQ, mat_inverse
 from .tower import ScalarTower
@@ -119,7 +120,8 @@ class OperContext:
             chosen.append((i, j))
             if len(rows) == dim:
                 break
-        assert len(rows) == dim, "adjoint map is not injective?"
+        if len(rows) != dim:
+            raise MalformedOper("the adjoint map is not injective")
         inv = mat_inverse(QQ, rows)
         self._probe = (chosen, inv)
         return self._probe

@@ -201,7 +201,8 @@ class SparseMat:
         out = SparseMat(self.K, self.nrows, self.ncols)
         if c:
             for i, row in enumerate(self.rows):
-                out.rows[i] = {j: v * c for j, v in row.items() if v * c}
+                prods = ((j, v * c) for j, v in row.items())
+                out.rows[i] = {j: x for j, x in prods if x}
         return out
 
     def add(self, other):

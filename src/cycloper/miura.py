@@ -255,6 +255,22 @@ def reproduce_simple(miura: MiuraOper, k, f, expect_rule_check=True) -> Reproduc
     return ReproductionResult(miura, new, g, branch, led, is_equivariant(g, ctx.varsigma))
 
 
+def _require(ok, what):
+    """An internal check that survives python -O."""
+    if not ok:
+        raise MalformedOper(what)
+
+
+def _check_res0_rule(r0_old, r0_new, snu, singular):
+    """The singular branch moves -res_0 by the folded reflection; the regular
+    branch keeps res_0."""
+    if singular:
+        neg = Coweight([-c for c in r0_old.coords])
+        _require(Coweight([-c for c in r0_new.coords]) == snu.dot(neg), "res_0 rule violated")
+    else:
+        _require(r0_new == r0_old, "regular branch must not move res_0")
+
+
 def _check_simple_rules(ctx, old, new, k, f):
     """Residue bookkeeping of the single-direction reproduction."""
     W = ctx.weyl
@@ -263,10 +279,7 @@ def _check_simple_rules(ctx, old, new, k, f):
     after = new.residue_coweight(INFINITY)
     # the DIFFERENTIAL f dt has a pole at infinity iff val_inf(f) <= 1
     has_pole = bool(f) and f.valuation_at_infinity() <= 1
-    if has_pole:
-        assert after == sk.dot(before), "res_inf rule violated"
-    else:
-        assert after == before
+    _require(after == (sk.dot(before) if has_pole else before), "res_inf rule violated")
 
 
 def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionResult:
@@ -311,7 +324,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     lam0 = Coweight([-c for c in miura.residue_coweight(0).coords])
     pairing_val = as_rational((lam0 + rho_coweight(alg.rank)).coords[k])
     if singular:
-        assert closes, "singular solutions must close up automatically"
+        _require(closes, "singular solutions must close up automatically")
     elif not closes:
         cond = f"<alpha_{k+1}, lam0 + rho> = {pairing_val} != 0 mod {T // size}"
         raise CyclotomyObstruction(f"reproduction is not cyclotomic: {cond}", condition=cond)
@@ -324,19 +337,15 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
         new = new.add(i, fi)
     _check_reassembly(gauge_transform(miura.connection(), g), new)
     cyc = is_equivariant(g, ctx.varsigma)
-    assert cyc, "closing relation held but g is not equivariant"
+    _require(cyc, "closing relation held but g is not equivariant")
     led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     snu = folded.simple_reflections[oi]
     r0_old, r0_new = led[K.zero]
-    if singular:
-        neg = Coweight([-c for c in r0_old.coords])
-        assert Coweight([-c for c in r0_new.coords]) == snu.dot(neg), "res_0 rule violated"
-    else:
-        assert r0_new == r0_old, "regular branch must not move res_0"
+    _check_res0_rule(r0_old, r0_new, snu, singular)
     ri_old, ri_new = led[INFINITY]
     pair_inf = as_rational((ri_old + rho_coweight(alg.rank)).coords[k])
     if pair_inf is not None and pair_inf >= 0 and f_k:
-        assert ri_new == snu.dot(ri_old), "res_inf rule violated"
+        _require(ri_new == snu.dot(ri_old), "res_inf rule violated")
     return ReproductionResult(
         miura, new, g, "singular-at-0" if singular else "regular-at-0", led, cyc
     )
@@ -425,15 +434,11 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
         # most a simple pole with zero residue
         pp1 = f1.principal_part_at(K.zero) if not f1.is_regular_at(0) else ()
         eta = as_rational(Coweight([-c for c in miura.residue_coweight(0).coords]).coords[k])
-        assert pp1 and len(pp1) == 1 and as_rational(pp1[0]) == 2 * (eta + 1), "singular class is not (ii)(a)"
+        _require(len(pp1) == 1 and as_rational(pp1[0]) == 2 * (eta + 1), "singular class is not (ii)(a)")
     led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     snu = folded.simple_reflections[oi]
     r0_old, r0_new = led[K.zero]
-    if singular:
-        neg = Coweight([-c for c in r0_old.coords])
-        assert Coweight([-c for c in r0_new.coords]) == snu.dot(neg), "res_0 rule violated"
-    else:
-        assert r0_new == r0_old
+    _check_res0_rule(r0_old, r0_new, snu, singular)
     return ReproductionResult(
         miura, new, g, "singular-at-0" if singular else "regular-at-0", led, cyc
     )

@@ -22,7 +22,16 @@ MAX_ORDER = 1000
 """Largest cyclotomic order T a problem file may ask for.  Building
 Q(zeta_T) divides x^T - 1 by every Phi_d with d | T, which takes under a
 second for T <= 1000 (T = 100000 runs for more than 20 s); the split prime of
-scalars.split_prime needs T far below 2^30."""
+scalars.split_prime needs T far below 2^30.  The lift-cover command's
+Q(zeta_{T q}) is held to the same bound."""
+
+MAX_EXPONENT = 1000
+"""Largest |n| a scalar expression may raise to, as in "z^n".  A rational
+power may besides have at most MAX_SCALAR_BITS bits in its numerator and
+denominator: "2^99999999" would otherwise run for minutes and then fail to
+render (Python refuses to print ints of more than 4300 digits)."""
+
+MAX_SCALAR_BITS = 10000
 
 
 def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
@@ -53,6 +62,9 @@ def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
                     b = int(b)
                 if not isinstance(b, int):
                     raise ParseError(f"exponent must be an integer literal in {text!r}")
+                bits = max(a.numerator.bit_length(), a.denominator.bit_length()) if isinstance(a, Fraction) else 1
+                if abs(b) > MAX_EXPONENT or abs(b) * bits > MAX_SCALAR_BITS:
+                    raise ValidationError(f"power {b} is too large in {text!r}")
                 return a ** b
             raise ParseError(f"unsupported operator in {text!r}")
         if isinstance(n, ast.UnaryOp):
@@ -80,7 +92,22 @@ def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
                 raise ParseError(f"unknown name {name!r} in {text!r}")
         raise ParseError(f"unsupported syntax in {text!r}")
 
-    return field_.coerce(ev(node))
+    try:
+        return field_.coerce(ev(node))
+    except ZeroDivisionError:
+        raise ValidationError(f"division by zero in {text!r}") from None
+
+
+def parse_cover_power(text, order):
+    """The cover power q of lift-cover: an integer q >= 1 with
+    order * q <= MAX_ORDER (the default is 2)."""
+    try:
+        q = 2 if text is None else int(text)
+    except ValueError:
+        raise ValidationError(f"--q must be an integer, got {text!r}") from None
+    if not 1 <= q <= MAX_ORDER // order:
+        raise ValidationError(f"--q = {q} is outside 1..{MAX_ORDER // order} (T * q <= {MAX_ORDER})")
+    return q
 
 
 def parse_instantiate(spec: str):

@@ -3,15 +3,19 @@ transcendental-parameter layers and for functions of the global coordinate t.
 
 Polynomials are dense coefficient tuples (ascending, no trailing zeros, the
 empty tuple is 0).  A RatFunc is a reduced num/den pair with monic
-denominator, so equality and hashing are canonical.
+denominator, so equality and hashing are canonical.  Over Q(zeta_T) itself
+both are stored as packed integer vectors (see the integer core below) and
+the arithmetic runs on plain ints; higher layers keep coefficient tuples.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 from .errors import IrreducibleDenominator, MonodromyObstruction, PartialFractionError
-from .scalars import CycNum, CyclotomicField, LRUCache
+from .scalars import CycNum, CyclotomicField, LRUCache, _lowest, _make
 
 INFINITY = "inf"  # marker for the point at infinity
 
@@ -65,15 +69,16 @@ def pmul(K, a, b):
     return ptrim(out)
 
 
-def ppow(K, a, n):
-    out = (K.one,)
-    base = a
-    while n:
+def ppow(K, a, n, mul=pmul):
+    """a^n for n >= 1 by squaring, with the product mul(K, x, y)."""
+    out = None
+    while True:
         if n & 1:
-            out = pmul(K, out, base)
-        base = pmul(K, base, base)
+            out = a if out is None else mul(K, out, a)
         n >>= 1
-    return out
+        if not n:
+            return out
+        a = mul(K, a, a)
 
 
 def pdivmod(K, a, b):
@@ -101,16 +106,257 @@ def pmonic(K, a):
     return pscale(a, K.one / lc)
 
 
+def pgcd(K, a, b):
+    """Monic gcd.  Over a CyclotomicField it runs on the integer core, and
+    takes and returns packed integer vectors or CycNum tuples alike."""
+    if isinstance(K, CyclotomicField):
+        if all(type(x) is int for x in a[:1] + b[:1]):  # packed integer vectors
+            return _vgcd(K, a, b)
+        g = _vgcd(K, _pack(K, a)[0], _pack(K, b)[0])
+        return _unpack(K, g, g[-1]) if g else ()
+    a, b = ptrim(a), ptrim(b)
+    while b:
+        a, b = b, pdivmod(K, a, b)[1]
+    return pmonic(K, a)
+
+
+# ---------------------------------------------------------------------------
+# the integer core over Q(zeta_T), d = phi(T): a polynomial is one flat tuple
+# v of ints, v[i*d + u] the coefficient of zeta^u t^i, trailing zeros
+# trimmed (so () is 0), and stands for v/c with a scalar c kept beside it.
+# A monic polynomial in lowest terms ends in its denominator c = v[-1] > 0.
+# ---------------------------------------------------------------------------
+
+def _vtrim(v):
+    while v and not v[-1]:
+        v.pop()
+    return tuple(v)
+
+
+def _pack(K, cs):
+    """(v, c) with v/c == the CycNum tuple cs, in lowest terms."""
+    cs = [K.coerce(c) for c in cs]
+    c = math.lcm(*[x.den for x in cs])
+    v = []
+    for x in cs:
+        v += x.num if x.den == c else [n * (c // x.den) for n in x.num]
+    return _vtrim(v), c
+
+
+def _unpack(K, v, c):
+    """The CycNum coefficients of v/c."""
+    d = K.degree
+    pad = (0,) * d
+    return tuple(_lowest(K, (v[i:i + d] + pad)[:d], c) for i in range(0, len(v), d))
+
+
+def _vmul(K, a, b):
+    """Product of integer vectors: schoolbook in t with zeta-blocks widened to
+    2d - 1, then folded mod Phi_T by CyclotomicField._mod_terms."""
+    if not a or not b:
+        return ()
+    if len(a) == 1 or len(b) == 1:  # an int factor
+        if len(a) != 1:
+            a, b = b, a
+        x = a[0]
+        return b if x == 1 else tuple([x * y for y in b])
+    d = K.degree
+    if d == 1:
+        out = [0] * (len(a) + len(b) - 1)
+        bs = [(j, y) for j, y in enumerate(b) if y]
+        for i, x in enumerate(a):
+            if x:
+                for j, y in bs:
+                    out[i + j] += x * y
+        return tuple(out)
+    e = 2 * d - 1
+    bs = [(j // d * e + j % d, y) for j, y in enumerate(b) if y]
+    out = [0] * (((len(a) - 1) // d + (len(b) - 1) // d + 1) * e)
+    for i, x in enumerate(a):
+        if x:
+            i = i // d * e + i % d
+            for j, y in bs:
+                out[i + j] += x * y
+    terms = K._mod_terms
+    v = []
+    for s in range(0, len(out), e):
+        for u in range(s + e - 1, s + d - 1, -1):
+            x = out[u]
+            if x:
+                for j, m in terms:
+                    out[u - d + j] -= x * m
+        v += out[s:s + d]
+    return _vtrim(v)
+
+
+def _vcomb(a, x, b, y):
+    """x*a + y*b for integer vectors a, b and ints x, y."""
+    if len(a) < len(b):
+        a, x, b, y = b, y, a, x
+    return _vtrim([p * x + q * y for p, q in zip(a, b)] + [p * x for p in a[len(b):]])
+
+
+def _vprim(v):
+    """v divided by its content, signed so that the last entry is positive."""
+    g = math.gcd(*v)
+    if v[-1] < 0:
+        g = -g
+    return v if g == 1 else tuple([x // g for x in v])
+
+
+def _vlowest(v, num, den):
+    """(w, c) with w/c == v * num/den in lowest terms and c > 0."""
+    if not v:
+        return (), 1
+    if den < 0:
+        num, den = -num, -den
+    g = math.gcd(num, den)
+    if g != 1:
+        num //= g
+        den //= g
+    g = math.gcd(den, *v)
+    if g != 1:
+        v = [x // g for x in v]
+        den //= g
+    if num != 1:
+        v = [x * num for x in v]
+    return tuple(v), den
+
+
+def _lead_rational(K, v):
+    """v times an integer vector that makes its leading coefficient an int:
+    the numerator of the inverse of that coefficient."""
+    d = K.degree
+    top = (len(v) - 1) // d * d
+    if len(v) - 1 == top:
+        return v, (1,)
+    w = _make(K, (v[top:] + (0,) * d)[:d], 1).inverse().num
+    w = _vtrim(list(w))
+    return _vmul(K, v, w), w
+
+
+def _vmonic(K, v):
+    """The monic associate of v, in lowest terms (ends in its denominator)."""
+    return _vprim(_lead_rational(K, v)[0]) if v else ()
+
+
+def _vdivmod(K, a, b):
+    """(q, r, s) with s*a == q*b + r, s > 0 an int and deg r < deg b, for
+    integer vectors a and b whose leading coefficient is an int b[-1].  The
+    remainder is scaled only when a leading block is not divisible by b[-1]."""
+    d = K.degree
+    L = b[-1]
+    db, da = (len(b) - 1) // d, (len(a) - 1) // d
+    if da < db:
+        return (), a, 1
+    a = list(a)
+    q = [0] * ((da - db + 1) * d)
+    s = 1
+    bs = [(j, y) for j, y in enumerate(b) if y]
+    for i in range(da - db, -1, -1):
+        top = (i + db) * d
+        blk = a[top:top + d]
+        if not any(blk):
+            continue
+        f = abs(L) // math.gcd(L, *blk)
+        if f != 1:
+            a = [x * f for x in a]
+            q = [x * f for x in q]
+            s *= f
+            blk = [x * f for x in blk]
+        c = [x // L for x in blk]
+        o = i * d
+        q[o:o + len(c)] = c
+        if any(c[1:]):
+            for j, y in enumerate(_vmul(K, _vtrim(c), b)):
+                a[o + j] -= y
+        else:
+            c = c[0]
+            for j, y in bs:
+                a[o + j] -= c * y
+    return _vtrim(q), _vtrim(a[:db * d]), s
+
+
+def _vcancel(K, a, b, g):
+    """a/b with the common factor g divided out: (qa, qb, x, y) with
+    a/b == (qa/qb) * (x/y)."""
+    qa, _, sa = _vdivmod(K, a, g)
+    qb, _, sb = _vdivmod(K, b, g)
+    return qa, qb, sb, sa
+
+
+def _vgcd(K, a, b):
+    """Monic gcd of integer vectors, by the coprime certificate and else a
+    primitive remainder sequence."""
+    if not a or not b:
+        return _vmonic(K, a or b)
+    d = K.degree
+    if len(a) <= d or len(b) <= d or _coprime_mod_prime(K, a, b):
+        return (1,)
+    if len(a) < len(b):
+        a, b = b, a
+    b = _vmonic(K, b)
+    while True:
+        r = _vdivmod(K, a, b)[1]
+        if not r:
+            return b
+        if len(r) <= d:
+            return (1,)
+        a, b = b, _vmonic(K, r)
+
+
+def _vderiv(d, v):
+    return tuple([k // d * v[k] for k in range(d, len(v))])
+
+
+def _vhorner(K, v, p, den=1):
+    """v(p)/den as a CycNum, p a CycNum: Horner on integer blocks, scaled by
+    powers of p's denominator."""
+    d = K.degree
+    pn, pd = p.num, p.den
+    pad = (0,) * d
+    top = (len(v) - 1) // d * d
+    acc = (v[top:] + pad)[:d]
+    scale = 1
+    for i in range(top - d, -1, -d):
+        scale *= pd
+        acc = K._mul(acc, pn)
+        acc = tuple([x + y * scale for x, y in zip(acc, (v[i:i + d] + pad)[:d])])
+    return _lowest(K, acc, den * scale)
+
+
+def _vshift(K, v, p):
+    """The blocks of pd^n * v(t + p), n = deg v, p = pn/pd a CycNum."""
+    d = K.degree
+    pn, pd = p.num, p.den
+    pad = (0,) * d
+    blocks = [(v[i:i + d] + pad)[:d] for i in range(0, len(v), d)]
+    acc = [blocks.pop()]
+    scale = 1
+    while blocks:
+        scale *= pd
+        # acc * (pd t + pn) + block * scale
+        out = [K._mul(x, pn) for x in acc] + [pad]
+        for j, x in enumerate(acc):
+            out[j + 1] = tuple([y + z * pd for y, z in zip(out[j + 1], x)])
+        out[0] = tuple([y + z * scale for y, z in zip(out[0], blocks.pop())])
+        acc = out
+    return acc
+
+
 def _coprime_mod_prime(K, a, b):
-    """True only when a and b in Q(zeta_T)[t] are proven coprime.  With
-    P = (p, zeta - w) the prime of K.residues, Z[zeta_T]_P is a discrete
-    valuation ring; when both leading coefficients are units there, Gauss's
-    lemma reduces the true gcd to a common divisor of the images of the same
-    degree, so a constant gcd over F_p proves the gcd is 1."""
-    ra, rb = K.residues(a), K.residues(b)
-    if ra is None or rb is None or not ra[-1] or not rb[-1]:
+    """True only when the integer vectors a and b are proven coprime in
+    Q(zeta_T)[t].  With P = (p, zeta - w) the prime of K.split, Z[zeta_T]_P
+    is a discrete valuation ring; when both leading coefficients are units
+    there, Gauss's lemma reduces the true gcd to a common divisor of the
+    images of the same degree, so a constant gcd over F_p proves the gcd
+    is 1."""
+    p, powers = K.split
+    d = K.degree
+    ra = [sum(map(operator.mul, a[i:i + d], powers)) % p for i in range(0, len(a), d)]
+    rb = [sum(map(operator.mul, b[i:i + d], powers)) % p for i in range(0, len(b), d)]
+    if not ra[-1] or not rb[-1]:
         return False
-    p = K.split[0]
     while rb:
         inv, n = pow(rb[-1], -1, p), len(rb) - 1
         for i in range(len(ra) - 1, n - 1, -1):
@@ -123,15 +369,6 @@ def _coprime_mod_prime(K, a, b):
             ra.pop()
         ra, rb = rb, ra
     return len(ra) == 1
-
-
-def pgcd(K, a, b):
-    a, b = ptrim(a), ptrim(b)
-    if a and b and isinstance(K, CyclotomicField) and _coprime_mod_prime(K, a, b):
-        return (K.one,)
-    while b:
-        a, b = b, pdivmod(K, a, b)[1]
-    return pmonic(K, a)
 
 
 def pxgcd(K, a, b):
@@ -248,6 +485,9 @@ class FunctionField:
     def __init__(self, var: str, coeff):
         self.var = var
         self.coeff = coeff
+        # over Q(zeta_T) elements are packed, one coefficient per stride ints
+        self.ground = isinstance(coeff, CyclotomicField)
+        self.stride = coeff.degree if self.ground else 1
         self.zero = RatFunc(self, (), (coeff.one,), reduce=False)
         self.one = RatFunc(self, (coeff.one,), (coeff.one,), reduce=False)
         self.gen = RatFunc(self, (coeff.zero, coeff.one), (coeff.one,), reduce=False)
@@ -255,8 +495,14 @@ class FunctionField:
         self._gcd_cache = LRUCache()
 
     def cached_gcd(self, a, b):
-        if len(a) == 1 or len(b) == 1:
-            return (self.coeff.one,) if (a and b) else pmonic(self.coeff, a or b)
+        """pgcd of two polynomials, coefficient tuples or packed integer
+        vectors, cached under (a, b) unless one of them is constant."""
+        if not (a and b):
+            return pgcd(self.coeff, a, b)
+        packed = type(a[0]) is int
+        w = self.stride if packed else 1
+        if len(a) <= w or len(b) <= w:
+            return (1,) if packed else (self.coeff.one,)
         return self._gcd_cache.lookup((a, b), lambda: pgcd(self.coeff, a, b))
 
     @classmethod
@@ -293,6 +539,8 @@ class FunctionField:
     def constant(self, c):
         if not c:
             return self.zero
+        if self.ground:
+            return _rf(self, _vtrim(list(c.num)), c.den, (1,))
         return RatFunc(self, (c,), (self.coeff.one,), reduce=False)
 
     def from_coeffs(self, num, den=None):
@@ -393,12 +641,29 @@ def as_rational(x):
 
 
 class RatFunc:
-    """Element of K(var): reduced fraction of dense polynomials."""
+    """Element of K(var): reduced fraction of dense polynomials.
 
-    __slots__ = ("field", "num", "den", "_hash")
+    Over K = Q(zeta_T) the value is (_n/_c) / (_d/_d[-1]): _n and _d packed
+    integer vectors, _c > 0 with _n/_c in lowest terms and _d primitive with
+    a positive int leading coefficient, so that _d/_d[-1] is monic.  Over a
+    FunctionField, _n and _d are the coefficient tuples and _c is None.
+    Either way (_n, _c, _d) is canonical; num and den read as tuples."""
+
+    __slots__ = ("field", "_n", "_c", "_d", "_coeffs", "_hash")
 
     def __init__(self, field, num, den, reduce=True):
         K = field.coeff
+        self.field = field
+        self._coeffs = self._hash = None
+        if field.ground:
+            nv, nc = _pack(K, num)
+            dv, dc = _pack(K, den)
+            if not dv:
+                raise ZeroDivisionError("zero denominator")
+            if reduce:
+                nv, nc, dv = _reduced(field, nv, dc, nc, dv)
+            self._n, self._c, self._d = nv, nc, dv
+            return
         num, den = ptrim(num), ptrim(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
@@ -414,10 +679,23 @@ class RatFunc:
                 den = pscale(den, inv)
         elif reduce:
             den = (K.one,)
-        self.field = field
-        self.num = num
-        self.den = den
-        self._hash = None
+        self._n, self._c, self._d = num, None, den
+
+    @property
+    def num(self):
+        return self._tuples()[0]
+
+    @property
+    def den(self):
+        return self._tuples()[1]
+
+    def _tuples(self):
+        if not self.field.ground:
+            return self._n, self._d
+        if self._coeffs is None:
+            K = self.field.coeff
+            self._coeffs = _unpack(K, self._n, self._c), _unpack(K, self._d, self._d[-1])
+        return self._coeffs
 
     # -- coercion glue -------------------------------------------------------
     def _coerce(self, other):
@@ -443,18 +721,18 @@ class RatFunc:
         return None, None
 
     def __bool__(self):
-        return bool(self.num)
+        return bool(self._n)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(("RatFunc", self.field.var, self.num, self.den))
+            self._hash = hash(("RatFunc", self.field.var, self._n, self._c, self._d))
         return self._hash
 
     def __eq__(self, other):
         a, o = self._pair(other)
         if o is None:
             return NotImplemented
-        return a.num == o.num and a.den == o.den
+        return a._n == o._n and a._c == o._c and a._d == o._d
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -467,21 +745,23 @@ class RatFunc:
             return NotImplemented
         F = a.field
         K = F.coeff
-        if not a.num:
+        if not a._n:
             return o
-        if not o.num:
+        if not o._n:
             return a
-        if a.den == o.den:
-            return RatFunc(F, padd(K, a.num, o.num), a.den)
+        if F.ground:
+            return _add_packed(F, a, o)
+        if a._d == o._d:
+            return RatFunc(F, padd(K, a._n, o._n), a._d)
         # classical reduced addition: with g = gcd(d1, d2) only the part
         # t = n1 d2/g + n2 d1/g can share a factor with g
-        g = F.cached_gcd(a.den, o.den)
+        g = F.cached_gcd(a._d, o._d)
         if pdeg(g) == 0:
-            num = padd(K, pmul(K, a.num, o.den), pmul(K, o.num, a.den))
-            return RatFunc(F, num, pmul(K, a.den, o.den), reduce=False) if num else F.zero
-        d1g = pdivmod(K, a.den, g)[0]
-        d2g = pdivmod(K, o.den, g)[0]
-        tnum = padd(K, pmul(K, a.num, d2g), pmul(K, o.num, d1g))
+            num = padd(K, pmul(K, a._n, o._d), pmul(K, o._n, a._d))
+            return RatFunc(F, num, pmul(K, a._d, o._d), reduce=False) if num else F.zero
+        d1g = pdivmod(K, a._d, g)[0]
+        d2g = pdivmod(K, o._d, g)[0]
+        tnum = padd(K, pmul(K, a._n, d2g), pmul(K, o._n, d1g))
         if not tnum:
             return F.zero
         h = F.cached_gcd(tnum, g)
@@ -500,7 +780,9 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return RatFunc(self.field, pneg(self.num), self.den, reduce=False)
+        if self.field.ground:
+            return _rf(self.field, tuple([-x for x in self._n]), self._c, self._d)
+        return RatFunc(self.field, pneg(self._n), self._d, reduce=False)
 
     def __sub__(self, other):
         a, o = self._pair(other)
@@ -520,11 +802,22 @@ class RatFunc:
             return NotImplemented
         F = a.field
         K = F.coeff
-        if not a.num or not o.num:
+        n1, d1, n2, d2 = a._n, a._d, o._n, o._d
+        if not n1 or not n2:
             return F.zero
         # cross-cancel: products of reduced fractions reduce via the two
         # cross gcds only
-        n1, d1, n2, d2 = a.num, a.den, o.num, o.den
+        if F.ground:
+            rn, rd = d1[-1] * d2[-1], a._c * o._c
+            g = F.cached_gcd(n1, d2)
+            if len(g) > 1:
+                n1, d2, x, y = _vcancel(K, n1, d2, g)
+                rn, rd = rn * x, rd * y
+            g = F.cached_gcd(n2, d1)
+            if len(g) > 1:
+                n2, d1, x, y = _vcancel(K, n2, d1, g)
+                rn, rd = rn * x, rd * y
+            return _rf(F, *_canon(K, _vmul(K, n1, n2), rn, rd, _vmul(K, d1, d2)))
         g1 = F.cached_gcd(n1, d2)
         if pdeg(g1) > 0:
             n1 = pdivmod(K, n1, g1)[0]
@@ -545,16 +838,19 @@ class RatFunc:
     __rmul__ = __mul__
 
     def inverse(self):
-        if not self.num:
+        if not self._n:
             raise ZeroDivisionError("inverse of zero rational function")
-        K = self.field.coeff
-        num, den = self.den, self.num
+        F = self.field
+        K = F.coeff
+        if F.ground:
+            return _rf(F, *_canon(K, self._d, self._c, self._d[-1], self._n))
+        num, den = self._d, self._n
         lc = den[-1]
         if lc != K.one:
             inv = K.one / lc
             num = pscale(num, inv)
             den = pscale(den, inv)
-        return RatFunc(self.field, num, den, reduce=False)
+        return RatFunc(F, num, den, reduce=False)
 
     def __truediv__(self, other):
         a, o = self._pair(other)
@@ -571,78 +867,111 @@ class RatFunc:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        K = self.field.coeff
-        return RatFunc(self.field, ppow(K, self.num, n), ppow(K, self.den, n), reduce=False)
+        F = self.field
+        K = F.coeff
+        if n == 0:
+            return F.one
+        if F.ground:
+            # (n/c)^k / (d/L)^k with L^k the leading entry of d^k
+            den = ppow(K, self._d, n, _vmul)
+            return _rf(F, *_canon(K, ppow(K, self._n, n, _vmul), den[-1], self._c ** n, den))
+        return RatFunc(F, ppow(K, self._n, n), ppow(K, self._d, n), reduce=False)
 
     # -- structure -------------------------------------------------------------
+    def _degree(self, v):
+        return (len(v) - 1) // self.field.stride
+
     def is_constant(self):
-        return len(self.num) <= 1 and len(self.den) == 1
+        return len(self._n) <= self.field.stride and len(self._d) == 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
         K = self.field.coeff
-        return self.num[0] / self.den[0] if self.num else K.zero
+        if not self._n:
+            return K.zero
+        if self.field.ground:
+            return _unpack(K, self._n, self._c)[0]
+        return self._n[0] / self._d[0]
 
     def is_polynomial(self):
-        return len(self.den) == 1 and self.den[0] == self.field.coeff.one
+        return len(self._d) == 1
 
     def degree(self):
         """deg num - deg den (degree at infinity)."""
-        return pdeg(self.num) - pdeg(self.den)
+        return self._degree(self._n) - self._degree(self._d)
 
     def derivative(self):
         F = self.field
         K = F.coeff
-        if len(self.den) == 1:
-            return RatFunc(F, pscale(pderiv_(K, self.num), K.one / self.den[0]), (K.one,), reduce=False)
+        if F.ground:
+            w, n, d = F.stride, self._n, self._d
+            if len(d) == 1:
+                return _rf(F, *_vlowest(_vderiv(w, n), 1, self._c), d)
+            # (n/d)' = (n' u s2 - n v s1) / (s2 d u) with s1 d = u g, s2 d' = v g
+            dp = _vderiv(w, d)
+            g = F.cached_gcd(d, dp)
+            u, v, s1, s2 = d, dp, 1, 1
+            if len(g) > 1:
+                u, _, s1 = _vdivmod(K, d, g)
+                v, _, s2 = _vdivmod(K, dp, g)
+            num = _vcomb(_vmul(K, _vderiv(w, n), u), s2, _vmul(K, n, v), -s1)
+            return _rf(F, *_reduced(F, num, d[-1], self._c * s2, _vmul(K, d, u)))
+        if len(self._d) == 1:
+            return RatFunc(F, pscale(pderiv_(K, self._n), K.one / self._d[0]), (K.one,), reduce=False)
         # (n/d)' = (n' u - n v) / (d u) with d = g u, d' = g v, g = gcd(d, d')
-        dp = pderiv_(K, self.den)
-        g = F.cached_gcd(self.den, dp)
+        dp = pderiv_(K, self._d)
+        g = F.cached_gcd(self._d, dp)
         if pdeg(g) > 0:
-            u = pdivmod(K, self.den, g)[0]
+            u = pdivmod(K, self._d, g)[0]
             v = pdivmod(K, dp, g)[0]
         else:
-            u, v = self.den, dp
-        num = psub(K, pmul(K, pderiv_(K, self.num), u), pmul(K, self.num, v))
-        return RatFunc(F, num, pmul(K, self.den, u))
+            u, v = self._d, dp
+        num = psub(K, pmul(K, pderiv_(K, self._n), u), pmul(K, self._n, v))
+        return RatFunc(F, num, pmul(K, self._d, u))
 
     def eval_at(self, p):
         K = self.field.coeff
         p = K.coerce(p)
-        dv = peval(K, self.den, p)
+        if self.field.ground:
+            dv = _vhorner(K, self._d, p, self._d[-1])
+            if not dv:
+                raise ZeroDivisionError(f"pole of {self} at {p}")
+            return _vhorner(K, self._n, p, self._c) / dv if self._n else K.zero
+        dv = peval(K, self._d, p)
         if not dv:
             raise ZeroDivisionError(f"pole of {self} at {p}")
-        return peval(K, self.num, p) / dv
+        return peval(K, self._n, p) / dv
 
     def valuation_at(self, p):
         """Order of vanishing at p (negative at a pole); None for the zero fn."""
-        if not self.num:
+        if not self._n:
             return None
         K = self.field.coeff
         p = K.coerce(p)
-        lin = (-p, K.one)
+        if self.field.ground:
+            lin, div = tuple([-x for x in p.num]) + (p.den,), _vdivmod  # pd * (t - p)
+        else:
+            lin, div = (-p, K.one), pdivmod
 
         def mult(poly):
             m = 0
             while True:
-                q, r = pdivmod(K, poly, lin)
+                q, r = div(K, poly, lin)[:2]
                 if r:
-                    return m, poly
+                    return m
                 poly = q
                 m += 1
 
-        mn, _ = mult(self.num)
-        md, _ = mult(self.den)
-        return mn - md
+        return mult(self._n) - mult(self._d)
 
     def valuation_at_infinity(self):
-        if not self.num:
+        if not self._n:
             return None
-        return pdeg(self.den) - pdeg(self.num)
+        return self._degree(self._d) - self._degree(self._n)
 
     def is_regular_at(self, p):
-        if not self.num:
+        if not self._n:
             return True
         if p == INFINITY:
             return self.valuation_at_infinity() >= 0
@@ -709,14 +1038,27 @@ class RatFunc:
         """Coefficients (c_1, ..., c_k) of (x-p)^-1, ..., (x-p)^-k."""
         K = self.field.coeff
         p = K.coerce(p)
-        num = pshift(K, self.num, p)
-        den = pshift(K, self.den, p)
-        k = next((i for i, c in enumerate(den) if c), None)
-        if k is None:
-            raise ZeroDivisionError("zero denominator")
-        if k == 0 or not num:
-            return ()
-        den = den[k:]
+        if self.field.ground:
+            # Taylor shifts on ints; the series below needs only k terms
+            if not self._n:
+                return ()
+            num, den = _vshift(K, self._n, p), _vshift(K, self._d, p)
+            k = next(i for i, c in enumerate(den) if any(c))
+            if k == 0:
+                return ()
+            scale = p.den ** (len(num) - 1) * self._c
+            num = tuple(_lowest(K, c, scale) for c in num[:k])
+            scale = p.den ** (len(den) - 1) * self._d[-1]
+            den = tuple(_lowest(K, c, scale) for c in den[k:2 * k])
+        else:
+            num = pshift(K, self._n, p)
+            den = pshift(K, self._d, p)
+            k = next((i for i, c in enumerate(den) if c), None)
+            if k is None:
+                raise ZeroDivisionError("zero denominator")
+            if k == 0 or not num:
+                return ()
+            den = den[k:]
         inv = pseries_inv(K, den, k)
         prod = pmul(K, num, inv)
         coeffs = list(prod[:k]) + [K.zero] * max(0, k - len(prod))
@@ -758,6 +1100,72 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+
+
+_new_object = object.__new__
+
+
+def _rf(F, n, c, d):
+    """Trusted constructor of a packed RatFunc from its canonical (n, c, d)."""
+    x = _new_object(RatFunc)
+    x.field = F
+    x._n, x._c, x._d = n, c, d
+    x._coeffs = x._hash = None
+    return x
+
+
+def _canon(K, nv, rn, rd, dv):
+    """Canonical (n, c, d) of (rn/rd) * nv/dv for coprime integer vectors
+    nv, dv and nonzero ints rn, rd."""
+    if not nv:
+        return (), 1, (1,)
+    dv, w = _lead_rational(K, dv)
+    nv = _vmul(K, nv, w)
+    # dv = L * D with D monic, so the numerator is (rn/rd) * nv / L
+    n, c = _vlowest(nv, rn, rd * dv[-1])
+    return n, c, _vprim(dv)
+
+
+def _reduced(F, nv, rn, rd, dv):
+    """_canon after dividing out gcd(nv, dv)."""
+    if nv:
+        g = F.cached_gcd(nv, dv)
+        if len(g) > 1:
+            nv, dv, x, y = _vcancel(F.coeff, nv, dv, g)
+            rn, rd = rn * x, rd * y
+    return _canon(F.coeff, nv, rn, rd, dv)
+
+
+def _add_packed(F, a, o):
+    """a + o for nonzero packed RatFuncs: n1/(c1 D1) + n2/(c2 D2) with
+    Di = di/Li, over the common denominator c1 c2 / gcd(c1, c2)."""
+    K = F.coeff
+    n1, d1, n2, d2 = a._n, a._d, o._n, o._d
+    gc = math.gcd(a._c, o._c)
+    a1, a2 = a._c // gc, o._c // gc
+    rd = gc * a1 * a2
+    if d1 == d2:
+        return _rf(F, *_reduced(F, _vcomb(n1, a2, n2, a1), d1[-1], rd, d1))
+    # classical reduced addition: with g = gcd(d1, d2) only the part
+    # t = n1 d2/g + n2 d1/g can share a factor with g
+    L1, L2 = d1[-1], d2[-1]
+    g = F.cached_gcd(d1, d2)
+    if len(g) == 1:
+        num = _vcomb(_vmul(K, n1, d2), L1 * a2, _vmul(K, n2, d1), L2 * a1)
+        return _rf(F, *_canon(K, num, 1, rd, _vmul(K, d1, d2)))
+    q1, _, s1 = _vdivmod(K, d1, g)
+    q2, _, s2 = _vdivmod(K, d2, g)
+    num = _vcomb(_vmul(K, n1, q2), L1 * s1 * a2, _vmul(K, n2, q1), L2 * s2 * a1)
+    if not num:
+        return F.zero
+    h = F.cached_gcd(num, g)
+    rn = 1
+    if len(h) > 1:
+        num, g, x, y = _vcancel(K, num, g, h)
+        rn, rd = x, rd * y
+    return _rf(F, *_canon(K, num, rn, rd, _vmul(K, _vmul(K, q1, q2), g)))
 
 
 def _single_term(poly):

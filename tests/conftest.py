@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +15,16 @@ from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_under_O(code):
+    """Run code in a fresh `python -O` (assert statements stripped); the
+    completed process."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
 
 
 def sl3_context(T):

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_under_O
+
 from cycloper.cartan import CartanDatum
 from cycloper.chevalley import build_algebra
 from cycloper.errors import MalformedOper, NotFiniteType
@@ -261,3 +263,23 @@ def test_split_data_failure_is_typed(monkeypatch):
     monkeypatch.setattr(chevalley, "mat_inverse", lambda K, M: None)
     with pytest.raises(MalformedOper, match="graded splitting failed"):
         g.split_data(1)
+
+
+_CENTRALIZER_CHECK_UNDER_O = """
+import cycloper.chevalley as chevalley
+from cycloper.errors import MalformedOper
+
+chevalley.kernel_basis = lambda K, rows, ncols=None: []
+try:
+    chevalley.build_algebra("A2")
+    raise SystemExit("no error")
+except MalformedOper:
+    pass
+"""
+
+
+def test_centralizer_check_survives_python_O():
+    """A centralizer of p1 whose dimension is not the rank raises
+    MalformedOper, also under python -O."""
+    run = run_under_O(_CENTRALIZER_CHECK_UNDER_O)
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -10,7 +10,7 @@ from cycloper.cli import main
 from cycloper.problems import parse_instantiate, parse_problem, parse_scalar
 from cycloper.tower import ScalarTower
 from cycloper.errors import ParseError, ValidationError
-from cycloper.problems import MAX_ORDER
+from cycloper.problems import MAX_EXPONENT, MAX_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -257,3 +257,36 @@ def test_every_fixture_json_roundtrips(capsys):
     m = build_miura(p.ctx, p.lam0, sites=p.sites, extra=p.extra, w0=p.w0)
     got = [parse_scalar(s, p.ctx.tower) for s in data["h_residue_at_0"]]
     assert got == [p.ctx.scalars.coerce(c) for c in m.residue_coweight(0).coords]
+
+
+@pytest.mark.parametrize("q", ["abc", "2.5", "0", "-1", "100000", str(MAX_ORDER + 1)])
+def test_bad_cover_power_exits_with_the_validation_code(q, capsys):
+    code = main(["--problem", fx("minimal_a1.json"), "--command", "lift-cover", "--q", q])
+    assert code == 3 and "ValidationError" in capsys.readouterr().err
+
+
+def test_cover_power_is_bounded_by_the_lifted_order(tmp_path, capsys):
+    path = tmp_path / "t500.json"
+    path.write_text(json.dumps({"algebra": "A1", "T": 500, "lambda0": ["1"]}))
+    assert main(["--problem", str(path), "--command", "lift-cover", "--q", "3"]) == 3
+    assert "T * q" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["1/0", "(zeta - zeta)^-1", "2^99999999", f"z^{MAX_EXPONENT + 1}",
+                                  "(2^1000)^1000"])
+def test_scalar_parser_rejects_unbounded_or_undefined_values(text):
+    with pytest.raises(ValidationError):
+        parse_scalar(text, ScalarTower.get(4, ("z",)))
+
+
+def test_scalar_parser_accepts_powers_within_the_bound():
+    tw = ScalarTower.get(4, ("z",))
+    assert parse_scalar(f"z^{MAX_EXPONENT}", tw) == tw.param("z") ** MAX_EXPONENT
+    assert parse_scalar("2^-3", tw) == tw.rational(1, 8)
+
+
+@pytest.mark.parametrize("value", ["1/0", "2^99999999"])
+def test_bad_instantiated_value_exits_with_the_validation_code(value, capsys):
+    code = main(["--problem", fx("sl3_origin.json"), "--command", "residues",
+                 "--instantiate", f"eta={value}"])
+    assert code == 3 and "ValidationError" in capsys.readouterr().err

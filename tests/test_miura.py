@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cycloper
-from conftest import fSl3_seed, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
+from conftest import fSl3_seed, run_under_O, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
 from cycloper.automorphisms import theta_fixed_nilpotent
 from cycloper.connection import GroupElement, gauge_transform, is_equivariant
 from cycloper.context import OperContext
@@ -535,4 +535,37 @@ def test_typed_checks_survive_python_O():
         [sys.executable, "-O", "-c", _TYPED_CHECKS_UNDER_O],
         env=env, capture_output=True, text=True, timeout=300,
     )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+_RULE_CHECKS_UNDER_O = """
+from fractions import Fraction
+import cycloper.miura as miura
+from cycloper.context import OperContext
+from cycloper.errors import MalformedOper
+from cycloper.tower import ScalarTower
+from cycloper.weyl import Coweight
+
+ctx = OperContext("A1", ScalarTower.get(1))
+m = miura.build_miura(ctx, Coweight((Fraction(1),)))
+f = miura.riccati_solve(m.pairing(0), "general", constant=Fraction(1))
+# the reproduction moves res_inf by s_1; claiming it stayed must fail
+try:
+    miura._check_simple_rules(ctx, m, m, 0, f)
+    raise SystemExit("res_inf rule: no error")
+except MalformedOper:
+    pass
+r0 = m.residue_coweight(0)
+try:
+    miura._check_res0_rule(r0, r0 + r0, ctx.weyl.simple(0), False)
+    raise SystemExit("res_0 rule: no error")
+except MalformedOper:
+    pass
+"""
+
+
+def test_residue_rules_survive_python_O():
+    """The residue bookkeeping of the reproductions raises MalformedOper,
+    also under python -O."""
+    run = run_under_O(_RULE_CHECKS_UNDER_O)
     assert run.returncode == 0, run.stdout + run.stderr

@@ -1,7 +1,9 @@
 """The integer kernel of Q(zeta_T) against sympy as an oracle, its bounded
-caches, its typed internal errors, and the coprime certificate of pgcd by
-the residue map modulo a split prime."""
+caches, its typed internal errors, the coprime certificate of pgcd by the
+residue map modulo a split prime, and the integer core of RatFunc over
+Q(zeta_T) against both sympy and the generic coefficient-tuple helpers."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -12,7 +14,20 @@ import hypothesis.strategies as st
 
 from cycloper import scalars
 from cycloper.errors import ModulusError
-from cycloper.ratfunc import FunctionField, pgcd, pmul
+from cycloper.ratfunc import (
+    FunctionField,
+    RatFunc,
+    padd,
+    pdivmod,
+    pderiv_,
+    peval,
+    pgcd,
+    pmonic,
+    pmul,
+    pseries_inv,
+    pshift,
+    psub,
+)
 from cycloper.scalars import (
     CACHE_SIZE,
     CycNum,
@@ -124,6 +139,7 @@ def test_inexact_cyclotomic_division_is_typed(monkeypatch):
 
 # -- the coprime certificate: residues modulo a degree-1 prime ---------------
 
+@functools.lru_cache(maxsize=None)
 def sympy_domain(T):
     """Q(zeta_T) as a sympy domain whose elements are polynomials in zeta."""
     if T <= 2:
@@ -131,9 +147,9 @@ def sympy_domain(T):
     return sympy.QQ.algebraic_field(sympy.exp(2 * sympy.pi * sympy.I / T))
 
 
-def sympy_gcd(K, a, b):
-    """gcd of two polynomials over Q(zeta_T) computed by sympy, returned as
-    a monic coefficient tuple of CycNums (ascending)."""
+def sympy_codec(K):
+    """(D, to_d, from_d): Q(zeta_T) as the sympy domain D and the maps
+    between CycNum and D."""
     D = sympy_domain(K.order)
     Q = sympy.QQ
 
@@ -146,6 +162,14 @@ def sympy_gcd(K, a, b):
         cs = [c] if D is Q else c.to_list()
         fs = [Fraction(int(q.numerator), int(q.denominator)) for q in reversed(cs)]
         return CycNum(K, fs + [Fraction(0)] * (K.degree - len(fs)))
+
+    return D, to_d, from_d
+
+
+def sympy_gcd(K, a, b):
+    """gcd of two polynomials over Q(zeta_T) computed by sympy, returned as
+    a monic coefficient tuple of CycNums (ascending)."""
+    D, to_d, from_d = sympy_codec(K)
 
     def poly(cs):
         return sympy.Poly([to_d(c) for c in reversed(cs)], sympy.Symbol("t"), domain=D)
@@ -220,3 +244,115 @@ def test_pgcd_falls_back_where_the_certificate_cannot_decide(T):
         assert pgcd(K, a, b) == sympy_gcd(K, a, b)
     assert pgcd(K, cases[2][0], cases[2][1]) == (c(Fraction(1, p)), K.one)
     assert pgcd(K, t, (c(p), K.one)) == (K.one,)
+
+
+# -- RatFunc over Q(zeta_T) on the integer core --------------------------------
+
+def generic_reduced(K, num, den):
+    """Canonical (num, den) of num/den by the generic helpers alone: Euclid
+    with pdivmod, exact division, monic denominator."""
+    a, b = num, den
+    while b:
+        a, b = b, pdivmod(K, a, b)[1]
+    g = pmonic(K, a)
+    num, den = pdivmod(K, num, g)[0], pdivmod(K, den, g)[0]
+    inv = K.one / den[-1]
+    return tuple(c * inv for c in num), tuple(c * inv for c in den)
+
+
+def sympy_reduced(K, num, den):
+    """Canonical (num, den) of num/den by sympy's cancel over Q(zeta_T)."""
+    D, to_d, from_d = sympy_codec(K)
+    t = sympy.Symbol("t")
+    n, d = (sympy.Poly([to_d(c) for c in reversed(cs)] or [D.zero], t, domain=D) for cs in (num, den))
+    n, d = n.cancel(d, include=True)
+    lc = d.rep.to_list()[0]
+    n, d = n.quo_ground(lc), d.quo_ground(lc)
+    back = lambda p: tuple(from_d(c) for c in reversed(p.rep.to_list())) if not p.is_zero else ()
+    return back(n), back(d)
+
+
+def core_coeffs(K):
+    """CycNums whose denominators may be the split prime p."""
+    p = K.split[0]
+    nums = st.lists(st.integers(-9, 9), min_size=K.degree, max_size=K.degree)
+    return st.builds(lambda ns, q: CycNum(K, [Fraction(n, q) for n in ns]), nums, st.sampled_from([1, 2, 3, p]))
+
+
+def core_polys(K, max_degree):
+    """Polynomials with a nonzero, in general non-monic, leading coefficient."""
+    cs = core_coeffs(K)
+    return st.tuples(st.lists(cs, max_size=max_degree), cs.filter(bool)).map(lambda x: tuple(x[0]) + (x[1],))
+
+
+@st.composite
+def ratfunc_parts(draw, K):
+    """(num, den) of a fraction with a planted common factor and, with its
+    point, a planted pole of order 1 or 2."""
+    g = draw(core_polys(K, 2))
+    a, b = draw(core_polys(K, 2)), draw(core_polys(K, 1))
+    pole = draw(core_coeffs(K))
+    lin = pmul(K, (-pole, K.one), (-pole, K.one)) if draw(st.booleans()) else (-pole, K.one)
+    return pmul(K, g, a), pmul(K, pmul(K, g, b), lin), pole
+
+
+def check_canonical(K, f, num, den):
+    """f is num/den in the canonical form of both oracles."""
+    assert (f.num, f.den) == generic_reduced(K, num, den)
+    assert (f.num, f.den) == sympy_reduced(K, num, den)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), T=st.sampled_from(ORDERS))
+def test_ratfunc_arithmetic_matches_sympy_and_the_generic_helpers(data, T):
+    K = CyclotomicField.get(T)
+    F = FunctionField.get("t", K)
+    (n1, d1, _), (n2, d2, _) = data.draw(ratfunc_parts(K)), data.draw(ratfunc_parts(K))
+    f, g = RatFunc(F, n1, d1), RatFunc(F, n2, d2)
+    check_canonical(K, f, n1, d1)
+    check_canonical(K, f + g, padd(K, pmul(K, n1, d2), pmul(K, n2, d1)), pmul(K, d1, d2))
+    check_canonical(K, f - g, psub(K, pmul(K, n1, d2), pmul(K, n2, d1)), pmul(K, d1, d2))
+    check_canonical(K, f * g, pmul(K, n1, n2), pmul(K, d1, d2))
+    check_canonical(K, f / g, pmul(K, n1, d2), pmul(K, d1, n2))
+    check_canonical(K, f.derivative(), psub(K, pmul(K, pderiv_(K, n1), d1), pmul(K, n1, pderiv_(K, d1))),
+                    pmul(K, d1, d1))
+    assert f * g / g == f and f + g - g == f
+    assert f ** 3 == f * f * f and f ** -2 == 1 / (f * f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), T=st.sampled_from(ORDERS))
+def test_ratfunc_local_data_matches_sympy_and_the_generic_helpers(data, T):
+    K = CyclotomicField.get(T)
+    F = FunctionField.get("t", K)
+    D, to_d, from_d = sympy_codec(K)
+    t = sympy.Symbol("t")
+    num, den, pole = data.draw(ratfunc_parts(K))
+    f = RatFunc(F, num, den)
+    sym = lambda cs: sympy.Poly([to_d(c) for c in reversed(cs)] or [D.zero], t, domain=D)
+    # eval_at, away from the poles
+    x = data.draw(core_coeffs(K))
+    dx = peval(K, f.den, x)
+    if dx:
+        value = f.eval_at(x)
+        assert value == peval(K, f.num, x) / dx
+        horner = lambda cs: functools.reduce(lambda acc, c: acc * to_d(x) + to_d(c), reversed(cs), D.zero)
+        assert value == from_d(horner(f.num) / horner(f.den))
+    # principal part at the planted pole: the generic helpers ...
+    n, d = pshift(K, f.num, pole), pshift(K, f.den, pole)
+    k = next(i for i, c in enumerate(d) if c)
+    pp = f.principal_part_at(pole)
+    if k == 0:
+        assert pp == ()
+        return
+    series = pmul(K, n, pseries_inv(K, d[k:], k))
+    series = tuple(series[:k]) + (K.zero,) * (k - len(series))
+    assert pp == tuple(series[k - m] for m in range(1, k + 1))
+    # ... and sympy: n(x + p) / (x^k e(x)) with e(0) != 0
+    n, d = sym(f.num).shift(to_d(pole)), sym(f.den).shift(to_d(pole))
+    e = sympy.Poly.from_list(d.rep.to_list()[:-k], t, domain=D)
+    xk = sympy.Poly(t ** k, t, domain=D)
+    s = (n * e.invert(xk)).rem(xk).rep.to_list()[::-1]
+    s = [from_d(c) for c in s] + [K.zero] * (k - len(s))
+    assert pp == tuple(s[k - m] for m in range(1, k + 1))
+    assert f.valuation_at(pole) == -k or not f.num
