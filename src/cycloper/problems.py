@@ -14,6 +14,7 @@ from .cartan import CartanDatum
 from .chevalley import build_algebra
 from .context import OperContext
 from .errors import ParseError, ValidationError
+from .scalars import CycNum
 from .tower import ScalarTower
 from .weyl import Coweight
 
@@ -26,12 +27,31 @@ scalars.split_prime needs T far below 2^30.  The lift-cover command's
 Q(zeta_{T q}) is held to the same bound."""
 
 MAX_EXPONENT = 1000
-"""Largest |n| a scalar expression may raise to, as in "z^n".  A rational
-power may besides have at most MAX_SCALAR_BITS bits in its numerator and
-denominator: "2^99999999" would otherwise run for minutes and then fail to
-render (Python refuses to print ints of more than 4300 digits)."""
+"""Largest |n| a scalar expression may raise to, as in "z^n", and largest
+degree in the parameters and t a power may reach: "(z^1000)^1000" would
+otherwise ask for a polynomial of degree 10^6."""
 
 MAX_SCALAR_BITS = 10000
+"""Largest estimated size in bits of the integers in a power: |n| times the
+size of its base (see _size).  "2^99999999" or "((2*zeta)^1000)^1000" would
+otherwise run for minutes and then fail to render (Python refuses to print
+ints of more than 4300 digits)."""
+
+
+def _size(x):
+    """(bits, degree) of a parsed scalar.  bits estimates the growth of its
+    integers under products: the bit length of the denominator or of the sum
+    of the numerator's |coefficients| (Q(zeta_T)), plus the bit length of
+    the number of terms (rational functions); degree is the total degree in
+    the parameters and t."""
+    if isinstance(x, Fraction):
+        return max(abs(x.numerator).bit_length(), x.denominator.bit_length()), 0
+    if isinstance(x, CycNum):
+        return max(sum(map(abs, x.num)).bit_length(), x.den.bit_length()), 0
+    num, den = x.num, x.den
+    sizes = [_size(c) for c in num + den]
+    bits = max(b for b, _ in sizes) + (len(num) + len(den)).bit_length()
+    return bits, max(len(num), len(den)) - 1 + max(g for _, g in sizes)
 
 
 def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
@@ -62,8 +82,9 @@ def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
                     b = int(b)
                 if not isinstance(b, int):
                     raise ParseError(f"exponent must be an integer literal in {text!r}")
-                bits = max(a.numerator.bit_length(), a.denominator.bit_length()) if isinstance(a, Fraction) else 1
-                if abs(b) > MAX_EXPONENT or abs(b) * bits > MAX_SCALAR_BITS:
+                bits, degree = _size(a)
+                n = abs(b)
+                if n > MAX_EXPONENT or n * bits > MAX_SCALAR_BITS or n * degree > MAX_EXPONENT:
                     raise ValidationError(f"power {b} is too large in {text!r}")
                 return a ** b
             raise ParseError(f"unsupported operator in {text!r}")

@@ -106,12 +106,12 @@ def pmonic(K, a):
     return pscale(a, K.one / lc)
 
 
-def pgcd(K, a, b):
-    """Monic gcd.  Over a CyclotomicField it runs on the integer core, and
-    takes and returns packed integer vectors or CycNum tuples alike."""
+def pgcd(K, a, b, packed=False):
+    """Monic gcd.  Over a CyclotomicField it runs on the integer core: with
+    packed it takes and returns packed integer vectors, else CycNum tuples."""
+    if packed:
+        return _vgcd(K, a, b)
     if isinstance(K, CyclotomicField):
-        if all(type(x) is int for x in a[:1] + b[:1]):  # packed integer vectors
-            return _vgcd(K, a, b)
         g = _vgcd(K, _pack(K, a)[0], _pack(K, b)[0])
         return _unpack(K, g, g[-1]) if g else ()
     a, b = ptrim(a), ptrim(b)
@@ -344,6 +344,14 @@ def _vshift(K, v, p):
     return acc
 
 
+def _vresidues(K, v):
+    """The coefficients of the integer vector v mod P = (p, zeta - w), the
+    degree-1 prime of K.split, as ints in [0, p)."""
+    p, powers = K.split
+    d = K.degree
+    return [sum(map(operator.mul, v[i:i + d], powers)) % p for i in range(0, len(v), d)]
+
+
 def _coprime_mod_prime(K, a, b):
     """True only when the integer vectors a and b are proven coprime in
     Q(zeta_T)[t].  With P = (p, zeta - w) the prime of K.split, Z[zeta_T]_P
@@ -351,10 +359,8 @@ def _coprime_mod_prime(K, a, b):
     there, Gauss's lemma reduces the true gcd to a common divisor of the
     images of the same degree, so a constant gcd over F_p proves the gcd
     is 1."""
-    p, powers = K.split
-    d = K.degree
-    ra = [sum(map(operator.mul, a[i:i + d], powers)) % p for i in range(0, len(a), d)]
-    rb = [sum(map(operator.mul, b[i:i + d], powers)) % p for i in range(0, len(b), d)]
+    p = K.split[0]
+    ra, rb = _vresidues(K, a), _vresidues(K, b)
     if not ra[-1] or not rb[-1]:
         return False
     while rb:
@@ -495,15 +501,15 @@ class FunctionField:
         self._gcd_cache = LRUCache()
 
     def cached_gcd(self, a, b):
-        """pgcd of two polynomials, coefficient tuples or packed integer
-        vectors, cached under (a, b) unless one of them is constant."""
+        """pgcd of two polynomials (packed integer vectors over Q(zeta_T),
+        else coefficient tuples), cached under (a, b) unless one of them is
+        constant."""
+        ground = self.ground
         if not (a and b):
-            return pgcd(self.coeff, a, b)
-        packed = type(a[0]) is int
-        w = self.stride if packed else 1
-        if len(a) <= w or len(b) <= w:
-            return (1,) if packed else (self.coeff.one,)
-        return self._gcd_cache.lookup((a, b), lambda: pgcd(self.coeff, a, b))
+            return pgcd(self.coeff, a, b, ground)
+        if len(a) <= self.stride or len(b) <= self.stride:
+            return (1,) if ground else (self.coeff.one,)
+        return self._gcd_cache.lookup((a, b), lambda: pgcd(self.coeff, a, b, ground))
 
     @classmethod
     def get(cls, var, coeff):

@@ -357,20 +357,6 @@ class CyclotomicField:
             self._split = p, tuple(pow(w, i, p) for i in range(self.degree))
         return self._split
 
-    def residues(self, xs):
-        """[x mod P for x in xs] as ints in [0, p), where P = (p, zeta - w) is
-        the degree-1 prime of split; None when p divides a denominator."""
-        p, powers = self.split
-        out = []
-        for x in xs:
-            r = sum(map(operator.mul, x.num, powers))
-            if x.den != 1:
-                if not x.den % p:
-                    return None
-                r *= pow(x.den, -1, p)
-            out.append(r % p)
-        return out
-
     # -- field facade ---------------------------------------------------------
     def coerce(self, x):
         if isinstance(x, CycNum):

@@ -273,7 +273,8 @@ def test_cover_power_is_bounded_by_the_lifted_order(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["1/0", "(zeta - zeta)^-1", "2^99999999", f"z^{MAX_EXPONENT + 1}",
-                                  "(2^1000)^1000"])
+                                  "(2^1000)^1000", "((2*zeta)^1000)^1000", "(z^1000)^1000",
+                                  "((z + 1)^-10)^200"])
 def test_scalar_parser_rejects_unbounded_or_undefined_values(text):
     with pytest.raises(ValidationError):
         parse_scalar(text, ScalarTower.get(4, ("z",)))
