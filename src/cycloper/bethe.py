@@ -6,6 +6,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .automorphisms import AlgebraAut, DiagramAut
 from .chevalley import ChevalleyAlgebra, dual_algebra
@@ -82,7 +83,7 @@ class BetheSystemData:
             self.ctx, [z for z, _ in self.sites] + list(self.roots), allow_origin=True
         )
 
-    @property
+    @cached_property
     def lam0(self) -> Coweight:
         return lambda0_weight(self.ctx.alg, self.sigma, self.ctx.tower)
 

@@ -17,7 +17,7 @@ from .errors import (
 )
 from .linalg import SparseMat, mat_inverse
 from .ratfunc import INFINITY
-from .weyl import Coweight, h_to_coweight
+from .weyl import Coweight, coweight_to_h, h_to_coweight
 
 SHAPES = ("general", "b", "b-", "h", "oper")
 
@@ -408,11 +408,18 @@ def connection_residue(conn: Connection, x):
 
 
 def regularize(conn: Connection, lam0: Coweight, base=None) -> Connection:
-    """t^-lam0 (d + A) t^lam0; needs lam0 integral."""
+    """t^-lam0 (d + A) t^lam0, needs lam0 integral; base replaces t.  On
+    algebra vectors: the coordinate of each root beta is scaled by
+    base^-<beta, lam0> and the h-part gains lam0 base'/base."""
     if not lam0.is_integral():
         raise NonIntegralCoweight(f"regularisation needs an integral coweight: {lam0}")
-    g = GroupElement.torus(conn.ctx, Coweight([-c for c in lam0.coords]), base)
-    return gauge_transform(conn, g)
+    ctx = conn.ctx
+    F = ctx.functions
+    base = F.gen if base is None else F.coerce(base)
+    dlog = base.derivative() / base
+    coeffs = torus_conjugate_vec(ctx, conn.coeffs, lam0, base)
+    h = coweight_to_h(ctx.alg, lam0, F)
+    return Connection(ctx, [c + x * dlog if x else c for c, x in zip(coeffs, h)])
 
 
 def lift_to_cover(conn: Connection, q: int):

@@ -1,11 +1,13 @@
 """Univariate rational functions over an exact field, used both for the
 transcendental-parameter layers and for functions of the global coordinate t.
 
-Polynomials are dense coefficient tuples (ascending, no trailing zeros, the
-empty tuple is 0).  A RatFunc is a reduced num/den pair with monic
-denominator, so equality and hashing are canonical.  Over Q(zeta_T) itself
-both are stored as packed integer vectors (see the integer core below) and
-the arithmetic runs on plain ints; higher layers keep coefficient tuples.
+A RatFunc is a reduced num/den pair with monic denominator, so equality and
+hashing are canonical.  Its arithmetic is written once, against the
+polynomial ring of its FunctionField: over Q(zeta_T) a PackedRing of integer
+vectors with one content, over a parameter field a FieldRing of coefficient
+tuples.  The p* helpers work on dense coefficient tuples (ascending, no
+trailing zeros, the empty tuple is 0) and serve partial fractions, Hermite
+reduction and root splitting.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def padd(K, a, b):
 
 
 def pneg(a):
-    return tuple(-x for x in a)
+    return tuple([-x for x in a])
 
 
 def psub(K, a, b):
@@ -106,87 +108,39 @@ def pmonic(K, a):
     return pscale(a, K.one / lc)
 
 
-def pgcd(K, a, b, packed=False):
-    """Monic gcd.  Over a CyclotomicField it runs on the integer core: with
-    packed it takes and returns packed integer vectors, else CycNum tuples."""
-    if packed:
-        return _vgcd(K, a, b)
-    if isinstance(K, CyclotomicField):
-        g = _vgcd(K, _pack(K, a)[0], _pack(K, b)[0])
-        return _unpack(K, g, g[-1]) if g else ()
-    a, b = ptrim(a), ptrim(b)
-    while b:
-        a, b = b, pdivmod(K, a, b)[1]
-    return pmonic(K, a)
+def pgcd(K, a, b):
+    """Monic gcd of a and b: polynomials of the ring K when K is a
+    FunctionField.ring, else coefficient tuples over the coefficient field K
+    (over Q(zeta_T) these run on the integer core too)."""
+    if isinstance(K, (PackedRing, FieldRing)):
+        return K.gcd(a, b)
+    R = _ring(K)
+    g = R.gcd(R.pack(a)[0], R.pack(b)[0])
+    return R.unpack(g, R.lead(g)) if g else ()
 
 
 # ---------------------------------------------------------------------------
-# the integer core over Q(zeta_T), d = phi(T): a polynomial is one flat tuple
-# v of ints, v[i*d + u] the coefficient of zeta^u t^i, trailing zeros
-# trimmed (so () is 0), and stands for v/c with a scalar c kept beside it.
-# A monic polynomial in lowest terms ends in its denominator c = v[-1] > 0.
+# the polynomial ring under each FunctionField.  Both rings give the RatFunc
+# bodies one interface: a polynomial v stands for v/c with an int content c
+# kept beside it, and a canonical denominator d for d/lead(d), monic.
+#   width        entries of v per coefficient of var
+#   one          the polynomial 1
+#   pack(cs)     (v, c) of a coefficient tuple; unpack(v, c) the reverse;
+#                scalar(x) is pack((x,)) for a nonzero x already in K
+#   lead(d)      the int L with d/L monic, d canonical
+#   mul, pow     products; comb(a, x, b, y) = x*a + y*b for ints x, y
+#   divmod(a, b) (q, r, s): s*a == q*b + r with an int s > 0
+#   gcd(a, b)    monic gcd
+#   canon(nv, rn, rd, dv)  canonical (n, c, d) of (rn/rd) * nv/dv for
+#                coprime nv, dv and nonzero ints rn, rd
+#   deriv(v), eval(v, p, c) = v(p)/c, linear(p) a multiple of var - p with
+#                an int lead, shift(v, p) = (w, s) with w = s * v(var + p)
 # ---------------------------------------------------------------------------
 
 def _vtrim(v):
     while v and not v[-1]:
         v.pop()
     return tuple(v)
-
-
-def _pack(K, cs):
-    """(v, c) with v/c == the CycNum tuple cs, in lowest terms."""
-    cs = [K.coerce(c) for c in cs]
-    c = math.lcm(*[x.den for x in cs])
-    v = []
-    for x in cs:
-        v += x.num if x.den == c else [n * (c // x.den) for n in x.num]
-    return _vtrim(v), c
-
-
-def _unpack(K, v, c):
-    """The CycNum coefficients of v/c."""
-    d = K.degree
-    pad = (0,) * d
-    return tuple(_lowest(K, (v[i:i + d] + pad)[:d], c) for i in range(0, len(v), d))
-
-
-def _vmul(K, a, b):
-    """Product of integer vectors: schoolbook in t with zeta-blocks widened to
-    2d - 1, then folded mod Phi_T by CyclotomicField._mod_terms."""
-    if not a or not b:
-        return ()
-    if len(a) == 1 or len(b) == 1:  # an int factor
-        if len(a) != 1:
-            a, b = b, a
-        x = a[0]
-        return b if x == 1 else tuple([x * y for y in b])
-    d = K.degree
-    if d == 1:
-        out = [0] * (len(a) + len(b) - 1)
-        bs = [(j, y) for j, y in enumerate(b) if y]
-        for i, x in enumerate(a):
-            if x:
-                for j, y in bs:
-                    out[i + j] += x * y
-        return tuple(out)
-    e = 2 * d - 1
-    bs = [(j // d * e + j % d, y) for j, y in enumerate(b) if y]
-    out = [0] * (((len(a) - 1) // d + (len(b) - 1) // d + 1) * e)
-    for i, x in enumerate(a):
-        if x:
-            i = i // d * e + i % d
-            for j, y in bs:
-                out[i + j] += x * y
-    terms = K._mod_terms
-    v = []
-    for s in range(0, len(out), e):
-        for u in range(s + e - 1, s + d - 1, -1):
-            x = out[u]
-            if x:
-                for j, m in terms:
-                    out[u - d + j] -= x * m
-        v += out[s:s + d]
-    return _vtrim(v)
 
 
 def _vcomb(a, x, b, y):
@@ -223,127 +177,6 @@ def _vlowest(v, num, den):
     return tuple(v), den
 
 
-def _lead_rational(K, v):
-    """v times an integer vector that makes its leading coefficient an int:
-    the numerator of the inverse of that coefficient."""
-    d = K.degree
-    top = (len(v) - 1) // d * d
-    if len(v) - 1 == top:
-        return v, (1,)
-    w = _make(K, (v[top:] + (0,) * d)[:d], 1).inverse().num
-    w = _vtrim(list(w))
-    return _vmul(K, v, w), w
-
-
-def _vmonic(K, v):
-    """The monic associate of v, in lowest terms (ends in its denominator)."""
-    return _vprim(_lead_rational(K, v)[0]) if v else ()
-
-
-def _vdivmod(K, a, b):
-    """(q, r, s) with s*a == q*b + r, s > 0 an int and deg r < deg b, for
-    integer vectors a and b whose leading coefficient is an int b[-1].  The
-    remainder is scaled only when a leading block is not divisible by b[-1]."""
-    d = K.degree
-    L = b[-1]
-    db, da = (len(b) - 1) // d, (len(a) - 1) // d
-    if da < db:
-        return (), a, 1
-    a = list(a)
-    q = [0] * ((da - db + 1) * d)
-    s = 1
-    bs = [(j, y) for j, y in enumerate(b) if y]
-    for i in range(da - db, -1, -1):
-        top = (i + db) * d
-        blk = a[top:top + d]
-        if not any(blk):
-            continue
-        f = abs(L) // math.gcd(L, *blk)
-        if f != 1:
-            a = [x * f for x in a]
-            q = [x * f for x in q]
-            s *= f
-            blk = [x * f for x in blk]
-        c = [x // L for x in blk]
-        o = i * d
-        q[o:o + len(c)] = c
-        if any(c[1:]):
-            for j, y in enumerate(_vmul(K, _vtrim(c), b)):
-                a[o + j] -= y
-        else:
-            c = c[0]
-            for j, y in bs:
-                a[o + j] -= c * y
-    return _vtrim(q), _vtrim(a[:db * d]), s
-
-
-def _vcancel(K, a, b, g):
-    """a/b with the common factor g divided out: (qa, qb, x, y) with
-    a/b == (qa/qb) * (x/y)."""
-    qa, _, sa = _vdivmod(K, a, g)
-    qb, _, sb = _vdivmod(K, b, g)
-    return qa, qb, sb, sa
-
-
-def _vgcd(K, a, b):
-    """Monic gcd of integer vectors, by the coprime certificate and else a
-    primitive remainder sequence."""
-    if not a or not b:
-        return _vmonic(K, a or b)
-    d = K.degree
-    if len(a) <= d or len(b) <= d or _coprime_mod_prime(K, a, b):
-        return (1,)
-    if len(a) < len(b):
-        a, b = b, a
-    b = _vmonic(K, b)
-    while True:
-        r = _vdivmod(K, a, b)[1]
-        if not r:
-            return b
-        if len(r) <= d:
-            return (1,)
-        a, b = b, _vmonic(K, r)
-
-
-def _vderiv(d, v):
-    return tuple([k // d * v[k] for k in range(d, len(v))])
-
-
-def _vhorner(K, v, p, den=1):
-    """v(p)/den as a CycNum, p a CycNum: Horner on integer blocks, scaled by
-    powers of p's denominator."""
-    d = K.degree
-    pn, pd = p.num, p.den
-    pad = (0,) * d
-    top = (len(v) - 1) // d * d
-    acc = (v[top:] + pad)[:d]
-    scale = 1
-    for i in range(top - d, -1, -d):
-        scale *= pd
-        acc = K._mul(acc, pn)
-        acc = tuple([x + y * scale for x, y in zip(acc, (v[i:i + d] + pad)[:d])])
-    return _lowest(K, acc, den * scale)
-
-
-def _vshift(K, v, p):
-    """The blocks of pd^n * v(t + p), n = deg v, p = pn/pd a CycNum."""
-    d = K.degree
-    pn, pd = p.num, p.den
-    pad = (0,) * d
-    blocks = [(v[i:i + d] + pad)[:d] for i in range(0, len(v), d)]
-    acc = [blocks.pop()]
-    scale = 1
-    while blocks:
-        scale *= pd
-        # acc * (pd t + pn) + block * scale
-        out = [K._mul(x, pn) for x in acc] + [pad]
-        for j, x in enumerate(acc):
-            out[j + 1] = tuple([y + z * pd for y, z in zip(out[j + 1], x)])
-        out[0] = tuple([y + z * scale for y, z in zip(out[0], blocks.pop())])
-        acc = out
-    return acc
-
-
 def _vresidues(K, v):
     """The coefficients of the integer vector v mod P = (p, zeta - w), the
     degree-1 prime of K.split, as ints in [0, p)."""
@@ -375,6 +208,283 @@ def _coprime_mod_prime(K, a, b):
             ra.pop()
         ra, rb = rb, ra
     return len(ra) == 1
+
+
+class PackedRing:
+    """Q(zeta_T)[t] on the integer core, d = phi(T): a polynomial is one flat
+    tuple v of ints, v[i*d + u] the coefficient of zeta^u t^i, trailing zeros
+    trimmed (so () is 0).  A monic polynomial in lowest terms ends in its
+    denominator c = v[-1] > 0."""
+
+    comb = staticmethod(_vcomb)
+    lead = staticmethod(operator.itemgetter(-1))
+
+    def __init__(self, K):
+        self.K = K
+        self.width = K.degree
+        self.one = (1,)
+
+    def pack(self, cs):
+        """(v, c) with v/c == the CycNum tuple cs, in lowest terms."""
+        K = self.K
+        cs = [K.coerce(c) for c in cs]
+        c = math.lcm(*[x.den for x in cs])
+        v = []
+        for x in cs:
+            v += x.num if x.den == c else [n * (c // x.den) for n in x.num]
+        return _vtrim(v), c
+
+    def unpack(self, v, c):
+        """The CycNum coefficients of v/c."""
+        K, d = self.K, self.width
+        pad = (0,) * d
+        return tuple(_lowest(K, (v[i:i + d] + pad)[:d], c) for i in range(0, len(v), d))
+
+    def scalar(self, x):
+        return _vtrim(list(x.num)), x.den
+
+    def mul(self, a, b):
+        """Product of integer vectors: schoolbook in t with zeta-blocks widened
+        to 2d - 1, then folded mod Phi_T by CyclotomicField._mod_terms."""
+        if not a or not b:
+            return ()
+        if len(a) == 1 or len(b) == 1:  # an int factor
+            if len(a) != 1:
+                a, b = b, a
+            x = a[0]
+            return b if x == 1 else tuple([x * y for y in b])
+        d = self.width
+        if d == 1:
+            out = [0] * (len(a) + len(b) - 1)
+            bs = [(j, y) for j, y in enumerate(b) if y]
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in bs:
+                        out[i + j] += x * y
+            return tuple(out)
+        e = 2 * d - 1
+        bs = [(j // d * e + j % d, y) for j, y in enumerate(b) if y]
+        out = [0] * (((len(a) - 1) // d + (len(b) - 1) // d + 1) * e)
+        for i, x in enumerate(a):
+            if x:
+                i = i // d * e + i % d
+                for j, y in bs:
+                    out[i + j] += x * y
+        terms = self.K._mod_terms
+        v = []
+        for s in range(0, len(out), e):
+            for u in range(s + e - 1, s + d - 1, -1):
+                x = out[u]
+                if x:
+                    for j, m in terms:
+                        out[u - d + j] -= x * m
+            v += out[s:s + d]
+        return _vtrim(v)
+
+    def pow(self, a, n):
+        return ppow(self, a, n, PackedRing.mul)
+
+    def _lead_rational(self, v):
+        """v times an integer vector that makes its leading coefficient an
+        int: the numerator of the inverse of that coefficient."""
+        d = self.width
+        top = (len(v) - 1) // d * d
+        if len(v) - 1 == top:
+            return v, (1,)
+        w = _make(self.K, (v[top:] + (0,) * d)[:d], 1).inverse().num
+        w = _vtrim(list(w))
+        return self.mul(v, w), w
+
+    def _monic(self, v):
+        """The monic associate of v, in lowest terms (ends in its denominator)."""
+        return _vprim(self._lead_rational(v)[0]) if v else ()
+
+    def divmod(self, a, b):
+        """(q, r, s) with s*a == q*b + r for b with an int leading coefficient
+        b[-1].  The remainder is scaled only when a leading block is not
+        divisible by b[-1]."""
+        d = self.width
+        L = b[-1]
+        db, da = (len(b) - 1) // d, (len(a) - 1) // d
+        if da < db:
+            return (), a, 1
+        a = list(a)
+        q = [0] * ((da - db + 1) * d)
+        s = 1
+        bs = [(j, y) for j, y in enumerate(b) if y]
+        for i in range(da - db, -1, -1):
+            top = (i + db) * d
+            blk = a[top:top + d]
+            if not any(blk):
+                continue
+            f = abs(L) // math.gcd(L, *blk)
+            if f != 1:
+                a = [x * f for x in a]
+                q = [x * f for x in q]
+                s *= f
+                blk = [x * f for x in blk]
+            c = [x // L for x in blk]
+            o = i * d
+            q[o:o + len(c)] = c
+            if any(c[1:]):
+                for j, y in enumerate(self.mul(_vtrim(c), b)):
+                    a[o + j] -= y
+            else:
+                c = c[0]
+                for j, y in bs:
+                    a[o + j] -= c * y
+        return _vtrim(q), _vtrim(a[:db * d]), s
+
+    def gcd(self, a, b):
+        """By the coprime certificate, else a primitive remainder sequence."""
+        if not a or not b:
+            return self._monic(a or b)
+        K, d = self.K, self.width
+        if len(a) <= d or len(b) <= d or _coprime_mod_prime(K, a, b):
+            return (1,)
+        if len(a) < len(b):
+            a, b = b, a
+        b = self._monic(b)
+        while True:
+            r = self.divmod(a, b)[1]
+            if not r:
+                return b
+            if len(r) <= d:
+                return (1,)
+            a, b = b, self._monic(r)
+
+    def canon(self, nv, rn, rd, dv):
+        if not nv:
+            return (), 1, (1,)
+        dv, w = self._lead_rational(dv)
+        nv = self.mul(nv, w)
+        # dv = L * D with D monic, so the numerator is (rn/rd) * nv / L
+        n, c = _vlowest(nv, rn, rd * dv[-1])
+        return n, c, _vprim(dv)
+
+    def deriv(self, v):
+        d = self.width
+        return tuple([k // d * v[k] for k in range(d, len(v))])
+
+    def eval(self, v, p, c):
+        """v(p)/c as a CycNum: Horner on integer blocks, scaled by powers of
+        p's denominator."""
+        K, d = self.K, self.width
+        pn, pd = p.num, p.den
+        pad = (0,) * d
+        top = (len(v) - 1) // d * d
+        acc = (v[top:] + pad)[:d]
+        scale = 1
+        for i in range(top - d, -1, -d):
+            scale *= pd
+            acc = K._mul(acc, pn)
+            acc = tuple([x + y * scale for x, y in zip(acc, (v[i:i + d] + pad)[:d])])
+        return _lowest(K, acc, c * scale)
+
+    def linear(self, p):
+        return tuple([-x for x in p.num]) + (p.den,)  # pd * (t - p)
+
+    def shift(self, v, p):
+        """(pd^n * v(t + p), pd^n), n = deg v, p = pn/pd: Horner on blocks."""
+        K, d = self.K, self.width
+        pn, pd = p.num, p.den
+        pad = (0,) * d
+        blocks = [(v[i:i + d] + pad)[:d] for i in range(0, len(v), d)]
+        acc = [blocks.pop()]
+        scale = 1
+        while blocks:
+            scale *= pd
+            # acc * (pd t + pn) + block * scale
+            out = [K._mul(x, pn) for x in acc] + [pad]
+            for j, x in enumerate(acc):
+                out[j + 1] = tuple([y + z * pd for y, z in zip(out[j + 1], x)])
+            out[0] = tuple([y + z * scale for y, z in zip(out[0], blocks.pop())])
+            acc = out
+        return tuple([x for b in acc for x in b]), scale
+
+
+class FieldRing:
+    """K[var] over a field K of parameter functions, on coefficient tuples
+    with the p* helpers.  Every content is one, every divisor and
+    denominator monic and every divmod exact, so lead is 1, the contents and
+    the ratio rn/rd the RatFunc bodies pass in are 1 and comb's factors are
+    +-1."""
+
+    width = 1
+
+    def __init__(self, K):
+        self.K = K
+        self.one = (K.one,)
+
+    def pack(self, cs):
+        return ptrim(cs), 1
+
+    def scalar(self, x):
+        return (x,), 1
+
+    def unpack(self, v, c):
+        return v
+
+    def lead(self, v):
+        return 1
+
+    def mul(self, a, b):
+        return pmul(self.K, a, b)
+
+    def pow(self, a, n):
+        return ppow(self.K, a, n)
+
+    def comb(self, a, x, b, y):
+        return padd(self.K, _times(self.K, a, x), _times(self.K, b, y))
+
+    def divmod(self, a, b):
+        return pdivmod(self.K, a, b) + (1,)
+
+    def gcd(self, a, b):
+        K = self.K
+        while b:
+            a, b = b, pdivmod(K, a, b)[1]
+        return pmonic(K, a)
+
+    def canon(self, nv, rn, rd, dv):
+        K = self.K
+        if not nv:
+            return (), 1, self.one
+        lc = dv[-1]
+        if lc != K.one:
+            inv = K.one / lc
+            nv, dv = pscale(nv, inv), pscale(dv, inv)
+        return nv, 1, dv
+
+    def deriv(self, v):
+        return pderiv_(self.K, v)
+
+    def eval(self, v, p, c):
+        return peval(self.K, v, p)
+
+    def linear(self, p):
+        return (-p, self.K.one)
+
+    def shift(self, v, p):
+        return pshift(self.K, v, p), 1
+
+
+def _times(K, a, x):
+    """The coefficient tuple a times the int x."""
+    return a if x == 1 else pneg(a) if x == -1 else pscale(a, K.coerce(x))
+
+
+def _ring(K):
+    """The polynomial ring over the coefficient field K."""
+    return PackedRing(K) if isinstance(K, CyclotomicField) else FieldRing(K)
+
+
+def _cancel(R, a, b, g):
+    """a/b with the common factor g divided out in the ring R: (qa, qb, x, y)
+    with a/b == (qa/qb) * (x/y)."""
+    qa, _, sa = R.divmod(a, g)
+    qb, _, sb = R.divmod(b, g)
+    return qa, qb, sb, sa
 
 
 def pxgcd(K, a, b):
@@ -491,9 +601,7 @@ class FunctionField:
     def __init__(self, var: str, coeff):
         self.var = var
         self.coeff = coeff
-        # over Q(zeta_T) elements are packed, one coefficient per stride ints
-        self.ground = isinstance(coeff, CyclotomicField)
-        self.stride = coeff.degree if self.ground else 1
+        self.ring = _ring(coeff)  # the polynomials in var under every element
         self.zero = RatFunc(self, (), (coeff.one,), reduce=False)
         self.one = RatFunc(self, (coeff.one,), (coeff.one,), reduce=False)
         self.gen = RatFunc(self, (coeff.zero, coeff.one), (coeff.one,), reduce=False)
@@ -501,15 +609,14 @@ class FunctionField:
         self._gcd_cache = LRUCache()
 
     def cached_gcd(self, a, b):
-        """pgcd of two polynomials (packed integer vectors over Q(zeta_T),
-        else coefficient tuples), cached under (a, b) unless one of them is
-        constant."""
-        ground = self.ground
+        """pgcd of two polynomials of self.ring, cached under (a, b) unless
+        one of them is constant."""
+        R = self.ring
         if not (a and b):
-            return pgcd(self.coeff, a, b, ground)
-        if len(a) <= self.stride or len(b) <= self.stride:
-            return (1,) if ground else (self.coeff.one,)
-        return self._gcd_cache.lookup((a, b), lambda: pgcd(self.coeff, a, b, ground))
+            return pgcd(R, a, b)
+        if len(a) <= R.width or len(b) <= R.width:
+            return R.one
+        return self._gcd_cache.lookup((a, b), lambda: pgcd(R, a, b))
 
     @classmethod
     def get(cls, var, coeff):
@@ -545,9 +652,7 @@ class FunctionField:
     def constant(self, c):
         if not c:
             return self.zero
-        if self.ground:
-            return _rf(self, _vtrim(list(c.num)), c.den, (1,))
-        return RatFunc(self, (c,), (self.coeff.one,), reduce=False)
+        return _rf(self, *self.ring.scalar(c), self.ring.one)
 
     def from_coeffs(self, num, den=None):
         num = tuple(self.coeff.coerce(c) for c in num)
@@ -647,45 +752,27 @@ def as_rational(x):
 
 
 class RatFunc:
-    """Element of K(var): reduced fraction of dense polynomials.
+    """Element of K(var): a reduced fraction of polynomials of F.ring.
 
-    Over K = Q(zeta_T) the value is (_n/_c) / (_d/_d[-1]): _n and _d packed
-    integer vectors, _c > 0 with _n/_c in lowest terms and _d primitive with
-    a positive int leading coefficient, so that _d/_d[-1] is monic.  Over a
-    FunctionField, _n and _d are the coefficient tuples and _c is None.
-    Either way (_n, _c, _d) is canonical; num and den read as tuples."""
+    The value is (_n/_c) / (_d/L), L = F.ring.lead(_d): _n/_c in lowest
+    terms with _c > 0 an int, and _d/L monic.  Over Q(zeta_T) _n and _d are
+    packed integer vectors; over a parameter field they are coefficient
+    tuples with _c = L = 1.  Either way (_n, _c, _d) is canonical; num and
+    den read as coefficient tuples."""
 
     __slots__ = ("field", "_n", "_c", "_d", "_coeffs", "_hash")
 
     def __init__(self, field, num, den, reduce=True):
-        K = field.coeff
+        R = field.ring
         self.field = field
         self._coeffs = self._hash = None
-        if field.ground:
-            nv, nc = _pack(K, num)
-            dv, dc = _pack(K, den)
-            if not dv:
-                raise ZeroDivisionError("zero denominator")
-            if reduce:
-                nv, nc, dv = _reduced(field, nv, dc, nc, dv)
-            self._n, self._c, self._d = nv, nc, dv
-            return
-        num, den = ptrim(num), ptrim(den)
-        if not den:
+        nv, nc = R.pack(num)
+        dv, dc = R.pack(den)
+        if not dv:
             raise ZeroDivisionError("zero denominator")
-        if reduce and num:
-            g = field.cached_gcd(num, den)
-            if pdeg(g) > 0:
-                num = pdivmod(K, num, g)[0]
-                den = pdivmod(K, den, g)[0]
-            lc = den[-1]
-            if lc != K.one:
-                inv = K.one / lc
-                num = pscale(num, inv)
-                den = pscale(den, inv)
-        elif reduce:
-            den = (K.one,)
-        self._n, self._c, self._d = num, None, den
+        if reduce:
+            nv, nc, dv = _reduced(field, nv, dc, nc, dv)
+        self._n, self._c, self._d = nv, nc, dv
 
     @property
     def num(self):
@@ -696,11 +783,9 @@ class RatFunc:
         return self._tuples()[1]
 
     def _tuples(self):
-        if not self.field.ground:
-            return self._n, self._d
         if self._coeffs is None:
-            K = self.field.coeff
-            self._coeffs = _unpack(K, self._n, self._c), _unpack(K, self._d, self._d[-1])
+            R = self.field.ring
+            self._coeffs = R.unpack(self._n, self._c), R.unpack(self._d, R.lead(self._d))
         return self._coeffs
 
     # -- coercion glue -------------------------------------------------------
@@ -749,46 +834,43 @@ class RatFunc:
         a, o = self._pair(other)
         if o is None:
             return NotImplemented
-        F = a.field
-        K = F.coeff
         if not a._n:
             return o
         if not o._n:
             return a
-        if F.ground:
-            return _add_packed(F, a, o)
-        if a._d == o._d:
-            return RatFunc(F, padd(K, a._n, o._n), a._d)
+        # n1/(c1 D1) + n2/(c2 D2) with Di = di/Li monic, over the common
+        # denominator c1 c2 / gcd(c1, c2)
+        F = a.field
+        R = F.ring
+        n1, d1, n2, d2 = a._n, a._d, o._n, o._d
+        gc = math.gcd(a._c, o._c)
+        a1, a2 = a._c // gc, o._c // gc
+        rd = gc * a1 * a2
+        L1, L2 = R.lead(d1), R.lead(d2)
+        if d1 == d2:
+            return _rf(F, *_reduced(F, R.comb(n1, a2, n2, a1), L1, rd, d1))
         # classical reduced addition: with g = gcd(d1, d2) only the part
-        # t = n1 d2/g + n2 d1/g can share a factor with g
-        g = F.cached_gcd(a._d, o._d)
-        if pdeg(g) == 0:
-            num = padd(K, pmul(K, a._n, o._d), pmul(K, o._n, a._d))
-            return RatFunc(F, num, pmul(K, a._d, o._d), reduce=False) if num else F.zero
-        d1g = pdivmod(K, a._d, g)[0]
-        d2g = pdivmod(K, o._d, g)[0]
-        tnum = padd(K, pmul(K, a._n, d2g), pmul(K, o._n, d1g))
-        if not tnum:
+        # n1 d2/g + n2 d1/g can share a factor with g
+        g = F.cached_gcd(d1, d2)
+        if len(g) == 1:
+            num = R.comb(R.mul(n1, d2), L1 * a2, R.mul(n2, d1), L2 * a1)
+            return _rf(F, *R.canon(num, 1, rd, R.mul(d1, d2)))
+        q1, _, s1 = R.divmod(d1, g)
+        q2, _, s2 = R.divmod(d2, g)
+        num = R.comb(R.mul(n1, q2), L1 * s1 * a2, R.mul(n2, q1), L2 * s2 * a1)
+        if not num:
             return F.zero
-        h = F.cached_gcd(tnum, g)
-        if pdeg(h) > 0:
-            tnum = pdivmod(K, tnum, h)[0]
-            den = pmul(K, pmul(K, d1g, d2g), pdivmod(K, g, h)[0])
-        else:
-            den = pmul(K, pmul(K, d1g, d2g), g)
-        lc = den[-1]
-        if lc != K.one:
-            inv = K.one / lc
-            tnum = pscale(tnum, inv)
-            den = pscale(den, inv)
-        return RatFunc(F, tnum, den, reduce=False)
+        h = F.cached_gcd(num, g)
+        rn = 1
+        if len(h) > 1:
+            num, g, x, y = _cancel(R, num, g, h)
+            rn, rd = x, rd * y
+        return _rf(F, *R.canon(num, rn, rd, R.mul(R.mul(q1, q2), g)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.field.ground:
-            return _rf(self.field, tuple([-x for x in self._n]), self._c, self._d)
-        return RatFunc(self.field, pneg(self._n), self._d, reduce=False)
+        return _rf(self.field, pneg(self._n), self._c, self._d)
 
     def __sub__(self, other):
         a, o = self._pair(other)
@@ -807,56 +889,30 @@ class RatFunc:
         if o is None:
             return NotImplemented
         F = a.field
-        K = F.coeff
+        R = F.ring
         n1, d1, n2, d2 = a._n, a._d, o._n, o._d
         if not n1 or not n2:
             return F.zero
         # cross-cancel: products of reduced fractions reduce via the two
         # cross gcds only
-        if F.ground:
-            rn, rd = d1[-1] * d2[-1], a._c * o._c
-            g = F.cached_gcd(n1, d2)
-            if len(g) > 1:
-                n1, d2, x, y = _vcancel(K, n1, d2, g)
-                rn, rd = rn * x, rd * y
-            g = F.cached_gcd(n2, d1)
-            if len(g) > 1:
-                n2, d1, x, y = _vcancel(K, n2, d1, g)
-                rn, rd = rn * x, rd * y
-            return _rf(F, *_canon(K, _vmul(K, n1, n2), rn, rd, _vmul(K, d1, d2)))
-        g1 = F.cached_gcd(n1, d2)
-        if pdeg(g1) > 0:
-            n1 = pdivmod(K, n1, g1)[0]
-            d2 = pdivmod(K, d2, g1)[0]
-        g2 = F.cached_gcd(n2, d1)
-        if pdeg(g2) > 0:
-            n2 = pdivmod(K, n2, g2)[0]
-            d1 = pdivmod(K, d1, g2)[0]
-        num = pmul(K, n1, n2)
-        den = pmul(K, d1, d2)
-        lc = den[-1]
-        if lc != K.one:
-            inv = K.one / lc
-            num = pscale(num, inv)
-            den = pscale(den, inv)
-        return RatFunc(F, num, den, reduce=False)
+        rn, rd = R.lead(d1) * R.lead(d2), a._c * o._c
+        g = F.cached_gcd(n1, d2)
+        if len(g) > 1:
+            n1, d2, x, y = _cancel(R, n1, d2, g)
+            rn, rd = rn * x, rd * y
+        g = F.cached_gcd(n2, d1)
+        if len(g) > 1:
+            n2, d1, x, y = _cancel(R, n2, d1, g)
+            rn, rd = rn * x, rd * y
+        return _rf(F, *R.canon(R.mul(n1, n2), rn, rd, R.mul(d1, d2)))
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self._n:
             raise ZeroDivisionError("inverse of zero rational function")
-        F = self.field
-        K = F.coeff
-        if F.ground:
-            return _rf(F, *_canon(K, self._d, self._c, self._d[-1], self._n))
-        num, den = self._d, self._n
-        lc = den[-1]
-        if lc != K.one:
-            inv = K.one / lc
-            num = pscale(num, inv)
-            den = pscale(den, inv)
-        return RatFunc(F, num, den, reduce=False)
+        R = self.field.ring
+        return _rf(self.field, *R.canon(self._d, self._c, R.lead(self._d), self._n))
 
     def __truediv__(self, other):
         a, o = self._pair(other)
@@ -874,31 +930,26 @@ class RatFunc:
         if n < 0:
             return self.inverse() ** (-n)
         F = self.field
-        K = F.coeff
         if n == 0:
             return F.one
-        if F.ground:
-            # (n/c)^k / (d/L)^k with L^k the leading entry of d^k
-            den = ppow(K, self._d, n, _vmul)
-            return _rf(F, *_canon(K, ppow(K, self._n, n, _vmul), den[-1], self._c ** n, den))
-        return RatFunc(F, ppow(K, self._n, n), ppow(K, self._d, n), reduce=False)
+        # (n/c)^k / (d/L)^k with L^k the lead of d^k
+        R = F.ring
+        den = R.pow(self._d, n)
+        return _rf(F, *R.canon(R.pow(self._n, n), R.lead(den), self._c ** n, den))
 
     # -- structure -------------------------------------------------------------
     def _degree(self, v):
-        return (len(v) - 1) // self.field.stride
+        return (len(v) - 1) // self.field.ring.width
 
     def is_constant(self):
-        return len(self._n) <= self.field.stride and len(self._d) == 1
+        return len(self._n) <= self.field.ring.width and len(self._d) == 1
 
     def constant_value(self):
         if not self.is_constant():
             raise ValueError(f"{self} is not constant")
-        K = self.field.coeff
         if not self._n:
-            return K.zero
-        if self.field.ground:
-            return _unpack(K, self._n, self._c)[0]
-        return self._n[0] / self._d[0]
+            return self.field.coeff.zero
+        return self.field.ring.unpack(self._n, self._c)[0]
 
     def is_polynomial(self):
         return len(self._d) == 1
@@ -909,61 +960,39 @@ class RatFunc:
 
     def derivative(self):
         F = self.field
-        K = F.coeff
-        if F.ground:
-            w, n, d = F.stride, self._n, self._d
-            if len(d) == 1:
-                return _rf(F, *_vlowest(_vderiv(w, n), 1, self._c), d)
-            # (n/d)' = (n' u s2 - n v s1) / (s2 d u) with s1 d = u g, s2 d' = v g
-            dp = _vderiv(w, d)
-            g = F.cached_gcd(d, dp)
-            u, v, s1, s2 = d, dp, 1, 1
-            if len(g) > 1:
-                u, _, s1 = _vdivmod(K, d, g)
-                v, _, s2 = _vdivmod(K, dp, g)
-            num = _vcomb(_vmul(K, _vderiv(w, n), u), s2, _vmul(K, n, v), -s1)
-            return _rf(F, *_reduced(F, num, d[-1], self._c * s2, _vmul(K, d, u)))
-        if len(self._d) == 1:
-            return RatFunc(F, pscale(pderiv_(K, self._n), K.one / self._d[0]), (K.one,), reduce=False)
-        # (n/d)' = (n' u - n v) / (d u) with d = g u, d' = g v, g = gcd(d, d')
-        dp = pderiv_(K, self._d)
-        g = F.cached_gcd(self._d, dp)
-        if pdeg(g) > 0:
-            u = pdivmod(K, self._d, g)[0]
-            v = pdivmod(K, dp, g)[0]
-        else:
-            u, v = self._d, dp
-        num = psub(K, pmul(K, pderiv_(K, self._n), u), pmul(K, self._n, v))
-        return RatFunc(F, num, pmul(K, self._d, u))
+        R = F.ring
+        n, d = self._n, self._d
+        if len(d) == 1:
+            return _rf(F, *R.canon(R.deriv(n), 1, self._c, d))
+        # (n/d)' = (n' u s2 - n v s1) / (s2 d u) with s1 d = u g, s2 d' = v g
+        dp = R.deriv(d)
+        g = F.cached_gcd(d, dp)
+        u, v, s1, s2 = d, dp, 1, 1
+        if len(g) > 1:
+            u, _, s1 = R.divmod(d, g)
+            v, _, s2 = R.divmod(dp, g)
+        num = R.comb(R.mul(R.deriv(n), u), s2, R.mul(n, v), -s1)
+        return _rf(F, *_reduced(F, num, R.lead(d), self._c * s2, R.mul(d, u)))
 
     def eval_at(self, p):
-        K = self.field.coeff
+        R, K = self.field.ring, self.field.coeff
         p = K.coerce(p)
-        if self.field.ground:
-            dv = _vhorner(K, self._d, p, self._d[-1])
-            if not dv:
-                raise ZeroDivisionError(f"pole of {self} at {p}")
-            return _vhorner(K, self._n, p, self._c) / dv if self._n else K.zero
-        dv = peval(K, self._d, p)
+        dv = R.eval(self._d, p, R.lead(self._d))
         if not dv:
             raise ZeroDivisionError(f"pole of {self} at {p}")
-        return peval(K, self._n, p) / dv
+        return R.eval(self._n, p, self._c) / dv if self._n else K.zero
 
     def valuation_at(self, p):
         """Order of vanishing at p (negative at a pole); None for the zero fn."""
         if not self._n:
             return None
-        K = self.field.coeff
-        p = K.coerce(p)
-        if self.field.ground:
-            lin, div = tuple([-x for x in p.num]) + (p.den,), _vdivmod  # pd * (t - p)
-        else:
-            lin, div = (-p, K.one), pdivmod
+        R = self.field.ring
+        lin = R.linear(self.field.coeff.coerce(p))
 
         def mult(poly):
             m = 0
             while True:
-                q, r = div(K, poly, lin)[:2]
+                q, r, _ = R.divmod(poly, lin)
                 if r:
                     return m
                 poly = q
@@ -1042,29 +1071,19 @@ class RatFunc:
     # -- local data ---------------------------------------------------------------
     def principal_part_at(self, p):
         """Coefficients (c_1, ..., c_k) of (x-p)^-1, ..., (x-p)^-k."""
-        K = self.field.coeff
+        R, K = self.field.ring, self.field.coeff
         p = K.coerce(p)
-        if self.field.ground:
-            # Taylor shifts on ints; the series below needs only k terms
-            if not self._n:
-                return ()
-            num, den = _vshift(K, self._n, p), _vshift(K, self._d, p)
-            k = next(i for i, c in enumerate(den) if any(c))
-            if k == 0:
-                return ()
-            scale = p.den ** (len(num) - 1) * self._c
-            num = tuple(_lowest(K, c, scale) for c in num[:k])
-            scale = p.den ** (len(den) - 1) * self._d[-1]
-            den = tuple(_lowest(K, c, scale) for c in den[k:2 * k])
-        else:
-            num = pshift(K, self._n, p)
-            den = pshift(K, self._d, p)
-            k = next((i for i, c in enumerate(den) if c), None)
-            if k is None:
-                raise ZeroDivisionError("zero denominator")
-            if k == 0 or not num:
-                return ()
-            den = den[k:]
+        if not self._n:
+            return ()
+        # Taylor shifts; the series below needs only k terms of each
+        w = R.width
+        den, sd = R.shift(self._d, p)
+        k = next(i for i, x in enumerate(den) if x) // w
+        if k == 0:
+            return ()
+        num, sn = R.shift(self._n, p)
+        num = R.unpack(num[:k * w], sn * self._c)
+        den = R.unpack(den[k * w:2 * k * w], sd * R.lead(self._d))
         inv = pseries_inv(K, den, k)
         prod = pmul(K, num, inv)
         coeffs = list(prod[:k]) + [K.zero] * max(0, k - len(prod))
@@ -1114,7 +1133,7 @@ _new_object = object.__new__
 
 
 def _rf(F, n, c, d):
-    """Trusted constructor of a packed RatFunc from its canonical (n, c, d)."""
+    """Trusted constructor of a RatFunc from its canonical (n, c, d)."""
     x = _new_object(RatFunc)
     x.field = F
     x._n, x._c, x._d = n, c, d
@@ -1122,56 +1141,15 @@ def _rf(F, n, c, d):
     return x
 
 
-def _canon(K, nv, rn, rd, dv):
-    """Canonical (n, c, d) of (rn/rd) * nv/dv for coprime integer vectors
-    nv, dv and nonzero ints rn, rd."""
-    if not nv:
-        return (), 1, (1,)
-    dv, w = _lead_rational(K, dv)
-    nv = _vmul(K, nv, w)
-    # dv = L * D with D monic, so the numerator is (rn/rd) * nv / L
-    n, c = _vlowest(nv, rn, rd * dv[-1])
-    return n, c, _vprim(dv)
-
-
 def _reduced(F, nv, rn, rd, dv):
-    """_canon after dividing out gcd(nv, dv)."""
+    """F.ring.canon after dividing out gcd(nv, dv)."""
+    R = F.ring
     if nv:
         g = F.cached_gcd(nv, dv)
         if len(g) > 1:
-            nv, dv, x, y = _vcancel(F.coeff, nv, dv, g)
+            nv, dv, x, y = _cancel(R, nv, dv, g)
             rn, rd = rn * x, rd * y
-    return _canon(F.coeff, nv, rn, rd, dv)
-
-
-def _add_packed(F, a, o):
-    """a + o for nonzero packed RatFuncs: n1/(c1 D1) + n2/(c2 D2) with
-    Di = di/Li, over the common denominator c1 c2 / gcd(c1, c2)."""
-    K = F.coeff
-    n1, d1, n2, d2 = a._n, a._d, o._n, o._d
-    gc = math.gcd(a._c, o._c)
-    a1, a2 = a._c // gc, o._c // gc
-    rd = gc * a1 * a2
-    if d1 == d2:
-        return _rf(F, *_reduced(F, _vcomb(n1, a2, n2, a1), d1[-1], rd, d1))
-    # classical reduced addition: with g = gcd(d1, d2) only the part
-    # t = n1 d2/g + n2 d1/g can share a factor with g
-    L1, L2 = d1[-1], d2[-1]
-    g = F.cached_gcd(d1, d2)
-    if len(g) == 1:
-        num = _vcomb(_vmul(K, n1, d2), L1 * a2, _vmul(K, n2, d1), L2 * a1)
-        return _rf(F, *_canon(K, num, 1, rd, _vmul(K, d1, d2)))
-    q1, _, s1 = _vdivmod(K, d1, g)
-    q2, _, s2 = _vdivmod(K, d2, g)
-    num = _vcomb(_vmul(K, n1, q2), L1 * s1 * a2, _vmul(K, n2, q1), L2 * s2 * a1)
-    if not num:
-        return F.zero
-    h = F.cached_gcd(num, g)
-    rn = 1
-    if len(h) > 1:
-        num, g, x, y = _vcancel(K, num, g, h)
-        rn, rd = x, rd * y
-    return _rf(F, *_canon(K, num, rn, rd, _vmul(K, _vmul(K, q1, q2), g)))
+    return R.canon(nv, rn, rd, dv)
 
 
 def _single_term(poly):

@@ -235,6 +235,24 @@ def test_dual_context_and_weight_basis_are_built_once():
     assert miura_from_bethe(data)[1] is ctx.dual
 
 
+def test_lambda0_is_computed_once_per_data_object(monkeypatch):
+    from cycloper import bethe
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return lambda0_weight(*args)
+
+    monkeypatch.setattr(bethe, "lambda0_weight", counted)
+    data = solved_a1()
+    bethe_residuals(data)
+    miura_from_bethe(data)
+    energies(data)
+    assert all(r["equal"] for r in energy_oper_identity(data))
+    assert len(calls) == 1
+
+
 def test_dual_algebra_double():
     for lbl in ("A2", "B2", "G2", "D4"):
         g = build_algebra(lbl)

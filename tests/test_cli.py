@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from conftest import FIXTURES
 from cycloper.cli import main
 from cycloper.problems import parse_instantiate, parse_problem, parse_scalar
+from cycloper.ratfunc import RatFunc
 from cycloper.tower import ScalarTower
 from cycloper.errors import ParseError, ValidationError
 from cycloper.problems import MAX_EXPONENT, MAX_ORDER
@@ -213,6 +216,45 @@ def test_subprocess_end_to_end():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["solved"] is True
+
+
+def canonical_data(problem):
+    """The u coefficients and the gauge of the canonical form, as in the
+    canonical command."""
+    from cycloper.canonical import canonical_representative
+    from cycloper.miura import build_miura
+
+    m = build_miura(problem.ctx, problem.lam0, sites=problem.sites, extra=problem.extra, w0=problem.w0)
+    can = canonical_representative(m.connection(), cyclotomic=True)
+    return list(can.u) + list(can.gauge_vec)
+
+
+def test_symbolic_canonical_form_specialises_to_the_instantiated_ones():
+    """sl3_origin with eta symbolic, then eta bound coefficient by
+    coefficient, equals the canonical form of the problem instantiated at
+    eta; no coefficient has a pole at these points."""
+    symbolic = canonical_data(parse_problem(fx("sl3_origin.json")))
+    assert any(c.field.var == "eta" for f in symbolic for c in f.num)
+    for value in ("3", "1/2", "-7/3"):
+        problem = parse_problem(fx("sl3_origin.json"), {"eta": value})
+        F = problem.ctx.functions
+        eta = problem.ctx.scalars.coerce(Fraction(value))
+        bound = [RatFunc(F, [c.eval_at(eta) for c in f.num], [c.eval_at(eta) for c in f.den]) for f in symbolic]
+        assert bound == canonical_data(problem)
+
+
+def test_residues_output_does_not_depend_on_the_hash_seed():
+    outs = []
+    for seed in ("1", "2"):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycloper", "--problem", fx("sl3_origin.json"),
+             "--command", "residues", "--output", "json"],
+            capture_output=True, cwd=str(ROOT), env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def test_sl4_fixture_roundtrips_to_displayed_coefficients():

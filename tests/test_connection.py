@@ -266,6 +266,19 @@ def test_commuting_square():
     assert lhs == rhs
 
 
+def test_regularize_matches_the_torus_gauge_for_any_base():
+    """regularize on algebra vectors against the matrix route: the gauge by
+    the torus element base^-lam, also for a base other than t."""
+    ctx = sl3_context(2)
+    t = ctx.functions.gen
+    nabla, _ = sl3_nabla(ctx, 1)
+    conn = gauge_transform(nabla, rand_unipotent(ctx, random.Random(11)))
+    for lam in (Coweight((Fraction(2), Fraction(2))), Coweight((Fraction(1), Fraction(-2)))):
+        for base in (None, t ** 2 - 3, (t + 1) / (2 * t - 5)):
+            g = GroupElement.torus(ctx, Coweight([-c for c in lam.coords]), base)
+            assert regularize(conn, lam, base) == gauge_transform(conn, g)
+
+
 def test_lift_to_cover():
     ctx = sl3_context(2)
     F = ctx.functions

@@ -17,7 +17,6 @@ from cycloper.errors import ModulusError
 from cycloper.ratfunc import (
     FunctionField,
     RatFunc,
-    _pack,
     _vresidues,
     padd,
     pdivmod,
@@ -112,7 +111,7 @@ def test_caches_stay_bounded_and_agree_with_uncached_answers():
         root.inverse()
         a = pmul(K, (-root, K.one), (z * z - k, K.one))
         b = pmul(K, (-root, K.one), (K.coerce(k + 1), K.one))
-        F.cached_gcd(_pack(K, a)[0], _pack(K, b)[0])
+        F.cached_gcd(F.ring.pack(a)[0], F.ring.pack(b)[0])
     assert len(K._inv_cache) == CACHE_SIZE
     assert len(F._gcd_cache) == CACHE_SIZE
     for (num, den), inv in K._inv_cache.items():
@@ -121,7 +120,7 @@ def test_caches_stay_bounded_and_agree_with_uncached_answers():
         assert inv == CycNum(K, [Fraction(c * den, d) for c in n])
         assert inv * x == K.one
     for (a, b), g in F._gcd_cache.items():
-        assert g == pgcd(K, a, b, packed=True)
+        assert g == pgcd(F.ring, a, b)
         assert len(g) == K.degree + 1  # monic of degree 1
 
 
