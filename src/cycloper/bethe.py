@@ -24,22 +24,10 @@ def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
     lam = sum l_i alpha_i with A^T l = c."""
     n = alg.rank
     A = alg.cartan.matrix
-    inv = alg.cartan_transpose_inverse
     if K is None:
         K = QQ
-
-    def to_alpha(c):
-        out = []
-        for i in range(n):
-            acc = K.zero
-            for j in range(n):
-                if inv[i][j] and c[j]:
-                    acc = acc + K.coerce(inv[i][j]) * c[j]
-            out.append(acc)
-        return out
-
-    l = to_alpha([K.coerce(x) for x in lam.coords])
-    m = to_alpha([K.coerce(x) for x in mu.coords])
+    l = alg.solve_cartan_transpose(lam.coords, K)
+    m = alg.solve_cartan_transpose(mu.coords, K)
     # the identification h ~ h^* uses the form itself, so the induced form
     # on h^* varies inversely with the per-component scale
     comp_scale = {}

@@ -43,7 +43,7 @@ class CanonicalOper:
         return Connection(ctx, coeffs, "oper")
 
     def gauge(self) -> GroupElement:
-        return GroupElement.exp(self.ctx, self.gauge_vec, tag="N")
+        return GroupElement.exp(self.ctx, self.gauge_vec)
 
     def is_regular_at(self, x, orbit=False):
         pts = [x]

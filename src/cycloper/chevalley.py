@@ -104,21 +104,22 @@ class ChevalleyAlgebra:
         # ---- bilinear form -----------------------------------------------------
         self._build_form()
 
-        # ---- adjoint matrices ----------------------------------------------------
-        self.ad = [self._ad_matrix(i) for i in range(self.dim)]
-
         # splitting data for canonical forms, lazily built per (height, fixed-space)
         self._split_cache = {}
-        self._at_inverse = None
 
-    @property
-    def cartan_transpose_inverse(self):
-        """(A^T)^-1 over Q, built on first use: the weight with values c on
-        the coroots is sum_i l_i alpha_i with l = (A^T)^-1 c."""
-        if self._at_inverse is None:
-            A, n = self.cartan.matrix, self.rank
-            self._at_inverse = mat_inverse(QQ, [[Fraction(A[i][j]) for i in range(n)] for j in range(n)])
-        return self._at_inverse
+    def solve_cartan_transpose(self, c, K=QQ):
+        """m with A^T m = c, over K: the coroot coordinates of the h-element
+        with values c on the simple roots (or the simple-root coordinates of
+        the weight with values c on the coroots)."""
+        c = [K.coerce(x) for x in c]
+        out = []
+        for row in self.cartan_transpose_inverse:
+            acc = K.zero
+            for a, x in zip(row, c):
+                if a and x:
+                    acc = acc + K.coerce(a) * x
+            out.append(acc)
+        return out
 
     # ------------------------------------------------------------------ roots --
     def is_root(self, r):
@@ -318,13 +319,6 @@ class ChevalleyAlgebra:
                 raise MalformedOper("exp series did not terminate; element not nilpotent")
         return out
 
-    def _ad_matrix(self, i):
-        m = SparseMat(QQ, self.dim, self.dim)
-        for j in range(self.dim):
-            for k, c in self.bracket_basis(i, j).items():
-                m.rows[k][j] = c
-        return m
-
     def ad_of_vec(self, x, K=QQ):
         """Sparse matrix of ad_x for a coefficient vector x over K."""
         m = SparseMat(K, self.dim, self.dim)
@@ -345,12 +339,13 @@ class ChevalleyAlgebra:
     def _build_principal(self):
         n = self.rank
         A = self.cartan.matrix
-        # 2 rho-check = sum c_i coroot_i : sum_i c_i a_ij = 2 for all j
+        # (A^T)^-1, inverted here once per algebra
         AT = [[Fraction(A[i][j]) for i in range(n)] for j in range(n)]
-        inv = mat_inverse(QQ, AT)
-        if inv is None:
+        self.cartan_transpose_inverse = mat_inverse(QQ, AT)
+        if self.cartan_transpose_inverse is None:
             raise NotFiniteType("Cartan matrix is singular")
-        self.two_rho_coeffs = [sum(inv[i][j] * 2 for j in range(n)) for i in range(n)]
+        # 2 rho-check = sum c_i coroot_i : sum_i c_i a_ij = 2 for all j
+        self.two_rho_coeffs = self.solve_cartan_transpose([2] * n)
         self.p_minus1 = self.vec_zero()
         for r in self.pos_roots:
             if sum(r) == 1:

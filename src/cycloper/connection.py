@@ -140,11 +140,10 @@ class GroupElement:
     An element built by `exp` keeps its log X: `log_vec` returns it without
     the matrix series, and `inverse` carries -X."""
 
-    def __init__(self, ctx: OperContext, mat: SparseMat, inv, tag=None, log=None):
+    def __init__(self, ctx: OperContext, mat: SparseMat, inv, log=None):
         self.ctx = ctx
         self.mat = mat
         self._inv = inv
-        self.tag = tag
         self.log = log
 
     @property
@@ -157,28 +156,18 @@ class GroupElement:
     def identity(cls, ctx):
         n = ctx.alg.dim
         F = ctx.functions
-        return cls(ctx, SparseMat.identity(F, n), SparseMat.identity(F, n), tag="H")
+        return cls(ctx, SparseMat.identity(F, n), SparseMat.identity(F, n))
 
     @classmethod
-    def exp(cls, ctx, vec, tag=None):
+    def exp(cls, ctx, vec):
         """exp(ad_X) for a nilpotent algebra vector X over the functions."""
         F = ctx.functions
         alg = ctx.alg
         vec = [F.coerce(v) for v in vec]
-        if tag is None:
-            tag = "N" if all(
-                not v or alg.height_of[i] > 0 for i, v in enumerate(vec)
-            ) else None
-        return cls(
-            ctx,
-            _exp_ad(alg, vec, F),
-            lambda: _exp_ad(alg, [-v for v in vec], F),
-            tag=tag,
-            log=vec,
-        )
+        return cls(ctx, _exp_ad(alg, vec, F), lambda: _exp_ad(alg, [-v for v in vec], F), log=vec)
 
     @classmethod
-    def torus(cls, ctx, lam: Coweight, base=None, tag="H"):
+    def torus(cls, ctx, lam: Coweight, base=None):
         """base^lam as a diagonal matrix: base^(<beta, lam>) on each root
         space, identity on h.  base defaults to the coordinate t."""
         F = ctx.functions
@@ -195,10 +184,10 @@ class GroupElement:
                 e = _integer_pairing(lam, root)
                 mat.rows[idx][idx] = base ** e
                 inv.rows[idx][idx] = base ** (-e)
-        return cls(ctx, mat, inv, tag=tag)
+        return cls(ctx, mat, inv)
 
     @classmethod
-    def from_constant(cls, ctx, dense, inv_dense=None, tag=None):
+    def from_constant(cls, ctx, dense, inv_dense=None):
         F = ctx.functions
         m = SparseMat.from_dense(F, [[F.coerce(x) for x in row] for row in dense])
         if inv_dense is None:
@@ -206,7 +195,7 @@ class GroupElement:
             if inv_dense is None:
                 raise ValidationError("constant matrix is not invertible")
         mi = SparseMat.from_dense(F, [[F.coerce(x) for x in row] for row in inv_dense])
-        return cls(ctx, m, mi, tag=tag)
+        return cls(ctx, m, mi)
 
     @classmethod
     def weyl_representative(cls, ctx, w):
@@ -219,19 +208,16 @@ class GroupElement:
             e = cls.exp(ctx, alg.vec_E(r, F))
             f = cls.exp(ctx, [-x for x in alg.vec_F(r, F)])
             g = g @ (e @ f @ e)
-        g.tag = "W-rep"
         return g
 
     def __matmul__(self, other):
         if isinstance(other, GroupElement):
-            return GroupElement(
-                self.ctx, self.mat @ other.mat, lambda: other.inv @ self.inv, tag=None
-            )
+            return GroupElement(self.ctx, self.mat @ other.mat, lambda: other.inv @ self.inv)
         return NotImplemented
 
     def inverse(self):
         log = None if self.log is None else [-v for v in self.log]
-        return GroupElement(self.ctx, self.inv, self.mat, tag=self.tag, log=log)
+        return GroupElement(self.ctx, self.inv, self.mat, log=log)
 
     def ad_apply(self, vec):
         """Ad_g X for an algebra vector X."""
@@ -282,9 +268,7 @@ class GroupElement:
     def conjugate_by_torus(self, lam: Coweight, base=None):
         """t^-lam g t^lam (the regularised gauge parameter)."""
         T = GroupElement.torus(self.ctx, lam, base)
-        return GroupElement(
-            self.ctx, (T.inv @ self.mat) @ T.mat, lambda: (T.inv @ self.inv) @ T.mat, tag=self.tag
-        )
+        return GroupElement(self.ctx, (T.inv @ self.mat) @ T.mat, lambda: (T.inv @ self.inv) @ T.mat)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -292,7 +276,7 @@ class GroupElement:
         return self.mat == other.mat
 
     def __repr__(self):
-        return f"GroupElement(tag={self.tag}, {self.mat!r})"
+        return f"GroupElement({self.mat!r})"
 
 
 def torus_conjugate_vec(ctx: OperContext, vec, lam: Coweight, base=None) -> list:
@@ -367,40 +351,24 @@ def exp_gauge(ctx: OperContext, X, A) -> list:
     return [a - b for a, b in zip(alg.ad_series(X, A, F), dlog)]
 
 
-def is_equivariant(obj, aut: AlgebraAut, omega=None) -> bool:
-    """Gamma-equivariance: for differentials A dt the condition is
-    omega^-1 aut(A(omega^-1 t)) = A(t); for group elements
-    aut(g(omega^-1 t)) = g(t) as matrices."""
+def is_equivariant(obj, aut: AlgebraAut) -> bool:
+    """Gamma-equivariance of an algebra vector X of functions,
+    aut(X(omega^-1 t)) = X(t), given as (ctx, X) or as a unipotent group
+    element e^X.  A connection d + A dt is tested on its differential:
+    omega^-1 aut(A(omega^-1 t)) = A(t)."""
     if isinstance(obj, Connection):
-        ctx = obj.ctx
-        w = omega if omega is not None else ctx.omega
-        winv = ctx.scalars.one / w
-        shifted = [c.subs_scale(winv) for c in obj.coeffs]
-        moved = aut.apply_vec(shifted, ctx.functions)
+        ctx, vec = obj.ctx, obj.coeffs
+    elif isinstance(obj, GroupElement):
+        ctx, vec = obj.ctx, obj.log_vec()
+    else:
+        ctx, vec = obj
+    F = ctx.functions
+    winv = ctx.scalars.one / ctx.omega
+    vec = [F.coerce(c) for c in vec]
+    moved = aut.apply_vec([c.subs_scale(winv) for c in vec], F)
+    if isinstance(obj, Connection):
         moved = [winv * c for c in moved]
-        return all(a == b for a, b in zip(moved, obj.coeffs))
-    if isinstance(obj, GroupElement):
-        ctx = obj.ctx
-        w = omega if omega is not None else ctx.omega
-        winv = ctx.scalars.one / w
-        F = ctx.functions
-        n = ctx.alg.dim
-        shifted = obj.mat.map_entries(lambda f: f.subs_scale(winv))
-        U = SparseMat(F, n, n)
-        Ui = SparseMat(F, n, n)
-        for i in range(n):
-            img, fac = aut.image[i], aut.factor[i]
-            U.rows[img][i] = F.coerce(fac)
-            Ui.rows[i][img] = F.one / F.coerce(fac)
-        moved = (U @ shifted) @ Ui
-        return moved == obj.mat
-    # plain algebra vector of functions
-    ctx, vec = obj
-    w = omega if omega is not None else ctx.omega
-    winv = ctx.scalars.one / w
-    shifted = [ctx.functions.coerce(c).subs_scale(winv) for c in vec]
-    moved = aut.apply_vec(shifted, ctx.functions)
-    return all(a == b for a, b in zip(moved, [ctx.functions.coerce(c) for c in vec]))
+    return moved == vec
 
 
 def connection_residue(conn: Connection, x):

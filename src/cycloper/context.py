@@ -1,6 +1,6 @@
 """Bundle of the objects every oper computation needs: the algebra, the
 working scalar tower (T, parameters, coordinate), the diagram automorphism,
-and cached derived data (Weyl group, varsigma, folding, ad-probe)."""
+and cached derived data (Weyl group, varsigma, folding, Langlands dual)."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from .automorphisms import DiagramAut, make_automorphism
 from .chevalley import build_algebra, dual_algebra
 from .errors import MalformedOper
 from .folding import fold
-from .linalg import QQ, mat_inverse
 from .tower import ScalarTower
 from .weyl import WeylGroup
 
@@ -33,7 +32,6 @@ class OperContext:
         self._varsigma = None
         self._folded = None
         self._dual = None
-        self._probe = None
 
     @property
     def functions(self):
@@ -79,69 +77,31 @@ class OperContext:
     def cover(self, q: int) -> "OperContext":
         return OperContext(self.alg, self.tower.cover(q), self.nu)
 
-    # ---- ad probe: invert vec -> ad-matrix on a fixed set of entries --------
-    def ad_probe(self):
-        """(positions, inv): positions is a list of dim matrix entries (i, j)
-        such that the map vec -> (ad_vec entries) is invertible; inv is the
-        rational inverse matrix."""
-        if self._probe is not None:
-            return self._probe
-        alg = self.alg
-        dim = alg.dim
-        # candidate positions: nonzero entries of basis ad matrices
-        cand = []
-        seen = set()
-        for b in range(dim):
-            for i, row in enumerate(alg.ad[b].rows):
-                for j in row:
-                    if (i, j) not in seen:
-                        seen.add((i, j))
-                        cand.append((i, j))
-        cand.sort()
-        chosen = []
-        rows = []
-        reduced = []  # rows of an incremental row-echelon form with pivots
-        pivots = []
-        for (i, j) in cand:
-            row = [alg.ad[b].rows[i].get(j, Fraction(0)) for b in range(dim)]
-            work = list(row)
-            for rrow, p in zip(reduced, pivots):
-                if work[p]:
-                    f = work[p]
-                    work = [a - f * b for a, b in zip(work, rrow)]
-            piv = next((c for c, v in enumerate(work) if v), None)
-            if piv is None:
-                continue
-            inv_p = Fraction(1) / work[piv]
-            work = [a * inv_p for a in work]
-            reduced.append(work)
-            pivots.append(piv)
-            rows.append(row)
-            chosen.append((i, j))
-            if len(rows) == dim:
-                break
-        if len(rows) != dim:
-            raise MalformedOper("the adjoint map is not injective")
-        inv = mat_inverse(QQ, rows)
-        self._probe = (chosen, inv)
-        return self._probe
-
-    def matrix_to_vec(self, M, K=None, check=True):
-        """Recover Y with ad_Y = M (M a SparseMat over K)."""
+    def matrix_to_vec(self, M, K=None):
+        """Y with ad_Y = M (M a SparseMat over K), read off M directly.
+        Column H_m of ad_Y holds -<beta, coroot_m> y_beta at each root beta,
+        so the rho-check-weighted sum of row beta there is -ht(beta) y_beta;
+        the diagonal entry of ad_Y at E_alpha_i is (A^T h)_i.  Raises
+        MalformedOper when M is not the ad of any element."""
         K = K or self.functions
-        positions, inv = self.ad_probe()
-        vals = [M.rows[i].get(j, K.zero) for (i, j) in positions]
+        alg = self.alg
+        H = [alg.index_H[m] for m in range(alg.rank)]
         Y = []
-        for row in inv:
+        for k, row in enumerate(M.rows):
             acc = K.zero
-            for c, v in zip(row, vals):
-                if c and v:
-                    acc = acc + K.coerce(c) * v
+            if alg.height_of[k]:
+                for j in H:
+                    v = row.get(j)
+                    if v:
+                        acc = acc + K.coerce(alg.rho[j]) * v
+                if acc:
+                    acc = acc * K.coerce(Fraction(-1, alg.height_of[k]))
             Y.append(acc)
-        if check:
-            adY = self.alg.ad_of_vec(Y, K)
-            if not (adY == M):
-                raise ValueError("matrix is not the ad of any algebra element")
+        E = [alg.index_E[alg.simple_root(i)] for i in range(alg.rank)]
+        for j, m in zip(H, alg.solve_cartan_transpose([M.rows[e].get(e, K.zero) for e in E], K)):
+            Y[j] = m
+        if not (alg.ad_of_vec(Y, K) == M):
+            raise MalformedOper("matrix is not the ad of any algebra element")
         return Y
 
     def __repr__(self):

@@ -158,7 +158,7 @@ def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoin
             out.K = F2
             return out
 
-        gq = GroupElement(wctx, lift(g.mat), lambda: lift(g.inv), tag=g.tag)
+        gq = GroupElement(wctx, lift(g.mat), lambda: lift(g.inv))
         gr = gq.conjugate_by_torus(lam0.scale(Fraction(q)))
     K = wctx.scalars
     # fast path: g_r regular and invertible at the origin

@@ -12,7 +12,6 @@ from .connection import (
     Connection,
     GroupElement,
     exp_gauge,
-    gauge_transform,
     is_equivariant,
     lift_to_cover,
     regularize,
@@ -230,13 +229,13 @@ def _ledger(ctx, old: MiuraOper, new: MiuraOper, points):
     return out
 
 
-def _check_reassembly(gauged: Connection, new: MiuraOper):
-    """The gauged Miura connection must be the connection of the new Miura oper."""
-    if not all(a == b for a, b in zip(gauged.coeffs, new.connection().coeffs)):
+def _check_reassembly(X, old: MiuraOper, new: MiuraOper):
+    """e^X . (old Miura oper) must be the connection of the new Miura oper."""
+    if exp_gauge(old.ctx, X, old.connection().coeffs) != new.connection().coeffs:
         raise MalformedOper("gauge reassembly failed: g . (old Miura oper) is not the new one")
 
 
-def reproduce_simple(miura: MiuraOper, k, f, expect_rule_check=True) -> ReproductionResult:
+def reproduce_simple(miura: MiuraOper, k, f) -> ReproductionResult:
     """Gauge by e^{f E_k}: new Miura is u + f coroot_k, provided f solves the
     Riccati equation in direction alpha_k."""
     ctx = miura.ctx
@@ -245,14 +244,14 @@ def reproduce_simple(miura: MiuraOper, k, f, expect_rule_check=True) -> Reproduc
     f = F.coerce(f)
     if riccati_residual(miura, k, f):
         raise RiccatiViolated(f"f does not satisfy the Riccati equation in direction {k+1}")
-    g = GroupElement.exp(ctx, [f * c for c in alg.vec_E(alg.simple_root(k), F)])
+    X = [f * c for c in alg.vec_E(alg.simple_root(k), F)]
     new = miura.add(k, f)
-    _check_reassembly(gauge_transform(miura.connection(), g), new)
+    _check_reassembly(X, miura, new)
     branch = "singular-at-0" if (f and not f.is_regular_at(0)) else "regular-at-0"
     led = _ledger(ctx, miura, new, [ctx.scalars.zero, INFINITY])
-    if expect_rule_check:
-        _check_simple_rules(ctx, miura, new, k, f)
-    return ReproductionResult(miura, new, g, branch, led, is_equivariant(g, ctx.varsigma))
+    _check_simple_rules(ctx, miura, new, k, f)
+    cyc = is_equivariant((ctx, X), ctx.varsigma)
+    return ReproductionResult(miura, new, GroupElement.exp(ctx, X), branch, led, cyc)
 
 
 def _require(ok, what):
@@ -328,15 +327,14 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     elif not closes:
         cond = f"<alpha_{k+1}, lam0 + rho> = {pairing_val} != 0 mod {T // size}"
         raise CyclotomyObstruction(f"reproduction is not cyclotomic: {cond}", condition=cond)
-    g = GroupElement.identity(ctx)
-    for i, fi in fs.items():
-        vec = [fi * c for c in alg.vec_E(alg.simple_root(i), F)]
-        g = g @ GroupElement.exp(ctx, vec)
+    # the nodes of the orbit are orthogonal: the factors e^{f_i E_i} commute
+    X = alg.vec_zero(F)
     new = miura
     for i, fi in fs.items():
+        X[alg.index_E[alg.simple_root(i)]] = fi
         new = new.add(i, fi)
-    _check_reassembly(gauge_transform(miura.connection(), g), new)
-    cyc = is_equivariant(g, ctx.varsigma)
+    _check_reassembly(X, miura, new)
+    cyc = is_equivariant((ctx, X), ctx.varsigma)
     _require(cyc, "closing relation held but g is not equivariant")
     led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     snu = folded.simple_reflections[oi]
@@ -347,7 +345,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     if pair_inf is not None and pair_inf >= 0 and f_k:
         _require(ri_new == snu.dot(ri_old), "res_inf rule violated")
     return ReproductionResult(
-        miura, new, g, "singular-at-0" if singular else "regular-at-0", led, cyc
+        miura, new, GroupElement.exp(ctx, X), "singular-at-0" if singular else "regular-at-0", led, cyc
     )
 
 
@@ -403,7 +401,8 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
             c.subs_scale(winv) * winv * winv,
         )
         cur = nxt
-    g = GroupElement.identity(ctx)
+    # distinct pairs (i, ibar) lie in different components: their factors commute
+    X = alg.vec_zero(F)
     new = miura
     for i, (a, b, c) in triples.items():
         ib = i
@@ -412,16 +411,15 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
         Ei = alg.vec_E(alg.simple_root(i), F)
         Eib = alg.vec_E(alg.simple_root(ib), F)
         Eibr = alg.bracket_vec(Ei, Eib, F)
-        vec = [a * (x + y) + b * (x - y) + c * z for x, y, z in zip(Ei, Eib, Eibr)]
-        g = g @ GroupElement.exp(ctx, vec)
+        X = [v + a * (x + y) + b * (x - y) + c * z for v, x, y, z in zip(X, Ei, Eib, Eibr)]
         new = new.add(i, a + b).add(ib, a - b)
-    _check_reassembly(gauge_transform(miura.connection(), g), new)
+    _check_reassembly(X, miura, new)
     singular = any(not f.is_regular_at(0) for f in (f1, f2, f3) if f)
     if branch is not None:
         want_singular = branch == "singular"
         if want_singular != singular:
             raise ValidationError(f"seed is {'singular' if singular else 'regular'} at 0, not {branch}")
-    cyc = is_equivariant(g, ctx.varsigma)
+    cyc = is_equivariant((ctx, X), ctx.varsigma)
     if not cyc:
         mu = (Coweight([-c for c in miura.residue_coweight(0).coords]) + rho_coweight(alg.rank)).coords
         cond = (
@@ -440,7 +438,7 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
     r0_old, r0_new = led[K.zero]
     _check_res0_rule(r0_old, r0_new, snu, singular)
     return ReproductionResult(
-        miura, new, g, "singular-at-0" if singular else "regular-at-0", led, cyc
+        miura, new, GroupElement.exp(ctx, X), "singular-at-0" if singular else "regular-at-0", led, cyc
     )
 
 
@@ -495,7 +493,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     moved = theta.apply_vec(g0vec, F2)
     if not all(a == b for a, b in zip(moved, [F2.coerce(c) for c in g0vec])):
         raise FixedPointViolation("g0 is not vartheta-fixed")
-    g0el = GroupElement.exp(ctx2, [F2.coerce(c) for c in g0vec], tag="N")
+    g0el = GroupElement.exp(ctx2, [F2.coerce(c) for c in g0vec])
     reg = regularize(conn2, lam_reg).with_shape("b-")
     Y = solve_fundamental(reg, 0)
     if isinstance(Y, MonodromyObstruction):
@@ -506,7 +504,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     if q > 1:
         base_F = ctx.functions
         X_g = [x.descend_power(q, base_F) for x in X_g]
-    g = GroupElement.exp(ctx, X_g, tag="N")
+    g = GroupElement.exp(ctx, X_g)
     out = exp_gauge(ctx, X_g, miura.connection().coeffs)
     # must be a Miura oper again
     for i, c in enumerate(out):

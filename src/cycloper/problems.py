@@ -28,14 +28,18 @@ Q(zeta_{T q}) is held to the same bound."""
 
 MAX_EXPONENT = 1000
 """Largest |n| a scalar expression may raise to, as in "z^n", and largest
-degree in the parameters and t a power may reach: "(z^1000)^1000" would
-otherwise ask for a polynomial of degree 10^6."""
+degree in the parameters and t that a power, product, quotient, sum or
+difference may reach (degrees add under * and /, the larger one is kept
+under + and -): "(z^1000)^1000" would otherwise ask for a polynomial of
+degree 10^6, and each factor of "(z+1)^1000*(z+1)^1000*..." makes the next
+product slower."""
 
 MAX_SCALAR_BITS = 10000
-"""Largest estimated size in bits of the integers in a power: |n| times the
-size of its base (see _size).  "2^99999999" or "((2*zeta)^1000)^1000" would
-otherwise run for minutes and then fail to render (Python refuses to print
-ints of more than 4300 digits)."""
+"""Largest estimated size in bits of the integers of a parsed operation (see
+_size): |n| times the size of the base for a power, the sum of the sizes
+for * and /, one more than the larger size for + and -.  "2^99999999" or
+"((2*zeta)^1000)^1000" would otherwise run for minutes and then fail to
+render (Python refuses to print ints of more than 4300 digits)."""
 
 
 def _size(x):
@@ -69,13 +73,20 @@ def parse_scalar(text, tower: ScalarTower, env=None, allow_t=False):
     def ev(n):
         if isinstance(n, ast.BinOp):
             a, b = ev(n.left), ev(n.right)
-            if isinstance(n.op, ast.Add):
-                return a + b
-            if isinstance(n.op, ast.Sub):
-                return a - b
-            if isinstance(n.op, ast.Mult):
-                return a * b
-            if isinstance(n.op, ast.Div):
+            if isinstance(n.op, (ast.Add, ast.Sub, ast.Mult, ast.Div)):
+                (bits_a, deg_a), (bits_b, deg_b) = _size(a), _size(b)
+                if isinstance(n.op, (ast.Add, ast.Sub)):
+                    bits, degree = max(bits_a, bits_b) + 1, max(deg_a, deg_b)
+                else:
+                    bits, degree = bits_a + bits_b, deg_a + deg_b
+                if bits > MAX_SCALAR_BITS or degree > MAX_EXPONENT:
+                    raise ValidationError(f"operands of {type(n.op).__name__} are too large in {text!r}")
+                if isinstance(n.op, ast.Add):
+                    return a + b
+                if isinstance(n.op, ast.Sub):
+                    return a - b
+                if isinstance(n.op, ast.Mult):
+                    return a * b
                 return a / b
             if isinstance(n.op, ast.Pow):
                 if isinstance(b, Fraction) and b.denominator == 1:

@@ -122,7 +122,7 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
             Zi = Zi.add(term)
         return Zi @ Yh.inv
 
-    Yhat = GroupElement(ctx, Yh.mat @ Z, yhat_inv, tag="B-")
+    Yhat = GroupElement(ctx, Yh.mat @ Z, yhat_inv)
 
     # --- fix the initial value ---------------------------------------------------
     C0 = Yhat.eval_at(base)
@@ -135,8 +135,8 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
     else:
         Cd = C0inv
     Cinv = mat_inverse(K, Cd)
-    Cel = GroupElement.from_constant(ctx, Cd, Cinv, tag=None)
-    Y = GroupElement(ctx, Yhat.mat @ Cel.mat, lambda: Cel.inv @ Yhat.inv, tag="B-")
+    Cel = GroupElement.from_constant(ctx, Cd, Cinv)
+    Y = GroupElement(ctx, Yhat.mat @ Cel.mat, lambda: Cel.inv @ Yhat.inv)
 
     # --- exactness: dY + ad_A Y = 0 ----------------------------------------------
     adA = alg.ad_of_vec(conn.coeffs, F)
@@ -194,13 +194,13 @@ def gauss_factorize(M: GroupElement):
         for j, v in cur.rows[i].items():
             if v and alg.height_of[i] > alg.height_of[j]:
                 raise NotInOpenCell(alg.height_of[j], "elimination left a raising defect")
-    n_log = GroupElement(ctx, N_acc, N_acc, tag=None)
+    n_log = GroupElement(ctx, N_acc, N_acc)
     try:
         vec = n_log.log_vec()
     except Exception as e:
         raise NotInOpenCell(None, f"unipotent factor is not in N: {e}")
-    n = GroupElement.exp(ctx, vec, tag="N")
+    n = GroupElement.exp(ctx, vec)
     if not (n.mat == N_acc):
         raise NotInOpenCell(None, "unipotent factor reassembly failed")
-    b = GroupElement(ctx, cur, lambda: M.inv @ n.inv, tag="B-")
+    b = GroupElement(ctx, cur, lambda: M.inv @ n.inv)
     return n, b

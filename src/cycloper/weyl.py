@@ -93,18 +93,9 @@ def coroot_coweight(alg, i):
 def coweight_to_h(alg, lam: Coweight, K=QQ):
     """The h-element with given pairing coordinates, as an algebra vector.
     Solves A^T m = c for the coroot coordinates m."""
-    n = alg.rank
-    A = alg.cartan.matrix
-    AT = [[Fraction(A[i][j]) for i in range(n)] for j in range(n)]
-    inv = mat_inverse(QQ, AT)
-    coords = list(lam.coords)
     vec = alg.vec_zero(K)
-    for i in range(n):
-        acc = K.zero
-        for j in range(n):
-            if inv[i][j] and coords[j]:
-                acc = acc + K.coerce(inv[i][j]) * K.coerce(coords[j])
-        vec[alg.index_H[i]] = acc
+    for i, m in enumerate(alg.solve_cartan_transpose(lam.coords, K)):
+        vec[alg.index_H[i]] = m
     return vec
 
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -333,3 +334,28 @@ def test_bad_instantiated_value_exits_with_the_validation_code(value, capsys):
     code = main(["--problem", fx("sl3_origin.json"), "--command", "residues",
                  "--instantiate", f"eta={value}"])
     assert code == 3 and "ValidationError" in capsys.readouterr().err
+
+
+def test_scalar_parser_bounds_products_before_multiplying():
+    """Products, quotients, sums and differences are held to the size bounds
+    as well: a chain of twenty large factors is refused at once, while a
+    product within the bounds still parses."""
+    tw = ScalarTower.get(4, ("z",))
+    start = time.perf_counter()
+    with pytest.raises(ValidationError):
+        parse_scalar("*".join(["(z+1)^1000"] * 20), tw)
+    assert time.perf_counter() - start < 1
+    assert parse_scalar("z^500*z^500", tw) == tw.param("z") ** 1000
+    assert parse_scalar("(2^1000)^4*(2^1000)^4 - 2^1000/2^999", tw) == tw.rational(2 ** 8000 - 2)
+    with pytest.raises(ValidationError):
+        parse_scalar("(2^1000)^5*(2^1000)^5", tw)
+
+
+def test_over_budget_product_exits_with_the_validation_code():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloper", "--problem", fx("sl3_origin.json"), "--command", "residues",
+         "--instantiate", "eta=" + "*".join(["2^1000"] * 11)],
+        capture_output=True, text=True, cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=path), timeout=300,
+    )
+    assert proc.returncode == 3 and "ValidationError" in proc.stderr

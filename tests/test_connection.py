@@ -18,6 +18,7 @@ from cycloper.connection import (
 )
 from cycloper.context import OperContext
 from cycloper.errors import NonIntegralCoweight
+from cycloper.linalg import SparseMat
 from cycloper.ratfunc import INFINITY
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, coweight_to_h
@@ -119,7 +120,6 @@ def test_group_element_inverse_and_log(label, T):
     one = GroupElement.identity(ctx).mat
     for el in (g, GroupElement.torus(ctx, lam), g @ h, conj, wdot, g.inverse()):
         assert el.mat @ el.inv == one
-    assert wdot.tag == "W-rep"
     assert g.log_vec() == X == series_log(g)
     assert g.inverse().log_vec() == [-x for x in X] == series_log(g.inverse())
     assert torus_conjugate_vec(ctx, X, lam) == series_log(conj)
@@ -215,6 +215,49 @@ def test_equivariant_gauge_closure():
     assert is_equivariant(g, ctx.varsigma)
     out = gauge_transform(nabla, g)
     assert is_equivariant(out, ctx.varsigma)
+
+
+def _matrix_equivariant(g, aut):
+    """The adjoint-matrix oracle: U g(omega^-1 t) U^-1 = g(t), with U the
+    matrix of aut."""
+    ctx = g.ctx
+    F = ctx.functions
+    n = ctx.alg.dim
+    U, Ui = SparseMat(F, n, n), SparseMat(F, n, n)
+    for i in range(n):
+        U.rows[aut.image[i]][i] = F.coerce(aut.factor[i])
+        Ui.rows[i][aut.image[i]] = F.one / F.coerce(aut.factor[i])
+    winv = ctx.scalars.one / ctx.omega
+    return (U @ g.mat.map_entries(lambda f: f.subs_scale(winv))) @ Ui == g.mat
+
+
+def test_equivariance_weight_and_group_elements():
+    """A connection carries the omega^-1 of dt, a plain vector does not; a
+    group element e^X is equivariant exactly when X is, with or without a
+    stored log, as the matrix conjugation says."""
+    ctx = sl3_context(4)
+    F = ctx.functions
+    alg = ctx.alg
+    aut = ctx.varsigma
+    pm1 = [F.coerce(c) for c in alg.p_minus1]
+    assert is_equivariant(Connection(ctx, pm1), aut)
+    assert not is_equivariant((ctx, pm1), aut)
+    rng = random.Random(4)
+    winv = ctx.scalars.one / ctx.omega
+    for _ in range(3):
+        X = rand_unipotent(ctx, rng).log_vec()
+        # the average of X over the cyclic group is equivariant
+        avg, cur = list(X), X
+        for _ in range(ctx.tower.order - 1):
+            cur = aut.apply_vec([c.subs_scale(winv) for c in cur], F)
+            avg = [a + b for a, b in zip(avg, cur)]
+        for vec, want in ((avg, True), (X, False)):
+            g = GroupElement.exp(ctx, vec)
+            half = GroupElement.exp(ctx, [v / 2 for v in vec])
+            assert is_equivariant((ctx, vec), aut) is want
+            assert is_equivariant(g, aut) is want
+            assert is_equivariant(half @ half, aut) is want  # no stored log
+            assert _matrix_equivariant(g, aut) is want
 
 
 def test_connection_residues_sl4():

@@ -445,7 +445,7 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
     def broken(M):
         n, b = real(M)
         two = n.mat.scale(n.ctx.functions.coerce(2))
-        return GroupElement(n.ctx, two, n.inv, tag=n.tag, log=n.log), b
+        return GroupElement(n.ctx, two, n.inv, log=n.log), b
 
     monkeypatch.setattr(miura_mod, "gauss_factorize", broken)
     ctx, m = sl3_miura(2, 1)
@@ -493,7 +493,7 @@ def test_gauge_reassembly_failure_is_typed(monkeypatch):
     ctx = OperContext("A1", ScalarTower.get(1))
     m = build_miura(ctx, Coweight((Fraction(1),)))
     f = riccati_solve(m.pairing(0), "general", constant=Fraction(1))
-    monkeypatch.setattr(miura_mod, "gauge_transform", lambda conn, g: conn)
+    monkeypatch.setattr(miura_mod, "exp_gauge", lambda ctx, X, A: A)
     with pytest.raises(MalformedOper, match="reassembly"):
         reproduce_simple(m, 0, f)
 
@@ -510,7 +510,7 @@ from cycloper.weyl import Coweight
 ctx = OperContext("A1", ScalarTower.get(1))
 m = miura.build_miura(ctx, Coweight((Fraction(1),)))
 f = miura.riccati_solve(m.pairing(0), "general", constant=Fraction(1))
-miura.gauge_transform = lambda conn, g: conn
+miura.exp_gauge = lambda ctx, X, A: A
 try:
     miura.reproduce_simple(m, 0, f)
     raise SystemExit("reproduce_simple: no error")
