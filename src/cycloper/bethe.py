@@ -16,30 +16,20 @@ from .errors import NoDominantRepresentative, ValidationError
 from .linalg import QQ
 from .miura import MiuraOper, _gamma_orbits_disjoint
 from .ratfunc import INFINITY
-from .weyl import Coweight, coweight_to_h, dominant_shift_representative, rho_coweight
+from .weyl import Coweight, coroot_to_coweight, coweight_to_h, dominant_shift_representative, rho_coweight
 
 
 def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
     """(lam | mu) on h^* for weights given by their values on the coroots:
-    lam = sum l_i alpha_i with A^T l = c."""
-    n = alg.rank
-    A = alg.cartan.matrix
+    lam^T G mu with G = alg.weight_gram."""
     if K is None:
         K = QQ
-    l = alg.solve_cartan_transpose(lam.coords, K)
-    m = alg.solve_cartan_transpose(mu.coords, K)
-    # the identification h ~ h^* uses the form itself, so the induced form
-    # on h^* varies inversely with the per-component scale
-    comp_scale = {}
-    for ci, comp in enumerate(alg.components):
-        for i in comp:
-            comp_scale[i] = alg.form_scales[ci]
     out = K.zero
-    for i in range(n):
-        if l[i]:
-            for j in range(n):
-                if m[j] and A[i][j]:
-                    out = out + l[i] * m[j] * K.coerce(alg.d[i] * A[i][j] / comp_scale[i])
+    for row, x in zip(alg.weight_gram, lam.coords):
+        if x:
+            for g, y in zip(row, mu.coords):
+                if g and y:
+                    out = out + K.coerce(g * x * y)
     return out
 
 
@@ -186,15 +176,7 @@ def miura_from_bethe(data: BetheSystemData):
 def lambda_function(data: BetheSystemData):
     """lambda(t) as a Coweight of rational functions (values on coroots)."""
     m, Lctx = miura_from_bethe(data)
-    F = Lctx.functions
-    A = data.ctx.alg.cartan.matrix
-    coords = []
-    for i in range(data.ctx.alg.rank):
-        acc = F.zero
-        for j, uj in enumerate(m.u_coroot):
-            if uj and A[j][i]:
-                acc = acc + uj * A[j][i]
-        coords.append(-acc)
+    coords = [-c for c in coroot_to_coweight(data.ctx.alg, m.u_coroot).coords]
     return Coweight(coords), m, Lctx
 
 

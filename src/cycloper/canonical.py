@@ -72,9 +72,7 @@ def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOpe
     conn.with_shape("oper")
     if cyclotomic and not is_equivariant(conn, ctx.varsigma):
         raise MalformedOper("claimed cyclotomic but the connection is not equivariant")
-    m, u_by_height = slice_gauge(
-        alg, conn.coeffs, F, lambda X, A, _: exp_gauge(ctx, X, A), alg.split_graded
-    )
+    m, u_by_height = slice_gauge(alg, conn.coeffs, F, lambda X, A, _: exp_gauge(ctx, X, A))
     u = []
     for k in sorted(set(alg.exponents)):
         u.extend(u_by_height.get(k, []))

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .cartan import CartanDatum
 from .errors import MalformedOper, NotFiniteType
-from .linalg import QQ, SparseMat, kernel_basis, mat_inverse, rref
+from .linalg import QQ, SparseMat, kernel_basis, mat_inverse, mat_mul, mat_vec, rref
 
 
 class ChevalleyAlgebra:
@@ -104,22 +104,14 @@ class ChevalleyAlgebra:
         # ---- bilinear form -----------------------------------------------------
         self._build_form()
 
-        # splitting data for canonical forms, lazily built per (height, fixed-space)
+        # splitting data for canonical forms, lazily built per (height, nu)
         self._split_cache = {}
 
     def solve_cartan_transpose(self, c, K=QQ):
         """m with A^T m = c, over K: the coroot coordinates of the h-element
         with values c on the simple roots (or the simple-root coordinates of
         the weight with values c on the coroots)."""
-        c = [K.coerce(x) for x in c]
-        out = []
-        for row in self.cartan_transpose_inverse:
-            acc = K.zero
-            for a, x in zip(row, c):
-                if a and x:
-                    acc = acc + K.coerce(a) * x
-            out.append(acc)
-        return out
+        return mat_vec(K, self.cartan_transpose_inverse, [K.coerce(x) for x in c])
 
     # ------------------------------------------------------------------ roots --
     def is_root(self, r):
@@ -421,7 +413,11 @@ class ChevalleyAlgebra:
     # ------------------------------------------------------------ bilinear form --
     def _build_form(self):
         """Gram matrix of the invariant form: (E_a|F_a) = scale/d_a,
-        (H_i|H_j) = scale * a_ij / d_j."""
+        (H_i|H_j) = scale * a_ij / d_j; and weight_gram, the induced form on
+        h^* in the coordinates c_i = <lam, coroot_i>: (lam|mu) = c^T G c'
+        with G = A^-1 B (A^T)^-1, B_ij = d_i a_ij / scale_i (identifying h
+        with h^* through the form, the induced form varies inversely with
+        the per-component scale)."""
         n = self.rank
         A = self.cartan.matrix
         gram = {}
@@ -443,6 +439,10 @@ class ChevalleyAlgebra:
                     c = self.form_scales[comp_of_node[i]] * Fraction(A[i][j]) / self.d[j]
                     gram[(self.index_H[i], self.index_H[j])] = c
         self.gram = gram
+        B = [[Fraction(self.d[i] * A[i][j]) / self.form_scales[comp_of_node[i]] for j in range(n)]
+             for i in range(n)]
+        S = self.cartan_transpose_inverse
+        self.weight_gram = mat_mul(QQ, mat_mul(QQ, list(zip(*S)), B), S)
 
     def form_vec(self, x, y, K=QQ):
         out = K.zero
@@ -455,51 +455,55 @@ class ChevalleyAlgebra:
         return out
 
     # ------------------------------------------------------------- DS splitting --
-    def split_data(self, height):
-        """Precomputed inverse realising the decomposition
-        g_h = [p_-1, g_{h+1}] (+) a cap g_h at the given height.
+    def split_data(self, height, nu=None):
+        """Precomputed left inverse realising the decomposition
+        g_h = [p_-1, g_{h+1}] (+) a cap g_h at the given height, or with nu
+        g_h^nu = [p_-1, g_{h+1}^nu] (+) a^nu cap g_h inside the nu-fixed
+        subalgebra.
 
-        Returns (inv, m_basis, a_basis, idxs): inv is the rational inverse of
-        the column matrix [ad_{p_-1} m_basis | a_basis] over the g_h block
-        coordinates idxs."""
-        if height in self._split_cache:
-            return self._split_cache[height]
+        Returns (inv, m_basis, a_basis, idxs): inv is the rational left
+        inverse (A^T A)^-1 A^T of the column matrix A = [ad_{p_-1} m_basis |
+        a_basis] over the g_h block coordinates idxs (A^-1 when A is square)."""
+        return self._split_entry(height, nu)[0]
+
+    def _split_entry(self, height, nu):
+        """(split_data, A or None): A is kept when it has more rows than
+        columns, so that split_graded can check X lies in its column space."""
+        key = (height, nu.perm if nu is not None else None)
+        if key in self._split_cache:
+            return self._split_cache[key]
         idxs = self.blocks.get(height, [])
-        nxt = self.blocks.get(height + 1, [])
-        ad_pm1 = self.ad_of_vec(self.p_minus1)
-        m_basis = []
-        for j in nxt:
-            v = self.vec_zero()
-            v[j] = Fraction(1)
-            m_basis.append(v)
-        a_basis = [w for k, w in self.centralizer_basis if k == height]
-        cols = []
-        for v in m_basis:
-            img = ad_pm1.apply(v)
-            cols.append([img[j] for j in idxs])
-        for v in a_basis:
-            cols.append([v[j] for j in idxs])
-        M = [[cols[c][r] for c in range(len(cols))] for r in range(len(idxs))]
-        inv = mat_inverse(QQ, M) if M and len(M) == len(cols) else None
-        if inv is None and idxs:
+        if nu is None:
+            m_basis = [[Fraction(int(i == j)) for i in range(self.dim)]
+                       for j in self.blocks.get(height + 1, [])]
+            a_basis = [w for k, w in self.centralizer_basis if k == height]
+        else:
+            from .finite_opers import nu_fixed_block_basis, nu_fixed_centralizer_basis
+
+            m_basis = nu_fixed_block_basis(self, nu, height + 1)
+            a_basis = nu_fixed_centralizer_basis(self, nu, height)
+        cols = [self.bracket_vec(self.p_minus1, v) for v in m_basis] + a_basis
+        At = [[col[j] for j in idxs] for col in cols]
+        A = [list(row) for row in zip(*At)] if At else [[] for _ in idxs]
+        AtA_inv = mat_inverse(QQ, mat_mul(QQ, At, A))
+        if AtA_inv is None:
             raise MalformedOper(f"graded splitting failed at height {height}")
-        data = (inv, m_basis, a_basis, idxs)
-        self._split_cache[height] = data
-        return data
+        entry = ((mat_mul(QQ, AtA_inv, At), m_basis, a_basis, idxs),
+                 A if len(idxs) > len(cols) else None)
+        self._split_cache[key] = entry
+        return entry
 
-    def split_graded(self, X, height, K=QQ):
-        """Split a vector X supported on g_height as [p_-1, m] + c.
+    def split_graded(self, X, height, K=QQ, nu=None):
+        """Split a vector X supported on g_height (on g_height^nu with nu) as
+        [p_-1, m] + c.
 
-        Returns (m_vec, c_vec, a_coeffs) over K."""
-        inv, m_basis, a_basis, idxs = self.split_data(height)
+        Returns (m_vec, c_vec, a_coeffs) over K; raises MalformedOper when X
+        has no such split (with nu, when X is not nu-fixed)."""
+        (inv, m_basis, a_basis, idxs), A = self._split_entry(height, nu)
         coords = [X[j] for j in idxs]
-        sol = []
-        for row in inv:
-            acc = K.zero
-            for c, x in zip(row, coords):
-                if c and x:
-                    acc = acc + K.coerce(c) * x
-            sol.append(acc)
+        sol = mat_vec(K, inv, coords)
+        if A is not None and mat_vec(K, A, sol) != coords:
+            raise MalformedOper("graded splitting failed in the nu-fixed subalgebra")
         m_coeffs, a_coeffs = sol[: len(m_basis)], sol[len(m_basis):]
         return self.span_vec(m_coeffs, m_basis, K), self.span_vec(a_coeffs, a_basis, K), a_coeffs
 

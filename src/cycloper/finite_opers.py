@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import MalformedOper
-from .linalg import QQ, kernel_basis, solve_linear
+from .linalg import QQ, kernel_basis
 from .weyl import Coweight, coweight_to_h, rho_coweight
 
 
@@ -64,50 +64,11 @@ def nu_fixed_centralizer_basis(alg, nu, height):
     return [alg.span_vec(x, vecs) for x in kernel_basis(QQ, mat, ncols=len(vecs))]
 
 
-def _nu_split_data(alg, nu, height):
-    """(m_basis, a_basis, idxs, A): the nu-fixed bases of g_{height+1} and
-    of a cap g_height, and the rational matrix [ad_{p_-1} m_basis | a_basis]
-    over the g_height coordinates idxs.  Computed once per height."""
-    cache = alg.__dict__.setdefault("_nu_split_cache", {})
-    key = (nu.perm, height)
-    if key not in cache:
-        m_basis = nu_fixed_block_basis(alg, nu, height + 1)
-        a_basis = nu_fixed_centralizer_basis(alg, nu, height)
-        idxs = alg.blocks.get(height, [])
-        cols = [alg.bracket_vec(alg.p_minus1, v) for v in m_basis] + a_basis
-        A = [[col[j] for col in cols] for j in idxs]
-        cache[key] = (m_basis, a_basis, idxs, A)
-    return cache[key]
+def slice_gauge(alg, target, K, gauge, nu=None):
+    """Drinfeld-Sokolov gauge fixing of target in p_-1 + b (in the nu-fixed
+    subalgebra with nu), height by height.
 
-
-def nu_fixed_split(alg, nu):
-    """ChevalleyAlgebra.split_graded inside the nu-fixed subalgebra, with
-    the same (m, c, coefficients) contract: D in g_h^nu as [p_-1, m] + c
-    with m in g_{h+1}^nu and c in a^nu cap g_h."""
-
-    def split(D, height, K):
-        m_basis, a_basis, idxs, A = _nu_split_data(alg, nu, height)
-        b = [D[j] for j in idxs]
-        if any(b):
-            sol = solve_linear(K, [[K.coerce(x) for x in row] for row in A], b)
-            if sol is None:
-                raise MalformedOper("graded splitting failed in the nu-fixed subalgebra")
-        else:
-            sol = [K.zero] * (len(m_basis) + len(a_basis))
-        acoeffs = sol[len(m_basis):]
-        return (
-            alg.span_vec(sol[: len(m_basis)], m_basis, K),
-            alg.span_vec(acoeffs, a_basis, K),
-            acoeffs,
-        )
-
-    return split
-
-
-def slice_gauge(alg, target, K, gauge, split):
-    """Drinfeld-Sokolov gauge fixing of target in p_-1 + b, height by height.
-
-    gauge(m, v, K) is the action of e^m on v, and split(D, h, K) writes a
+    gauge(m, v, K) is the action of e^m on v, and alg.split_graded writes a
     vector D on g_h as [p_-1, m'] + c with c in the slice, returning
     (m', c, slice coefficients).  At each height the mismatch between
     target and the current candidate gauge(m, p_-1 + c) is split, and m and
@@ -122,7 +83,7 @@ def slice_gauge(alg, target, K, gauge, split):
         D = alg.vec_zero(K)
         for i in alg.blocks.get(h, []):
             D[i] = target[i] - cur[i]
-        mp, ch, coeffs[h] = split(D, h, K)
+        mp, ch, coeffs[h] = alg.split_graded(D, h, K, nu)
         m = [a - b for a, b in zip(m, mp)]
         cvec = [a + b for a, b in zip(cvec, ch)]
     final = gauge(m, [a + c for a, c in zip(base, cvec)], K)
@@ -151,13 +112,12 @@ def finite_canonical(alg, X, K=QQ, nu=None):
     derivative term."""
     X = [K.coerce(x) for x in X]
     _check_oper_shape(alg, X, K)
+    m, coeff_log = slice_gauge(alg, X, K, alg.ad_series, nu)
     if nu is None:
-        m, coeff_log = slice_gauge(alg, X, K, alg.ad_series, alg.split_graded)
         coeffs = []
         for k in sorted(set(alg.exponents)):
             coeffs.extend(coeff_log.get(k, []))
         return FiniteOperClass(tuple(alg.exponents), tuple(coeffs)), m
-    m, coeff_log = slice_gauge(alg, X, K, alg.ad_series, nu_fixed_split(alg, nu))
     exps, coeffs = [], []
     for h in range(1, alg.height_max + 1):
         exps.extend([h] * len(coeff_log[h]))

@@ -16,36 +16,14 @@ from .solve import gauss_factorize
 from .weyl import Coweight
 
 
-def root_action_matrix(cartan, word):
-    """Matrix of w on h^* in the simple-root basis: s_i alpha_j =
-    alpha_j - a_ij alpha_i."""
-    n = cartan.rank
-    A = cartan.matrix
-    out = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-    for letter in reversed(word):
-        new = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            col = [out[i][j] for i in range(n)]
-            # apply s_letter to the image column
-            for i in range(n):
-                new[i][j] += col[i]
-            coeff = sum(col[i] * A[letter][i] for i in range(n))
-            new[letter][j] -= coeff
-        out = new
-    return out
-
-
 def inversion_set(alg, w):
-    """R(w) = {alpha > 0 : w^-1 alpha < 0}."""
-    winv_word = tuple(reversed(w.word))
-    M = root_action_matrix(alg.cartan, winv_word)
-    out = []
+    """R(w) = {alpha > 0 : w^-1 alpha < 0}.  w.matrix acts on the pairing
+    coordinates <alpha_i, lam>, so w.matrix^T gives w^-1 on simple-root
+    coordinates: <alpha, w lam> = <w^-1 alpha, lam>."""
     n = alg.rank
-    for r in alg.pos_roots:
-        img = tuple(sum(M[i][j] * r[j] for j in range(n)) for i in range(n))
-        if all(c <= 0 for c in img):
-            out.append(r)
-    return out
+    cols = list(zip(*w.matrix))
+    return [r for r in alg.pos_roots
+            if all(sum(c[j] * r[j] for j in range(n)) <= 0 for c in cols)]
 
 
 @dataclass

@@ -38,6 +38,18 @@ def mat_mul(K, A, B):
     return out
 
 
+def mat_vec(K, M, v):
+    """M v for a rational matrix M and a vector v over K."""
+    out = []
+    for row in M:
+        acc = K.zero
+        for a, x in zip(row, v):
+            if a and x:
+                acc = acc + K.coerce(a) * x
+        out.append(acc)
+    return out
+
+
 def rref(K, rows, ncols=None):
     """Reduced row echelon form.  Returns (rows, pivot_columns)."""
     rows = [list(r) for r in rows]

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .ratfunc import INFINITY, partial_fractions, rational_antiderivative, as_rational
 from .solve import gauss_factorize, solve_fundamental
-from .weyl import Coweight, coweight_to_h, rho_coweight
+from .weyl import Coweight, coroot_to_coweight, coweight_to_h, rho_coweight
 
 
 @dataclass
@@ -58,26 +58,11 @@ class MiuraOper:
 
     def pairing(self, k):
         """<alpha_k, u(t)> (0-based k)."""
-        A = self.ctx.alg.cartan.matrix
-        F = self.ctx.functions
-        out = F.zero
-        for j, m in enumerate(self.u_coroot):
-            if m and A[j][k]:
-                out = out + m * A[j][k]
-        return out
+        return coroot_to_coweight(self.ctx.alg, self.u_coroot).coords[k]
 
     def residue_coweight(self, p) -> Coweight:
         K = self.ctx.scalars
-        res = [K.coerce(c.residue_at(p)) for c in self.u_coroot]
-        A = self.ctx.alg.cartan.matrix
-        coords = []
-        for i in range(self.ctx.alg.rank):
-            acc = K.zero
-            for j, m in enumerate(res):
-                if m and A[j][i]:
-                    acc = acc + m * A[j][i]
-            coords.append(acc)
-        return Coweight(coords)
+        return coroot_to_coweight(self.ctx.alg, [K.coerce(c.residue_at(p)) for c in self.u_coroot])
 
     def is_cyclotomic(self) -> bool:
         return is_equivariant(self.connection(), self.ctx.varsigma)

@@ -1205,32 +1205,39 @@ def poly_str(K, coeffs, var):
 
 def linear_split(field: FunctionField, poly, extra=()):
     """Split off the linear factors of poly whose roots lie in the working
-    field, using the configured candidate set.  Returns (roots, leftover)
-    where roots is a list of (root, multiplicity) and leftover has no root
-    among the candidates."""
+    field.  Returns (roots, leftover) where roots is a list of (root,
+    multiplicity) and leftover has no root in the field that was found.
+
+    The configured candidate set is tried first; a leftover of degree >= 2
+    then tries the rational-root candidates (times powers of zeta), and a
+    linear leftover gives its root -b/a without candidates."""
     K = field.coeff
     poly = ptrim(poly)
     roots = []
-    cands = field.candidate_points(extra)
-    rational = field.rational_root_candidates(poly)
-    bottom = field.bottom()
-    for r in rational:
-        for k in range(bottom.order):
-            c = r * K.coerce(bottom.zeta_power(k))
-            if all(c != q for q in cands):
-                cands.append(c)
-    for c in cands:
-        if pdeg(poly) < 1:
-            break
-        m = 0
-        while pdeg(poly) >= 1:
-            q, rem = pdivmod(K, poly, (-c, K.one))
-            if rem:
+
+    def peel(cands):
+        nonlocal poly
+        for c in cands:
+            if pdeg(poly) < 2:
                 break
-            poly = q
-            m += 1
-        if m:
-            roots.append((c, m))
+            m = 0
+            while pdeg(poly) >= 1:
+                q, rem = pdivmod(K, poly, (-c, K.one))
+                if rem:
+                    break
+                poly = q
+                m += 1
+            if m:
+                roots.append((c, m))
+
+    peel(field.candidate_points(extra))
+    if pdeg(poly) >= 2:
+        bottom = field.bottom()
+        peel(r * K.coerce(bottom.zeta_power(k))
+             for r in field.rational_root_candidates(poly) for k in range(bottom.order))
+    if pdeg(poly) == 1:
+        roots.append((-poly[0] / poly[1], 1))
+        poly = poly[1:]
     return roots, pmonic(K, poly)
 
 

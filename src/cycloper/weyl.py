@@ -99,21 +99,24 @@ def coweight_to_h(alg, lam: Coweight, K=QQ):
     return vec
 
 
-def h_to_coweight(alg, vec):
-    """Pairing coordinates of an h-part vector (coroot coordinates m_j):
-    c_i = sum_j m_j a_ji."""
-    n = alg.rank
+def coroot_to_coweight(alg, m):
+    """Pairing coordinates c_i = sum_j m_j a_ji of the h-element with coroot
+    coordinates m (the inverse of coweight_to_h), in the field of m."""
     A = alg.cartan.matrix
+    zero = m[0] * 0
     coords = []
-    for i in range(n):
-        acc = None
-        for j in range(n):
-            m = vec[alg.index_H[j]]
-            if m and A[j][i]:
-                t = m * A[j][i]
-                acc = t if acc is None else acc + t
-        coords.append(acc if acc is not None else Fraction(0))
+    for i in range(alg.rank):
+        acc = zero
+        for j, x in enumerate(m):
+            if x and A[j][i]:
+                acc = acc + x * A[j][i]
+        coords.append(acc)
     return Coweight(coords)
+
+
+def h_to_coweight(alg, vec):
+    """Pairing coordinates of the h-part of an algebra vector."""
+    return coroot_to_coweight(alg, [vec[alg.index_H[j]] for j in range(alg.rank)])
 
 
 def rho_coweight(rank):
@@ -228,12 +231,11 @@ class WeylGroup:
         return len(self.elements)
 
     def nu_action(self, nu, w: WeylElement) -> WeylElement:
-        """nu(w) = P nu . w . P nu^-1 on coordinates: coords permute by
-        (nu lam)_i = lam_{nu^-1(i)}."""
-        n = self.rank
-        P = [[Fraction(1) if j == nu.inv_perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
-        Pi = [[Fraction(1) if j == nu.perm[i] else Fraction(0) for j in range(n)] for i in range(n)]
-        return self.by_matrix[_key(mat_mul(QQ, P, mat_mul(QQ, w.matrix, Pi)))]
+        """nu(w) = P_nu w P_nu^-1 on coordinates, which permute by
+        (nu lam)_i = lam_{nu^-1(i)}: the entries of w re-indexed."""
+        inv = nu.inv_perm
+        return self.by_matrix[tuple(tuple(w.matrix[inv[i]][inv[j]] for j in range(self.rank))
+                                    for i in range(self.rank))]
 
     def nu_invariant_elements(self, nu):
         return [w for w in self.elements if self.nu_action(nu, w) == w]

@@ -283,3 +283,88 @@ def test_centralizer_check_survives_python_O():
     MalformedOper, also under python -O."""
     run = run_under_O(_CENTRALIZER_CHECK_UNDER_O)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+SPLIT_LABELS = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A2xB2"]
+
+
+@pytest.mark.parametrize("label", SPLIT_LABELS)
+def test_identity_nu_split_is_the_plain_split(label):
+    """With the identity nu the nu-fixed bases are the plain ones, so the
+    folded and the plain split share their data."""
+    from cycloper.automorphisms import DiagramAut
+
+    g = build_algebra(label)
+    nu = DiagramAut.from_cycles(g.rank, [])
+    for h in range(g.height_max + 1):
+        assert g.split_data(h, nu) == g.split_data(h)
+
+
+@pytest.mark.parametrize("label, cycles", [("A2", [[1, 2]]), ("A3", [[1, 3]]), ("D4", [[1, 3, 4]])])
+def test_nu_split_left_inverse(label, cycles):
+    """inv is a left inverse of [ad_{p_-1} m_basis | a_basis]: a random
+    nu-fixed [p_-1, m] + c splits back into m and c; where g_h^nu is a
+    proper subspace of g_h, moving one coordinate raises MalformedOper."""
+    from cycloper.automorphisms import DiagramAut
+    from cycloper.linalg import QQ
+
+    g = build_algebra(label)
+    nu = DiagramAut.from_cycles(g.rank, cycles)
+    rng = random.Random(5)
+    for h in range(g.height_max + 1):
+        inv, m_basis, a_basis, idxs = g.split_data(h, nu)
+        mc = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in m_basis]
+        ac = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in a_basis]
+        m = g.span_vec(mc, m_basis)
+        c = g.span_vec(ac, a_basis)
+        X = [a + b for a, b in zip(g.bracket_vec(g.p_minus1, m), c)]
+        assert g.split_graded(X, h, QQ, nu) == (m, c, ac)
+        if len(m_basis) + len(a_basis) < len(idxs):
+            X[idxs[0]] += 1
+            with pytest.raises(MalformedOper):
+                g.split_graded(X, h, QQ, nu)
+
+
+def test_nu_split_of_an_empty_fixed_block():
+    """A2, nu = (1 2): g_2^nu = 0, so A has no columns, inv is empty and
+    only X = 0 splits at height 2."""
+    from cycloper.automorphisms import DiagramAut
+
+    g = build_algebra("A2")
+    nu = DiagramAut.from_cycles(2, [[1, 2]])
+    inv, m_basis, a_basis, idxs = g.split_data(2, nu)
+    assert inv == [] and m_basis == [] and a_basis == [] and len(idxs) == 1
+    assert g.split_graded(g.vec_zero(), 2, nu=nu) == (g.vec_zero(), g.vec_zero(), [])
+    X = g.vec_zero()
+    X[idxs[0]] = Fraction(1)
+    with pytest.raises(MalformedOper, match="nu-fixed"):
+        g.split_graded(X, 2, nu=nu)
+
+
+def _weight_form_by_solving(alg, c, d):
+    """(lam|mu) = sum l_i m_j d_i a_ij / scale_i with A^T l = c, A^T m = d."""
+    A = alg.cartan.matrix
+    l = alg.solve_cartan_transpose(c)
+    m = alg.solve_cartan_transpose(d)
+    scale = {i: alg.form_scales[ci] for ci, comp in enumerate(alg.components) for i in comp}
+    return sum((l[i] * m[j] * alg.d[i] * A[i][j] / scale[i]
+                for i in range(alg.rank) for j in range(alg.rank)), Fraction(0))
+
+
+@pytest.mark.parametrize("label", SPLIT_LABELS)
+def test_weight_gram_is_the_induced_form(label):
+    """weight_gram = A^-1 B (A^T)^-1 gives the form of two solves, on
+    random rational coweights, for the algebra and its Langlands dual."""
+    from cycloper.bethe import weight_form
+    from cycloper.chevalley import dual_algebra
+    from cycloper.weyl import Coweight
+
+    rng = random.Random(11)
+    g = build_algebra(label)
+    for alg in (g, dual_algebra(g)):
+        G = alg.weight_gram
+        assert all(G[i][j] == G[j][i] for i in range(alg.rank) for j in range(alg.rank))
+        for _ in range(10):
+            c = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.rank)]
+            d = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(alg.rank)]
+            assert weight_form(alg, Coweight(c), Coweight(d)) == _weight_form_by_solving(alg, c, d)

@@ -359,3 +359,19 @@ def test_over_budget_product_exits_with_the_validation_code():
         capture_output=True, text=True, cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=path), timeout=300,
     )
     assert proc.returncode == 3 and "ValidationError" in proc.stderr
+
+
+def test_huge_rational_site_classifies_quickly(tmp_path):
+    """The site factor t - (2^61 + 1) is linear, so linear_split reads its
+    root off as -b/a instead of trial-dividing up to sqrt(2^61)."""
+    prob = tmp_path / "huge_site.json"
+    prob.write_text(json.dumps({"algebra": "A1", "T": 1, "lambda0": ["0"],
+                                "sites": [{"z": "2^61+1", "coweight": ["1"]}]}))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "cycloper", "--problem", str(prob), "--command", "classify"],
+        capture_output=True, text=True, cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=path), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert time.perf_counter() - start < 10

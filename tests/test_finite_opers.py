@@ -95,8 +95,8 @@ def test_reassembly_failure_is_typed(monkeypatch):
     g = build_algebra("A2")
     split = g.split_graded
 
-    def drop_centraliser(X, height, K):
-        m, c, a = split(X, height, K)
+    def drop_centraliser(X, height, K, nu=None):
+        m, c, a = split(X, height, K, nu)
         return m, g.vec_zero(K), a
 
     monkeypatch.setattr(g, "split_graded", drop_centraliser)

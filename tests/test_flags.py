@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import fSl3_seed, sl3_miura
+from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
+from cycloper.chevalley import build_algebra
 from cycloper.connection import GroupElement
 from cycloper.context import OperContext
 from cycloper.flags import fixed_flag_cells, flag_position, inversion_set
-from cycloper.miura import MiuraOper, reproduce_generic, reproduce_orbit_A2, theta_for
+from cycloper.miura import MiuraOper, build_miura, reproduce_generic, reproduce_orbit_A2, theta_for
 from cycloper.tower import ScalarTower
-from cycloper.weyl import Coweight
+from cycloper.weyl import Coweight, WeylGroup
 
 
 def test_inversion_sets():
@@ -137,3 +139,44 @@ def test_flag_of_antisymmetric_regular_case():
     assert fp.w.length == 0
     assert fp.coordinates.get(ctx.alg.simple_root(0)) == 2
     assert fp.coordinates.get(ctx.alg.simple_root(1)) == -2
+
+
+def _inversion_set_by_word(alg, w):
+    """R(w) = {alpha > 0 : w^-1 alpha < 0}, with w^-1 applied to alpha one
+    simple reflection at a time: s_i beta = beta - <beta, coroot_i> alpha_i."""
+    out = []
+    for r in alg.pos_roots:
+        beta = list(r)
+        for i in w.word:  # w^-1 = reversed word; apply its last letter first
+            p = alg.root_pairing(tuple(beta), i)
+            beta[i] -= p
+        if all(c <= 0 for c in beta):
+            out.append(r)
+    return out
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "A1xA1", "A2xB2"])
+def test_inversion_set_read_off_the_weyl_matrix(label):
+    alg = build_algebra(label)
+    W = WeylGroup(alg.cartan)
+    for w in W.elements:
+        assert inversion_set(alg, w) == _inversion_set_by_word(alg, w)
+
+
+@pytest.mark.parametrize("T, cycles", [(2, [[1, 2]]), (1, None)])
+def test_flag_position_on_the_cover(T, cycles):
+    """lam0 = (1/2, 1/2) is not integral, so flag_position lifts g to the
+    2-sheeted cover; g0 = 3 x (the theta-fixed basis vector E_theta) lands
+    in the big cell with coordinate 3 on theta."""
+    nu = DiagramAut.from_cycles(2, cycles) if cycles else None
+    ctx = OperContext("A2", ScalarTower.get(T), nu)
+    F = ctx.functions
+    m = build_miura(ctx, Coweight((Fraction(1, 2), Fraction(1, 2))))
+    assert m.residue_coweight(0) == Coweight((Fraction(-1, 2), Fraction(-1, 2)))
+    (basis,), _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, 2))
+    theta = ctx.alg.index_E[(1, 1)]
+    assert [i for i, x in enumerate(basis) if x] == [theta] and basis[theta] == 1
+    res = reproduce_generic(m, [3 * x for x in ctx.alg.vec_E((1, 1), F)])
+    fp = flag_position(m, res.gauge)
+    assert fp.w == ctx.weyl.identity
+    assert fp.coordinates == {(1, 1): 3}

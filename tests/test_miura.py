@@ -569,3 +569,20 @@ def test_residue_rules_survive_python_O():
     also under python -O."""
     run = run_under_O(_RULE_CHECKS_UNDER_O)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_zero_miura_oper_pairs_in_its_field(tmp_path):
+    """u = 0: pairing(0) is the zero of F (not Fraction(0)), and the CLI
+    reproduces along the simple root 1."""
+    ctx = OperContext("A1", ScalarTower.get(1))
+    F = ctx.functions
+    q = MiuraOper(ctx, [F.zero]).pairing(0)
+    assert type(q) is type(F.zero) and q == F.zero
+    prob = tmp_path / "zero_a1.json"
+    prob.write_text('{"algebra": "A1", "T": 1, "lambda0": ["0"]}')
+    src = os.path.dirname(os.path.dirname(cycloper.__file__))
+    run = subprocess.run(
+        [sys.executable, "-m", "cycloper", "--problem", str(prob), "--command", "reproduce", "--orbit", "1"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

@@ -27,7 +27,23 @@ def to_sympy(x, T):
 
 
 def same(a, b):
-    return sympy.cancel(sympy.together(a - b)) == 0
+    return sympy.cancel(a - b) == 0
+
+
+def test_same_reads_an_unevaluated_zero_as_zero():
+    """sympy.cancel(sympy.together(a - b)) is the unevaluated Add(-1/2, 1/2)
+    here (sympy 1.14), which is not == 0; cancel(a - b) gives 0."""
+    z = SYMBOLS["z"]
+    assert same(z ** 2 / 2 + z + sympy.Rational(1, 2), (z + 1) ** 2 / 2)
+    assert not same(z ** 2 / 2, (z + 1) ** 2 / 2)
+
+
+def test_eval_at_a_shifted_parameter():
+    """The draw f = t^2/2, q = z + 1 of test_local_data_matches_sympy."""
+    tw = ScalarTower.get(1, ("z",))
+    z = tw.param("z")
+    got = to_sympy((tw.t ** 2 / 2).eval_at(z + 1), 1)
+    assert same(got, (SYMBOLS["z"] + 1) ** 2 / 2)
 
 
 def t_degrees(expr):

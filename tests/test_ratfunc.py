@@ -270,3 +270,24 @@ def test_hermite_reduction_checks_survive_python_O():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+_LINEAR_POLE_IN_A_FRESH_PROCESS = """
+from cycloper.ratfunc import poles_of
+from cycloper.tower import ScalarTower
+
+tw = ScalarTower.get(1, ("z",))
+z = tw.param("z")
+assert poles_of(1 / (tw.t - 2 * z)) == [(2 * z, 1)]
+"""
+
+
+def test_linear_pole_needs_no_registered_point():
+    """A linear factor's root is read off as -b/a, so a fresh process
+    (2z registered nowhere) finds the pole of 1/(t - 2z) over Q(z)(t)."""
+    src = os.path.dirname(os.path.dirname(cycloper.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _LINEAR_POLE_IN_A_FRESH_PROCESS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr

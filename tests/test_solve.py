@@ -149,3 +149,23 @@ def test_gauss_not_in_open_cell():
     wd = GroupElement.weyl_representative(ctx, ctx.weyl.simple(0))
     with pytest.raises(NotInOpenCell):
         gauss_factorize(wd)
+
+
+@pytest.mark.parametrize("T", [1, 2, 4])
+def test_fundamental_solution_inverse(T):
+    """Y.inv (through the Neumann series of yhat_inv) inverts Y.mat on both
+    sides, for A2 with a site at 3 with integral residue and a
+    non-constant nilpotent part."""
+    from cycloper.linalg import SparseMat
+
+    ctx = OperContext("A2", ScalarTower.get(T))
+    F = ctx.functions
+    alg = ctx.alg
+    t = F.gen
+    hv = coweight_to_h(alg, Coweight((Fraction(1), Fraction(0))), F)
+    coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, hv)]
+    coeffs[alg.index_F[(1, 1)]] = t
+    Y = solve_fundamental(Connection(ctx, coeffs, "b-"), 0)
+    one = SparseMat.identity(F, alg.dim)
+    assert Y.mat @ Y.inv == one
+    assert Y.inv @ Y.mat == one

@@ -13,6 +13,7 @@ from cycloper.weyl import (
     Coweight,
     WeylGroup,
     coroot_coweight,
+    coroot_to_coweight,
     coweight_to_h,
     dominant_shift_representative,
     h_to_coweight,
@@ -187,3 +188,37 @@ def test_w_nu_a2():
     els = W.nu_invariant_elements(nu)
     assert len(els) == 2
     assert W.from_word([0, 1, 0]) in els
+
+
+def test_coroot_to_coweight_keeps_the_field_of_its_input():
+    """A zero input gives the zero of its own field, not Fraction(0)."""
+    from cycloper.tower import ScalarTower
+
+    g = build_algebra("A2")
+    tw = ScalarTower.get(4)
+    F = tw.t.field
+    out = coroot_to_coweight(g, [F.zero, F.zero])
+    assert all(type(c) is type(F.zero) and c == F.zero for c in out.coords)
+    K = tw.scalars
+    out = coroot_to_coweight(g, [K.zero, K.one])
+    assert [type(c) for c in out.coords] == [type(K.zero)] * 2
+    assert out == Coweight((-K.one, 2 * K.one))
+
+
+@pytest.mark.parametrize("label, cycles", [
+    ("A2", [[1, 2]]), ("A3", [[1, 3]]), ("D4", [[1, 3]]), ("D4", [[1, 3, 4]]),
+    ("A4", [[1, 4], [2, 3]]), ("A1xA1", [[1, 2]]),
+])
+def test_nu_action_is_conjugation_by_the_permutation(label, cycles):
+    """nu(w) re-indexes w.matrix; the reference conjugates by the
+    permutation matrices P_nu w P_nu^-1."""
+    from cycloper.linalg import QQ, mat_mul
+
+    W = WeylGroup(CartanDatum.from_label(label))
+    nu = DiagramAut.from_cycles(W.rank, cycles)
+    n = W.rank
+    P = [[Fraction(int(j == nu.inv_perm[i])) for j in range(n)] for i in range(n)]
+    Pi = [[Fraction(int(j == nu.perm[i])) for j in range(n)] for i in range(n)]
+    for w in W.elements:
+        ref = mat_mul(QQ, P, mat_mul(QQ, w.matrix, Pi))
+        assert W.nu_action(nu, w).matrix == tuple(map(tuple, ref))
