@@ -12,12 +12,10 @@ from .chevalley import (
     build_algebra,
     fundamental_matrix,
     fundamental_rep,
-    principal_triple,
 )
 from .connection import (
     Connection,
     GroupElement,
-    connection_residue,
     gauge_transform,
     is_equivariant,
     lift_to_cover,

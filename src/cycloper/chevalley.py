@@ -540,11 +540,6 @@ def dual_algebra(alg: ChevalleyAlgebra) -> ChevalleyAlgebra:
     return ChevalleyAlgebra(alg.cartan.transpose(), form_scales=scales)
 
 
-def principal_triple(alg: ChevalleyAlgebra):
-    """(p_-1, rho_check, p_1) as coefficient vectors."""
-    return list(alg.p_minus1), list(alg.rho), list(alg.p1)
-
-
 def fundamental_rep(alg: ChevalleyAlgebra):
     """For type A_n: the (n+1)-dimensional matrix image of every basis
     vector (elementary matrices for the generators, extraspecial brackets

@@ -371,10 +371,6 @@ def is_equivariant(obj, aut: AlgebraAut) -> bool:
     return moved == vec
 
 
-def connection_residue(conn: Connection, x):
-    return conn.residue_at(x)
-
-
 def regularize(conn: Connection, lam0: Coweight, base=None) -> Connection:
     """t^-lam0 (d + A) t^lam0, needs lam0 integral; base replaces t.  On
     algebra vectors: the coordinate of each root beta is scaled by

@@ -2,12 +2,13 @@
 transcendental-parameter layers and for functions of the global coordinate t.
 
 A RatFunc is a reduced num/den pair with monic denominator, so equality and
-hashing are canonical.  Its arithmetic is written once, against the
-polynomial ring of its FunctionField: over Q(zeta_T) a PackedRing of integer
-vectors with one content, over a parameter field a FieldRing of coefficient
-tuples.  The p* helpers work on dense coefficient tuples (ascending, no
-trailing zeros, the empty tuple is 0) and serve partial fractions, Hermite
-reduction and root splitting.
+hashing are canonical.  Everything here is written once, against the
+polynomial ring of its FunctionField (F.ring): over Q(zeta_T) a PackedRing of
+integer vectors with one content, over a parameter field a FieldRing of
+coefficient tuples.  RatFunc arithmetic, local data and root splitting work
+on the ring's polynomials; Yun's squarefree decomposition, the extended
+Euclid and Hermite reduction work on polynomials held as RatFuncs with
+denominator 1, dividing through _pdivmod.
 """
 
 from __future__ import annotations
@@ -22,101 +23,10 @@ from .scalars import CycNum, CyclotomicField, LRUCache, _lowest, _make
 INFINITY = "inf"  # marker for the point at infinity
 
 
-# ---------------------------------------------------------------------------
-# raw polynomial helpers, parameterised by the coefficient field facade K
-# (K needs .zero, .one, .coerce, and elements with exact dunders)
-# ---------------------------------------------------------------------------
-
-def ptrim(cs):
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
-
-
-def pdeg(cs):
-    return len(cs) - 1
-
-
-def padd(K, a, b):
-    n = max(len(a), len(b))
-    za = list(a) + [K.zero] * (n - len(a))
-    zb = list(b) + [K.zero] * (n - len(b))
-    return ptrim(x + y for x, y in zip(za, zb))
-
-
-def pneg(a):
-    return tuple([-x for x in a])
-
-
-def psub(K, a, b):
-    return padd(K, a, pneg(b))
-
-
-def pscale(a, c):
-    if not c:
-        return ()
-    return ptrim(x * c for x in a)
-
-
-def pmul(K, a, b):
-    if not a or not b:
-        return ()
-    out = [K.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return ptrim(out)
-
-
-def ppow(K, a, n, mul=pmul):
-    """a^n for n >= 1 by squaring, with the product mul(K, x, y)."""
-    out = None
-    while True:
-        if n & 1:
-            out = a if out is None else mul(K, out, a)
-        n >>= 1
-        if not n:
-            return out
-        a = mul(K, a, a)
-
-
-def pdivmod(K, a, b):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    lb = b[-1]
-    inv_lb = K.one / lb
-    q = [K.zero] * max(0, len(a) - len(b) + 1)
-    for i in range(len(q) - 1, -1, -1):
-        c = a[i + len(b) - 1] * inv_lb
-        q[i] = c
-        if c:
-            for j, bc in enumerate(b):
-                a[i + j] = a[i + j] - c * bc
-    return ptrim(q), ptrim(a)
-
-
-def pmonic(K, a):
-    if not a:
-        return a
-    lc = a[-1]
-    if lc == K.one:
-        return a
-    return pscale(a, K.one / lc)
-
-
-def pgcd(K, a, b):
-    """Monic gcd of a and b: polynomials of the ring K when K is a
-    FunctionField.ring, else coefficient tuples over the coefficient field K
-    (over Q(zeta_T) these run on the integer core too)."""
-    if isinstance(K, (PackedRing, FieldRing)):
-        return K.gcd(a, b)
-    R = _ring(K)
-    g = R.gcd(R.pack(a)[0], R.pack(b)[0])
-    return R.unpack(g, R.lead(g)) if g else ()
+def pgcd(R, a, b):
+    """Monic gcd of the polynomials a and b of the ring R: the one gcd entry
+    of the module."""
+    return R.gcd(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +39,9 @@ def pgcd(K, a, b):
 #                scalar(x) is pack((x,)) for a nonzero x already in K
 #   lead(d)      the int L with d/L monic, d canonical
 #   mul, pow     products; comb(a, x, b, y) = x*a + y*b for ints x, y
-#   divmod(a, b) (q, r, s): s*a == q*b + r with an int s > 0
+#   monic(v)     an associate m of v with m/lead(m) monic
+#   divmod(a, b) (q, r, s): s*a == q*b + r with an int s > 0, for b with an
+#                int lead (any monic(v) has one)
 #   gcd(a, b)    monic gcd
 #   canon(nv, rn, rd, dv)  canonical (n, c, d) of (rn/rd) * nv/dv for
 #                coprime nv, dv and nonzero ints rn, rd
@@ -210,7 +122,22 @@ def _coprime_mod_prime(K, a, b):
     return len(ra) == 1
 
 
-class PackedRing:
+class _Ring:
+    """What PackedRing and FieldRing share."""
+
+    def pow(self, a, n):
+        """a^n for n >= 1 by squaring."""
+        out = None
+        while True:
+            if n & 1:
+                out = a if out is None else self.mul(out, a)
+            n >>= 1
+            if not n:
+                return out
+            a = self.mul(a, a)
+
+
+class PackedRing(_Ring):
     """Q(zeta_T)[t] on the integer core, d = phi(T): a polynomial is one flat
     tuple v of ints, v[i*d + u] the coefficient of zeta^u t^i, trailing zeros
     trimmed (so () is 0).  A monic polynomial in lowest terms ends in its
@@ -281,9 +208,6 @@ class PackedRing:
             v += out[s:s + d]
         return _vtrim(v)
 
-    def pow(self, a, n):
-        return ppow(self, a, n, PackedRing.mul)
-
     def _lead_rational(self, v):
         """v times an integer vector that makes its leading coefficient an
         int: the numerator of the inverse of that coefficient."""
@@ -295,7 +219,7 @@ class PackedRing:
         w = _vtrim(list(w))
         return self.mul(v, w), w
 
-    def _monic(self, v):
+    def monic(self, v):
         """The monic associate of v, in lowest terms (ends in its denominator)."""
         return _vprim(self._lead_rational(v)[0]) if v else ()
 
@@ -338,20 +262,20 @@ class PackedRing:
     def gcd(self, a, b):
         """By the coprime certificate, else a primitive remainder sequence."""
         if not a or not b:
-            return self._monic(a or b)
+            return self.monic(a or b)
         K, d = self.K, self.width
         if len(a) <= d or len(b) <= d or _coprime_mod_prime(K, a, b):
             return (1,)
         if len(a) < len(b):
             a, b = b, a
-        b = self._monic(b)
+        b = self.monic(b)
         while True:
             r = self.divmod(a, b)[1]
             if not r:
                 return b
             if len(r) <= d:
                 return (1,)
-            a, b = b, self._monic(r)
+            a, b = b, self.monic(r)
 
     def canon(self, nv, rn, rd, dv):
         if not nv:
@@ -403,12 +327,12 @@ class PackedRing:
         return tuple([x for b in acc for x in b]), scale
 
 
-class FieldRing:
+class FieldRing(_Ring):
     """K[var] over a field K of parameter functions, on coefficient tuples
-    with the p* helpers.  Every content is one, every divisor and
-    denominator monic and every divmod exact, so lead is 1, the contents and
-    the ratio rn/rd the RatFunc bodies pass in are 1 and comb's factors are
-    +-1."""
+    (ascending, no trailing zeros, () is 0).  Every content is one, every
+    divisor and denominator monic and every divmod exact, so lead is 1, the
+    contents and the ratio rn/rd the RatFunc bodies pass in are 1 and
+    comb's factors are +-1."""
 
     width = 1
 
@@ -417,7 +341,7 @@ class FieldRing:
         self.one = (K.one,)
 
     def pack(self, cs):
-        return ptrim(cs), 1
+        return _vtrim(list(cs)), 1
 
     def scalar(self, x):
         return (x,), 1
@@ -429,22 +353,47 @@ class FieldRing:
         return 1
 
     def mul(self, a, b):
-        return pmul(self.K, a, b)
-
-    def pow(self, a, n):
-        return ppow(self.K, a, n)
+        if not a or not b:
+            return ()
+        out = [self.K.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b):
+                    if y:
+                        out[i + j] = out[i + j] + x * y
+        return _vtrim(out)
 
     def comb(self, a, x, b, y):
-        return padd(self.K, _times(self.K, a, x), _times(self.K, b, y))
+        if len(a) < len(b):
+            a, x, b, y = b, y, a, x
+        a = a if x == 1 else [-c for c in a] if x == -1 else [c * x for c in a]
+        b = b if y == 1 else [-c for c in b] if y == -1 else [c * y for c in b]
+        return _vtrim([p + q for p, q in zip(a, b)] + list(a[len(b):]))
 
     def divmod(self, a, b):
-        return pdivmod(self.K, a, b) + (1,)
+        K = self.K
+        a = list(a)
+        n = len(b)
+        inv = K.one / b[-1]
+        q = [K.zero] * max(0, len(a) - n + 1)
+        for i in range(len(q) - 1, -1, -1):
+            c = a[i + n - 1] * inv
+            q[i] = c
+            if c:
+                for j, y in enumerate(b):
+                    a[i + j] = a[i + j] - c * y
+        return _vtrim(q), _vtrim(a[:n - 1]), 1
 
     def gcd(self, a, b):
-        K = self.K
         while b:
-            a, b = b, pdivmod(K, a, b)[1]
-        return pmonic(K, a)
+            a, b = b, self.divmod(a, b)[1]
+        return self.monic(a)
+
+    def monic(self, v):
+        if not v or v[-1] == self.K.one:
+            return v
+        inv = self.K.one / v[-1]
+        return tuple([x * inv for x in v])
 
     def canon(self, nv, rn, rd, dv):
         K = self.K
@@ -453,25 +402,30 @@ class FieldRing:
         lc = dv[-1]
         if lc != K.one:
             inv = K.one / lc
-            nv, dv = pscale(nv, inv), pscale(dv, inv)
+            nv, dv = tuple([x * inv for x in nv]), tuple([x * inv for x in dv])
         return nv, 1, dv
 
     def deriv(self, v):
-        return pderiv_(self.K, v)
+        return tuple([v[i] * i for i in range(1, len(v))])
 
     def eval(self, v, p, c):
-        return peval(self.K, v, p)
+        out = self.K.zero
+        for x in reversed(v):
+            out = out * p + x
+        return out
 
     def linear(self, p):
         return (-p, self.K.one)
 
     def shift(self, v, p):
-        return pshift(self.K, v, p), 1
-
-
-def _times(K, a, x):
-    """The coefficient tuple a times the int x."""
-    return a if x == 1 else pneg(a) if x == -1 else pscale(a, K.coerce(x))
+        """(v(var + p), 1) by Horner: out <- out * (var + p) + x."""
+        out = []
+        for x in reversed(v):
+            new = [x] + out
+            for i, y in enumerate(out):
+                new[i] = new[i] + p * y
+            out = new
+        return tuple(out), 1
 
 
 def _ring(K):
@@ -485,108 +439,6 @@ def _cancel(R, a, b, g):
     qa, _, sa = R.divmod(a, g)
     qb, _, sb = R.divmod(b, g)
     return qa, qb, sb, sa
-
-
-def pxgcd(K, a, b):
-    """(g, s, t) with s*a + t*b = g, g monic."""
-    r0, r1 = ptrim(a), ptrim(b)
-    s0, s1 = (K.one,), ()
-    t0, t1 = (), (K.one,)
-    while r1:
-        q, r = pdivmod(K, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, psub(K, s0, pmul(K, q, s1))
-        t0, t1 = t1, psub(K, t0, pmul(K, q, t1))
-    if not r0:
-        return (), s0, t0
-    lc = r0[-1]
-    inv = K.one / lc
-    return pscale(r0, inv), pscale(s0, inv), pscale(t0, inv)
-
-
-def pderiv_(K, a):
-    out = []
-    for i, c in enumerate(a):
-        if i:
-            out.append(c * i)
-    return ptrim(out)
-
-
-def peval(K, a, x):
-    out = K.zero
-    for c in reversed(a):
-        out = out * x + c
-    return out
-
-
-def pshift(K, a, p):
-    """Coefficients of a(x + p)."""
-    out = ()
-    for c in reversed(a):
-        out = padd(K, pmul(K, out, (p, K.one)), (c,))
-    return out
-
-
-def pcompose_power(K, a, q):
-    """a(x^q)."""
-    if not a:
-        return ()
-    out = [K.zero] * ((len(a) - 1) * q + 1)
-    for i, c in enumerate(a):
-        out[i * q] = c
-    return ptrim(out)
-
-
-def pscale_var(K, a, c):
-    """a(c*x)."""
-    out = []
-    pw = K.one
-    for coeff in a:
-        out.append(coeff * pw)
-        pw = pw * c
-    return ptrim(out)
-
-
-def pseries_inv(K, a, n):
-    """Inverse of the power series a (a[0] != 0) modulo x^n."""
-    inv0 = K.one / a[0]
-    out = [inv0] + [K.zero] * (n - 1)
-    for k in range(1, n):
-        acc = K.zero
-        for j in range(1, min(k, len(a) - 1) + 1):
-            acc = acc + a[j] * out[k - j]
-        out[k] = -inv0 * acc
-    return tuple(out)
-
-
-def squarefree_decomposition(K, f):
-    """Yun's algorithm: returns ([(P_i, i)], lc) with f = lc * prod P_i^i,
-    the P_i monic, squarefree, pairwise coprime."""
-    f = ptrim(f)
-    if not f:
-        raise ZeroDivisionError("squarefree decomposition of 0")
-    lc = f[-1]
-    f = pmonic(K, f)
-    if len(f) == 1:
-        return [], lc
-    fp = pderiv_(K, f)
-    a = pgcd(K, f, fp)
-    if pdeg(a) == 0:
-        return [(f, 1)], lc
-    b = pdivmod(K, f, a)[0]
-    c = pdivmod(K, fp, a)[0]
-    d = psub(K, c, pderiv_(K, b))
-    out = []
-    i = 1
-    while pdeg(b) > 0:
-        ai = pgcd(K, b, d)
-        if pdeg(ai) > 0:
-            out.append((ai, i))
-        b = pdivmod(K, b, ai)[0]
-        c = pdivmod(K, d, ai)[0]
-        d = psub(K, c, pderiv_(K, b))
-        i += 1
-    return out, lc
 
 
 # ---------------------------------------------------------------------------
@@ -676,26 +528,18 @@ class FunctionField:
         """Root candidates for denominators: registered points, 0, +-1,
         +-parameter generators, extras, all closed under zeta-multiplication."""
         K = self.coeff
-        base = [K.zero, K.one, -K.one]
-        for p in self.points:
-            base.append(p)
-            base.append(-p)
-        for p in extra:
-            p = K.coerce(p)
-            base.append(p)
-            base.append(-p)
-        f = K
+        gens, f = [], K
         while isinstance(f, FunctionField):
-            g = K.coerce(f.gen)
-            base.append(g)
-            base.append(-g)
+            gens.append(K.coerce(f.gen))
             f = f.coeff
-        bottomfield = f
+        base = [K.zero, K.one, -K.one]
+        for p in [*self.points, *map(K.coerce, extra), *gens]:
+            base += [p, -p]
+        zetas = [K.coerce(f.zeta_power(k)) for k in range(f.order)]
         out = []
-        zetas = [bottomfield.zeta_power(k) for k in range(bottomfield.order)]
         for b in base:
-            for zk in zetas:
-                c = b * K.coerce(zk)
+            for z in zetas:
+                c = b * z
                 if all(c != q for q in out):
                     out.append(c)
         return out
@@ -703,39 +547,18 @@ class FunctionField:
     def rational_root_candidates(self, poly):
         """Rational-root-theorem candidates for a poly whose coefficients are
         all rational (as elements of the tower); empty list otherwise."""
-        rats = []
-        for c in poly:
-            r = as_rational(c)
-            if r is None:
-                return []
-            rats.append(r)
-        if not rats or not rats[0]:
+        rats = [as_rational(c) for c in poly]
+        if not rats or any(r is None for r in rats) or not rats[0]:
             return []
-        from math import gcd
-
-        den_lcm = 1
-        for r in rats:
-            den_lcm = den_lcm * r.denominator // gcd(den_lcm, r.denominator)
-        ints = [int(r * den_lcm) for r in rats]
-        a0, an = abs(ints[0]), abs(ints[-1])
+        L = math.lcm(*[r.denominator for r in rats])
 
         def divisors(n):
-            out = []
-            d = 1
-            while d * d <= n:
-                if n % d == 0:
-                    out.append(d)
-                    out.append(n // d)
-                d += 1
-            return sorted(set(out))
+            small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+            return small + [n // d for d in small]
 
-        cands = []
-        for p in divisors(a0):
-            for q in divisors(an):
-                for s in (1, -1):
-                    cands.append(Fraction(s * p, q))
-        K = self.coeff
-        return [K.coerce(c) for c in sorted(set(cands))]
+        cands = {Fraction(s * p, q) for p in divisors(abs(int(rats[0] * L)))
+                 for q in divisors(abs(int(rats[-1] * L))) for s in (1, -1)}
+        return [self.coeff.coerce(c) for c in sorted(cands)]
 
 
 def as_rational(x):
@@ -763,6 +586,8 @@ class RatFunc:
     __slots__ = ("field", "_n", "_c", "_d", "_coeffs", "_hash")
 
     def __init__(self, field, num, den, reduce=True):
+        """num/den for coefficient tuples num, den; reduce=False promises
+        that they are coprime and skips only the gcd."""
         R = field.ring
         self.field = field
         self._coeffs = self._hash = None
@@ -772,6 +597,8 @@ class RatFunc:
             raise ZeroDivisionError("zero denominator")
         if reduce:
             nv, nc, dv = _reduced(field, nv, dc, nc, dv)
+        else:
+            nv, nc, dv = R.canon(nv, dc, nc, dv)
         self._n, self._c, self._d = nv, nc, dv
 
     @property
@@ -870,7 +697,7 @@ class RatFunc:
     __radd__ = __add__
 
     def __neg__(self):
-        return _rf(self.field, pneg(self._n), self._c, self._d)
+        return _rf(self.field, tuple([-x for x in self._n]), self._c, self._d)
 
     def __sub__(self, other):
         a, o = self._pair(other)
@@ -1024,49 +851,47 @@ class RatFunc:
         return self.num[-1] / self.den[-1]
 
     # -- substitutions ----------------------------------------------------------
+    # t -> c t and t -> t^q keep a reduced num and den coprime, and so does
+    # their inverse, so each rebuilds the coefficient lists without a gcd
     def subs_scale(self, c):
         """f(c * var)."""
         K = self.field.coeff
         c = K.coerce(c)
-        return RatFunc(self.field, pscale_var(K, self.num, c), pscale_var(K, self.den, c))
+
+        def scaled(cs):
+            out, pw = [], K.one
+            for x in cs:
+                out.append(x * pw)
+                pw = pw * c
+            return out
+
+        return RatFunc(self.field, scaled(self.num), scaled(self.den), reduce=False)
 
     def subs_power(self, q, target_field=None):
         """f(u^q) in the field of target_field (default: same field)."""
         tf = target_field or self.field
         K = tf.coeff
-        num = tuple(K.coerce(c) for c in self.num)
-        den = tuple(K.coerce(c) for c in self.den)
-        return RatFunc(tf, pcompose_power(K, num, q), pcompose_power(K, den, q))
+
+        def spread(cs):
+            out = []
+            for x in cs:
+                out += [K.coerce(x)] + [K.zero] * (q - 1)
+            return out
+
+        return RatFunc(tf, spread(self.num), spread(self.den), reduce=False)
 
     def descend_power(self, q, target_field=None):
         """Inverse of subs_power: rewrite f(u) as g(t) with t = u^q.
-        Requires every exponent of num and den to be divisible by q (after
-        clearing a common monomial factor)."""
+        Requires every exponent of num and den to be divisible by q."""
         tf = target_field or self.field
-        K = self.field.coeff
+        K = tf.coeff
 
-        def take(poly):
-            if not poly:
-                return ()
-            if any(c and (i % q) for i, c in enumerate(poly)):
-                return None
-            return tuple(poly[i] for i in range(0, len(poly), q))
+        def take(cs):
+            if any(x and i % q for i, x in enumerate(cs)):
+                raise ValueError(f"{self} does not descend along u -> u^{q}")
+            return [K.coerce(x) for x in cs[::q]]
 
-        shift = 0
-        num, den = self.num, self.den
-        # allow a common u^s factor with s deciding divisibility jointly
-        vn = next((i for i, c in enumerate(num) if c), None)
-        vd = next((i for i, c in enumerate(den) if c), None)
-        if vn is not None and vd is not None:
-            s = min(vn, vd)
-            num, den = num[s:], den[s:]
-        n2, d2 = take(num), take(den)
-        if n2 is None or d2 is None:
-            raise ValueError(f"{self} does not descend along u -> u^{q}")
-        Kt = tf.coeff
-        n2 = tuple(Kt.coerce(c) for c in n2)
-        d2 = tuple(Kt.coerce(c) for c in d2)
-        return RatFunc(tf, n2, d2)
+        return RatFunc(tf, take(self.num), take(self.den), reduce=False)
 
     # -- local data ---------------------------------------------------------------
     def principal_part_at(self, p):
@@ -1075,42 +900,37 @@ class RatFunc:
         p = K.coerce(p)
         if not self._n:
             return ()
-        # Taylor shifts; the series below needs only k terms of each
+        # Taylor shifts: f(x + p) = n(x) / (x^k e(x)) with e(0) != 0, and
+        # c_m is the coefficient of x^(k-m) in the series n/e, so k terms of
+        # n and e suffice
         w = R.width
         den, sd = R.shift(self._d, p)
         k = next(i for i, x in enumerate(den) if x) // w
         if k == 0:
             return ()
         num, sn = R.shift(self._n, p)
-        num = R.unpack(num[:k * w], sn * self._c)
-        den = R.unpack(den[k * w:2 * k * w], sd * R.lead(self._d))
-        inv = pseries_inv(K, den, k)
-        prod = pmul(K, num, inv)
-        coeffs = list(prod[:k]) + [K.zero] * max(0, k - len(prod))
-        # coefficient of (x-p)^(j-k) is coeffs[j]; c_m multiplies (x-p)^(-m)
-        return tuple(coeffs[k - m] if k - m < len(coeffs) else K.zero for m in range(1, k + 1))
+        n = R.unpack(num[:k * w], sn * self._c)
+        e = R.unpack(den[k * w:2 * k * w], sd * R.lead(self._d))
+        inv = K.one / e[0]
+        s = []
+        for j in range(k):
+            acc = n[j] if j < len(n) else K.zero
+            for i in range(1, min(j, len(e) - 1) + 1):
+                acc = acc - e[i] * s[j - i]
+            s.append(acc * inv)
+        return tuple(reversed(s))
 
     def residue_at(self, p):
         """Residue of f dx at p (p may be INFINITY)."""
         K = self.field.coeff
         if p == INFINITY:
-            # res_inf f dx = -res_0 of f(1/s)/s^2 ds
-            n, d = self.num, self.den
-            rn = tuple(reversed(n)) if n else ()
-            rd = tuple(reversed(d))
-            # f(1/s) = s^(deg d - deg n) * rn(s)/rd(s)
-            shift = pdeg(d) - pdeg(n) if n else 0
-            if not n:
-                return K.zero
-            num, den = rn, rd
-            e = shift - 2  # extra s-exponent of f(1/s)/s^2
-            if e > 0:
-                num = pmul(K, num, (K.zero,) * e + (K.one,))
-            elif e < 0:
-                den = pmul(K, den, (K.zero,) * (-e) + (K.one,))
-            g = RatFunc(self.field, num, den)
-            pp = g.principal_part_at(K.zero)
-            return -(pp[0] if pp else K.zero)
+            # minus the coefficient of 1/x at infinity: with s*n == q*d + r
+            # and d/L monic of degree m, f = (n/c)/(d/L) has r[m-1]/(s*c)
+            R = self.field.ring
+            m = self._degree(self._d)
+            _, r, s = R.divmod(self._n, self._d)
+            r = R.unpack(r, s * self._c)
+            return -r[m - 1] if len(r) >= m > 0 else K.zero
         pp = self.principal_part_at(p)
         return pp[0] if pp else K.zero
 
@@ -1125,8 +945,6 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
-
-
 
 
 _new_object = object.__new__
@@ -1204,41 +1022,62 @@ def poly_str(K, coeffs, var):
 # ---------------------------------------------------------------------------
 
 def linear_split(field: FunctionField, poly, extra=()):
-    """Split off the linear factors of poly whose roots lie in the working
-    field.  Returns (roots, leftover) where roots is a list of (root,
-    multiplicity) and leftover has no root in the field that was found.
+    """Split off the linear factors of the polynomial poly of field.ring
+    whose roots lie in the working field.  Returns (roots, leftover) where
+    roots is a list of (root, multiplicity) and leftover, a monic associate
+    in the ring, has no root in the field that was found.
 
     The configured candidate set is tried first; a leftover of degree >= 2
     then tries the rational-root candidates (times powers of zeta), and a
     linear leftover gives its root -b/a without candidates."""
-    K = field.coeff
-    poly = ptrim(poly)
+    R, K = field.ring, field.coeff
+    w = R.width
+    poly = R.monic(poly)
     roots = []
 
     def peel(cands):
         nonlocal poly
         for c in cands:
-            if pdeg(poly) < 2:
+            if len(poly) <= 2 * w:
                 break
-            m = 0
-            while pdeg(poly) >= 1:
-                q, rem = pdivmod(K, poly, (-c, K.one))
+            lin, m = R.linear(c), 0
+            while len(poly) > w:
+                q, rem, _ = R.divmod(poly, lin)
                 if rem:
                     break
-                poly = q
+                poly = R.monic(q)
                 m += 1
             if m:
                 roots.append((c, m))
 
     peel(field.candidate_points(extra))
-    if pdeg(poly) >= 2:
+    if len(poly) > 2 * w:
         bottom = field.bottom()
+        monic = R.unpack(poly, R.lead(poly))
         peel(r * K.coerce(bottom.zeta_power(k))
-             for r in field.rational_root_candidates(poly) for k in range(bottom.order))
-    if pdeg(poly) == 1:
-        roots.append((-poly[0] / poly[1], 1))
-        poly = poly[1:]
-    return roots, pmonic(K, poly)
+             for r in field.rational_root_candidates(monic) for k in range(bottom.order))
+    if w < len(poly) <= 2 * w:
+        c0, c1 = R.unpack(poly, 1)
+        roots.append((-c0 / c1, 1))
+        poly = R.one
+    return roots, poly
+
+
+def _unsplit(F, leftover):
+    """The leftover of linear_split as a string, or None when it is constant."""
+    R = F.ring
+    if len(leftover) > R.width:
+        return poly_str(F.coeff, R.unpack(leftover, R.lead(leftover)), F.var)
+
+
+def _roots(f, extra_points):
+    """The roots of f's denominator with their multiplicities; raises
+    IrreducibleDenominator when a factor cannot be resolved."""
+    roots, leftover = linear_split(f.field, f._d, extra_points)
+    bad = _unsplit(f.field, leftover)
+    if bad:
+        raise IrreducibleDenominator(bad)
+    return roots
 
 
 class PrincipalPartDecomp:
@@ -1269,93 +1108,154 @@ def partial_fractions(f: RatFunc, extra_points=()) -> PrincipalPartDecomp:
     the working field extended by the configured pole set, else
     IrreducibleDenominator is raised."""
     F = f.field
-    K = F.coeff
-    poly_part, rem = pdivmod(K, f.num, f.den)
-    roots, leftover = linear_split(F, f.den, extra_points)
-    if pdeg(leftover) > 0:
-        raise IrreducibleDenominator(poly_str(K, leftover, F.var))
+    R = F.ring
+    roots = _roots(f, extra_points)
+    # s*n == q*d + r, so the polynomial part of (n/c)/(d/L) is L*q/(s*c)
+    q, _, s = R.divmod(f._n, f._d)
+    q, c, _ = R.canon(q, R.lead(f._d), s * f._c, R.one)
     parts = []
     for p, m in roots:
-        g = RatFunc(F, rem, f.den)
-        pp = g.principal_part_at(p)
+        pp = f.principal_part_at(p)
         if any(pp):
             parts.append((p, pp))
-    return PrincipalPartDecomp(F, poly_part, parts)
+    return PrincipalPartDecomp(F, R.unpack(q, c), parts)
 
 
 def poles_of(f: RatFunc, extra_points=()):
     """Finite poles of f as a list of (point, order); raises
     IrreducibleDenominator when a denominator factor cannot be resolved."""
-    F = f.field
-    roots, leftover = linear_split(F, f.den, extra_points)
-    if pdeg(leftover) > 0:
-        raise IrreducibleDenominator(poly_str(F.coeff, leftover, F.var))
     out = []
-    for p, m in roots:
+    for p, m in _roots(f, extra_points):
         v = f.valuation_at(p)
         if v < 0:
             out.append((p, -v))
     return out
 
 
-def _coprime_split(K, num, dens):
+# ---------------------------------------------------------------------------
+# squarefree decomposition, Hermite reduction and antiderivatives, on
+# polynomials held as RatFuncs with denominator 1
+# ---------------------------------------------------------------------------
+
+def _poly(F, v, rn=1, rd=1):
+    """The polynomial (rn/rd) * v of F.ring as a RatFunc."""
+    return _rf(F, *F.ring.canon(v, rn, rd, F.ring.one))
+
+
+def _pdivmod(f, g):
+    """(q, r) with f == q*g + r and deg r < deg g."""
+    F = f.field
+    R = F.ring
+    m = R.monic(g._n)
+    q, r, s = R.divmod(f._n, m)
+    # f == (q*m + r)/c with m == L*g/lc(g), L = lead(m)
+    c = s * f._c
+    q = _poly(F, q, R.lead(m), c)
+    lc = g.num[-1]
+    return (q if lc == 1 else q / lc), _poly(F, r, 1, c)
+
+
+def _xgcd(a, b):
+    """(g, s, t) with s*a + t*b == g, g the monic gcd of a and b."""
+    F = a.field
+    r0, r1, s0, s1, t0, t1 = a, b, F.one, F.zero, F.zero, F.one
+    while r1:
+        q, r = _pdivmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    if not r0:
+        return r0, s0, t0
+    lc = r0.num[-1]
+    return r0 / lc, s0 / lc, t0 / lc
+
+
+def squarefree_decomposition(f):
+    """Yun's algorithm on the nonzero polynomial f: ([(P_i, i)], lc) with
+    f == lc * prod P_i^i, the P_i monic, squarefree, pairwise coprime."""
+    if not f:
+        raise ZeroDivisionError("squarefree decomposition of 0")
+    F = f.field
+    R = F.ring
+
+    def gcd(a, b):
+        g = pgcd(R, a._n, b._n)
+        return _poly(F, g, 1, R.lead(g))
+
+    lc = f.num[-1]
+    f = f / lc
+    if f.is_constant():
+        return [], lc
+    fp = f.derivative()
+    a = gcd(f, fp)
+    if a.is_constant():
+        return [(f, 1)], lc
+    b = _pdivmod(f, a)[0]
+    d = _pdivmod(fp, a)[0] - b.derivative()
+    out = []
+    i = 1
+    while b.degree() > 0:
+        ai = gcd(b, d)
+        if ai.degree() > 0:
+            out.append((ai, i))
+        b = _pdivmod(b, ai)[0]
+        d = _pdivmod(d, ai)[0] - b.derivative()
+        i += 1
+    return out, lc
+
+
+def _coprime_split(num, dens):
     """num / prod(dens) = poly + sum_i num_i/dens_i with the dens pairwise
     coprime.  Returns (poly_part, [num_i])."""
     if len(dens) == 1:
-        q, r = pdivmod(K, num, dens[0])
+        q, r = _pdivmod(num, dens[0])
         return q, [r]
-    d0 = dens[0]
-    rest = (K.one,)
-    for d in dens[1:]:
-        rest = pmul(K, rest, d)
-    g, s, t = pxgcd(K, d0, rest)
-    if pdeg(g) != 0:
+    d0, rest = dens[0], math.prod(dens[1:])
+    g, s, t = _xgcd(d0, rest)
+    if g.degree() != 0:
         raise PartialFractionError("squarefree factors are not coprime")
     # 1 = s*d0 + t*rest  =>  num/(d0*rest) = num*t/d0 + num*s/rest
-    n0 = pmul(K, num, t)
-    q0, r0 = pdivmod(K, n0, d0)
-    nr = pmul(K, num, s)
-    poly, rems = _coprime_split(K, nr, dens[1:])
-    total_poly = padd(K, q0, poly)
-    return total_poly, [r0] + rems
+    q0, r0 = _pdivmod(num * t, d0)
+    poly, rems = _coprime_split(num * s, dens[1:])
+    return q0 + poly, [r0] + rems
 
 
-def hermite_reduce(F: FunctionField, num, den):
-    """Hermite reduction of the proper fraction num/den.
+def _integral(q):
+    """The antiderivative of the polynomial q with constant term 0."""
+    K = q.field.coeff
+    cs = [K.zero] + [c * Fraction(1, j + 1) for j, c in enumerate(q.num)]
+    return RatFunc(q.field, cs, (K.one,), reduce=False)
+
+
+def hermite_reduce(num, den):
+    """Hermite reduction (Bronstein, Symbolic Integration I, 2.2) of the
+    proper fraction num/den of polynomials.
 
     Returns (rational_part: RatFunc, log_parts: list of (numer, squarefree
-    monic denom)) with num/den = rational_part' + sum numer/denom and every
-    denom squarefree.  No root finding involved."""
-    K = F.coeff
-    sqf, lc = squarefree_decomposition(K, den)
-    num = pscale(num, K.one / lc)
-    dens = [ppow(K, P, i) for P, i in sqf]
-    poly, nums = _coprime_split(K, num, dens)
+    monic denom)) with num/den = rational_part' + sum numer/denom.  No root
+    finding involved."""
+    sqf, lc = squarefree_decomposition(den)
+    poly, nums = _coprime_split(num / lc, [P ** i for P, i in sqf])
     if poly:
         raise PartialFractionError("input fraction was not proper")
-    rational = F.zero
+    rational = num.field.zero
     logs = []
     for (P, i), A in zip(sqf, nums):
-        k = i
-        while k >= 2:
+        if i >= 2:
             # 1 = u*P + v*P'
-            g, u, v = pxgcd(K, P, pderiv_(K, P))
-            if pdeg(g) != 0:
+            g, u, v = _xgcd(P, P.derivative())
+            if g.degree() != 0:
                 raise PartialFractionError("a squarefree factor shares a root with its derivative")
-            Av = pmul(K, A, v)
+        for k in range(i, 1, -1):
+            Av = A * v
             # A/P^k = (A*u)/P^(k-1) + Av*P'/P^k
             # int Av*P'/P^k = Av/((1-k)P^(k-1)) - int Av'/((1-k)P^(k-1))
             c = Fraction(1, 1 - k)
-            rational = rational + RatFunc(F, pscale(Av, K.coerce(c)), ppow(K, P, k - 1))
-            A = psub(K, pmul(K, A, u), pscale(pderiv_(K, Av), K.coerce(c)))
-            k -= 1
-        # reduce A mod P, fold the quotient away: the quotient integrates into
-        # the other terms only through exactness; here deg A may exceed deg P,
-        # so split A = q*P + r and absorb q as a polynomial integrand
-        q, r = pdivmod(K, A, P)
-        if q:
-            ints = [K.coerce(Fraction(1, j + 1)) * c for j, c in enumerate(q)]
-            rational = rational + RatFunc(F, (K.zero,) + tuple(ints), (K.one,))
+            rational = rational + Av * c / P ** (k - 1)
+            A = A * u - Av.derivative() * c
+        # deg A may exceed deg P: split A = q*P + r and integrate q
+        q, r = _pdivmod(A, P)
+        rational = rational + _integral(q)
         if r:
             logs.append((r, P))
     return rational, logs
@@ -1366,32 +1266,26 @@ def rational_antiderivative(f: RatFunc, extra_points=()):
     otherwise the MonodromyObstruction value listing the poles (with nonzero
     residues) that obstruct it."""
     F = f.field
-    K = F.coeff
-    poly, rem = pdivmod(K, f.num, f.den)
-    out = F.zero
-    if poly:
-        ints = [K.coerce(Fraction(1, i + 1)) * c for i, c in enumerate(poly)]
-        out = out + RatFunc(F, (K.zero,) + tuple(ints), (K.one,))
-    if rem:
-        rational, logs = hermite_reduce(F, rem, f.den)
-        out = out + rational
-        if logs:
-            # combine log integrands and report residues
-            residues = []
-            unresolved = []
-            total = F.zero
-            for numer, denom in logs:
-                total = total + RatFunc(F, numer, denom)
-            if total:
-                roots, leftover = linear_split(F, total.den, extra_points)
-                for p, m in roots:
-                    r = total.residue_at(p)
-                    if r:
-                        residues.append((p, r))
-                if pdeg(leftover) > 0:
-                    unresolved.append(poly_str(K, leftover, F.var))
-                return MonodromyObstruction(residues, unresolved)
-    return out
+    R = F.ring
+    num, den = _rf(F, f._n, f._c, R.one), _rf(F, f._d, R.lead(f._d), R.one)
+    poly, rem = _pdivmod(num, den)
+    out = _integral(poly)
+    if not rem:
+        return out
+    rational, logs = hermite_reduce(rem, den)
+    if not logs:
+        return out + rational
+    # the log integrands are pairwise coprime proper fractions: their sum is
+    # nonzero, and its residues obstruct
+    total = sum((numer / denom for numer, denom in logs), F.zero)
+    roots, leftover = linear_split(F, total._d, extra_points)
+    residues = []
+    for p, m in roots:
+        r = total.residue_at(p)
+        if r:
+            residues.append((p, r))
+    bad = _unsplit(F, leftover)
+    return MonodromyObstruction(residues, [bad] if bad else [])
 
 
 def substitute_power(f: RatFunc, q: int, target_field=None) -> RatFunc:

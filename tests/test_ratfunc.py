@@ -14,6 +14,7 @@ from cycloper import ratfunc
 from cycloper.errors import IrreducibleDenominator, MonodromyObstruction, PartialFractionError
 from cycloper.ratfunc import (
     INFINITY,
+    RatFunc,
     hermite_reduce,
     partial_fractions,
     poles_of,
@@ -182,6 +183,32 @@ def test_descend_power_roundtrip():
         (t ** 3).descend_power(2)
 
 
+@pytest.mark.parametrize("params", [(), ("z",)])
+def test_unreduced_construction_is_canonical(params):
+    """reduce=False skips only the gcd: the denominator still loses its
+    content and its leading coefficient."""
+    tw = ScalarTower.get(4, params)
+    F, K, t = tw.functions, tw.scalars, tw.t
+    half = RatFunc(F, (K.one,), (K.coerce(2),), reduce=False)
+    assert half == F.coerce(Fraction(1, 2)) and hash(half) == hash(F.coerce(Fraction(1, 2)))
+    f = RatFunc(F, (K.one, K.coerce(3)), (K.coerce(2), K.zero, 4 * tw.zeta), reduce=False)
+    assert f == (1 + 3 * t) / (2 + 4 * tw.zeta * t ** 2)
+
+
+def test_substitutions_match_arithmetic():
+    """subs_scale, subs_power and descend_power skip the gcd; each equals
+    the fraction rebuilt by RatFunc arithmetic."""
+    rng = random.Random(31)
+    c = F.coerce(TW.zeta) * z
+    for _ in range(30):
+        f = small_ratfunc(rng)
+        at = lambda cs, x: sum((F.coerce(a) * x ** i for i, a in enumerate(cs)), F.zero)
+        assert f.subs_scale(c) == at(f.num, c * t) / at(f.den, c * t)
+        up = f.subs_power(3)
+        assert up == at(f.num, t ** 3) / at(f.den, t ** 3)
+        assert up.descend_power(3) == f
+
+
 def test_partial_fractions_against_sympy():
     ts = sympy.Symbol("t")
     tw1 = ScalarTower.get(1)
@@ -225,22 +252,103 @@ def test_function_field_laws(n1, d1, n2, d2):
     assert (f * g).derivative() == f.derivative() * g + f * g.derivative()
 
 
-def _non_unit_xgcd(K, a, b):
-    """A stand-in for pxgcd that reports the non-unit gcd t."""
-    return (K.zero, K.one), (K.one,), (K.one,)
+def _non_unit_xgcd(a, b):
+    """A stand-in for _xgcd that reports the non-unit gcd t."""
+    return a.field.gen, a.field.one, a.field.one
 
 
 def test_hermite_reduction_failures_are_typed(monkeypatch):
     tw = ScalarTower.get(1)
-    t1, F1, K1 = tw.t, tw.functions, tw.scalars
+    t1 = tw.t
     with pytest.raises(PartialFractionError, match="not proper"):
-        hermite_reduce(F1, (K1.one, K1.one), (K1.zero, K1.one))
-    monkeypatch.setattr(ratfunc, "pxgcd", _non_unit_xgcd)
+        hermite_reduce(t1 + 1, t1)
+    monkeypatch.setattr(ratfunc, "_xgcd", _non_unit_xgcd)
     with pytest.raises(PartialFractionError, match="not coprime"):
         rational_antiderivative(1 / (t1 ** 2 * (t1 - 1)))
     with pytest.raises(PartialFractionError, match="derivative"):
         rational_antiderivative(1 / t1 ** 2)
     assert PartialFractionError.exit_code == 15
+
+
+# -- Hermite reduction on denominators that do not split ----------------------
+
+HERMITE_TOWERS = [(1, ()), (2, ()), (4, ()), (12, ()), (4, ("z",))]
+
+
+def irreducible_factors(tw):
+    """Factors with no root in the field: t^2 + 2 (i*sqrt(2) lies in no
+    Q(zeta_T) for T | 12), and t^3 - 2 over Q(zeta_T) or t^3 - z over
+    Q(zeta_4)(z)."""
+    t = tw.t
+    c = tw.functions.coerce(tw.param("z")) if tw.params else 2
+    return [t ** 2 + 2, t ** 3 - c]
+
+
+def linear_pool(tw):
+    """Poles among the candidate points of tw.functions."""
+    F = tw.functions
+    pool = [F.zero, F.one, -F.one, F.coerce(tw.zeta)]
+    if tw.params:
+        z = F.coerce(tw.param("z"))
+        pool += [z, -F.coerce(tw.zeta) * z]
+    return pool
+
+
+@st.composite
+def hermite_cases(draw, tw):
+    """(g, split, P, p): g a fraction whose denominator mixes linear
+    factors from the candidate pool with squared irreducible factors (split
+    when there are none), P an irreducible factor and p a point of the
+    pool."""
+    F = tw.functions
+    t = F.gen
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    coeff = st.builds(lambda a, b: F.coerce(a) + F.coerce(b) * F.coerce(tw.zeta), small, small)
+    if tw.params:
+        z = F.coerce(tw.param("z"))
+        coeff = st.builds(lambda a, b: a + b * z, coeff, coeff)
+    k = draw(st.integers(0, 2))
+    num = sum((draw(coeff) * t ** i for i in range(k)), t ** k)
+    pool, irreducible = linear_pool(tw), irreducible_factors(tw)
+    # the t-level Euclid over Q(zeta_4)(z) swells: keep that tower small
+    size = 1 if tw.params else 2
+    den = F.one
+    for q in draw(st.lists(st.sampled_from(pool), max_size=size)):
+        den = den * (t - q) ** draw(st.integers(1, size))
+    squared = draw(st.lists(st.sampled_from(irreducible), max_size=size, unique_by=str))
+    for P in squared:
+        den = den * P ** 2
+    return num / den, not squared, draw(st.sampled_from(irreducible)), draw(st.sampled_from(pool))
+
+
+@pytest.mark.parametrize("T, params", HERMITE_TOWERS)
+@settings(max_examples=12, deadline=None)
+@given(data=st.data(), b=st.integers(-2, 2))
+def test_hermite_on_denominators_that_do_not_split(T, params, data, b):
+    tw = ScalarTower.get(T, params)
+    g, split, P, p = data.draw(hermite_cases(tw))
+    F = tw.functions
+    t = F.gen
+    # a derivative integrates back to itself, up to a constant
+    back = rational_antiderivative(g.derivative())
+    assert not isinstance(back, MonodromyObstruction)
+    assert (back - g).is_constant()
+    # a simple factor that does not split stays unresolved, beside the
+    # residue of a simple linear pole
+    f = g.derivative() + (t + 1) / P + F.coerce(b) / (t - p)
+    ob = rational_antiderivative(f)
+    assert isinstance(ob, MonodromyObstruction)
+    assert ob.unresolved == [str(P)]
+    assert ob.residues == ([(p.constant_value(), tw.scalar(b))] if b else [])
+    # partial fractions and the residue theorem, where the denominator splits
+    for h in (g, g.derivative() + F.coerce(b) / (t - p)):
+        if not split:
+            with pytest.raises(IrreducibleDenominator):
+                partial_fractions(h)
+            continue
+        assert partial_fractions(h).reassemble() == h
+        finite = sum((h.residue_at(q) for q, _ in poles_of(h)), tw.zero)
+        assert h.residue_at(INFINITY) == -finite
 
 
 _HERMITE_CHECKS_UNDER_O = """
@@ -249,9 +357,9 @@ from cycloper.errors import PartialFractionError
 from cycloper.tower import ScalarTower
 
 tw = ScalarTower.get(1)
-t, F, K = tw.t, tw.functions, tw.scalars
-calls = [lambda: ratfunc.hermite_reduce(F, (K.one, K.one), (K.zero, K.one))]
-ratfunc.pxgcd = lambda K, a, b: ((K.zero, K.one), (K.one,), (K.one,))
+t = tw.t
+calls = [lambda: ratfunc.hermite_reduce(t + 1, t)]
+ratfunc._xgcd = lambda a, b: (a.field.gen, a.field.one, a.field.one)
 calls += [lambda: ratfunc.rational_antiderivative(1 / (t ** 2 * (t - 1))),
           lambda: ratfunc.rational_antiderivative(1 / t ** 2)]
 for call in calls:

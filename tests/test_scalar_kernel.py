@@ -1,7 +1,7 @@
 """The integer kernel of Q(zeta_T) against sympy as an oracle, its bounded
 caches, its typed internal errors, the coprime certificate of pgcd by the
 residue map modulo a split prime, and the integer core of RatFunc over
-Q(zeta_T) against both sympy and the generic coefficient-tuple helpers."""
+Q(zeta_T) against both sympy and the coefficient-tuple ring FieldRing."""
 
 import functools
 import math
@@ -14,21 +14,7 @@ import hypothesis.strategies as st
 
 from cycloper import scalars
 from cycloper.errors import ModulusError
-from cycloper.ratfunc import (
-    FunctionField,
-    RatFunc,
-    _vresidues,
-    padd,
-    pdivmod,
-    pderiv_,
-    peval,
-    pgcd,
-    pmonic,
-    pmul,
-    pseries_inv,
-    pshift,
-    psub,
-)
+from cycloper.ratfunc import FieldRing, FunctionField, PackedRing, RatFunc, _vresidues, pgcd
 from cycloper.scalars import (
     CACHE_SIZE,
     CycNum,
@@ -40,6 +26,19 @@ from cycloper.scalars import (
 )
 
 X = sympy.Symbol("x")
+
+
+def tuple_mul(K, a, b):
+    """The product of coefficient tuples over K, by the generic FieldRing."""
+    return FieldRing(K).mul(a, b)
+
+
+def packed_gcd(K, a, b):
+    """pgcd of coefficient tuples over Q(zeta_T) on the integer core, read
+    back as a monic coefficient tuple."""
+    R = PackedRing(K)
+    g = pgcd(R, R.pack(a)[0], R.pack(b)[0])
+    return R.unpack(g, R.lead(g))
 ORDERS = [1, 2, 3, 4, 5, 8, 12]
 coeff = st.fractions(min_value=-60, max_value=60, max_denominator=12)
 
@@ -109,8 +108,8 @@ def test_caches_stay_bounded_and_agree_with_uncached_answers():
     for k in range(CACHE_SIZE + 200):
         root = z + k
         root.inverse()
-        a = pmul(K, (-root, K.one), (z * z - k, K.one))
-        b = pmul(K, (-root, K.one), (K.coerce(k + 1), K.one))
+        a = tuple_mul(K, (-root, K.one), (z * z - k, K.one))
+        b = tuple_mul(K, (-root, K.one), (K.coerce(k + 1), K.one))
         F.cached_gcd(F.ring.pack(a)[0], F.ring.pack(b)[0])
     assert len(K._inv_cache) == CACHE_SIZE
     assert len(F._gcd_cache) == CACHE_SIZE
@@ -193,8 +192,8 @@ def test_pgcd_matches_sympy_with_planted_factors(data, T, k):
     K = CyclotomicField.get(T)
     g = data.draw(cyc_polys(K, k, k))
     f1, f2 = data.draw(cyc_polys(K, 0, 3)), data.draw(cyc_polys(K, 0, 3))
-    a, b = pmul(K, g, f1), pmul(K, g, f2)
-    got = pgcd(K, a, b)
+    a, b = tuple_mul(K, g, f1), tuple_mul(K, g, f2)
+    got = packed_gcd(K, a, b)
     assert got == sympy_gcd(K, a, b)
     assert len(got) >= k + 1
 
@@ -246,30 +245,28 @@ def test_pgcd_falls_back_where_the_certificate_cannot_decide(T):
     t = (K.zero, K.one)
     cases = [
         # a coefficient whose denominator p divides: no residue
-        (pmul(K, (c(Fraction(-1, p)), K.one), (c(2), K.one)),
-         pmul(K, (c(Fraction(-1, p)), K.one), (c(3), K.one))),
+        (tuple_mul(K, (c(Fraction(-1, p)), K.one), (c(2), K.one)),
+         tuple_mul(K, (c(Fraction(-1, p)), K.one), (c(3), K.one))),
         ((c(Fraction(1, p)), K.one), (K.one, K.one)),
         # leading coefficients p: coprime images t and t + 1, common factor p*t + 1
-        (pmul(K, (K.one, c(p)), t), pmul(K, (K.one, c(p)), (K.one, K.one))),
+        (tuple_mul(K, (K.one, c(p)), t), tuple_mul(K, (K.one, c(p)), (K.one, K.one))),
         # coprime over Q(zeta_T), not modulo p
         (t, (c(p), K.one)),
     ]
     for a, b in cases:
-        assert pgcd(K, a, b) == sympy_gcd(K, a, b)
-    assert pgcd(K, cases[2][0], cases[2][1]) == (c(Fraction(1, p)), K.one)
-    assert pgcd(K, t, (c(p), K.one)) == (K.one,)
+        assert packed_gcd(K, a, b) == sympy_gcd(K, a, b)
+    assert packed_gcd(K, cases[2][0], cases[2][1]) == (c(Fraction(1, p)), K.one)
+    assert packed_gcd(K, t, (c(p), K.one)) == (K.one,)
 
 
 # -- RatFunc over Q(zeta_T) on the integer core --------------------------------
 
 def generic_reduced(K, num, den):
-    """Canonical (num, den) of num/den by the generic helpers alone: Euclid
-    with pdivmod, exact division, monic denominator."""
-    a, b = num, den
-    while b:
-        a, b = b, pdivmod(K, a, b)[1]
-    g = pmonic(K, a)
-    num, den = pdivmod(K, num, g)[0], pdivmod(K, den, g)[0]
+    """Canonical (num, den) of num/den by the generic FieldRing alone:
+    Euclid, exact division, monic denominator."""
+    R = FieldRing(K)
+    g = R.gcd(num, den)
+    num, den = R.divmod(num, g)[0], R.divmod(den, g)[0]
     inv = K.one / den[-1]
     return tuple(c * inv for c in num), tuple(c * inv for c in den)
 
@@ -306,8 +303,16 @@ def ratfunc_parts(draw, K):
     g = draw(core_polys(K, 2))
     a, b = draw(core_polys(K, 2)), draw(core_polys(K, 1))
     pole = draw(core_coeffs(K))
-    lin = pmul(K, (-pole, K.one), (-pole, K.one)) if draw(st.booleans()) else (-pole, K.one)
-    return pmul(K, g, a), pmul(K, pmul(K, g, b), lin), pole
+    lin = tuple_mul(K, (-pole, K.one), (-pole, K.one)) if draw(st.booleans()) else (-pole, K.one)
+    return tuple_mul(K, g, a), tuple_mul(K, tuple_mul(K, g, b), lin), pole
+
+
+def series_inverse(K, a, n):
+    """The inverse of the power series a (a[0] != 0) modulo x^n."""
+    out = [K.one / a[0]]
+    for k in range(1, n):
+        out.append(-out[0] * sum((a[j] * out[k - j] for j in range(1, min(k, len(a) - 1) + 1)), K.zero))
+    return tuple(out)
 
 
 def check_canonical(K, f, num, den):
@@ -321,15 +326,16 @@ def check_canonical(K, f, num, den):
 def test_ratfunc_arithmetic_matches_sympy_and_the_generic_helpers(data, T):
     K = CyclotomicField.get(T)
     F = FunctionField.get("t", K)
+    R = FieldRing(K)
     (n1, d1, _), (n2, d2, _) = data.draw(ratfunc_parts(K)), data.draw(ratfunc_parts(K))
     f, g = RatFunc(F, n1, d1), RatFunc(F, n2, d2)
     check_canonical(K, f, n1, d1)
-    check_canonical(K, f + g, padd(K, pmul(K, n1, d2), pmul(K, n2, d1)), pmul(K, d1, d2))
-    check_canonical(K, f - g, psub(K, pmul(K, n1, d2), pmul(K, n2, d1)), pmul(K, d1, d2))
-    check_canonical(K, f * g, pmul(K, n1, n2), pmul(K, d1, d2))
-    check_canonical(K, f / g, pmul(K, n1, d2), pmul(K, d1, n2))
-    check_canonical(K, f.derivative(), psub(K, pmul(K, pderiv_(K, n1), d1), pmul(K, n1, pderiv_(K, d1))),
-                    pmul(K, d1, d1))
+    check_canonical(K, f + g, R.comb(R.mul(n1, d2), 1, R.mul(n2, d1), 1), R.mul(d1, d2))
+    check_canonical(K, f - g, R.comb(R.mul(n1, d2), 1, R.mul(n2, d1), -1), R.mul(d1, d2))
+    check_canonical(K, f * g, R.mul(n1, n2), R.mul(d1, d2))
+    check_canonical(K, f / g, R.mul(n1, d2), R.mul(d1, n2))
+    check_canonical(K, f.derivative(), R.comb(R.mul(R.deriv(n1), d1), 1, R.mul(n1, R.deriv(d1)), -1),
+                    R.mul(d1, d1))
     assert f * g / g == f and f + g - g == f
     assert f ** 3 == f * f * f and f ** -2 == 1 / (f * f)
 
@@ -339,6 +345,7 @@ def test_ratfunc_arithmetic_matches_sympy_and_the_generic_helpers(data, T):
 def test_ratfunc_local_data_matches_sympy_and_the_generic_helpers(data, T):
     K = CyclotomicField.get(T)
     F = FunctionField.get("t", K)
+    R = FieldRing(K)
     D, to_d, from_d = sympy_codec(K)
     t = sympy.Symbol("t")
     num, den, pole = data.draw(ratfunc_parts(K))
@@ -346,20 +353,20 @@ def test_ratfunc_local_data_matches_sympy_and_the_generic_helpers(data, T):
     sym = lambda cs: sympy.Poly([to_d(c) for c in reversed(cs)] or [D.zero], t, domain=D)
     # eval_at, away from the poles
     x = data.draw(core_coeffs(K))
-    dx = peval(K, f.den, x)
+    dx = R.eval(f.den, x, 1)
     if dx:
         value = f.eval_at(x)
-        assert value == peval(K, f.num, x) / dx
+        assert value == R.eval(f.num, x, 1) / dx
         horner = lambda cs: functools.reduce(lambda acc, c: acc * to_d(x) + to_d(c), reversed(cs), D.zero)
         assert value == from_d(horner(f.num) / horner(f.den))
-    # principal part at the planted pole: the generic helpers ...
-    n, d = pshift(K, f.num, pole), pshift(K, f.den, pole)
+    # principal part at the planted pole: the generic FieldRing ...
+    n, d = R.shift(f.num, pole)[0], R.shift(f.den, pole)[0]
     k = next(i for i, c in enumerate(d) if c)
     pp = f.principal_part_at(pole)
     if k == 0:
         assert pp == ()
         return
-    series = pmul(K, n, pseries_inv(K, d[k:], k))
+    series = R.mul(n, series_inverse(K, d[k:], k))
     series = tuple(series[:k]) + (K.zero,) * (k - len(series))
     assert pp == tuple(series[k - m] for m in range(1, k + 1))
     # ... and sympy: n(x + p) / (x^k e(x)) with e(0) != 0
