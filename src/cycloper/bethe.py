@@ -14,7 +14,7 @@ from .canonical import u1_coefficient, is_regular_at
 from .context import OperContext
 from .errors import NoDominantRepresentative, ValidationError
 from .linalg import QQ
-from .miura import MiuraOper, _gamma_orbits_disjoint
+from .miura import MiuraOper, _gamma_orbits_disjoint, miura_from_orbits
 from .ratfunc import INFINITY
 from .weyl import Coweight, coroot_to_coweight, coweight_to_h, dominant_shift_representative, rho_coweight
 
@@ -65,6 +65,18 @@ class BetheSystemData:
     def lam0(self) -> Coweight:
         return lambda0_weight(self.ctx.alg, self.sigma, self.ctx.tower)
 
+    @cached_property
+    def poles(self) -> list:
+        """The Gamma-orbit representatives of the poles of lambda(t) away
+        from 0 with their weights: (z_i, lam_i), then (x_j, -alpha_c(j))."""
+        alg = self.ctx.alg
+        return self.sites + [(x, -_root_weight(alg, c)) for x, c in zip(self.roots, self.colours)]
+
+    @cached_property
+    def dual_oper(self) -> MiuraOper:
+        """The Miura oper over the Langlands dual with u = -lambda(t)."""
+        return miura_from_orbits(self.ctx.dual, self.lam0, self.poles)
+
 
 def lambda0_weight(alg, sigma: AlgebraAut, tower) -> Coweight:
     """The trace weight lam0(h) = sum_{r=1}^{T-1} tr_n(sigma^-r ad_h)/(1-w^r)."""
@@ -98,36 +110,31 @@ def lambda0_weight(alg, sigma: AlgebraAut, tower) -> Coweight:
     return Coweight(coords)
 
 
-def bethe_residuals(data: BetheSystemData):
-    """Right sides of the cyclotomic Bethe equations, one exact scalar per
-    Bethe root."""
+def _gaudin_sum(data: BetheSystemData, k, mu: Coweight):
+    """(mu | lambda(t) less its pole at p), at t = p for p the k-th point of
+    data.poles: sum_r sum_(q, wt) (mu | nu^r wt)/(p - w^r q) over every
+    pole w^r q but p itself, plus (mu | lam0)/p."""
     alg = data.ctx.alg
     K = data.ctx.scalars
     nu = data.ctx.nu
-    T = data.ctx.tower.order
     w = data.ctx.omega
-    lam0 = data.lam0
-    out = []
-    for j, xj in enumerate(data.roots):
-        aj = _root_weight(alg, data.colours[j])
-        acc = K.zero
-        for r in range(T):
-            for zi, lam in data.sites:
-                acc = acc + weight_form(alg, aj, nu_power_weight(nu, lam, r), K) / (
-                    xj - w ** r * zi
-                )
-            for k, xk in enumerate(data.roots):
-                if r == 0 and k == j:
-                    continue
-                ak = _root_weight(alg, data.colours[k])
-                acc = acc - weight_form(alg, aj, nu_power_weight(nu, ak, r), K) / (
-                    xj - w ** r * xk
-                )
-        top = weight_form(alg, aj, lam0, K)
-        if top:
-            acc = acc + top / xj
-        out.append(acc)
-    return out
+    p = data.poles[k][0]
+    acc = K.zero
+    for r in range(data.ctx.tower.order):
+        for l, (q, wt) in enumerate(data.poles):
+            if r or l != k:
+                acc = acc + weight_form(alg, mu, nu_power_weight(nu, wt, r), K) / (p - w ** r * q)
+    top = weight_form(alg, mu, data.lam0, K)
+    if top:
+        acc = acc + top / p
+    return acc
+
+
+def bethe_residuals(data: BetheSystemData):
+    """Right sides of the cyclotomic Bethe equations, one exact scalar per
+    Bethe root x_j: (alpha_c(j) | lambda(t) less its pole at x_j) at x_j."""
+    alg, n = data.ctx.alg, len(data.sites)
+    return [_gaudin_sum(data, n + j, _root_weight(alg, c)) for j, c in enumerate(data.colours)]
 
 
 def _root_weight(alg, k) -> Coweight:
@@ -138,39 +145,9 @@ def _root_weight(alg, k) -> Coweight:
 
 def miura_from_bethe(data: BetheSystemData):
     """The cyclotomic Miura oper over the Langlands dual built from the
-    rational weight function lambda(t); returns (MiuraOper, dual context)."""
-    Lctx = data.ctx.dual
-    Lalg = Lctx.alg
-    F = Lctx.functions
-    K = Lctx.scalars
-    t = F.gen
-    nu = data.ctx.nu
-    T = data.ctx.tower.order
-    w = Lctx.omega
-    u = [F.zero] * Lalg.rank
-
-    def add_pole(cw: Coweight, at, sign):
-        hv = coweight_to_h(Lalg, cw, K)
-        lin = t - F.coerce(at)
-        for j in range(Lalg.rank):
-            c = hv[Lalg.index_H[j]]
-            if c:
-                u[j] = u[j] + sign * F.coerce(c) / lin
-
-    lam0 = data.lam0
-    add_pole(lam0, K.zero, -1)
-    register = [K.zero]
-    for r in range(T):
-        for zi, lam in data.sites:
-            pt = zi * w ** r
-            add_pole(nu_power_weight(nu, lam, r), pt, -1)
-            register.append(pt)
-        for j, xj in enumerate(data.roots):
-            pt = xj * w ** r
-            add_pole(nu_power_weight(nu, _root_weight(data.ctx.alg, data.colours[j]), r), pt, +1)
-            register.append(pt)
-    Lctx.tower.register_points(register)
-    return MiuraOper(Lctx, u), Lctx
+    rational weight function lambda(t), once per data; returns (MiuraOper,
+    dual context)."""
+    return data.dual_oper, data.ctx.dual
 
 
 def lambda_function(data: BetheSystemData):
@@ -181,33 +158,9 @@ def lambda_function(data: BetheSystemData):
 
 
 def energies(data: BetheSystemData):
-    """Eigenvalues of the quadratic Hamiltonians on the Bethe vector."""
-    alg = data.ctx.alg
-    K = data.ctx.scalars
-    nu = data.ctx.nu
-    T = data.ctx.tower.order
-    w = data.ctx.omega
-    lam0 = data.lam0
-    out = []
-    for i, (zi, lami) in enumerate(data.sites):
-        acc = K.zero
-        for r in range(T):
-            for j, (zj, lamj) in enumerate(data.sites):
-                if r == 0 and j == i:
-                    continue
-                acc = acc + weight_form(alg, lami, nu_power_weight(nu, lamj, r), K) / (
-                    zi - w ** r * zj
-                )
-            for j, xj in enumerate(data.roots):
-                aj = _root_weight(alg, data.colours[j])
-                acc = acc - weight_form(alg, lami, nu_power_weight(nu, aj, r), K) / (
-                    zi - w ** r * xj
-                )
-        top = weight_form(alg, lami, lam0, K)
-        if top:
-            acc = acc + top / zi
-        out.append(acc)
-    return out
+    """Eigenvalues of the quadratic Hamiltonians on the Bethe vector: at
+    each site z_i, (lam_i | lambda(t) less its pole at z_i) at z_i."""
+    return [_gaudin_sum(data, i, lam) for i, (_, lam) in enumerate(data.sites)]
 
 
 def energy_oper_identity(data: BetheSystemData):

@@ -175,11 +175,12 @@ def residue_class_of_coweight(ctx, lam: Coweight, folded=False, negated=False):
     return cls
 
 
-def classify_general_form(conn: Connection, lam0: Coweight, sites):
+def classify_general_form(conn: Connection, lam0: Coweight, sites, extra_points=()):
     """Match every residue of the h-part of a cyclotomic Miura connection
     against shifted Weyl orbits: w0 at the origin, w_i in W at the declared
     sites, y_j in W (with coweight 0) at the extra poles, w_inf in W^nu at
-    infinity.  sites: list of (z_i, lam_i)."""
+    infinity.  sites: list of (z_i, lam_i); extra_points are tried first
+    as poles (say the points of the Miura oper)."""
     ctx = conn.ctx
     alg = ctx.alg
     K = ctx.scalars
@@ -215,7 +216,7 @@ def classify_general_form(conn: Connection, lam0: Coweight, sites):
     # extra poles: everything else, grouped into Gamma-orbits
     extra = []
     seen = []
-    for p, mult in conn.poles():
+    for p, mult in conn.poles(extra_points):
         if not p or any(p == q for q in declared) or any(p == q for q in seen):
             continue
         orbit = [p * w ** r for r in range(T)]

@@ -108,7 +108,7 @@ def cmd_residues(problem, args):
 def cmd_classify(problem, args):
     m = _miura_of(problem)
     res = classify_general_form(
-        m.connection(), problem.lam0, [(z, cw) for z, cw, _ in problem.sites]
+        m.connection(), problem.lam0, [(z, cw) for z, cw, _ in problem.sites], m.points
     )
     return {
         "command": "classify",
@@ -152,10 +152,10 @@ def cmd_reproduce(problem, args):
         if fold.ell[oi] == 1:
             q = m.pairing(k)
             if branch == "singular":
-                f = riccati_solve(q, "singular_at_0")
+                f = riccati_solve(q, "singular_at_0", extra_points=m.points)
             else:
                 C = parse_scalar(args.constant or "1", ctx.tower)
-                f = riccati_solve(q, "general", constant=C)
+                f = riccati_solve(q, "general", constant=C, extra_points=m.points)
             if len(fold.orbits[oi]) == 1:
                 res = reproduce_simple(m, k, f)
             else:

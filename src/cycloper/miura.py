@@ -4,7 +4,7 @@ factorisation route through the fundamental solution."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from .automorphisms import AlgebraAut
@@ -41,6 +41,9 @@ class MiuraOper:
 
     ctx: OperContext
     u_coroot: list  # one RatFunc per simple index: u = sum_j u_j coroot_j
+    # 0 and the Gamma-orbit points it was built with: the candidate roots
+    # for splitting denominators that come from u
+    points: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         F = self.ctx.functions
@@ -70,7 +73,7 @@ class MiuraOper:
     def add(self, k, f) -> "MiuraOper":
         new = list(self.u_coroot)
         new[k] = new[k] + f
-        return MiuraOper(self.ctx, new)
+        return replace(self, u_coroot=new)
 
     def __repr__(self):
         body = "; ".join(f"coroot_{j+1}: {c}" for j, c in enumerate(self.u_coroot) if c)
@@ -103,56 +106,48 @@ def _gamma_orbits_disjoint(ctx, points, allow_origin=False):
         seen.extend(orb)
 
 
-def build_miura(ctx: OperContext, lam0: Coweight, sites=(), extra=(), w0=None) -> MiuraOper:
-    """u(t) = -w0.lam0/t - sum_r sum_i nu^r(w_i.lam_i)/(t - w^r z_i)
-                      - sum_r sum_j nu^r(y_j.0)/(t - w^r x_j)."""
+def miura_from_orbits(ctx: OperContext, top: Coweight, poles) -> MiuraOper:
+    """u(t) = -top/t - sum_r sum_(p, cw) nu^r(cw)/(t - w^r p) for poles a
+    list of (point, coweight); the points of the oper are 0 and every
+    w^r p, in that order."""
     alg = ctx.alg
     K = ctx.scalars
     F = ctx.functions
-    nu = ctx.nu
-    if not lam0.is_nu_invariant(nu):
-        raise ValidationError("lam0 must be nu-invariant")
-    pts = [z for z, *_ in sites] + [x for x, _ in extra]
-    _gamma_orbits_disjoint(ctx, pts)
-    T = ctx.tower.order
     w = ctx.omega
-    t = F.gen
     u = [F.zero] * alg.rank
+    points = []
 
     def add_pole(cw: Coweight, at):
         hv = coweight_to_h(alg, cw, K)
-        lin = t - F.coerce(at)
+        lin = F.gen - F.coerce(at)
         for j in range(alg.rank):
             c = hv[alg.index_H[j]]
             if c:
                 u[j] = u[j] - F.coerce(c) / lin
+        points.append(at)
 
-    top = w0.dot(lam0) if w0 is not None else lam0
     add_pole(top, K.zero)
-    register = [K.zero]
+    for p, cw in poles:
+        p = K.coerce(p)
+        for r in range(ctx.tower.order):
+            add_pole(cw, p * w ** r)
+            cw = ctx.nu.apply_coweight(cw)
+    return MiuraOper(ctx, u, tuple(points))
+
+
+def build_miura(ctx: OperContext, lam0: Coweight, sites=(), extra=(), w0=None) -> MiuraOper:
+    """u(t) = -w0.lam0/t - sum_r sum_i nu^r(w_i.lam_i)/(t - w^r z_i)
+                      - sum_r sum_j nu^r(y_j.0)/(t - w^r x_j)."""
+    if not lam0.is_nu_invariant(ctx.nu):
+        raise ValidationError("lam0 must be nu-invariant")
+    _gamma_orbits_disjoint(ctx, [z for z, *_ in sites] + [x for x, _ in extra])
+    poles = []
     for entry in sites:
-        z, lam = entry[0], entry[1]
-        wi = entry[2] if len(entry) > 2 and entry[2] is not None else None
-        val = wi.dot(lam) if wi is not None else lam
-        for r in range(T):
-            cw = val
-            for _ in range(r):
-                cw = nu.apply_coweight(cw)
-            pt = K.coerce(z) * w ** r
-            add_pole(cw, pt)
-            register.append(pt)
-    zero = Coweight.zero(alg.rank)
-    for x, yj in extra:
-        val = yj.dot(zero) if yj is not None else zero
-        for r in range(T):
-            cw = val
-            for _ in range(r):
-                cw = nu.apply_coweight(cw)
-            pt = K.coerce(x) * w ** r
-            add_pole(cw, pt)
-            register.append(pt)
-    ctx.tower.register_points(register)
-    out = MiuraOper(ctx, u)
+        wi = entry[2] if len(entry) > 2 else None
+        poles.append((entry[0], wi.dot(entry[1]) if wi is not None else entry[1]))
+    zero = Coweight.zero(ctx.alg.rank)
+    poles += [(x, yj.dot(zero) if yj is not None else zero) for x, yj in extra]
+    out = miura_from_orbits(ctx, w0.dot(lam0) if w0 is not None else lam0, poles)
     if not out.is_cyclotomic():
         raise ValidationError("constructed Miura oper is not cyclotomic (bad inputs?)")
     return out
@@ -162,19 +157,20 @@ def build_miura(ctx: OperContext, lam0: Coweight, sites=(), extra=(), w0=None) -
 # Riccati machinery
 # ---------------------------------------------------------------------------
 
-def riccati_solve(q, mode="general", constant=0):
+def riccati_solve(q, mode="general", constant=0, extra_points=()):
     """Solutions of f' + f^2 + f q = 0 with rational data.
 
     q must have only simple finite poles with integer residues and zero
-    polynomial part.  general mode: f = Q/(int Q + C) with Q = exp(-int q);
-    singular mode: the unique solution with leading term (eta+1)/t where
-    eta = -res_0 q."""
+    polynomial part; extra_points (the points of the Miura oper that q
+    comes from, say) are tried first as roots of its denominators.
+    general mode: f = Q/(int Q + C) with Q = exp(-int q); singular mode:
+    the unique solution with leading term (eta+1)/t where eta = -res_0 q."""
     F = q.field
     K = F.coeff
     if not q:
         Q = F.one
     else:
-        pf = partial_fractions(q)
+        pf = partial_fractions(q, extra_points)
         if any(pf.polynomial_part):
             raise NoRationalSolution("q has a nonzero polynomial part", pf.polynomial_part)
         Q = F.one
@@ -186,7 +182,7 @@ def riccati_solve(q, mode="general", constant=0):
                 raise NoRationalSolution(f"residue of q at {p} is not an integer", cs[0])
             lin = F.gen - F.coerce(p)
             Q = Q * lin ** (-int(r))
-    R = rational_antiderivative(Q)
+    R = rational_antiderivative(Q, extra_points)
     if isinstance(R, MonodromyObstruction):
         raise NoRationalSolution("exp(-int q) has no rational antiderivative", R)
     if mode == "general":
@@ -480,7 +476,8 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
         raise FixedPointViolation("g0 is not vartheta-fixed")
     g0el = GroupElement.exp(ctx2, [F2.coerce(c) for c in g0vec])
     reg = regularize(conn2, lam_reg).with_shape("b-")
-    Y = solve_fundamental(reg, 0)
+    # on the q-sheeted cover (t = u^q) the points of miura are no poles
+    Y = solve_fundamental(reg, 0, extra_points=miura.points if q == 1 else ())
     if isinstance(Y, MonodromyObstruction):
         raise Y
     n, Ytil = gauss_factorize(Y @ g0el.inverse())
@@ -496,7 +493,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
         if alg.height_of[i] > 0 and c:
             raise NotInOpenCell(None, "generic reproduction left positive components")
     new_u = [out[alg.index_H[j]] for j in range(alg.rank)]
-    new = MiuraOper(ctx, new_u)
+    new = MiuraOper(ctx, new_u, miura.points)
     cyc = new.is_cyclotomic()
     if not cyc:
         raise MalformedOper("generic reproduction must be cyclotomic for theta-fixed g0")

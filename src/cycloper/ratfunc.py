@@ -445,6 +445,11 @@ def _cancel(R, a, b, g):
 # the function field and its elements
 # ---------------------------------------------------------------------------
 
+# trial divisors of rational_root_candidates, so that a 19-digit constant
+# term costs milliseconds and not the sqrt(n) divisions of a full search
+_TRIAL_DIVISORS = 1 << 16
+
+
 class FunctionField:
     """Field K(var) of rational functions over a coefficient field K."""
 
@@ -457,7 +462,6 @@ class FunctionField:
         self.zero = RatFunc(self, (), (coeff.one,), reduce=False)
         self.one = RatFunc(self, (coeff.one,), (coeff.one,), reduce=False)
         self.gen = RatFunc(self, (coeff.zero, coeff.one), (coeff.one,), reduce=False)
-        self.points = []  # registered candidate pole locations (elements of K)
         self._gcd_cache = LRUCache()
 
     def cached_gcd(self, a, b):
@@ -511,12 +515,6 @@ class FunctionField:
         den = (self.coeff.one,) if den is None else tuple(self.coeff.coerce(c) for c in den)
         return RatFunc(self, num, den)
 
-    def register_points(self, pts):
-        for p in pts:
-            p = self.coeff.coerce(p)
-            if all(p != q for q in self.points):
-                self.points.append(p)
-
     # -- helpers ------------------------------------------------------------
     def bottom(self) -> CyclotomicField:
         f = self.coeff
@@ -525,15 +523,16 @@ class FunctionField:
         return f
 
     def candidate_points(self, extra=()):
-        """Root candidates for denominators: registered points, 0, +-1,
-        +-parameter generators, extras, all closed under zeta-multiplication."""
+        """Root candidates for denominators: 0, +-1, +-extra, +-parameter
+        generators, all closed under zeta-multiplication.  They depend on
+        the arguments and the field only."""
         K = self.coeff
         gens, f = [], K
         while isinstance(f, FunctionField):
             gens.append(K.coerce(f.gen))
             f = f.coeff
         base = [K.zero, K.one, -K.one]
-        for p in [*self.points, *map(K.coerce, extra), *gens]:
+        for p in [*map(K.coerce, extra), *gens]:
             base += [p, -p]
         zetas = [K.coerce(f.zeta_power(k)) for k in range(f.order)]
         out = []
@@ -546,14 +545,17 @@ class FunctionField:
 
     def rational_root_candidates(self, poly):
         """Rational-root-theorem candidates for a poly whose coefficients are
-        all rational (as elements of the tower); empty list otherwise."""
+        all rational (as elements of the tower); empty list otherwise.  A
+        divisor d of an end coefficient n is tried only when d or n/d is
+        at most _TRIAL_DIVISORS."""
         rats = [as_rational(c) for c in poly]
         if not rats or any(r is None for r in rats) or not rats[0]:
             return []
         L = math.lcm(*[r.denominator for r in rats])
 
         def divisors(n):
-            small = [d for d in range(1, math.isqrt(n) + 1) if not n % d]
+            top = min(math.isqrt(n), _TRIAL_DIVISORS)
+            small = [d for d in range(1, top + 1) if not n % d]
             return small + [n // d for d in small]
 
         cands = {Fraction(s * p, q) for p in divisors(abs(int(rats[0] * L)))
@@ -1027,7 +1029,7 @@ def linear_split(field: FunctionField, poly, extra=()):
     roots is a list of (root, multiplicity) and leftover, a monic associate
     in the ring, has no root in the field that was found.
 
-    The configured candidate set is tried first; a leftover of degree >= 2
+    field.candidate_points(extra) are tried first; a leftover of degree >= 2
     then tries the rational-root candidates (times powers of zeta), and a
     linear leftover gives its root -b/a without candidates."""
     R, K = field.ring, field.coeff

@@ -7,15 +7,16 @@ from __future__ import annotations
 from .connection import Connection, GroupElement
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import SparseMat, mat_inverse, mat_mul
-from .ratfunc import rational_antiderivative
+from .ratfunc import poles_of, rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
 
-def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
+def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None, extra_points=()):
     """Y with dY Y^-1 = -A and Y(base) = Y0 (default Id), for b_- valued A
     regular at base whose h-part is a sum of simple poles with integral
     coweight residues.  Returns the MonodromyObstruction value if some
-    integrand has a nonzero residue."""
+    integrand has a nonzero residue.  extra_points are tried first as roots
+    of the denominators."""
     ctx = conn.ctx
     alg = ctx.alg
     F = ctx.functions
@@ -29,24 +30,20 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
 
     # --- torus part ---------------------------------------------------------
     h_vec = conn.h_part()
-    pole_data = {}
+    poles = []
     leftover = list(h_vec)
-    for i, c in enumerate(h_vec):
+    for c in h_vec:
         if not c:
             continue
-        from .ratfunc import poles_of
-
-        for p, m in poles_of(c):
+        for p, m in poles_of(c, extra_points):
             if m > 1:
                 return MonodromyObstruction(
                     [(p, c.principal_part_at(p)[-1])], level=0
                 )
-            key = p
-            if all(p != q for q in pole_data):
-                pole_data[key] = None
-    torus_factors = []
+            if all(p != q for q in poles):
+                poles.append(p)
     Yh = GroupElement.identity(ctx)
-    for p in list(pole_data):
+    for p in poles:
         res_vec = [c.residue_at(p) for c in h_vec]
         full = alg.vec_zero(K)
         for i, r in enumerate(res_vec):
@@ -56,7 +53,6 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
             return MonodromyObstruction([(p, mu)], level=0)
         lin = F.gen - F.coerce(p)
         T = GroupElement.torus(ctx, Coweight([-c for c in mu.coords]), base=lin)
-        torus_factors.append((p, mu))
         Yh = Yh @ T
         for i in range(alg.dim):
             if alg.height_of[i] == 0 and leftover[i]:
@@ -95,7 +91,7 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None):
         nonzero = False
         for i, row in enumerate(Mk.rows):
             for j, v in row.items():
-                anti = rational_antiderivative(v)
+                anti = rational_antiderivative(v, extra_points)
                 if isinstance(anti, MonodromyObstruction):
                     anti.level = k
                     return anti

@@ -72,9 +72,6 @@ class ScalarTower:
     def rational(self, p, q=1):
         return self.scalar(Fraction(p, q))
 
-    def register_points(self, pts):
-        self.functions.register_points(pts)
-
     # -- related towers -----------------------------------------------------------
     def extended(self, order_multiple=1, extra_params=(), var=None) -> "ScalarTower":
         """A tower with order multiplied, parameters appended, optionally a

@@ -20,6 +20,7 @@ from cycloper.cartan import CartanDatum
 from cycloper.chevalley import build_algebra
 from cycloper.context import OperContext
 from cycloper.errors import OrbitCollision
+from cycloper.miura import miura_from_orbits
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight
 
@@ -236,21 +237,31 @@ def test_dual_context_and_weight_basis_are_built_once():
 
 
 def test_lambda0_is_computed_once_per_data_object(monkeypatch):
+    """lam0 and the dual Miura oper are each built once per data object,
+    however many of the Gaudin routines read them."""
     from cycloper import bethe
 
-    calls = []
+    calls, builds = [], []
 
     def counted(*args):
         calls.append(args)
         return lambda0_weight(*args)
 
+    def counted_oper(*args):
+        builds.append(args)
+        return miura_from_orbits(*args)
+
     monkeypatch.setattr(bethe, "lambda0_weight", counted)
+    monkeypatch.setattr(bethe, "miura_from_orbits", counted_oper)
     data = solved_a1()
     bethe_residuals(data)
     miura_from_bethe(data)
     energies(data)
     assert all(r["equal"] for r in energy_oper_identity(data))
+    weight_at_infinity(data)
+    bethe_regularity(data)
     assert len(calls) == 1
+    assert len(builds) == 1
 
 
 def test_dual_algebra_double():

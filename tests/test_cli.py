@@ -375,3 +375,23 @@ def test_huge_rational_site_classifies_quickly(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert time.perf_counter() - start < 10
+
+
+def test_symbolic_site_classifies_and_reproduces(tmp_path, capsys):
+    """A site at 2z over Q(zeta_3)(z): the denominators hold t^3 - 8z^3,
+    whose roots 2z, 2z*zeta, 2z*zeta^2 are no default candidates; the
+    commands split them with the points of the Miura oper."""
+    prob = tmp_path / "a1_site_2z.json"
+    prob.write_text(json.dumps({"algebra": "A1", "T": 3, "parameters": ["z"], "lambda0": ["1"],
+                                "sites": [{"z": "2*z", "coweight": ["1"]}]}))
+    out, _ = run_cli(capsys, ["--problem", str(prob), "--command", "classify", "--output", "json"])
+    assert json.loads(out) == {"command": "classify", "extra_poles": {}, "lambda_infinity": ["4"],
+                               "sites": {"2*z": "e"}, "w0": "e", "w_infinity": "e"}
+    out, _ = run_cli(capsys, ["--problem", str(prob), "--command", "reproduce", "--orbit", "1",
+                              "--output", "json"])
+    data = json.loads(out)
+    assert data["branch"] == "regular-at-0" and data["cyclotomic"] is False
+    assert data["ledger"] == {"0": {"after": ["-1"], "before": ["-1"]},
+                              "inf": {"after": ["-6"], "before": ["4"]}}
+    assert data["new_u"] == {"coroot_1": "(3*t^8 + (-36)*z^3*t^5 + (-10)*t^3 + 240*z^6*t^2 + 20*z^3)"
+                                         " / (t^9 + (-28)*z^3*t^6 + 5*t^4 + 160*z^6*t^3 + (-40)*z^3*t)"}

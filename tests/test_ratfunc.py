@@ -399,3 +399,150 @@ def test_linear_pole_needs_no_registered_point():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+_HISTORY_INDEPENDENCE = """
+from fractions import Fraction
+from cycloper.context import OperContext
+from cycloper.errors import IrreducibleDenominator
+from cycloper.miura import build_miura
+from cycloper.ratfunc import poles_of
+from cycloper.tower import ScalarTower
+from cycloper.weyl import Coweight
+
+def split(f, points=()):
+    try:
+        return poles_of(f, points)
+    except IrreducibleDenominator as e:
+        return "IrreducibleDenominator: " + str(e)
+
+one = Coweight((Fraction(1),))
+q = ScalarTower.get(1)
+f = 1 / ((q.t - 3) * (q.t - 5))
+tw = ScalarTower.get(3, ("z",))
+z = tw.param("z")
+g = 1 / (tw.t ** 3 - 8 * z ** 3)
+before = [split(f), split(g)]
+assert before[0] == [(3, 1), (5, 1)], before
+assert before[1].startswith("IrreducibleDenominator"), before
+build_miura(OperContext("A1", q), one, sites=[(5, one)])
+m = build_miura(OperContext("A1", tw), one, sites=[(2 * z, one)])
+after = [split(f), split(g)]
+assert after == before, (before, after)
+w = tw.zeta
+assert m.points == (0, 2 * z, 2 * z * w, 2 * z * w ** 2), m.points
+assert split(g, m.points) == [(2 * z, 1), (2 * z * w, 1), (2 * z * w ** 2, 1)], split(g, m.points)
+"""
+
+
+def test_poles_do_not_depend_on_earlier_miura_opers():
+    """The candidate roots of a denominator come from the arguments and the
+    field alone: building Miura opers with sites at 5 and 2z changes neither
+    the order of the poles of 1/((t - 3)(t - 5)) nor whether t^3 - 8z^3
+    splits; the points of the oper, passed in, split it.  Run in a fresh
+    process, so that no earlier test has built anything."""
+    src = os.path.dirname(os.path.dirname(cycloper.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _HISTORY_INDEPENDENCE],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+_HUGE_CONSTANT_TERM = """
+from cycloper.ratfunc import rational_antiderivative
+from cycloper.tower import ScalarTower
+
+t = ScalarTower.get(1).t
+ob = rational_antiderivative(1 / ((t - 3) * (t ** 2 + 2 ** 61 + 1)))
+assert ob.unresolved == ["t^2 + 2305843009213693953"], ob.unresolved
+assert [str(p) for p, _ in ob.residues] == ["3"], ob.residues
+"""
+
+
+def test_huge_constant_term_is_left_unsplit_at_once():
+    """t^2 + 2^61 + 1 has no rational root; the root candidates come from
+    trial divisors up to a fixed bound, not up to sqrt(3 (2^61 + 1)), so
+    the factor t - 3 splits off and the rest is reported at once.  A hard
+    subprocess time limit turns a regression into a failure, not a hang."""
+    src = os.path.dirname(os.path.dirname(cycloper.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _HUGE_CONSTANT_TERM],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=30,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+# -- partial fractions against sympy's apart, the pole set passed in ----------
+
+W, TS, ZS = sympy.symbols("w t z")
+
+
+def as_sympy(x):
+    """A scalar of Q(zeta_T) or Q(zeta_T)(z) as a sympy expression, with w
+    standing for zeta_T."""
+    if isinstance(x, RatFunc):
+        poly = lambda cs: sum((as_sympy(c) * ZS ** i for i, c in enumerate(cs)), sympy.Integer(0))
+        return poly(x.num) / poly(x.den)
+    return sum(sympy.Rational(c.numerator, c.denominator) * W ** u for u, c in enumerate(x.coeffs))
+
+
+def same_at_zeta(a, b, T):
+    """a == b once w is read as zeta_T: Phi_T(w) divides the numerator of a - b."""
+    n, _ = sympy.fraction(sympy.cancel(sympy.together(a - b)))
+    return sympy.rem(sympy.expand(n), sympy.cyclotomic_poly(T, W), W) == 0
+
+
+def apart_terms(expr):
+    """sympy.apart(expr, t) as (polynomial part, [(pole, k, c)]) for the
+    terms c/(t - pole)^k."""
+    poly, parts = sympy.Integer(0), []
+    for term in sympy.Add.make_args(sympy.apart(expr, TS)):
+        num, den = sympy.fraction(term)
+        if not den.has(TS):
+            poly += term
+            continue
+        P = sympy.Poly(den, TS)
+        k, lc = P.degree(), P.LC()
+        pole = -P.nth(k - 1) / (k * lc)
+        assert not num.has(TS) and sympy.cancel(den - lc * (TS - pole) ** k) == 0, term
+        parts.append((pole, k, num / lc))
+    return poly, parts
+
+
+@pytest.mark.parametrize("T, params", [(1, ()), (2, ()), (4, ()), (12, ()), (4, ("z",))])
+def test_partial_fractions_match_sympy_apart(T, params):
+    """Denominators with poles off the default candidates (2, 3 zeta,
+    1/2 - zeta, 2z, z + zeta), split with that pole set passed in; every
+    coefficient agrees with sympy's apart, zeta_T read as a symbol w and
+    compared modulo the cyclotomic polynomial."""
+    tw = ScalarTower.get(T, params)
+    F = tw.functions
+    t = F.gen
+    w = tw.zeta
+    pool = [(tw.scalar(2), sympy.Integer(2)), (3 * w, 3 * W), (tw.rational(1, 2) - w, sympy.Rational(1, 2) - W)]
+    if params:
+        z = tw.param("z")
+        pool += [(2 * z, 2 * ZS), (z + w, ZS + W)]
+    rng = random.Random(f"apart:{T}:{params}")
+    for _ in range(3):
+        num, num_s = F.zero, sympy.Integer(0)
+        for i in range(rng.randint(0, 3)):
+            a, b = Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-2, 2)
+            num, num_s = num + F.coerce(a + b * w) * t ** i, num_s + (a + b * W) * TS ** i
+        num, num_s = num + t ** 4, num_s + TS ** 4
+        den, den_s = F.one, sympy.Integer(1)
+        for p, p_s in rng.sample(pool, 2 if params else 3):
+            m = rng.randint(1, 2)
+            den, den_s = den * (t - F.coerce(p)) ** m, den_s * (TS - p_s) ** m
+        pf = partial_fractions(num / den, [p for p, _ in pool])
+        poly_s, parts_s = apart_terms(num_s / den_s)
+        ours = sum((as_sympy(c) * TS ** i for i, c in enumerate(pf.polynomial_part)), sympy.Integer(0))
+        assert same_at_zeta(ours, poly_s, T)
+        nonzero = 0
+        for pole, k, c in parts_s:
+            match = [cs for q, cs in pf.pole_parts if same_at_zeta(as_sympy(q), pole, T)]
+            mine = match[0][k - 1] if match and k <= len(match[0]) else tw.zero
+            assert same_at_zeta(as_sympy(mine), c, T), (pole, k)
+            nonzero += bool(mine)
+        assert nonzero == sum(1 for _, cs in pf.pole_parts for c in cs if c)
