@@ -21,16 +21,15 @@ from .weyl import Coweight, coroot_to_coweight, coweight_to_h, dominant_shift_re
 
 def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
     """(lam | mu) on h^* for weights given by their values on the coroots:
-    lam^T G mu with G = alg.weight_gram."""
-    if K is None:
-        K = QQ
-    out = K.zero
+    sum_i lam_i (sum_j G_ij mu_j) with G = alg.weight_gram, coerced into K
+    once (rational sums stay Fraction)."""
+    out = 0
     for row, x in zip(alg.weight_gram, lam.coords):
         if x:
-            for g, y in zip(row, mu.coords):
-                if g and y:
-                    out = out + K.coerce(g * x * y)
-    return out
+            s = sum(g * y for g, y in zip(row, mu.coords) if g and y)
+            if s:
+                out = out + x * s
+    return (K or QQ).coerce(out)
 
 
 def nu_power_weight(nu: DiagramAut, lam: Coweight, r: int) -> Coweight:
@@ -77,53 +76,87 @@ class BetheSystemData:
         """The Miura oper over the Langlands dual with u = -lambda(t)."""
         return miura_from_orbits(self.ctx.dual, self.lam0, self.poles)
 
+    @cached_property
+    def lam(self) -> Coweight:
+        """lambda(t) as a Coweight of rational functions (values on coroots)."""
+        u = self.dual_oper.u_coroot
+        return Coweight([-c for c in coroot_to_coweight(self.ctx.alg, u).coords])
+
+    @cached_property
+    def orbits(self) -> tuple:
+        """(m, e, rows) for the orbit sums of _gaudin_sum: m = T/ord nu,
+        e[s] = w^(s m) for s < ord nu, and a row (q^m, [nu^s wt]) per pole."""
+        o = self.ctx.nu.order
+        m = self.ctx.tower.order // o
+        e = [self.ctx.tower.zeta_power(s * m) for s in range(o)]
+        rows = [(q ** m, [nu_power_weight(self.ctx.nu, wt, s) for s in range(o)]) for q, wt in self.poles]
+        return m, e, rows
+
+    @cached_property
+    def site_energies(self) -> list:
+        """The energies, one per site; see energies."""
+        return [_gaudin_sum(self, i, lam) for i, (_, lam) in enumerate(self.sites)]
+
 
 def lambda0_weight(alg, sigma: AlgebraAut, tower) -> Coweight:
-    """The trace weight lam0(h) = sum_{r=1}^{T-1} tr_n(sigma^-r ad_h)/(1-w^r)."""
+    """The trace weight lam0(h) = sum_{r=1}^{T-1} tr_n(sigma^-r ad_h)/(1-w^r).
+
+    sigma^-r maps the line of E_root to itself when the walk of E_root
+    along sigma^-1 is back after r steps: one walk per root serves every r."""
     T = tower.order
     K = tower.scalars
-    w = tower.zeta
     # sigma^-1 as (image, factor) data
     inv_img = [None] * alg.dim
     inv_fac = [None] * alg.dim
     for i in range(alg.dim):
         inv_img[sigma.image[i]] = i
         inv_fac[sigma.image[i]] = K.one / K.coerce(sigma.factor[i])
-    coords = []
-    for i in range(alg.rank):
-        total = K.zero
+    inv = [None] + [K.one / (K.one - tower.zeta_power(r)) for r in range(1, T)]
+    coords = [K.zero] * alg.rank
+    for root in alg.pos_roots:
+        idx = alg.index_E[root]
+        cur, fac = idx, K.one
         for r in range(1, T):
-            tr = K.zero
-            for root in alg.pos_roots:
-                idx = alg.index_E[root]
-                cur, fac = idx, K.one
-                for _ in range(r):
-                    fac = fac * inv_fac[cur]
-                    cur = inv_img[cur]
-                if cur == idx:
+            fac = fac * inv_fac[cur]
+            cur = inv_img[cur]
+            if cur == idx:
+                c = fac * inv[r]
+                for i in range(alg.rank):
                     pairing = alg.root_pairing(root, i)
                     if pairing:
-                        tr = tr + fac * pairing
-            if tr:
-                total = total + tr / (K.one - w ** r)
-        coords.append(total)
+                        coords[i] = coords[i] + c * pairing
     return Coweight(coords)
 
 
 def _gaudin_sum(data: BetheSystemData, k, mu: Coweight):
     """(mu | lambda(t) less its pole at p), at t = p for p the k-th point of
     data.poles: sum_r sum_(q, wt) (mu | nu^r wt)/(p - w^r q) over every
-    pole w^r q but p itself, plus (mu | lam0)/p."""
+    pole w^r q but p itself, plus (mu | lam0)/p.
+
+    Orbits sum in closed form as in miura_from_orbits, with (m, e) of
+    data.orbits: the orbit of q != p gives
+    sum_(s<o) (mu | nu^s wt) m p^(m-1)/(p^m - e[s] q^m).  That of p gives
+    (mu | wt)(m-1)/(2p) at s = 0, as sum_(0<j<m) 1/(1 - w^(o j)) = (m-1)/2,
+    and (mu | nu^s wt) m/(p(1 - e[s])) at 0 < s < o.  A T = 1 Bethe root at
+    p = 0 has m = 1 and lam0 = 0: no term divides by p."""
     alg = data.ctx.alg
     K = data.ctx.scalars
-    nu = data.ctx.nu
-    w = data.ctx.omega
+    m, e, rows = data.orbits
     p = data.poles[k][0]
+    pm = rows[k][0]
+    lead = p ** (m - 1) * m
     acc = K.zero
-    for r in range(data.ctx.tower.order):
-        for l, (q, wt) in enumerate(data.poles):
-            if r or l != k:
-                acc = acc + weight_form(alg, mu, nu_power_weight(nu, wt, r), K) / (p - w ** r * q)
+    for l, (qm, wts) in enumerate(rows):
+        for s, wt in enumerate(wts):
+            c = weight_form(alg, mu, wt, K)
+            if not c:
+                continue
+            if l != k:
+                acc = acc + c * lead / (pm - e[s] * qm)
+            elif s:
+                acc = acc + c * m / (p * (K.one - e[s]))
+            elif m > 1:
+                acc = acc + c * Fraction(m - 1, 2) / p
     top = weight_form(alg, mu, data.lam0, K)
     if top:
         acc = acc + top / p
@@ -152,15 +185,13 @@ def miura_from_bethe(data: BetheSystemData):
 
 def lambda_function(data: BetheSystemData):
     """lambda(t) as a Coweight of rational functions (values on coroots)."""
-    m, Lctx = miura_from_bethe(data)
-    coords = [-c for c in coroot_to_coweight(data.ctx.alg, m.u_coroot).coords]
-    return Coweight(coords), m, Lctx
+    return (data.lam, *miura_from_bethe(data))
 
 
 def energies(data: BetheSystemData):
     """Eigenvalues of the quadratic Hamiltonians on the Bethe vector: at
-    each site z_i, (lam_i | lambda(t) less its pole at z_i) at z_i."""
-    return [_gaudin_sum(data, i, lam) for i, (_, lam) in enumerate(data.sites)]
+    each site z_i, (lam_i | lambda(t) less its pole at z_i) at z_i, once per data."""
+    return list(data.site_energies)
 
 
 def energy_oper_identity(data: BetheSystemData):

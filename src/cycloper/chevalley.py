@@ -438,20 +438,22 @@ class ChevalleyAlgebra:
                 if A[i][j]:
                     c = self.form_scales[comp_of_node[i]] * Fraction(A[i][j]) / self.d[j]
                     gram[(self.index_H[i], self.index_H[j])] = c
-        self.gram = gram
+        self.gram_rows = {}
+        for (i, j), c in sorted(gram.items()):
+            self.gram_rows.setdefault(i, []).append((j, c))
         B = [[Fraction(self.d[i] * A[i][j]) / self.form_scales[comp_of_node[i]] for j in range(n)]
              for i in range(n)]
         S = self.cartan_transpose_inverse
         self.weight_gram = mat_mul(QQ, mat_mul(QQ, list(zip(*S)), B), S)
 
     def form_vec(self, x, y, K=QQ):
+        """(x | y) = sum_i x_i (sum_j gram_ij y_j) over the rows of the gram."""
         out = K.zero
-        for (i, j), c in self.gram.items():
-            xi = x[i]
-            if xi:
-                yj = y[j]
-                if yj:
-                    out = out + xi * yj * K.coerce(c)
+        for i, row in self.gram_rows.items():
+            if x[i]:
+                s = sum((y[j] * K.coerce(c) for j, c in row if y[j]), K.zero)
+                if s:
+                    out = out + x[i] * s
         return out
 
     # ------------------------------------------------------------- DS splitting --

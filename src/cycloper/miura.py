@@ -30,7 +30,7 @@ from .errors import (
     SeedNotSolution,
     ValidationError,
 )
-from .ratfunc import INFINITY, partial_fractions, rational_antiderivative, as_rational
+from .ratfunc import INFINITY, RatFunc, partial_fractions, rational_antiderivative, as_rational
 from .solve import gauss_factorize, solve_fundamental
 from .weyl import Coweight, coroot_to_coweight, coweight_to_h, rho_coweight
 
@@ -91,47 +91,52 @@ class ReproductionResult:
 
 
 def _gamma_orbits_disjoint(ctx, points, allow_origin=False):
+    """OrbitCollision, naming the first earlier point hit, when two points
+    share a Gamma-orbit: nonzero p and q do exactly when p^T == q^T."""
     K = ctx.scalars
     T = ctx.tower.order
-    w = ctx.omega
     seen = []
     for p in points:
         p = K.coerce(p)
         if not p and not (allow_origin and T == 1):
             raise OrbitCollision("site at the origin is not allowed")
-        orb = [p * w ** r for r in range(T)]
-        for q in seen:
-            if any(q == o for o in orb):
+        pT = p ** T
+        for q, qT in seen:
+            if qT == pT:
                 raise OrbitCollision(f"Gamma-orbits collide at {q}")
-        seen.extend(orb)
+        seen.append((p, pT))
 
 
 def miura_from_orbits(ctx: OperContext, top: Coweight, poles) -> MiuraOper:
     """u(t) = -top/t - sum_r sum_(p, cw) nu^r(cw)/(t - w^r p) for poles a
     list of (point, coweight); the points of the oper are 0 and every
-    w^r p, in that order."""
+    w^r p, in that order.
+
+    With o = ord nu and m = T/o, nu^(s + o j) = nu^s and the w^(o j) are
+    the m-th roots of unity: sum_j 1/(t - a w^(o j)) = m t^(m-1)/(t^m - a^m)."""
     alg = ctx.alg
     K = ctx.scalars
     F = ctx.functions
-    w = ctx.omega
+    o = ctx.nu.order
     u = [F.zero] * alg.rank
-    points = []
+    points = [K.zero]
 
-    def add_pole(cw: Coweight, at):
+    def sub_pole(cw: Coweight, a, m):
+        # u -= h(cw) m t^(m-1)/(t^m - a^m), coprime unless a = 0 < m - 1
         hv = coweight_to_h(alg, cw, K)
-        lin = F.gen - F.coerce(at)
+        den = (-a ** m,) + (K.zero,) * (m - 1) + (K.one,)
         for j in range(alg.rank):
             c = hv[alg.index_H[j]]
             if c:
-                u[j] = u[j] - F.coerce(c) / lin
-        points.append(at)
+                u[j] = u[j] - RatFunc(F, (K.zero,) * (m - 1) + (c * m,), den, reduce=not a)
 
-    add_pole(top, K.zero)
+    sub_pole(top, K.zero, 1)
     for p, cw in poles:
-        p = K.coerce(p)
-        for r in range(ctx.tower.order):
-            add_pole(cw, p * w ** r)
+        orbit = [K.coerce(p) * ctx.omega ** r for r in range(ctx.tower.order)]
+        for s in range(o):
+            sub_pole(cw, orbit[s], ctx.tower.order // o)
             cw = ctx.nu.apply_coweight(cw)
+        points += orbit
     return MiuraOper(ctx, u, tuple(points))
 
 

@@ -46,7 +46,8 @@ def pgcd(R, a, b):
 #   canon(nv, rn, rd, dv)  canonical (n, c, d) of (rn/rd) * nv/dv for
 #                coprime nv, dv and nonzero ints rn, rd
 #   deriv(v), eval(v, p, c) = v(p)/c, linear(p) a multiple of var - p with
-#                an int lead, shift(v, p) = (w, s) with w = s * v(var + p)
+#                an int lead, shift(v, p, keep) = (w, s) with w the first
+#                keep coefficients (default all) of s * v(var + p)
 # ---------------------------------------------------------------------------
 
 def _vtrim(v):
@@ -308,8 +309,9 @@ class PackedRing(_Ring):
     def linear(self, p):
         return tuple([-x for x in p.num]) + (p.den,)  # pd * (t - p)
 
-    def shift(self, v, p):
-        """(pd^n * v(t + p), pd^n), n = deg v, p = pn/pd: Horner on blocks."""
+    def shift(self, v, p, keep=None):
+        """(the first keep coefficients of pd^n * v(t + p), pd^n), n = deg v,
+        p = pn/pd: Horner on blocks, truncated to keep blocks."""
         K, d = self.K, self.width
         pn, pd = p.num, p.den
         pad = (0,) * d
@@ -323,7 +325,7 @@ class PackedRing(_Ring):
             for j, x in enumerate(acc):
                 out[j + 1] = tuple([y + z * pd for y, z in zip(out[j + 1], x)])
             out[0] = tuple([y + z * scale for y, z in zip(out[0], blocks.pop())])
-            acc = out
+            acc = out[:keep]
         return tuple([x for b in acc for x in b]), scale
 
 
@@ -417,14 +419,15 @@ class FieldRing(_Ring):
     def linear(self, p):
         return (-p, self.K.one)
 
-    def shift(self, v, p):
-        """(v(var + p), 1) by Horner: out <- out * (var + p) + x."""
+    def shift(self, v, p, keep=None):
+        """(the first keep coefficients of v(var + p), 1) by Horner:
+        out <- out * (var + p) + x, truncated to keep terms."""
         out = []
         for x in reversed(v):
             new = [x] + out
             for i, y in enumerate(out):
                 new[i] = new[i] + p * y
-            out = new
+            out = new[:keep]
         return tuple(out), 1
 
 
@@ -904,14 +907,18 @@ class RatFunc:
             return ()
         # Taylor shifts: f(x + p) = n(x) / (x^k e(x)) with e(0) != 0, and
         # c_m is the coefficient of x^(k-m) in the series n/e, so k terms of
-        # n and e suffice
+        # n and e suffice: 2k of the shifted denominator, k of the numerator.
+        # The shift keeps that many terms, doubling until k is known.
         w = R.width
-        den, sd = R.shift(self._d, p)
-        k = next(i for i, x in enumerate(den) if x) // w
+        keep = k = 1
+        while 2 * k > keep:
+            keep *= 2
+            den, sd = R.shift(self._d, p, keep)
+            k = next((i for i, x in enumerate(den) if x), keep * w) // w
         if k == 0:
             return ()
-        num, sn = R.shift(self._n, p)
-        n = R.unpack(num[:k * w], sn * self._c)
+        num, sn = R.shift(self._n, p, k)
+        n = R.unpack(num, sn * self._c)
         e = R.unpack(den[k * w:2 * k * w], sd * R.lead(self._d))
         inv = K.one / e[0]
         s = []

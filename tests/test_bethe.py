@@ -6,6 +6,8 @@ import pytest
 from cycloper.automorphisms import DiagramAut, make_automorphism
 from cycloper.bethe import (
     BetheSystemData,
+    _gaudin_sum,
+    _root_weight,
     bethe_regularity,
     bethe_residuals,
     dual_algebra,
@@ -13,6 +15,7 @@ from cycloper.bethe import (
     energy_oper_identity,
     lambda0_weight,
     miura_from_bethe,
+    nu_power_weight,
     weight_at_infinity,
     weight_form,
 )
@@ -22,7 +25,7 @@ from cycloper.context import OperContext
 from cycloper.errors import OrbitCollision
 from cycloper.miura import miura_from_orbits
 from cycloper.tower import ScalarTower
-from cycloper.weyl import Coweight
+from cycloper.weyl import Coweight, coroot_to_coweight
 
 
 def a1(T=1):
@@ -342,3 +345,134 @@ def test_lambda0_folded_a2_value():
     expect = Fraction(sign) * g.root_pairing(gamma, 0) / 2
     assert lam0.coords[0] == expect and lam0.coords[1] == expect
     assert expect == Fraction(-1, 2)
+
+
+# ------------------------------------------------- oracles: the literal sums
+
+def literal_gaudin_sum(data, k, mu):
+    """Oracle: sum_r sum_(q, wt) (mu | nu^r wt)/(p - w^r q) over every pole
+    w^r q but p itself, plus (mu | lam0)/p, one term per point."""
+    alg, K, nu, w = data.ctx.alg, data.ctx.scalars, data.ctx.nu, data.ctx.omega
+    p = data.poles[k][0]
+    acc = K.zero
+    for r in range(data.ctx.tower.order):
+        for l, (q, wt) in enumerate(data.poles):
+            if r or l != k:
+                acc = acc + weight_form(alg, mu, nu_power_weight(nu, wt, r), K) / (p - w ** r * q)
+    top = weight_form(alg, mu, data.lam0, K)
+    return acc + top / p if top else acc
+
+
+def literal_lambda0(alg, sigma, tower):
+    """Oracle: the trace weight with sigma^-r walked afresh for every r and
+    every rank index."""
+    T, K, w = tower.order, tower.scalars, tower.zeta
+    inv_img = [None] * alg.dim
+    inv_fac = [None] * alg.dim
+    for i in range(alg.dim):
+        inv_img[sigma.image[i]] = i
+        inv_fac[sigma.image[i]] = K.one / K.coerce(sigma.factor[i])
+    coords = []
+    for i in range(alg.rank):
+        total = K.zero
+        for r in range(1, T):
+            tr = K.zero
+            for root in alg.pos_roots:
+                idx = alg.index_E[root]
+                cur, fac = idx, K.one
+                for _ in range(r):
+                    fac = fac * inv_fac[cur]
+                    cur = inv_img[cur]
+                if cur == idx and alg.root_pairing(root, i):
+                    tr = tr + fac * alg.root_pairing(root, i)
+            if tr:
+                total = total + tr / (K.one - w ** r)
+        coords.append(total)
+    return Coweight(coords)
+
+
+GAUDIN_CONFIGS = (
+    [("A1", T, None) for T in (2, 3, 4, 6)]
+    + [("A2", T, [[1, 2]]) for T in (2, 4, 6)]
+    + [("A3", T, [[1, 3]]) for T in (4, 12)]
+    + [("D4", T, [[1, 3, 4]]) for T in (3, 6)]
+)
+
+
+@pytest.mark.parametrize(
+    "alg, T, cycles", GAUDIN_CONFIGS, ids=[f"{a}-T{T}" for a, T, _ in GAUDIN_CONFIGS]
+)
+def test_gaudin_sums_match_the_literal_double_sum(alg, T, cycles):
+    """Bethe residuals and energies summed orbit by orbit in closed form
+    equal the T-term double sum, for nu of order 1, 2 and 3."""
+    rank = int(alg[1:])
+    nu = DiagramAut.from_cycles(rank, cycles) if cycles else None
+    ctx = OperContext(alg, ScalarTower.get(T), nu)
+    rng = random.Random(f"gaudin:{alg}:{T}")
+    pts = rng.sample([Fraction(k, q) for k in range(1, 12) for q in (1, 2, 3) if k % q], 4)
+    sites = [(z, Coweight(tuple(Fraction(rng.randint(0, 2)) for _ in range(rank)))) for z in pts[:2]]
+    colours = [rng.randrange(rank) for _ in pts[2:]]
+    data = BetheSystemData(ctx, ctx.varsigma, sites, colours, pts[2:])
+    n = len(sites)
+    assert bethe_residuals(data) == [
+        literal_gaudin_sum(data, n + j, _root_weight(ctx.alg, c)) for j, c in enumerate(colours)
+    ]
+    assert energies(data) == [literal_gaudin_sum(data, i, lam) for i, (_, lam) in enumerate(sites)]
+    assert data.lam0 == literal_lambda0(ctx.alg, ctx.varsigma, ctx.tower)
+
+
+def test_gaudin_sums_with_a_bethe_root_at_the_origin():
+    """T = 1: the root at 0 has no self-term and lam0 = 0, so nothing
+    divides by it."""
+    for data in (solved_a1(), unsolved_a1()):
+        n = len(data.sites)
+        assert bethe_residuals(data) == [
+            literal_gaudin_sum(data, n + j, _root_weight(data.ctx.alg, c))
+            for j, c in enumerate(data.colours)
+        ]
+        assert energies(data) == [literal_gaudin_sum(data, i, lam) for i, (_, lam) in enumerate(data.sites)]
+
+
+def test_lambda0_matches_the_walk_per_power():
+    """One walk per root gives the trace weight of walking sigma^-r afresh
+    for every r, for varsigma and for general tau lists."""
+    cases = [(a1(T), None) for T in (2, 3, 4, 6)]
+    cases += [(a2_folded(T), None) for T in (2, 4, 6)]
+    cases += [(OperContext("D4", ScalarTower.get(T), DiagramAut.from_cycles(4, [[1, 3, 4]])), None)
+              for T in (3, 6)]
+    ctx = a2_folded(4)
+    cases.append((ctx, [ctx.tower.zeta, ctx.tower.zeta]))
+    ctx = OperContext("A3", ScalarTower.get(6), DiagramAut.from_cycles(3, [[1, 3]]))
+    w = ctx.tower.zeta
+    cases.append((ctx, [w, w ** 3, w]))
+    for ctx, taus in cases:
+        sigma = ctx.varsigma if taus is None else make_automorphism(
+            ctx.alg, ctx.nu, "sigma", tower=ctx.tower, taus=taus
+        )
+        assert lambda0_weight(ctx.alg, sigma, ctx.tower) == literal_lambda0(ctx.alg, sigma, ctx.tower)
+
+
+def test_energies_and_lambda_are_computed_once_per_data_object(monkeypatch):
+    """energy_oper_identity reuses the energies already computed, and the
+    coweight of lambda(t) is read off the dual oper once."""
+    from cycloper import bethe
+
+    sums, conversions = [], []
+
+    def counted_sum(*args):
+        sums.append(args)
+        return _gaudin_sum(*args)
+
+    def counted_conversion(*args):
+        conversions.append(args)
+        return coroot_to_coweight(*args)
+
+    monkeypatch.setattr(bethe, "_gaudin_sum", counted_sum)
+    monkeypatch.setattr(bethe, "coroot_to_coweight", counted_conversion)
+    data = solved_a1()
+    Es = energies(data)
+    rows = energy_oper_identity(data)
+    weight_at_infinity(data)
+    assert [r["energy"] for r in rows] == Es == energies(data)
+    assert len(sums) == len(data.sites)
+    assert len(conversions) == 1

@@ -8,7 +8,7 @@ import pytest
 
 import cycloper
 from conftest import fSl3_seed, run_under_O, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
-from cycloper.automorphisms import theta_fixed_nilpotent
+from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
 from cycloper.connection import GroupElement, gauge_transform, is_equivariant
 from cycloper.context import OperContext
 from cycloper.errors import (
@@ -24,7 +24,9 @@ from cycloper.errors import (
 from cycloper.miura import (
     MiuraOper,
     a2_system_residuals,
+    _gamma_orbits_disjoint,
     build_miura,
+    miura_from_orbits,
     reproduce_generic,
     reproduce_orbit_A1,
     reproduce_orbit_A2,
@@ -80,6 +82,92 @@ def test_orbit_collision():
             Coweight((Fraction(1),)),
             sites=[(1, Coweight((Fraction(1),))), (-1, Coweight((Fraction(1),)))],
         )
+
+
+def literal_miura(ctx, top, poles):
+    """Oracle: u(t) = -top/t - sum_r sum_(p, cw) nu^r(cw)/(t - w^r p), one
+    term per point w^r p of every orbit; returns (u, points)."""
+    alg, K, F, w = ctx.alg, ctx.scalars, ctx.functions, ctx.omega
+    u = [F.zero] * alg.rank
+    points = []
+
+    def add_pole(cw, at):
+        hv = coweight_to_h(alg, cw, K)
+        for j in range(alg.rank):
+            c = hv[alg.index_H[j]]
+            if c:
+                u[j] = u[j] - F.coerce(c) / (F.gen - F.coerce(at))
+        points.append(at)
+
+    add_pole(top, K.zero)
+    for p, cw in poles:
+        p = K.coerce(p)
+        for r in range(ctx.tower.order):
+            add_pole(cw, p * w ** r)
+            cw = ctx.nu.apply_coweight(cw)
+    return u, tuple(points)
+
+
+ORBIT_CONFIGS = (
+    [("A1", T, None, ()) for T in (1, 2, 3, 4, 6, 12)]
+    + [("A2", T, [[1, 2]], ()) for T in (2, 4, 6, 12)]
+    + [("D4", T, [[1, 3, 4]], ()) for T in (3, 6, 12)]
+    + [("A1", 3, None, ("z",)), ("A2", 6, [[1, 2]], ("z",))]
+)
+
+
+@pytest.mark.parametrize(
+    "alg, T, cycles, params", ORBIT_CONFIGS,
+    ids=[f"{a}-T{T}" + "".join(f"-{x}" for x in ps) for a, T, _, ps in ORBIT_CONFIGS],
+)
+def test_miura_from_orbits_matches_the_literal_orbit_sums(alg, T, cycles, params):
+    """The closed-form orbit sums give the same u and the same points as
+    the T-term sum, for nu of order 1, 2 and 3 (D4 triality), rational
+    sites and, over Q(zeta_T)(z), a site at 2z."""
+    rank = int(alg[1:])
+    nu = DiagramAut.from_cycles(rank, cycles) if cycles else None
+    ctx = OperContext(alg, ScalarTower.get(T, params), nu)
+    rng = random.Random(f"orbits:{alg}:{T}:{params}")
+
+    def coweight():
+        return Coweight(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(rank)))
+
+    sites = [Fraction(3, 2), Fraction(-5)]
+    if params:
+        sites.append(2 * ctx.tower.param("z"))
+    top = coweight()
+    poles = [(x, coweight()) for x in sites]
+    m = miura_from_orbits(ctx, top, poles)
+    u, points = literal_miura(ctx, top, poles)
+    assert m.u_coroot == u
+    assert m.points == points
+
+
+def test_orbit_collision_names_the_first_earlier_point():
+    """Orbits are compared by T-th powers; the message names the first
+    earlier point whose orbit meets the new one, as the orbit lists did."""
+    ctx = OperContext("A1", ScalarTower.get(3, ("z",)))
+    w, z = ctx.omega, ctx.tower.param("z")
+    cases = [
+        ([5, 2, 2 * w], "2"),
+        ([1, 7, w * w, w], "1"),
+        ([2 * z, 3, 2 * z * w], str(2 * z)),
+        ([z, 2 * z, 3 * z], None),
+    ]
+    for points, hit in cases:
+        if hit is None:
+            _gamma_orbits_disjoint(ctx, points)
+            continue
+        with pytest.raises(OrbitCollision) as err:
+            _gamma_orbits_disjoint(ctx, points)
+        assert str(err.value) == f"Gamma-orbits collide at {hit}"
+    with pytest.raises(OrbitCollision, match="origin"):
+        _gamma_orbits_disjoint(ctx, [1, 0], allow_origin=True)
+    # T = 1: a Bethe root may sit at the origin, but only once
+    one = OperContext("A1", ScalarTower.get(1))
+    _gamma_orbits_disjoint(one, [1, 0], allow_origin=True)
+    with pytest.raises(OrbitCollision, match="collide at 0"):
+        _gamma_orbits_disjoint(one, [0, 1, 0], allow_origin=True)
 
 
 def test_non_invariant_lam0_rejected():

@@ -546,3 +546,47 @@ def test_partial_fractions_match_sympy_apart(T, params):
             assert same_at_zeta(as_sympy(mine), c, T), (pole, k)
             nonzero += bool(mine)
         assert nonzero == sum(1 for _, cs in pf.pole_parts for c in cs if c)
+
+
+def taylor_principal_part(f, p, k):
+    """Oracle without Taylor shifts: with g = (t - p)^k f regular at p, the
+    coefficient of (t - p)^-m is g^(k-m)(p)/(k-m)!."""
+    F = f.field
+    g = f * (F.gen - F.coerce(p)) ** k
+    out, fact = [], 1
+    for i in range(k):
+        out.append(g.eval_at(p) / fact)
+        g = g.derivative()
+        fact *= i + 1
+    return tuple(reversed(out))
+
+
+@pytest.mark.parametrize(
+    "T, params", [(1, ()), (4, ()), (12, ()), (4, ("z",))], ids=["T1", "T4", "T12", "T4-z"]
+)
+def test_truncated_taylor_shift_principal_parts(T, params):
+    """principal_part_at shifts only the terms it reads.  For poles of order
+    1-4 at rational points and at zeta- or parameter-dependent points, and
+    at regular points, it agrees with the derivative oracle, and every
+    truncated shift is a prefix of the full one with the same scale."""
+    tw = ScalarTower.get(T, params)
+    F, K = tw.functions, tw.scalars
+    t = F.gen
+    R = F.ring
+    rng = random.Random(f"truncated-shift:{T}:{params}")
+    gen = tw.param("z") if params else tw.zeta * 5
+    points = [K.coerce(Fraction(3, 2)), K.coerce(-2), gen * 2, gen + 1]
+    for i, p in enumerate(points):
+        q = points[i - 1]
+        for k in range(1, 5):
+            num = F.zero
+            for j in range(rng.randint(1, 4)):
+                num = num + F.coerce(Fraction(rng.randint(-5, 5), rng.randint(1, 3))) * t ** j
+            f = (num or F.one) / ((t - F.coerce(p)) ** k * (t - F.coerce(q)))
+            for x in (p, q, K.coerce(5)):
+                order = max(0, -f.valuation_at(x))
+                assert f.principal_part_at(x) == taylor_principal_part(f, x, order)
+            for v in (f._n, f._d):
+                full, scale = R.shift(v, p)
+                for keep in range(1, len(v) // R.width + 2):
+                    assert R.shift(v, p, keep) == (full[:keep * R.width], scale)
