@@ -141,32 +141,28 @@ class AlgebraAut:
         if order_divides is not None:
             self._check_order(order_divides)
 
-    def _check_order(self, T):
-        for k in range(self.alg.dim):
-            i, f = k, self.K.one
-            for _ in range(T):
+    def _power_is_identity(self, k):
+        """sigma^k = id: each basis vector comes back to itself with factor 1."""
+        for idx in range(self.alg.dim):
+            i, f = idx, self.K.one
+            for _ in range(k):
                 f = f * self.factor[i]
                 i = self.image[i]
-            if i != k or f != self.K.one:
-                raise OrderMismatch(f"automorphism order does not divide {T}")
+            if i != idx or f != self.K.one:
+                return False
+        return True
+
+    def _check_order(self, T):
+        if not self._power_is_identity(T):
+            raise OrderMismatch(f"automorphism order does not divide {T}")
 
     def order(self):
         k = 1
-        while True:
-            ok = True
-            for idx in range(self.alg.dim):
-                i, f = idx, self.K.one
-                for _ in range(k):
-                    f = f * self.factor[i]
-                    i = self.image[i]
-                if i != idx or f != self.K.one:
-                    ok = False
-                    break
-            if ok:
-                return k
+        while not self._power_is_identity(k):
             k += 1
             if k > 10 ** 4:
                 raise OrderMismatch("automorphism order too large")
+        return k
 
     def apply_vec(self, vec, K=None):
         """Apply to a coefficient vector over a field K admitting the taus."""

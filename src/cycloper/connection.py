@@ -15,7 +15,7 @@ from .errors import (
     NonIntegralCoweight,
     ValidationError,
 )
-from .linalg import SparseMat, mat_inverse
+from .linalg import SparseMat
 from .ratfunc import INFINITY
 from .weyl import Coweight, coweight_to_h, h_to_coweight
 
@@ -187,13 +187,10 @@ class GroupElement:
         return cls(ctx, mat, inv)
 
     @classmethod
-    def from_constant(cls, ctx, dense, inv_dense=None):
+    def from_constant(cls, ctx, dense, inv_dense):
+        """A constant matrix and its inverse, as functions."""
         F = ctx.functions
         m = SparseMat.from_dense(F, [[F.coerce(x) for x in row] for row in dense])
-        if inv_dense is None:
-            inv_dense = mat_inverse(ctx.scalars, [[ctx.scalars.coerce(x) for x in row] for row in dense])
-            if inv_dense is None:
-                raise ValidationError("constant matrix is not invertible")
         mi = SparseMat.from_dense(F, [[F.coerce(x) for x in row] for row in inv_dense])
         return cls(ctx, m, mi)
 

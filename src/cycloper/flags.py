@@ -7,12 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import GroupElement, _exp_ad
+from .connection import GroupElement, torus_conjugate_vec
 from .context import OperContext
-from .errors import LimitUndefined, NotInOpenCell, ValidationError
-from .linalg import mat_inverse, mat_mul, rref, solve_linear
+from .errors import LimitUndefined, ValidationError
+from .linalg import kernel_basis, mat_inverse, mat_mul, mat_vec, rref, solve_linear
 from .miura import MiuraOper
-from .solve import gauss_factorize
 from .weyl import Coweight
 
 
@@ -102,8 +101,6 @@ def _kernel_of_columns(K, cols):
     m = len(cols)
     n = len(cols[0])
     rows = [[cols[c][i] for c in range(m)] for i in range(n)]
-    from .linalg import kernel_basis
-
     kb = kernel_basis(K, rows, ncols=m)
     if not kb:
         raise LimitUndefined("no kernel though rank deficient")
@@ -117,81 +114,57 @@ def _subspace_rank(K, vecs):
 def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoint:
     """Position Phi(g . base) = lim_{t->0} g_r(t) B_- in the flag variety:
     the Bruhat cell w (in W^nu for cyclotomic data) and the unipotent
-    coordinates of the point in the cell."""
+    coordinates of the point in the cell.  For g = e^X with X in n, g_r is
+    e^{X_r} with X_r = Ad_{t^-lam0} X; when X_r is regular at 0 the point is
+    e^{X_r(0)} B_- in the big cell, with coordinates X_r(0).  Every other g
+    takes the limit of the flag spanned by the columns of g_r."""
     ctx = base.ctx
     alg = ctx.alg
     lam0 = Coweight([-c for c in base.residue_coweight(0).coords])
     q = lam0.denominator()
     if q is None:
         raise ValidationError("lam0 must be rational")
-    if q == 1:
-        gr = g.conjugate_by_torus(lam0)
-        wctx = ctx
-    else:
-        wctx = ctx.cover(q)
-        F2 = wctx.functions
+    wctx = ctx.cover(q) if q > 1 else ctx
+    F2 = wctx.functions
+    K = wctx.scalars
+    lam = lam0.scale(Fraction(q))
 
-        def lift(m):
-            out = m.map_entries(lambda f: f.subs_power(q, F2))
+    def lift(f):
+        return f.subs_power(q, F2) if q > 1 else f
+
+    if g.log is not None and not any(x for (kind, _), x in zip(alg.basis, g.log) if kind != "E"):
+        Xr = torus_conjugate_vec(wctx, [lift(x) for x in g.log], lam)
+        if all(x.is_regular_at(K.zero) for x in Xr):
+            coords = {}
+            for (_, r), x in zip(alg.basis, Xr):
+                v = x.eval_at(K.zero)
+                if v:
+                    coords[r] = v
+            W = wctx.weyl
+            return FlagPoint(
+                w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest))
+            )
+    # general path: limit of the flag
+    gq = g
+    if q > 1:
+        def lift_mat(m):
+            out = m.map_entries(lift)
             out.K = F2
             return out
 
-        gq = GroupElement(wctx, lift(g.mat), lambda: lift(g.inv))
-        gr = gq.conjugate_by_torus(lam0.scale(Fraction(q)))
-    K = wctx.scalars
-    # fast path: g_r regular and invertible at the origin
-    if gr.is_regular_at(K.zero):
-        M0 = gr.eval_at(K.zero, K)
-        M0inv = mat_inverse(K, M0)
-        if M0inv is not None:
-            return _constant_flag_point(wctx, M0, M0inv, cyclotomic)
-    # general path: limit of the flag
+        gq = GroupElement(wctx, lift_mat(g.mat), lambda: lift_mat(g.inv))
+    gr = gq.conjugate_by_torus(lam)
     heights = sorted(alg.blocks)
     order = []
     for h in heights:
         order.extend(alg.blocks[h])
-    cols = [
-        [gr.mat.rows[r].get(idx, wctx.functions.zero) for r in range(alg.dim)]
-        for idx in order
-    ]
-    flag_sizes = []
+    cols = [[gr.mat.rows[r].get(idx, F2.zero) for r in range(alg.dim)] for idx in order]
+    flags = []
     acc = 0
     for h in heights:
         acc += len(alg.blocks[h])
-        flag_sizes.append((h, acc))
-    flags = []
-    for h, size in flag_sizes:
-        flags.append((h, _limit_span(wctx, cols[:size])))
+        flags.append((h, _limit_span(wctx, cols[:acc])))
     return _match_cell(wctx, flags, cyclotomic)
-
-
-def _constant_flag_point(ctx, M0, M0inv, cyclotomic):
-    K = ctx.scalars
-    F = ctx.functions
-    alg = ctx.alg
-    el = GroupElement.from_constant(ctx, M0, M0inv)
-    try:
-        n, b = gauss_factorize(el)
-    except NotInOpenCell:
-        # not in the big cell: fall back to the general machinery
-        flags = []
-        acc = []
-        heights = sorted(alg.blocks)
-        cols = []
-        for h in heights:
-            for idx in alg.blocks[h]:
-                cols.append([M0[r][idx] for r in range(alg.dim)])
-            flags.append((h, [list(c) for c in cols]))
-        return _match_cell(ctx, flags, cyclotomic)
-    coords = {}
-    for i, v in enumerate(n.log_vec()):
-        if v:
-            kind, r = alg.basis[i]
-            coords[r] = (-v).constant_value()  # log n^-1 = -log n
-    W = ctx.weyl
-    return FlagPoint(
-        w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest))
-    )
 
 
 def _match_cell(ctx, flags, cyclotomic):
@@ -274,18 +247,18 @@ def _cell_coordinates(ctx, w, Wd, flags):
                 chosen.append(list(v))
                 col_height.append(h)
     # big-cell translate: columns of Wd^-1 P
-    Pp = [[sum((Winv[r][s] * chosen[c][s] for s in range(alg.dim) if Winv[r][s] and chosen[c][s]), K.zero)
-           for c in range(len(chosen))] for r in range(alg.dim)]
+    Pp = mat_mul(K, Winv, list(zip(*chosen)))
+    Pcols = list(zip(*Pp))
 
     def defects(xvec, level=None):
-        g = _exp_ad(alg, [-c for c in xvec], K).to_dense()
-        Q = mat_mul(K, g, Pp)
+        negx = [-c for c in xvec]
+        Q = [alg.ad_series(negx, col, K) for col in Pcols]  # Ad_{e^-x} of each column
         out = []
         for i in range(alg.dim):
             for c in range(len(chosen)):
                 d = alg.height_of[i] - col_height[c]
                 if d > 0 and (level is None or d == level):
-                    out.append(Q[i][c])
+                    out.append(Q[c][i])
         return out
 
     x = alg.vec_zero(K)
@@ -311,8 +284,7 @@ def _cell_coordinates(ctx, w, Wd, flags):
     if any(defects(x)):
         raise LimitUndefined("cell coordinates did not close up")
     # conjugate back: log n = Ad_wdot (log n')
-    big = mat_mul(K, Wd, [[K.coerce(v)] for v in x])
-    nvec = [row[0] for row in big]
+    nvec = mat_vec(K, Wd, x)
     out = {}
     rootset = set(roots)
     for i, v in enumerate(nvec):

@@ -91,12 +91,10 @@ def solve_linear(K, A, b):
     x = [K.zero] * m
     for i, c in enumerate(pivots):
         x[c] = red[i][m]
-    # consistency check on non-pivot rows
+    # rows past the pivots are zero on A's m columns: a nonzero b there is
+    # inconsistent
     for i in range(len(pivots), n):
         if red[i][m]:
-            if any(red[i][:m]):
-                # shouldn't happen after rref over m columns
-                continue
             return None
     # verify (cheap, exact)
     for i in range(n):

@@ -209,11 +209,12 @@ def test_error_exit_codes(capsys):
 
 def test_subprocess_end_to_end():
     """One true end-to-end run through the console entry point."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cycloper",
          "--problem", fx("bethe_a1_solved.json"),
          "--command", "bethe-check", "--output", "json"],
-        capture_output=True, text=True, cwd=str(ROOT),
+        capture_output=True, text=True, cwd=str(ROOT), env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["solved"] is True

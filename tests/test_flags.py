@@ -7,8 +7,10 @@ from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
 from cycloper.chevalley import build_algebra
 from cycloper.connection import GroupElement
 from cycloper.context import OperContext
-from cycloper.flags import fixed_flag_cells, flag_position, inversion_set
+from cycloper.flags import FlagPoint, fixed_flag_cells, flag_position, inversion_set
+from cycloper.linalg import mat_inverse
 from cycloper.miura import MiuraOper, build_miura, reproduce_generic, reproduce_orbit_A2, theta_for
+from cycloper.solve import gauss_factorize
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, WeylGroup
 
@@ -180,3 +182,54 @@ def test_flag_position_on_the_cover(T, cycles):
     fp = flag_position(m, res.gauge)
     assert fp.w == ctx.weyl.identity
     assert fp.coordinates == {(1, 1): 3}
+
+
+def _gauss_flag_point(m, g):
+    """The big-cell point by the constant-matrix route: g_r(0) over the
+    scalars (lifted to the cover when lam0 is fractional), factored as
+    n^-1 b by gauss_factorize; the coordinates are log n^-1 = -log n."""
+    ctx, alg = m.ctx, m.ctx.alg
+    lam0 = Coweight([-c for c in m.residue_coweight(0).coords])
+    q = lam0.denominator()
+    if q > 1:
+        ctx = ctx.cover(q)
+        F2 = ctx.functions
+
+        def lift(M):
+            out = M.map_entries(lambda f: f.subs_power(q, F2))
+            out.K = F2
+            return out
+
+        g = GroupElement(ctx, lift(g.mat), lift(g.inv))
+    K = ctx.scalars
+    M0 = g.conjugate_by_torus(lam0.scale(Fraction(q))).eval_at(K.zero)
+    n, _ = gauss_factorize(GroupElement.from_constant(ctx, M0, mat_inverse(K, M0)))
+    coords = {alg.basis[i][1]: (-v).constant_value() for i, v in enumerate(n.log_vec()) if v}
+    W = ctx.weyl
+    return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
+
+
+@pytest.mark.parametrize(
+    "T, cycles, lam, c",
+    [(T, [[1, 2]], Fraction(eta), c) for T in (2, 4) for eta in (0, 1, 2) for c in (3, Fraction(-1, 2))]
+    + [(2, [[1, 2]], Fraction(1, 2), 3), (1, None, Fraction(1, 2), 3)],
+)
+def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, monkeypatch):
+    """A gauge e^X with X_r regular at 0 is placed from its log, with no
+    matrix conjugation; the same element without its log takes the limit
+    path, and both equal the Gauss factorisation of g_r(0)."""
+    nu = DiagramAut.from_cycles(2, cycles) if cycles else None
+    ctx = OperContext("A2", ScalarTower.get(T), nu)
+    m = build_miura(ctx, Coweight((lam, lam)))
+    q = Coweight((lam, lam)).denominator()
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
+    g = reproduce_generic(m, [c * sum(b[i] for b in basis) for i in range(ctx.alg.dim)]).gauge
+    assert g.log is not None
+    with monkeypatch.context() as mp:
+        mp.setattr(GroupElement, "conjugate_by_torus", None)
+        fp = flag_position(m, g)
+    assert fp.w == ctx.weyl.identity and fp.coordinates
+    limit = flag_position(m, GroupElement(g.ctx, g.mat, g.inv))
+    gauss = _gauss_flag_point(m, g)
+    assert fp == limit == gauss
+    assert repr(fp) == repr(limit) == repr(gauss)
