@@ -61,7 +61,8 @@ class CanonicalOper:
 
 def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOper:
     """Degree-by-degree construction of the unique slice representative:
-    slice_gauge with the gauge action e^X . (d + A dt) of exp_gauge.
+    slice_gauge with the derivative in t, and the gauge action
+    e^X . (d + A dt) of exp_gauge as its one reassembly check.
 
     At each height the mismatch against the current candidate splits as
     c_h + [m_{h+1}, p_-1 dt]; uniqueness of both parts certifies freeness of
@@ -72,7 +73,8 @@ def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOpe
     conn.with_shape("oper")
     if cyclotomic and not is_equivariant(conn, ctx.varsigma):
         raise MalformedOper("claimed cyclotomic but the connection is not equivariant")
-    m, u_by_height = slice_gauge(alg, conn.coeffs, F, lambda X, A, _: exp_gauge(ctx, X, A))
+    m, u_by_height = slice_gauge(alg, conn.coeffs, F, lambda X, A: exp_gauge(ctx, X, A),
+                                 lambda f: f.derivative())
     u = []
     for k in sorted(set(alg.exponents)):
         u.extend(u_by_height.get(k, []))

@@ -281,16 +281,29 @@ class ChevalleyAlgebra:
         return out
 
     def bracket_vec(self, x, y, K=QQ):
-        """Bracket of coefficient vectors over any field facade K."""
+        """Bracket of coefficient vectors over any field facade K: one
+        product x_i y_j per basis pair with a nonzero bracket, structure
+        constants +-1 applied as add/sub, any other coerced once."""
         out = [K.zero] * self.dim
+        consts = {}
+        ys = [(j, yj) for j, yj in enumerate(y) if yj]
         for i, xi in enumerate(x):
             if not xi:
                 continue
-            for j, yj in enumerate(y):
-                if not yj:
+            for j, yj in ys:
+                brk = self.bracket_basis(i, j)
+                if not brk:
                     continue
-                for k, c in self.bracket_basis(i, j).items():
-                    out[k] = out[k] + xi * yj * K.coerce(c)
+                p = xi * yj
+                for k, c in brk.items():
+                    if c == 1:
+                        out[k] = out[k] + p
+                    elif c == -1:
+                        out[k] = out[k] - p
+                    else:
+                        if c not in consts:
+                            consts[c] = K.coerce(c)
+                        out[k] = out[k] + p * consts[c]
         return out
 
     def ad_series(self, x, v, K=QQ, shift=0):
@@ -303,9 +316,10 @@ class ChevalleyAlgebra:
         k = 1
         while any(term):
             term = self.bracket_vec(x, term, K)
-            inv = K.coerce(Fraction(1, k + shift))
-            term = [t * inv for t in term]
-            out = [a + b for a, b in zip(out, term)]
+            if k + shift > 1:
+                inv = K.coerce(Fraction(1, k + shift))
+                term = [t * inv if t else t for t in term]
+            out = [a + b if b else a for a, b in zip(out, term)]
             k += 1
             if k > 2 * self.height_max + 4:
                 raise MalformedOper("exp series did not terminate; element not nilpotent")

@@ -5,6 +5,7 @@ subalgebra, and linkage-class helpers."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import MalformedOper
 from .linalg import QQ, kernel_basis
@@ -64,30 +65,68 @@ def nu_fixed_centralizer_basis(alg, nu, height):
     return [alg.span_vec(x, vecs) for x in kernel_basis(QQ, mat, ncols=len(vecs))]
 
 
-def slice_gauge(alg, target, K, gauge, nu=None):
+def slice_gauge(alg, target, K, gauge, deriv=None, nu=None):
     """Drinfeld-Sokolov gauge fixing of target in p_-1 + b (in the nu-fixed
-    subalgebra with nu), height by height.
+    subalgebra with nu), height by height, each graded piece made once.
 
-    gauge(m, v, K) is the action of e^m on v, and alg.split_graded writes a
-    vector D on g_h as [p_-1, m'] + c with c in the slice, returning
-    (m', c, slice coefficients).  At each height the mismatch between
-    target and the current candidate gauge(m, p_-1 + c) is split, and m and
-    c absorb its two parts.  Returns (m, {height: slice coefficients}); a
-    candidate that does not reassemble to target raises MalformedOper."""
+    e^m . (p_-1 + c) is the sum of the pieces of Q_k = ad_m^k (p_-1 + c) / k!
+    and, when K has a derivation deriv, of V_k = -ad_m^k m' / (k+1)!.  The
+    unknowns m_{h+1}, c_h enter height h only through [m_{h+1}, p_-1] + c_h,
+    so every other height-h piece is a bracket of m_<=h with stored pieces
+    of lower height.  alg.split_graded writes their mismatch D against
+    target as [p_-1, x] + c_h with c_h in the slice, and m_{h+1} = -x.
+    Returns (m, {height: slice coefficients}); gauge(m, v), the
+    full action, checks the result once, and a mismatch raises
+    MalformedOper."""
+    top = alg.height_max + 1
     base = [K.coerce(c) for c in alg.p_minus1]
-    m = alg.vec_zero(K)
-    cvec = alg.vec_zero(K)
-    coeffs = {}
-    for h in range(alg.height_max + 1):
-        cur = gauge(m, [a + c for a, c in zip(base, cvec)], K)
+    m, cvec = alg.vec_zero(K), list(base)
+    Q = [{-1: base}] + [{} for _ in range(top)]  # Q[k][j], V[k][j]: on g_j
+    V = [{} for _ in range(top + 1)]
+    m_at, coeffs = {}, {}  # m_at[i]: the height-i part of m
+    for h in range(top):
+        idxs = alg.blocks.get(h, [])
         D = alg.vec_zero(K)
-        for i in alg.blocks.get(h, []):
-            D[i] = target[i] - cur[i]
+        for j in idxs:
+            D[j] = target[j]
+        for S, shift in ((Q, 0), (V, 1)):
+            for k in range(1, h + 2):
+                piece = None
+                for i, x in m_at.items():
+                    if h - i in S[k - 1]:
+                        b = alg.bracket_vec(x, S[k - 1][h - i], K)
+                        if piece is None:
+                            piece = b
+                        else:
+                            for j in idxs:
+                                piece[j] = piece[j] + b[j]
+                if piece is not None and any(piece[j] for j in idxs):
+                    if k + shift > 1:
+                        inv = K.coerce(Fraction(1, k + shift))
+                        for j in idxs:
+                            piece[j] = piece[j] * inv
+                    S[k][h] = piece
+            for k in range(h + 2):
+                for j in idxs if h in S[k] else ():
+                    D[j] = D[j] - S[k][h][j]
         mp, ch, coeffs[h] = alg.split_graded(D, h, K, nu)
-        m = [a - b for a, b in zip(m, mp)]
-        cvec = [a + b for a, b in zip(cvec, ch)]
-    final = gauge(m, [a + c for a, c in zip(base, cvec)], K)
-    if not all(a == b for a, b in zip(final, target)):
+        if any(mp):
+            m_at[h + 1] = mh = [-x for x in mp]
+            for j in alg.blocks[h + 1]:
+                m[j] = mh[j]
+            if deriv is not None:
+                V[0][h + 1] = [deriv(x) if x else x for x in mp]
+        if any(ch):
+            Q[0][h] = ch
+            for j in idxs:
+                cvec[j] = ch[j]
+        # [m_{h+1}, p_-1] = D - c_h, the split being exact, completes Q_1 on g_h
+        lin = [D[j] - ch[j] for j in idxs]
+        if any(lin):
+            piece = Q[1].setdefault(h, alg.vec_zero(K))
+            for j, x in zip(idxs, lin):
+                piece[j] = piece[j] + x
+    if gauge(m, cvec) != list(target):
         raise MalformedOper("canonical-form reassembly failed")
     return m, coeffs
 
@@ -112,7 +151,7 @@ def finite_canonical(alg, X, K=QQ, nu=None):
     derivative term."""
     X = [K.coerce(x) for x in X]
     _check_oper_shape(alg, X, K)
-    m, coeff_log = slice_gauge(alg, X, K, alg.ad_series, nu)
+    m, coeff_log = slice_gauge(alg, X, K, lambda m, v: alg.ad_series(m, v, K), nu=nu)
     if nu is None:
         coeffs = []
         for k in sorted(set(alg.exponents)):

@@ -47,7 +47,8 @@ def pgcd(R, a, b):
 #                coprime nv, dv and nonzero ints rn, rd
 #   deriv(v), eval(v, p, c) = v(p)/c, linear(p) a multiple of var - p with
 #                an int lead, shift(v, p, keep) = (w, s) with w the first
-#                keep coefficients (default all) of s * v(var + p)
+#                keep coefficients (default all) of s * v(var + p),
+#                scale(v, c) = (w, s) with w = s * v(c var), c nonzero
 # ---------------------------------------------------------------------------
 
 def _vtrim(v):
@@ -328,6 +329,18 @@ class PackedRing(_Ring):
             acc = out[:keep]
         return tuple([x for b in acc for x in b]), scale
 
+    def scale(self, v, c):
+        """(w, cd^n) with w = cd^n * v(c t), c = cn/cd, n = deg v: block i
+        times cn^i cd^(n-i)."""
+        K, d = self.K, self.width
+        n = (len(v) - 1) // d
+        out, pw = [], K.one.num
+        for i in range(n + 1):
+            f = c.den ** (n - i)
+            out += [x * f for x in K._mul((v[i * d:i * d + d] + (0,) * d)[:d], pw)]
+            pw = K._mul(pw, c.num)
+        return _vtrim(out), c.den ** n
+
 
 class FieldRing(_Ring):
     """K[var] over a field K of parameter functions, on coefficient tuples
@@ -428,6 +441,13 @@ class FieldRing(_Ring):
             for i, y in enumerate(out):
                 new[i] = new[i] + p * y
             out = new[:keep]
+        return tuple(out), 1
+
+    def scale(self, v, c):
+        out, pw = [], self.K.one
+        for x in v:
+            out.append(x * pw)
+            pw = pw * c
         return tuple(out), 1
 
 
@@ -859,18 +879,17 @@ class RatFunc:
     # t -> c t and t -> t^q keep a reduced num and den coprime, and so does
     # their inverse, so each rebuilds the coefficient lists without a gcd
     def subs_scale(self, c):
-        """f(c * var)."""
-        K = self.field.coeff
-        c = K.coerce(c)
-
-        def scaled(cs):
-            out, pw = [], K.one
-            for x in cs:
-                out.append(x * pw)
-                pw = pw * c
-            return out
-
-        return RatFunc(self.field, scaled(self.num), scaled(self.den), reduce=False)
+        """f(c * var) for a nonzero c: num and den scaled in the ring,
+        then one canon."""
+        F = self.field
+        R = F.ring
+        if not self._n:
+            return self
+        c = F.coeff.coerce(c)
+        nv, sn = R.scale(self._n, c)
+        dv, sd = R.scale(self._d, c)
+        # (n/_c) / (d/L) at c var is (nv/(sn _c)) / (dv/(sd L))
+        return _rf(F, *R.canon(nv, sd * R.lead(self._d), sn * self._c, dv))
 
     def subs_power(self, q, target_field=None):
         """f(u^q) in the field of target_field (default: same field)."""

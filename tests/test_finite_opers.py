@@ -3,13 +3,22 @@ from fractions import Fraction
 
 import pytest
 
+from cycloper import canonical as canonical_module
 from cycloper.automorphisms import DiagramAut
 from cycloper.canonical import canonical_representative
 from cycloper.chevalley import build_algebra
-from cycloper.connection import Connection
+from cycloper.connection import Connection, exp_gauge
 from cycloper.context import OperContext
 from cycloper.errors import MalformedOper
-from cycloper.finite_opers import class_of_coweight, finite_canonical
+from cycloper.finite_opers import (
+    class_of_coweight,
+    finite_canonical,
+    nu_fixed_block_basis,
+    slice_gauge,
+)
+from cycloper.linalg import QQ
+from cycloper.miura import build_miura
+from cycloper.scalars import CyclotomicField
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, WeylGroup, coroot_coweight, coweight_to_h, weyl_orbit_shifted
 
@@ -140,3 +149,126 @@ def test_non_nu_fixed_element_is_malformed(label, cycles):
     X = [a - b for a, b in zip(g.p_minus1, coweight_to_h(g, coroot_coweight(g, 0)))]
     with pytest.raises(MalformedOper):
         finite_canonical(g, X, nu=nu)
+
+
+# -- the graded solve against the per-height full-series loop ----------------
+
+def per_height_slice_gauge(alg, target, K, gauge, nu=None):
+    """The reference loop: at every height the whole series
+    gauge(m, p_-1 + c) is recomputed and only its height-h block is read."""
+    base = [K.coerce(c) for c in alg.p_minus1]
+    m, cvec, coeffs = alg.vec_zero(K), alg.vec_zero(K), {}
+    for h in range(alg.height_max + 1):
+        cur = gauge(m, [a + c for a, c in zip(base, cvec)])
+        D = alg.vec_zero(K)
+        for i in alg.blocks.get(h, []):
+            D[i] = target[i] - cur[i]
+        mp, ch, coeffs[h] = alg.split_graded(D, h, K, nu)
+        m = [a - b for a, b in zip(m, mp)]
+        cvec = [a + b for a, b in zip(cvec, ch)]
+    return m, coeffs
+
+
+def random_slice_target(g, K, nu, rng):
+    """p_-1 plus a random (nu-fixed, with nu) element of b over K."""
+    X = [K.coerce(c) for c in g.p_minus1]
+    for h in range(g.height_max + 1):
+        if nu is None:
+            basis = [[int(i == j) for i in range(g.dim)] for j in g.blocks[h]]
+        else:
+            basis = nu_fixed_block_basis(g, nu, h)
+        for b in basis:
+            r = K.coerce(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            if K is not QQ and rng.random() < 0.5:
+                r = r * K.zeta
+            X = [x + r * K.coerce(c) for x, c in zip(X, b)]
+    return X
+
+
+SCALAR_CASES = [("A2", None), ("A2", [[1, 2]]), ("A3", None), ("A3", [[1, 3]]),
+                ("B2", None), ("G2", None), ("D4", None), ("D4", [[1, 3, 4]])]
+
+
+@pytest.mark.parametrize("label, cycles", SCALAR_CASES)
+@pytest.mark.parametrize("K", [QQ, CyclotomicField.get(4)], ids=["QQ", "Qzeta4"])
+def test_graded_solve_matches_per_height_loop_on_scalars(label, cycles, K):
+    """Same m and slice coefficients as recomputing the full series at each
+    height, with and without nu, over Q and Q(zeta_4)."""
+    g = build_algebra(label)
+    nu = None if cycles is None else DiagramAut.from_cycles(g.rank, cycles)
+    gauge = lambda m, v: g.ad_series(m, v, K)
+    rng = random.Random(f"{label}{cycles}")
+    for _ in range(3):
+        X = random_slice_target(g, K, nu, rng)
+        got = slice_gauge(g, X, K, gauge, nu=nu)
+        assert got == per_height_slice_gauge(g, X, K, gauge, nu)
+        assert any(got[0])
+
+
+@pytest.mark.parametrize("label, T, cycles, site", [
+    ("A2", 2, [[1, 2]], (1, 0)),
+    ("A3", 2, [[1, 3]], (1, 0, 0)),
+    ("B2", 1, None, (0, 1)),
+    ("G2", 1, None, (1, 0)),
+    ("D4", 3, [[1, 3, 4]], (0, 1, 0, 0)),
+])
+def test_graded_solve_matches_per_height_loop_on_miura_opers(label, T, cycles, site):
+    """Over Q(zeta_T)(t), on the oper of a Miura oper with a site at 3/2:
+    the graded solve (with the derivative series) gives the same m and u as
+    the per-height loop over exp_gauge, and canonical_representative
+    returns them."""
+    nu = None if cycles is None else DiagramAut.from_cycles(len(site), cycles)
+    ctx = OperContext(label, ScalarTower.get(T), nu)
+    g, F = ctx.alg, ctx.functions
+    lam0 = Coweight(tuple(Fraction(1) for _ in site))
+    miura = build_miura(ctx, lam0, sites=[(Fraction(3, 2), Coweight(tuple(map(Fraction, site))))])
+    conn = miura.connection()
+    gauge = lambda X, A: exp_gauge(ctx, X, A)
+    m, coeffs = slice_gauge(g, conn.coeffs, F, gauge, lambda f: f.derivative())
+    assert (m, coeffs) == per_height_slice_gauge(g, conn.coeffs, F, gauge)
+    assert any(m)
+    can = canonical_representative(conn)
+    assert can.gauge_vec == m
+    assert can.u == [c for k in sorted(set(g.exponents)) for c in coeffs.get(k, [])]
+
+
+def test_corrupted_piece_fails_reassembly(monkeypatch):
+    """Pieces built from a wrong bracket (doubled) give an m and c that the
+    independent full series does not reassemble: MalformedOper."""
+    g = build_algebra("A3")
+    true_bracket = g.bracket_vec
+    checking = []
+
+    def doubled(x, y, K=QQ):
+        out = true_bracket(x, y, K)
+        return out if checking else [2 * v for v in out]
+
+    def gauge(m, v):
+        checking.append(True)
+        return g.ad_series(m, v, QQ)
+
+    monkeypatch.setattr(g, "bracket_vec", doubled)
+    X = random_slice_target(g, QQ, None, random.Random(3))
+    with pytest.raises(MalformedOper, match="reassembly"):
+        slice_gauge(g, X, QQ, gauge)
+    assert checking
+
+
+def test_each_solve_runs_one_full_series(monkeypatch):
+    """canonical_representative runs exp_gauge once and finite_canonical
+    ad_series once: the reassembly checks, nothing per height."""
+    calls = []
+    real_exp_gauge = canonical_module.exp_gauge
+    monkeypatch.setattr(canonical_module, "exp_gauge",
+                        lambda *a: calls.append("exp_gauge") or real_exp_gauge(*a))
+    ctx = OperContext("A3", ScalarTower.get(2), DiagramAut.from_cycles(3, [[1, 3]]))
+    lam0 = Coweight((Fraction(1), Fraction(2), Fraction(1)))
+    miura = build_miura(ctx, lam0, sites=[(Fraction(3, 2), Coweight((Fraction(1), Fraction(0), Fraction(0))))])
+    can = canonical_representative(miura.connection(), cyclotomic=True)
+    assert any(can.gauge_vec) and calls == ["exp_gauge"]
+
+    g = build_algebra("A3")
+    real_ad_series = g.ad_series
+    monkeypatch.setattr(g, "ad_series", lambda *a, **k: calls.append("ad_series") or real_ad_series(*a, **k))
+    cls, m = finite_canonical(g, random_slice_target(g, QQ, None, random.Random(5)))
+    assert any(m) and calls == ["exp_gauge", "ad_series"]

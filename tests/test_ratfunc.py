@@ -209,6 +209,28 @@ def test_substitutions_match_arithmetic():
         assert up.descend_power(3) == f
 
 
+@pytest.mark.parametrize("T, params", [(1, ()), (2, ()), (3, ()), (4, ()), (12, ()), (4, ("z",))])
+def test_subs_scale_matches_the_coefficientwise_definition(T, params):
+    """f(c t) for c in {omega^-1, 3/2, -2/7 zeta}: the ring-level scaling
+    equals the fraction of the scaled coefficient lists, reduced from
+    scratch, down to the canonical triple."""
+    tw = ScalarTower.get(T, params)
+    F, K = tw.functions, tw.scalars
+    zeta = K.coerce(tw.zeta)
+    rng = random.Random(T)
+    pool = [K.zero, K.one, -K.one, zeta, K.coerce(Fraction(3, 2)) * zeta]
+    if params:
+        pool += [K.coerce(tw.param("z")), zeta * K.coerce(tw.param("z"))]
+    for c in (K.one / zeta, K.coerce(Fraction(3, 2)), K.coerce(Fraction(-2, 7)) * zeta):
+        for _ in range(12):
+            f = small_ratfunc(rng, tw, [F.coerce(p) for p in pool]) * F.coerce(rng.choice(pool) + 2)
+            scaled = lambda cs: [a * c ** i for i, a in enumerate(cs)]
+            want = RatFunc(F, scaled(f.num), scaled(f.den))
+            got = f.subs_scale(c)
+            assert (got._n, got._c, got._d) == (want._n, want._c, want._d)
+            assert got == want and hash(got) == hash(want)
+
+
 def test_partial_fractions_against_sympy():
     ts = sympy.Symbol("t")
     tw1 = ScalarTower.get(1)
