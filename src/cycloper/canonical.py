@@ -7,7 +7,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import Connection, GroupElement, exp_gauge, is_equivariant
+from .connection import Connection, exp_gauge, is_equivariant
 from .context import OperContext
 from .errors import MalformedOper, NotOfForm, NotRegularSingular
 from .finite_opers import FiniteOperClass, finite_canonical, slice_gauge
@@ -41,9 +41,6 @@ class CanonicalOper:
                     if c:
                         coeffs[j] = coeffs[j] + uk * F.coerce(c)
         return Connection(ctx, coeffs, "oper")
-
-    def gauge(self) -> GroupElement:
-        return GroupElement.exp(self.ctx, self.gauge_vec)
 
     def is_regular_at(self, x, orbit=False):
         pts = [x]

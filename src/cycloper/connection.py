@@ -133,18 +133,17 @@ class Connection:
 
 
 class GroupElement:
-    """Invertible adjoint-representation matrix over the function field.
+    """Invertible adjoint-representation matrix over the function field,
+    for the matrices that are not unipotent gauges (a unipotent gauge is
+    its log X in n).
 
     The inverse is computed the first time it is read and then kept: `inv`
-    is given as a matrix or as a function of no arguments that builds it.
-    An element built by `exp` keeps its log X: `log_vec` returns it without
-    the matrix series, and `inverse` carries -X."""
+    is given as a matrix or as a function of no arguments that builds it."""
 
-    def __init__(self, ctx: OperContext, mat: SparseMat, inv, log=None):
+    def __init__(self, ctx: OperContext, mat: SparseMat, inv):
         self.ctx = ctx
         self.mat = mat
         self._inv = inv
-        self.log = log
 
     @property
     def inv(self) -> SparseMat:
@@ -164,7 +163,7 @@ class GroupElement:
         F = ctx.functions
         alg = ctx.alg
         vec = [F.coerce(v) for v in vec]
-        return cls(ctx, _exp_ad(alg, vec, F), lambda: _exp_ad(alg, [-v for v in vec], F), log=vec)
+        return cls(ctx, _exp_ad(alg, vec, F), lambda: _exp_ad(alg, [-v for v in vec], F))
 
     @classmethod
     def torus(cls, ctx, lam: Coweight, base=None):
@@ -213,8 +212,7 @@ class GroupElement:
         return NotImplemented
 
     def inverse(self):
-        log = None if self.log is None else [-v for v in self.log]
-        return GroupElement(self.ctx, self.inv, self.mat, log=log)
+        return GroupElement(self.ctx, self.inv, self.mat)
 
     def ad_apply(self, vec):
         """Ad_g X for an algebra vector X."""
@@ -238,14 +236,9 @@ class GroupElement:
                 out[i][j] = f.eval_at(p) if p != INFINITY else f.eval_at_infinity()
         return out
 
-    def is_regular_at(self, p):
-        return all(f.is_regular_at(p) for row in self.mat.rows for f in row.values())
-
     def log_vec(self):
-        """X with exp(ad_X) = self (requires unipotent): the stored log, or
-        else the log series of the matrix."""
-        if self.log is not None:
-            return list(self.log)
+        """X with exp(ad_X) = self (requires unipotent), by the log series
+        of the matrix."""
         F = self.ctx.functions
         n = self.mat.nrows
         N = self.mat.add(SparseMat.identity(F, n).scale(-F.one))
@@ -261,11 +254,6 @@ class GroupElement:
             if k > 2 * n:
                 raise ValidationError("log series did not terminate; not unipotent")
         return self.ctx.matrix_to_vec(total)
-
-    def conjugate_by_torus(self, lam: Coweight, base=None):
-        """t^-lam g t^lam (the regularised gauge parameter)."""
-        T = GroupElement.torus(self.ctx, lam, base)
-        return GroupElement(self.ctx, (T.inv @ self.mat) @ T.mat, lambda: (T.inv @ self.inv) @ T.mat)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):
@@ -350,13 +338,11 @@ def exp_gauge(ctx: OperContext, X, A) -> list:
 
 def is_equivariant(obj, aut: AlgebraAut) -> bool:
     """Gamma-equivariance of an algebra vector X of functions,
-    aut(X(omega^-1 t)) = X(t), given as (ctx, X) or as a unipotent group
-    element e^X.  A connection d + A dt is tested on its differential:
-    omega^-1 aut(A(omega^-1 t)) = A(t)."""
+    aut(X(omega^-1 t)) = X(t), given as (ctx, X); for a unipotent gauge
+    e^X that is the equivariance of the gauge.  A connection d + A dt is
+    tested on its differential: omega^-1 aut(A(omega^-1 t)) = A(t)."""
     if isinstance(obj, Connection):
         ctx, vec = obj.ctx, obj.coeffs
-    elif isinstance(obj, GroupElement):
-        ctx, vec = obj.ctx, obj.log_vec()
     else:
         ctx, vec = obj
     F = ctx.functions

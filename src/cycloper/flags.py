@@ -111,70 +111,71 @@ def _subspace_rank(K, vecs):
     return len(rref(K, [list(v) for v in vecs])[1])
 
 
-def flag_position(base: MiuraOper, g: GroupElement, cyclotomic=True) -> FlagPoint:
-    """Position Phi(g . base) = lim_{t->0} g_r(t) B_- in the flag variety:
-    the Bruhat cell w (in W^nu for cyclotomic data) and the unipotent
-    coordinates of the point in the cell.  For g = e^X with X in n, g_r is
-    e^{X_r} with X_r = Ad_{t^-lam0} X; when X_r is regular at 0 the point is
-    e^{X_r(0)} B_- in the big cell, with coordinates X_r(0).  Every other g
-    takes the limit of the flag spanned by the columns of g_r."""
-    ctx = base.ctx
-    alg = ctx.alg
+def _regularised_log(base: MiuraOper, X):
+    """X_r = Ad_{t^-lam0} X with lam0 = -(residue coweight of base at 0),
+    over the working context: the q-sheeted cover when lam0 has
+    denominator q > 1.  Returns (working context, X_r)."""
     lam0 = Coweight([-c for c in base.residue_coweight(0).coords])
     q = lam0.denominator()
     if q is None:
         raise ValidationError("lam0 must be rational")
+    ctx = base.ctx
     wctx = ctx.cover(q) if q > 1 else ctx
-    F2 = wctx.functions
+    lifted = [ctx.functions.coerce(x).subs_power(q, wctx.functions) for x in X] if q > 1 else X
+    return wctx, torus_conjugate_vec(wctx, lifted, lam0.scale(Fraction(q)))
+
+
+def flag_position(base: MiuraOper, X) -> FlagPoint:
+    """Position Phi(e^X . base) = lim_{t->0} g_r(t) B_- in the flag variety
+    of the gauge e^X, X in n given as its log: the Bruhat cell w in W^nu
+    and the unipotent coordinates of the point in the cell.  g_r is e^{X_r}
+    with X_r = Ad_{t^-lam0} X, on the cover when lam0 is fractional.  When
+    X_r is regular at 0 the point is e^{X_r(0)} B_- in the big cell, with
+    coordinates X_r(0); otherwise it is the limit of the flag spanned by
+    the columns of exp(ad X_r)."""
+    alg = base.ctx.alg
+    if any(x for (kind, _), x in zip(alg.basis, X) if kind != "E"):
+        raise ValidationError("flag_position needs the log of a unipotent gauge (supported on n)")
+    wctx, Xr = _regularised_log(base, X)
     K = wctx.scalars
-    lam = lam0.scale(Fraction(q))
+    if all(x.is_regular_at(K.zero) for x in Xr):
+        coords = {}
+        for (_, r), x in zip(alg.basis, Xr):
+            v = x.eval_at(K.zero)
+            if v:
+                coords[r] = v
+        W = wctx.weyl
+        return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
+    return _limit_flag_point(wctx, GroupElement.exp(wctx, Xr).mat)
 
-    def lift(f):
-        return f.subs_power(q, F2) if q > 1 else f
 
-    if g.log is not None and not any(x for (kind, _), x in zip(alg.basis, g.log) if kind != "E"):
-        Xr = torus_conjugate_vec(wctx, [lift(x) for x in g.log], lam)
-        if all(x.is_regular_at(K.zero) for x in Xr):
-            coords = {}
-            for (_, r), x in zip(alg.basis, Xr):
-                v = x.eval_at(K.zero)
-                if v:
-                    coords[r] = v
-            W = wctx.weyl
-            return FlagPoint(
-                w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest))
-            )
-    # general path: limit of the flag
-    gq = g
-    if q > 1:
-        def lift_mat(m):
-            out = m.map_entries(lift)
-            out.K = F2
-            return out
-
-        gq = GroupElement(wctx, lift_mat(g.mat), lambda: lift_mat(g.inv))
-    gr = gq.conjugate_by_torus(lam)
+def _limit_flag_point(ctx, mat):
+    """The flag point lim_{t->0} g B_- of the adjoint matrix g = mat over
+    ctx.functions: the limit of the flag spanned by its columns, taken in
+    ascending height, matched to a Bruhat cell of W^nu (all of W when nu
+    is trivial)."""
+    alg = ctx.alg
+    F = ctx.functions
     heights = sorted(alg.blocks)
     order = []
     for h in heights:
         order.extend(alg.blocks[h])
-    cols = [[gr.mat.rows[r].get(idx, F2.zero) for r in range(alg.dim)] for idx in order]
+    cols = [[mat.rows[r].get(idx, F.zero) for r in range(alg.dim)] for idx in order]
     flags = []
     acc = 0
     for h in heights:
         acc += len(alg.blocks[h])
-        flags.append((h, _limit_span(wctx, cols[:acc])))
-    return _match_cell(wctx, flags, cyclotomic)
+        flags.append((h, _limit_span(ctx, cols[:acc])))
+    return _match_cell(ctx, flags)
 
 
-def _match_cell(ctx, flags, cyclotomic):
+def _match_cell(ctx, flags):
     """Identify the Bruhat cell of the limit flag by its intersection
     pattern with the reference flag, then solve for the unipotent
     coordinates."""
     alg = ctx.alg
     K = ctx.scalars
     W = ctx.weyl
-    candidates = W.nu_invariant_elements(ctx.nu) if cyclotomic else W.elements
     heights = sorted(alg.blocks)
     # the cells are B-orbits, so the relative-position invariant is taken
     # against the B-stable ascending flag F+_h = sum of heights >= h
@@ -197,7 +198,7 @@ def _match_cell(ctx, flags, cyclotomic):
             out.append(v)
         return out
 
-    for w in sorted(candidates, key=lambda x: (x.length, x.word)):
+    for w in sorted(W.nu_invariant_elements(ctx.nu), key=lambda x: (x.length, x.word)):
         wdot = GroupElement.weyl_representative(ctx, w)
         Wd = wdot.eval_at(K.zero, K)
         ok = True

@@ -171,15 +171,6 @@ class SparseMat:
     def clone(self):
         return SparseMat(self.K, self.nrows, self.ncols, [dict(r) for r in self.rows])
 
-    def set(self, i, j, v):
-        if v:
-            self.rows[i][j] = v
-        else:
-            self.rows[i].pop(j, None)
-
-    def get(self, i, j):
-        return self.rows[i].get(j, self.K.zero)
-
     def __matmul__(self, other):
         if isinstance(other, SparseMat):
             out = SparseMat(self.K, self.nrows, other.ncols)

@@ -84,7 +84,7 @@ class MiuraOper:
 class ReproductionResult:
     old: MiuraOper
     new: MiuraOper
-    gauge: GroupElement
+    gauge: list                    # X in n(F): the gauge is e^X, e^X . old = new
     branch: str                    # 'regular-at-0' | 'singular-at-0'
     ledger: dict                   # point -> (res before, res after) as Coweights
     cyclotomic: bool
@@ -237,7 +237,7 @@ def reproduce_simple(miura: MiuraOper, k, f) -> ReproductionResult:
     led = _ledger(ctx, miura, new, [ctx.scalars.zero, INFINITY])
     _check_simple_rules(ctx, miura, new, k, f)
     cyc = is_equivariant((ctx, X), ctx.varsigma)
-    return ReproductionResult(miura, new, GroupElement.exp(ctx, X), branch, led, cyc)
+    return ReproductionResult(miura, new, X, branch, led, cyc)
 
 
 def _require(ok, what):
@@ -330,9 +330,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     pair_inf = as_rational((ri_old + rho_coweight(alg.rank)).coords[k])
     if pair_inf is not None and pair_inf >= 0 and f_k:
         _require(ri_new == snu.dot(ri_old), "res_inf rule violated")
-    return ReproductionResult(
-        miura, new, GroupElement.exp(ctx, X), "singular-at-0" if singular else "regular-at-0", led, cyc
-    )
+    return ReproductionResult(miura, new, X, "singular-at-0" if singular else "regular-at-0", led, cyc)
 
 
 def a2_system_residuals(miura: MiuraOper, i, ibar, f1, f2, f3):
@@ -423,9 +421,7 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
     snu = folded.simple_reflections[oi]
     r0_old, r0_new = led[K.zero]
     _check_res0_rule(r0_old, r0_new, snu, singular)
-    return ReproductionResult(
-        miura, new, GroupElement.exp(ctx, X), "singular-at-0" if singular else "regular-at-0", led, cyc
-    )
+    return ReproductionResult(miura, new, X, "singular-at-0" if singular else "regular-at-0", led, cyc)
 
 
 def theta_for(miura: MiuraOper, q=1):
@@ -450,8 +446,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     """Thm-style generic reproduction: solve the regularised connection,
     factor Y g0^-1 = n^-1 Y~, and conjugate n back by the torus.
 
-    g0: an algebra vector spanning n^theta coordinates (exp is taken), or a
-    GroupElement."""
+    g0: the log X0 of g0 = e^X0, an algebra vector in n^theta."""
     ctx = miura.ctx
     alg = ctx.alg
     K = ctx.scalars
@@ -470,28 +465,27 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
         lam_reg = lam0
     theta = theta_for(miura, q)
     F2 = ctx2.functions
-    if isinstance(g0, GroupElement):
-        g0vec = g0.log_vec()
-    else:
-        g0vec = [F2.coerce(c) for c in g0]
-    if any(g0vec[i] for i in range(alg.dim) if alg.height_of[i] <= 0):
+    K2 = ctx2.scalars
+    X0 = [F2.coerce(c) for c in g0]
+    if any(X0[i] for i in range(alg.dim) if alg.height_of[i] <= 0):
         raise FixedPointViolation("g0 must be unipotent (supported on n)")
-    moved = theta.apply_vec(g0vec, F2)
-    if not all(a == b for a, b in zip(moved, [F2.coerce(c) for c in g0vec])):
+    if theta.apply_vec(X0, F2) != X0:
         raise FixedPointViolation("g0 is not vartheta-fixed")
-    g0el = GroupElement.exp(ctx2, [F2.coerce(c) for c in g0vec])
     reg = regularize(conn2, lam_reg).with_shape("b-")
     # on the q-sheeted cover (t = u^q) the points of miura are no poles
-    Y = solve_fundamental(reg, 0, extra_points=miura.points if q == 1 else ())
+    Y = solve_fundamental(reg, extra_points=miura.points if q == 1 else ())
     if isinstance(Y, MonodromyObstruction):
         raise Y
-    n, Ytil = gauss_factorize(Y @ g0el.inverse())
+    logn, _ = gauss_factorize(Y @ GroupElement.exp(ctx2, [-x for x in X0]))
+    # initial-value certificate: the regularised gauge parameter at 0 is
+    # g0; exp is injective on n, so on logs log n(0) = X0(0)
+    if [x.eval_at(K2.zero) for x in logn] != [x.eval_at(K2.zero) for x in X0]:
+        raise MalformedOper("g_r(0) != g0")
     # g = t^lam_reg n t^-lam_reg, descended from the cover, on its log
-    X_g = torus_conjugate_vec(ctx2, n.log_vec(), Coweight([-c for c in lam_reg.coords]))
+    X_g = torus_conjugate_vec(ctx2, logn, Coweight([-c for c in lam_reg.coords]))
     if q > 1:
         base_F = ctx.functions
         X_g = [x.descend_power(q, base_F) for x in X_g]
-    g = GroupElement.exp(ctx, X_g)
     out = exp_gauge(ctx, X_g, miura.connection().coeffs)
     # must be a Miura oper again
     for i, c in enumerate(out):
@@ -506,12 +500,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     r0_old, r0_new = led[K.zero]
     if r0_new != r0_old:
         raise MalformedOper("generic reproduction must preserve res_0")
-    # initial-value certificate: the regularised gauge parameter at 0 is g0
-    if n.eval_at(0, ctx2.scalars) != g0el.eval_at(0, ctx2.scalars):
-        raise MalformedOper("g_r(0) != g0")
-    res = ReproductionResult(miura, new, g, "regular-at-0", led, cyc)
-    res.fundamental = Y
-    res.factor_n = n
-    res.factor_b = Ytil
+    res = ReproductionResult(miura, new, X_g, "regular-at-0", led, cyc)
+    res.factor_n = logn
     res.cover_power = q
     return res

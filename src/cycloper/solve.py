@@ -5,28 +5,26 @@ elimination in the adjoint representation."""
 from __future__ import annotations
 
 from .connection import Connection, GroupElement
-from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
+from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell, ValidationError
 from .linalg import SparseMat, mat_inverse, mat_mul
 from .ratfunc import poles_of, rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
 
-def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None, extra_points=()):
-    """Y with dY Y^-1 = -A and Y(base) = Y0 (default Id), for b_- valued A
-    regular at base whose h-part is a sum of simple poles with integral
-    coweight residues.  Returns the MonodromyObstruction value if some
-    integrand has a nonzero residue.  extra_points are tried first as roots
-    of the denominators."""
+def solve_fundamental(conn: Connection, extra_points=()):
+    """Y with dY Y^-1 = -A and Y(0) = Id, for b_- valued A regular at 0
+    whose h-part is a sum of simple poles with integral coweight residues.
+    Returns the MonodromyObstruction value if some integrand has a nonzero
+    residue.  extra_points are tried first as roots of the denominators."""
     ctx = conn.ctx
     alg = ctx.alg
     F = ctx.functions
     K = ctx.scalars
-    base = K.coerce(base)
     for i, c in enumerate(conn.coeffs):
         if alg.height_of[i] > 0 and c:
             raise MalformedOper("solve_fundamental needs a b_- valued connection")
-        if c and not c.is_regular_at(base):
-            raise MalformedOper(f"connection must be regular at the base point {base}")
+        if c and not c.is_regular_at(K.zero):
+            raise MalformedOper("connection must be regular at the base point 0")
 
     # --- torus part ---------------------------------------------------------
     h_vec = conn.h_part()
@@ -95,7 +93,7 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None, extra_p
                 if isinstance(anti, MonodromyObstruction):
                     anti.level = k
                     return anti
-                anti = anti - F.coerce(anti.eval_at(base))
+                anti = anti - F.coerce(anti.eval_at(K.zero))
                 if anti:
                     Zk.rows[i][j] = anti
                     nonzero = True
@@ -121,17 +119,11 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None, extra_p
     Yhat = GroupElement(ctx, Yh.mat @ Z, yhat_inv)
 
     # --- fix the initial value ---------------------------------------------------
-    C0 = Yhat.eval_at(base)
+    C0 = Yhat.eval_at(K.zero)
     C0inv = mat_inverse(K, C0)
     if C0inv is None:
         raise MalformedOper("fundamental solution singular at the base point")
-    target = Y0.eval_at(base) if Y0 is not None else None
-    if target is not None:
-        Cd = mat_mul(K, C0inv, target)
-    else:
-        Cd = C0inv
-    Cinv = mat_inverse(K, Cd)
-    Cel = GroupElement.from_constant(ctx, Cd, Cinv)
+    Cel = GroupElement.from_constant(ctx, C0inv, C0)
     Y = GroupElement(ctx, Yhat.mat @ Cel.mat, lambda: Cel.inv @ Yhat.inv)
 
     # --- exactness: dY + ad_A Y = 0 ----------------------------------------------
@@ -143,9 +135,11 @@ def solve_fundamental(conn: Connection, base=0, Y0: GroupElement = None, extra_p
 
 
 def gauss_factorize(M: GroupElement):
-    """(n, b) with M = n^-1 b, n unipotent in N(M), b in B_-(M); exact
-    block elimination along the principal grading.  Raises NotInOpenCell
-    (with the singular grading level) when M is not in the big cell."""
+    """(X, b) with M = e^-X b, X in n(M) the log of the unipotent factor
+    and b in B_-(M) a GroupElement; exact block elimination along the
+    principal grading.  Raises NotInOpenCell (with the singular grading
+    level) when M is not in the big cell, or when the log of the
+    eliminating factor does not exponentiate back to it."""
     ctx = M.ctx
     alg = ctx.alg
     F = ctx.functions
@@ -190,13 +184,11 @@ def gauss_factorize(M: GroupElement):
         for j, v in cur.rows[i].items():
             if v and alg.height_of[i] > alg.height_of[j]:
                 raise NotInOpenCell(alg.height_of[j], "elimination left a raising defect")
-    n_log = GroupElement(ctx, N_acc, N_acc)
     try:
-        vec = n_log.log_vec()
-    except Exception as e:
+        X = GroupElement(ctx, N_acc, None).log_vec()
+    except (ValidationError, MalformedOper) as e:
         raise NotInOpenCell(None, f"unipotent factor is not in N: {e}")
-    n = GroupElement.exp(ctx, vec)
+    n = GroupElement.exp(ctx, X)
     if not (n.mat == N_acc):
         raise NotInOpenCell(None, "unipotent factor reassembly failed")
-    b = GroupElement(ctx, cur, lambda: M.inv @ n.inv)
-    return n, b
+    return X, GroupElement(ctx, cur, lambda: M.inv @ n.inv)

@@ -5,6 +5,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
@@ -16,6 +17,11 @@ from cycloper.weyl import Coweight
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Property tests draw the same examples on every run, so the suite's time
+# and outcome repeat; `--hypothesis-profile=default` explores new draws.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 def run_under_O(code):

@@ -5,9 +5,18 @@ import pytest
 from conftest import fSl3_seed, sl3_miura
 from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
 from cycloper.chevalley import build_algebra
+import cycloper.connection as connection
 from cycloper.connection import GroupElement
 from cycloper.context import OperContext
-from cycloper.flags import FlagPoint, fixed_flag_cells, flag_position, inversion_set
+from cycloper.errors import ValidationError
+from cycloper.flags import (
+    FlagPoint,
+    _limit_flag_point,
+    _regularised_log,
+    fixed_flag_cells,
+    flag_position,
+    inversion_set,
+)
 from cycloper.linalg import mat_inverse
 from cycloper.miura import MiuraOper, build_miura, reproduce_generic, reproduce_orbit_A2, theta_for
 from cycloper.solve import gauss_factorize
@@ -58,8 +67,19 @@ def test_a2_folded_cells(T, eta, big_dim):
 
 def test_flag_of_identity():
     ctx, m = sl3_miura(2, 1)
-    fp = flag_position(m, GroupElement.identity(ctx))
+    fp = flag_position(m, ctx.alg.vec_zero(ctx.functions))
     assert fp.w.length == 0 and not fp.coordinates
+
+
+def test_flag_position_rejects_a_log_outside_n():
+    """A gauge log with an h or a negative-root entry is not in n."""
+    ctx, m = sl3_miura(2, 1)
+    F = ctx.functions
+    alg = ctx.alg
+    for vec in (alg.vec_F(alg.simple_root(0), F), [F.coerce(x) for x in alg.rho]):
+        X = [a + b for a, b in zip(alg.vec_E(alg.simple_root(1), F), vec)]
+        with pytest.raises(ValidationError, match="supported on n"):
+            flag_position(m, X)
 
 
 def test_generic_reproduction_lands_in_big_cell_with_g0():
@@ -108,7 +128,6 @@ def test_all_cells_recovered_synthetically():
     ctx = OperContext("A2", ScalarTower.get(1))
     F = ctx.functions
     alg = ctx.alg
-    m = MiuraOper(ctx, [F.zero, F.zero])
     W = ctx.weyl
     for word in ([], [0], [1], [0, 1], [1, 0], [0, 1, 0]):
         w = W.from_word(word)
@@ -117,7 +136,7 @@ def test_all_cells_recovered_synthetically():
         for i, al in enumerate(rts):
             n = n @ GroupElement.exp(ctx, [Fraction(i + 2, 3) * x for x in alg.vec_E(al, F)])
         wd = GroupElement.weyl_representative(ctx, w)
-        fp = flag_position(m, n @ wd, cyclotomic=False)
+        fp = _limit_flag_point(ctx, (n @ wd).mat)
         assert fp.w == w
         lie = alg.vec_zero(F)
         for al, c in fp.coordinates.items():
@@ -184,28 +203,17 @@ def test_flag_position_on_the_cover(T, cycles):
     assert fp.coordinates == {(1, 1): 3}
 
 
-def _gauss_flag_point(m, g):
-    """The big-cell point by the constant-matrix route: g_r(0) over the
-    scalars (lifted to the cover when lam0 is fractional), factored as
-    n^-1 b by gauss_factorize; the coordinates are log n^-1 = -log n."""
-    ctx, alg = m.ctx, m.ctx.alg
-    lam0 = Coweight([-c for c in m.residue_coweight(0).coords])
-    q = lam0.denominator()
-    if q > 1:
-        ctx = ctx.cover(q)
-        F2 = ctx.functions
-
-        def lift(M):
-            out = M.map_entries(lambda f: f.subs_power(q, F2))
-            out.K = F2
-            return out
-
-        g = GroupElement(ctx, lift(g.mat), lift(g.inv))
-    K = ctx.scalars
-    M0 = g.conjugate_by_torus(lam0.scale(Fraction(q))).eval_at(K.zero)
-    n, _ = gauss_factorize(GroupElement.from_constant(ctx, M0, mat_inverse(K, M0)))
-    coords = {alg.basis[i][1]: (-v).constant_value() for i, v in enumerate(n.log_vec()) if v}
-    W = ctx.weyl
+def _gauss_flag_point(m, X):
+    """The big-cell point by the constant-matrix route: g_r(0) = e^{X_r}(0)
+    over the scalars, factored as e^-Y b by gauss_factorize; the
+    coordinates are -Y."""
+    wctx, Xr = _regularised_log(m, X)
+    alg = wctx.alg
+    K = wctx.scalars
+    M0 = GroupElement.exp(wctx, Xr).eval_at(K.zero)
+    logn, _ = gauss_factorize(GroupElement.from_constant(wctx, M0, mat_inverse(K, M0)))
+    coords = {alg.basis[i][1]: (-v).constant_value() for i, v in enumerate(logn) if v}
+    W = wctx.weyl
     return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
 
 
@@ -216,20 +224,20 @@ def _gauss_flag_point(m, g):
 )
 def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, monkeypatch):
     """A gauge e^X with X_r regular at 0 is placed from its log, with no
-    matrix conjugation; the same element without its log takes the limit
-    path, and both equal the Gauss factorisation of g_r(0)."""
+    adjoint matrix; the limit of the flag of e^{X_r} and the Gauss
+    factorisation of g_r(0) give the same point."""
     nu = DiagramAut.from_cycles(2, cycles) if cycles else None
     ctx = OperContext("A2", ScalarTower.get(T), nu)
     m = build_miura(ctx, Coweight((lam, lam)))
     q = Coweight((lam, lam)).denominator()
     basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
-    g = reproduce_generic(m, [c * sum(b[i] for b in basis) for i in range(ctx.alg.dim)]).gauge
-    assert g.log is not None
+    X = reproduce_generic(m, [c * sum(b[i] for b in basis) for i in range(ctx.alg.dim)]).gauge
     with monkeypatch.context() as mp:
-        mp.setattr(GroupElement, "conjugate_by_torus", None)
-        fp = flag_position(m, g)
+        mp.setattr(connection, "_exp_ad", None)
+        fp = flag_position(m, X)
     assert fp.w == ctx.weyl.identity and fp.coordinates
-    limit = flag_position(m, GroupElement(g.ctx, g.mat, g.inv))
-    gauss = _gauss_flag_point(m, g)
+    wctx, Xr = _regularised_log(m, X)
+    limit = _limit_flag_point(wctx, GroupElement.exp(wctx, Xr).mat)
+    gauss = _gauss_flag_point(m, X)
     assert fp == limit == gauss
     assert repr(fp) == repr(limit) == repr(gauss)

@@ -333,7 +333,7 @@ def test_a1_orbit_equivariance_is_the_functional_relation():
                 v1 = [f1 * c for c in alg.vec_E(alg.simple_root(0), F)]
                 v3 = [f3 * c for c in alg.vec_E(alg.simple_root(2), F)]
                 g = GroupElement.exp(ctx, v1) @ GroupElement.exp(ctx, v3)
-                assert is_equivariant(g, ctx.varsigma) == closes
+                assert is_equivariant((ctx, g.log_vec()), ctx.varsigma) == closes
 
 
 def test_a1_orbit_gauge_reassembly():
@@ -341,9 +341,9 @@ def test_a1_orbit_gauge_reassembly():
     ctx, m = sl4_miura(2, 1, 1)
     f = riccati_solve(m.pairing(0), "general", constant=Fraction(1))
     res = reproduce_orbit_A1(m, (0, 2), 0, f, "regular")
-    out = gauge_transform(m.connection(), res.gauge)
+    out = gauge_transform(m.connection(), GroupElement.exp(ctx, res.gauge))
     assert all(a == b for a, b in zip(out.coeffs, res.new.connection().coeffs))
-    assert is_equivariant(res.gauge, ctx.varsigma)
+    assert is_equivariant((ctx, res.gauge), ctx.varsigma)
 
 
 # ---------------------------------------------------------------- A2 orbits
@@ -414,7 +414,7 @@ def test_a2_singular_is_parameter_limit():
     assert not any(a2_system_residuals(m, 0, 1, *seed))
     alg = ctx.alg
     v = [seed[0] * (a + b) for a, b in zip(alg.vec_E(alg.simple_root(0), F), alg.vec_E(alg.simple_root(1), F))]
-    assert is_equivariant(GroupElement.exp(ctx, v), ctx.varsigma)
+    assert is_equivariant((ctx, v), ctx.varsigma)
 
 
 # ---------------------------------------------------------------- generic
@@ -516,10 +516,13 @@ def test_generic_gauge_on_vectors_matches_matrix_route(T, eta):
     res = reproduce_generic(m, [Fraction(-3, 2) * x for x in basis[0]])
     assert res.cover_power == q
     lam0 = Coweight([-c for c in m.residue_coweight(0).coords])
-    gtil = res.factor_n.conjugate_by_torus(Coweight([-c * q for c in lam0.coords]))
+    ctx2 = ctx.cover(q) if q > 1 else ctx
+    torus = GroupElement.torus(ctx2, Coweight([-c * q for c in lam0.coords]))
+    gtil = torus.inverse() @ GroupElement.exp(ctx2, res.factor_n) @ torus
     want = gtil.mat.map_entries(lambda f: f.descend_power(q, F)) if q > 1 else gtil.mat
-    assert res.gauge.mat == want
-    out = gauge_transform(m.connection(), res.gauge)
+    g = GroupElement.exp(ctx, res.gauge)
+    assert g.mat == want
+    out = gauge_transform(m.connection(), g)
     assert out.coeffs == res.new.connection().coeffs
 
 
@@ -531,9 +534,8 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
     real = miura_mod.gauss_factorize
 
     def broken(M):
-        n, b = real(M)
-        two = n.mat.scale(n.ctx.functions.coerce(2))
-        return GroupElement(n.ctx, two, n.inv, log=n.log), b
+        logn, b = real(M)
+        return [2 * x for x in logn], b
 
     monkeypatch.setattr(miura_mod, "gauss_factorize", broken)
     ctx, m = sl3_miura(2, 1)
@@ -564,13 +566,48 @@ def test_generic_reproduction_with_sites():
         assert res.cyclotomic
         rb, ra = res.ledger[K.zero]
         assert rb == ra
-        out = gauge_transform(m.connection(), res.gauge)
+        out = gauge_transform(m.connection(), GroupElement.exp(ctx, res.gauge))
         assert all(a == b for a, b in zip(out.coeffs, res.new.connection().coeffs))
         # residues at the site orbit move inside the shifted W-orbit of lam_1
         from cycloper.weyl import linkage_equal
 
         site_res = Coweight([-x for x in res.new.residue_coweight(ctx.scalars.coerce(3)).coords])
         assert linkage_equal(ctx.weyl, Coweight((Fraction(2),)), site_res)
+
+
+def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
+    """The simple, A1-orbit and A2-orbit reproductions return their gauge
+    as its log and check it by the Lie series, and a big-cell flag
+    position is read off that log: none of them builds exp(ad X).  The
+    generic route builds two: e^{-ad X0} and the re-exp check of the Gauss
+    factor."""
+    import cycloper.connection as connection
+    from cycloper.flags import flag_position
+
+    ctx1 = OperContext("A1", ScalarTower.get(1))
+    m1 = build_miura(ctx1, Coweight((Fraction(1),)))
+    f1 = riccati_solve(m1.pairing(0), "general", constant=Fraction(1))
+    _, m4 = sl4_miura_at(1, 0, 1, 1)
+    f4 = riccati_solve(m4.pairing(0), "general", constant=Fraction(1))
+    ctx3, m3 = sl3_miura(4, 1)
+    seed = fSl3_seed(ctx3, 2, 2, -2, 0)
+    calls = []
+    real = connection._exp_ad
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(connection, "_exp_ad", counted)
+    reproduce_simple(m1, 0, f1)
+    reproduce_orbit_A1(m4, (0, 2), 0, f4, "regular")
+    res = reproduce_orbit_A2(m3, (0, 1), 0, seed=seed, branch="regular")
+    fp = flag_position(m3, res.gauge)
+    assert fp.w.length == 0 and fp.coordinates
+    assert not calls
+    basis, _ = theta_fixed_nilpotent(ctx3.alg, theta_for(m3))
+    reproduce_generic(m3, basis[0])
+    assert len(calls) == 2
 
 
 def test_gauge_reassembly_failure_is_typed(monkeypatch):
