@@ -218,12 +218,9 @@ class GroupElement:
         """Ad_g X for an algebra vector X."""
         return self.mat.apply([self.ctx.functions.coerce(v) for v in vec])
 
-    def derivative_matrix(self):
-        return self.mat.map_entries(lambda f: f.derivative())
-
     def dlog(self):
         """dg g^-1 as an algebra vector."""
-        M = self.derivative_matrix() @ self.inv
+        M = self.mat.map_entries(lambda f: f.derivative()) @ self.inv
         return self.ctx.matrix_to_vec(M)
 
     def eval_at(self, p, K=None):

@@ -139,7 +139,8 @@ class MonodromyObstruction(CycloperError):
         residues: list of (pole, residue) pairs, every residue nonzero.
         unresolved: list of denominator factors whose roots lie outside the
             working field but which carry nonzero logarithmic parts.
-        level: grading level at which integration failed (None for scalars).
+        level: in solve_fundamental, 0 for the torus part and k for the
+            height -k piece of Z in Y = D e^Z (None for scalars).
     """
 
     exit_code = 14

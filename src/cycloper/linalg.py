@@ -161,13 +161,6 @@ class SparseMat:
                     m.rows[i][j] = v
         return m
 
-    def to_dense(self):
-        out = [[self.K.zero] * self.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for j, v in row.items():
-                out[i][j] = v
-        return out
-
     def clone(self):
         return SparseMat(self.K, self.nrows, self.ncols, [dict(r) for r in self.rows])
 

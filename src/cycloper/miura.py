@@ -343,21 +343,16 @@ def a2_system_residuals(miura: MiuraOper, i, ibar, f1, f2, f3):
     return r1, r2, r3
 
 
-def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=None):
-    """Reproduction along an orbit of type A_2^x(|I|/2).
-
-    Either a seed (f1, f2, f3) for the reference point solves the coupled
-    system, or g0 in the orbit subgroup cap N^theta is given and the generic
-    route is taken."""
+def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
+    """Reproduction along an orbit of type A_2^x(|I|/2), from a seed
+    (f1, f2, f3) at the reference point k that solves the coupled system;
+    branch ("regular" or "singular"), when given, is checked against the
+    seed's behaviour at 0.  For g0 in N^theta take reproduce_generic."""
     ctx = miura.ctx
     folded = ctx.folded
     oi = folded.orbit_index(k)
     if folded.ell[oi] != 2:
         raise ValidationError("orbit is not of non-commuting type (ell != 2)")
-    if seed is None:
-        if g0 is None:
-            raise ValidationError("need a seed or a g0")
-        return reproduce_generic(miura, g0)
     alg = ctx.alg
     F = ctx.functions
     K = ctx.scalars
@@ -416,6 +411,10 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed=None, g0=None, branch=No
         # most a simple pole with zero residue
         pp1 = f1.principal_part_at(K.zero) if not f1.is_regular_at(0) else ()
         eta = as_rational(Coweight([-c for c in miura.residue_coweight(0).coords]).coords[k])
+        if eta is None:
+            raise ValidationError(
+                "the singular A2-orbit class needs a rational lam0; bind its parameters (--instantiate)"
+            )
         _require(len(pp1) == 1 and as_rational(pp1[0]) == 2 * (eta + 1), "singular class is not (ii)(a)")
     led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     snu = folded.simple_reflections[oi]
@@ -476,7 +475,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     Y = solve_fundamental(reg, extra_points=miura.points if q == 1 else ())
     if isinstance(Y, MonodromyObstruction):
         raise Y
-    logn, _ = gauss_factorize(Y @ GroupElement.exp(ctx2, [-x for x in X0]))
+    logn = gauss_factorize(Y @ GroupElement.exp(ctx2, [-x for x in X0]))
     # initial-value certificate: the regularised gauge parameter at 0 is
     # g0; exp is injective on n, so on logs log n(0) = X0(0)
     if [x.eval_at(K2.zero) for x in logn] != [x.eval_at(K2.zero) for x in X0]:

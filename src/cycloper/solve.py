@@ -1,10 +1,11 @@
-"""Fundamental solutions of Borel-valued connections by height-graded
-iterated integration, and the N B_- (big cell) factorisation by block
-elimination in the adjoint representation."""
+"""Fundamental solutions of Borel-valued connections as a torus factor
+times e^Z, Z integrated height by height on Lie-algebra vectors, and the
+N B_- (big cell) factorisation by block elimination in the adjoint
+representation."""
 
 from __future__ import annotations
 
-from .connection import Connection, GroupElement
+from .connection import Connection, GroupElement, exp_gauge, torus_conjugate_vec
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell, ValidationError
 from .linalg import SparseMat, mat_inverse, mat_mul
 from .ratfunc import poles_of, rational_antiderivative
@@ -14,8 +15,13 @@ from .weyl import Coweight, h_to_coweight
 def solve_fundamental(conn: Connection, extra_points=()):
     """Y with dY Y^-1 = -A and Y(0) = Id, for b_- valued A regular at 0
     whose h-part is a sum of simple poles with integral coweight residues.
-    Returns the MonodromyObstruction value if some integrand has a nonzero
-    residue.  extra_points are tried first as roots of the denominators."""
+
+    Y = D e^Z on B_- = H N_-: D = prod_p (1 - t/p)^-mu_p carries the h-part
+    (mu_p its residue at p), and Z in n_- solves (d e^Z) e^-Z = -B with
+    B = Ad_{D^-1} of the lower part, one height at a time, Z(0) = 0.
+    Returns the MonodromyObstruction value if some entry of Z' has a
+    nonzero residue.  extra_points are tried first as roots of the
+    denominators."""
     ctx = conn.ctx
     alg = ctx.alg
     F = ctx.functions
@@ -40,7 +46,8 @@ def solve_fundamental(conn: Connection, extra_points=()):
                 )
             if all(p != q for q in poles):
                 poles.append(p)
-    Yh = GroupElement.identity(ctx)
+    D = GroupElement.identity(ctx)
+    B = [c if alg.height_of[i] < 0 else F.zero for i, c in enumerate(conn.coeffs)]
     for p in poles:
         res_vec = [c.residue_at(p) for c in h_vec]
         full = alg.vec_zero(K)
@@ -49,9 +56,12 @@ def solve_fundamental(conn: Connection, extra_points=()):
         mu = h_to_coweight(alg, full)
         if not mu.is_integral():
             return MonodromyObstruction([(p, mu)], level=0)
+        # p != 0 since A is regular at 0, and 1 - t/p is 1 there
+        base = F.one - F.gen / F.coerce(p)
+        minus_mu = Coweight([-c for c in mu.coords])
+        D = D @ GroupElement.torus(ctx, minus_mu, base=base)
+        B = torus_conjugate_vec(ctx, B, minus_mu, base)
         lin = F.gen - F.coerce(p)
-        T = GroupElement.torus(ctx, Coweight([-c for c in mu.coords]), base=lin)
-        Yh = Yh @ T
         for i in range(alg.dim):
             if alg.height_of[i] == 0 and leftover[i]:
                 leftover[i] = leftover[i] - F.coerce(full[i]) / lin
@@ -63,83 +73,30 @@ def solve_fundamental(conn: Connection, extra_points=()):
         ]
         return MonodromyObstruction([], unresolved=[f"non-exponentiable h-part: {bad}"], level=0)
 
-    # --- strictly lower part, conjugated by the torus solution -----------------
-    lower = [
-        c if alg.height_of[i] < 0 else F.zero for i, c in enumerate(conn.coeffs)
-    ]
-    B = Yh.inv.apply(lower)
-    adB = alg.ad_of_vec(B, F)
-    graded = {}
-    for i, row in enumerate(adB.rows):
-        for j, v in row.items():
-            drop = alg.height_of[j] - alg.height_of[i]
-            if drop <= 0:
-                raise MalformedOper("conjugated lower part is not height-decreasing")
-            graded.setdefault(drop, SparseMat(F, alg.dim, alg.dim)).rows[i][j] = v
+    # --- unipotent part: Z' = -B - (the brackets of the lower heights) --------
+    Z = alg.vec_zero(F)
+    dZ = alg.vec_zero(F)
+    for k in range(1, alg.height_max + 1):
+        S = alg.ad_series(Z, dZ, F, shift=1)
+        for i in alg.blocks.get(-k, []):
+            dZ[i] = -B[i] - S[i]
+            anti = rational_antiderivative(dZ[i], extra_points)
+            if isinstance(anti, MonodromyObstruction):
+                anti.level = k
+                return anti
+            Z[i] = anti - F.coerce(anti.eval_at(K.zero))
 
-    hspan = 2 * alg.height_max
-    Z_parts = {0: SparseMat.identity(F, alg.dim)}
-    for k in range(1, hspan + 1):
-        Mk = SparseMat(F, alg.dim, alg.dim)
-        for j, gj in graded.items():
-            if j <= k and (k - j) in Z_parts:
-                Mk = Mk.add(gj @ Z_parts[k - j])
-        Mk = Mk.scale(-F.one)
-        Zk = SparseMat(F, alg.dim, alg.dim)
-        nonzero = False
-        for i, row in enumerate(Mk.rows):
-            for j, v in row.items():
-                anti = rational_antiderivative(v, extra_points)
-                if isinstance(anti, MonodromyObstruction):
-                    anti.level = k
-                    return anti
-                anti = anti - F.coerce(anti.eval_at(K.zero))
-                if anti:
-                    Zk.rows[i][j] = anti
-                    nonzero = True
-        if nonzero:
-            Z_parts[k] = Zk
-    Z = SparseMat.identity(F, alg.dim)
-    for k, Zk in Z_parts.items():
-        if k:
-            Z = Z.add(Zk)
-
-    def yhat_inv():
-        # inverse of Z: Neumann series of the nilpotent part
-        Nmat = Z.add(SparseMat.identity(F, alg.dim).scale(-F.one))
-        Zi = SparseMat.identity(F, alg.dim)
-        term = SparseMat.identity(F, alg.dim)
-        while True:
-            term = (term @ Nmat).scale(-F.one)
-            if not any(term.rows[i] for i in range(alg.dim)):
-                break
-            Zi = Zi.add(term)
-        return Zi @ Yh.inv
-
-    Yhat = GroupElement(ctx, Yh.mat @ Z, yhat_inv)
-
-    # --- fix the initial value ---------------------------------------------------
-    C0 = Yhat.eval_at(K.zero)
-    C0inv = mat_inverse(K, C0)
-    if C0inv is None:
-        raise MalformedOper("fundamental solution singular at the base point")
-    Cel = GroupElement.from_constant(ctx, C0inv, C0)
-    Y = GroupElement(ctx, Yhat.mat @ Cel.mat, lambda: Cel.inv @ Yhat.inv)
-
-    # --- exactness: dY + ad_A Y = 0 ----------------------------------------------
-    adA = alg.ad_of_vec(conn.coeffs, F)
-    check = Y.derivative_matrix().add(adA @ Y.mat)
-    if any(check.rows[i] for i in range(alg.dim)):
+    if any(exp_gauge(ctx, [-z for z in Z], B)):
         raise MalformedOper("fundamental solution verification failed")
-    return Y
+    return D @ GroupElement.exp(ctx, Z)
 
 
 def gauss_factorize(M: GroupElement):
-    """(X, b) with M = e^-X b, X in n(M) the log of the unipotent factor
-    and b in B_-(M) a GroupElement; exact block elimination along the
-    principal grading.  Raises NotInOpenCell (with the singular grading
-    level) when M is not in the big cell, or when the log of the
-    eliminating factor does not exponentiate back to it."""
+    """X in n(M) with M = e^-X b for some b in B_-(M): the log of the
+    unipotent factor, by exact block elimination along the principal
+    grading.  Raises NotInOpenCell (with the singular grading level) when
+    M is not in the big cell, or when the log of the eliminating factor
+    does not exponentiate back to it."""
     ctx = M.ctx
     alg = ctx.alg
     F = ctx.functions
@@ -188,7 +145,6 @@ def gauss_factorize(M: GroupElement):
         X = GroupElement(ctx, N_acc, None).log_vec()
     except (ValidationError, MalformedOper) as e:
         raise NotInOpenCell(None, f"unipotent factor is not in N: {e}")
-    n = GroupElement.exp(ctx, X)
-    if not (n.mat == N_acc):
+    if not (GroupElement.exp(ctx, X).mat == N_acc):
         raise NotInOpenCell(None, "unipotent factor reassembly failed")
-    return X, GroupElement(ctx, cur, lambda: M.inv @ n.inv)
+    return X

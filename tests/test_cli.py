@@ -171,6 +171,16 @@ def test_reproduce_generic_command(capsys):
     assert data["ledger"]["0"]["before"] == data["ledger"]["0"]["after"]
 
 
+def test_singular_a2_orbit_with_symbolic_lam0_exits_3(capsys):
+    _, err = run_cli(capsys, [
+        "--problem", fx("sl3_origin.json"),
+        "--command", "reproduce",
+        "--orbit", "1",
+        "--branch", "singular",
+    ], expect_code=3)
+    assert "ValidationError" in err and "--instantiate" in err
+
+
 def test_classify_command(capsys):
     out, _ = run_cli(capsys, [
         "--problem", fx("sl4_site.json"),

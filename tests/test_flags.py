@@ -211,7 +211,7 @@ def _gauss_flag_point(m, X):
     alg = wctx.alg
     K = wctx.scalars
     M0 = GroupElement.exp(wctx, Xr).eval_at(K.zero)
-    logn, _ = gauss_factorize(GroupElement.from_constant(wctx, M0, mat_inverse(K, M0)))
+    logn = gauss_factorize(GroupElement.from_constant(wctx, M0, mat_inverse(K, M0)))
     coords = {alg.basis[i][1]: (-v).constant_value() for i, v in enumerate(logn) if v}
     W = wctx.weyl
     return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
@@ -241,3 +241,34 @@ def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, 
     gauss = _gauss_flag_point(m, X)
     assert fp == limit == gauss
     assert repr(fp) == repr(limit) == repr(gauss)
+
+
+@pytest.mark.parametrize(
+    "label, T, cycles",
+    [("A3", 2, [[1, 3]]), ("A3", 4, [[1, 3]]), ("B2", 1, []), ("A4", 2, [[1, 4], [2, 3]])],
+    ids=["A3-T2", "A3-T4", "B2-T1", "A4-T2"],
+)
+def test_generic_round_trip_beyond_folded_a2(label, T, cycles):
+    """The generic route off A2 (lam0 pairing 1 with every simple root):
+    res_0 is kept and the result is cyclotomic, the flag is the big cell
+    at g0, two g0 give two Miura opers, and the vartheta-fixed flag
+    variety has one cell per element of the folded Weyl group W^nu."""
+    rank = int(label[1:])
+    ctx = OperContext(label, ScalarTower.get(T), DiagramAut.from_cycles(rank, cycles))
+    alg = ctx.alg
+    K = ctx.scalars
+    m = build_miura(ctx, Coweight((Fraction(1),) * rank))
+    theta = theta_for(m)
+    basis, _ = theta_fixed_nilpotent(alg, theta)
+    g0s = ([sum(xs) for xs in zip(*basis)], basis[0])
+    news = []
+    for g0 in g0s:
+        res = reproduce_generic(m, g0)
+        before, after = res.ledger[K.zero]
+        assert res.cyclotomic and before == after
+        fp = flag_position(m, res.gauge)
+        assert fp.w.length == 0
+        assert fp.coordinates == {alg.basis[i][1]: x for i, x in enumerate(g0) if x}
+        news.append(res.new.u_coroot)
+    assert news[0] != news[1]
+    assert len(fixed_flag_cells(ctx, theta)) == WeylGroup(ctx.folded.cartan).order()

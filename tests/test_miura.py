@@ -404,6 +404,18 @@ def test_a2_singular_always_cyclotomic():
         assert Coweight([-c for c in ra.coords]) == snu.dot(Coweight([-c for c in rb.coords]))
 
 
+def test_a2_singular_with_symbolic_lam0_is_typed():
+    """The singular class check reads <alpha_k, lam0> as a rational; a
+    symbolic lam0 is a ValidationError that says to bind it."""
+    ctx = OperContext("A2", ScalarTower.get(2, ("eta",)), DiagramAut.from_cycles(2, [[1, 2]]))
+    F = ctx.functions
+    eta = ctx.scalars.coerce(ctx.tower.param("eta"))
+    m = build_miura(ctx, Coweight((eta, eta)))
+    seed = (F.coerce(2 * (eta + 1)) / F.gen, F.zero, F.zero)
+    with pytest.raises(ValidationError, match="--instantiate"):
+        reproduce_orbit_A2(m, (0, 1), 0, seed=seed, branch="singular")
+
+
 def test_a2_singular_is_parameter_limit():
     """The singular solution is the a -> infinity limit of case 1; directly:
     its seed solves the system and exp(2mu/t (E1+E2)) is always equivariant."""
@@ -534,8 +546,7 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
     real = miura_mod.gauss_factorize
 
     def broken(M):
-        logn, b = real(M)
-        return [2 * x for x in logn], b
+        return [2 * x for x in real(M)]
 
     monkeypatch.setattr(miura_mod, "gauss_factorize", broken)
     ctx, m = sl3_miura(2, 1)
@@ -579,8 +590,8 @@ def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
     """The simple, A1-orbit and A2-orbit reproductions return their gauge
     as its log and check it by the Lie series, and a big-cell flag
     position is read off that log: none of them builds exp(ad X).  The
-    generic route builds two: e^{-ad X0} and the re-exp check of the Gauss
-    factor."""
+    generic route builds three: e^{-ad X0}, the e^{ad Z} of the fundamental
+    solution Y = D e^Z and the re-exp check of the Gauss factor."""
     import cycloper.connection as connection
     from cycloper.flags import flag_position
 
@@ -607,7 +618,7 @@ def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
     assert not calls
     basis, _ = theta_fixed_nilpotent(ctx3.alg, theta_for(m3))
     reproduce_generic(m3, basis[0])
-    assert len(calls) == 2
+    assert len(calls) == 3
 
 
 def test_gauge_reassembly_failure_is_typed(monkeypatch):

@@ -68,6 +68,7 @@ def test_fundamental_monodromy_obstruction():
     out = solve_fundamental(conn)
     assert isinstance(out, MonodromyObstruction)
     assert out.residues
+    assert [p for p, _ in out.residues] == [3]
 
 
 def test_fundamental_nonintegral_h_residue():
@@ -98,12 +99,16 @@ def test_gauss_factorize_reassembly():
         b0 = GroupElement.exp(ctx, bv)
         T0 = GroupElement.torus(ctx, Coweight((Fraction(1), Fraction(0))), base=t - 2)
         M = (n0.inverse() @ (T0 @ b0))
-        X, b = gauss_factorize(M)
-        assert (GroupElement.exp(ctx, [-x for x in X]) @ b).mat == M.mat
+        X = gauss_factorize(M)
+        # e^X M is in B_-: no entry raises the height
+        nM = (GroupElement.exp(ctx, X) @ M).mat
+        assert not any(
+            v and alg.height_of[i] > alg.height_of[j]
+            for i, row in enumerate(nM.rows)
+            for j, v in row.items()
+        )
         assert X == nv  # uniqueness picks out the original factor
-        # determinism
-        X2, b2 = gauss_factorize(M)
-        assert X2 == X and b2.mat == b.mat
+        assert gauss_factorize(M) == X  # determinism
 
 
 def test_gauss_factorize_reproduces_paper_h_functions():
@@ -121,7 +126,7 @@ def test_gauss_factorize_reproduces_paper_h_functions():
     E2 = alg.vec_E(alg.simple_root(1), F)
     E12 = alg.bracket_vec(E1, E2, F)
     X0 = [a * x + b * y + c * z for x, y, z in zip(E1, E2, E12)]
-    logn, _ = gauss_factorize(Y @ GroupElement.exp(ctx, [-x for x in X0]))
+    logn = gauss_factorize(Y @ GroupElement.exp(ctx, [-x for x in X0]))
 
     def dnm(cc, aa):
         return (a * b + 2 * cc) * t ** (2 * mu) + 4 * mu * aa * t ** mu + F.coerce(4 * mu * mu)
@@ -166,21 +171,27 @@ def test_gauss_factorize_lets_a_bug_in_the_log_step_through(monkeypatch):
         gauss_factorize(M)
 
 
-@pytest.mark.parametrize("T", [1, 2, 4])
-def test_fundamental_solution_inverse(T):
-    """Y.inv (through the Neumann series of yhat_inv) inverts Y.mat on both
-    sides, for A2 with a site at 3 with integral residue and a
-    non-constant nilpotent part."""
+@pytest.mark.parametrize(
+    "label,T",
+    [("A2", 1), ("A2", 2), ("A2", 4), ("B2", 1), ("B2", 2), ("G2", 1)],
+    ids=["1", "2", "4", "B2-1", "B2-2", "G2-1"],
+)
+def test_fundamental_solution_inverse(label, T):
+    """Y.inv inverts Y.mat on both sides, and Y^-1 gauges the connection
+    to d (the matrix oracle), with a site at 3 with integral residue and
+    a non-constant nilpotent part."""
     from cycloper.linalg import SparseMat
 
-    ctx = OperContext("A2", ScalarTower.get(T))
+    ctx = OperContext(label, ScalarTower.get(T))
     F = ctx.functions
     alg = ctx.alg
     t = F.gen
     hv = coweight_to_h(alg, Coweight((Fraction(1), Fraction(0))), F)
     coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, hv)]
     coeffs[alg.index_F[(1, 1)]] = t
-    Y = solve_fundamental(Connection(ctx, coeffs, "b-"))
+    conn = Connection(ctx, coeffs, "b-")
+    Y = solve_fundamental(conn)
     one = SparseMat.identity(F, alg.dim)
     assert Y.mat @ Y.inv == one
     assert Y.inv @ Y.mat == one
+    assert not any(gauge_transform(conn, Y.inverse()).coeffs)
