@@ -125,6 +125,10 @@ def cmd_reproduce(problem, args):
     ctx = problem.ctx
     F = ctx.functions
     if args.g0:
+        if not m.residue_coweight(0).is_rational():
+            raise ValidationError(
+                "the generic route (--g0) needs a rational lam0; bind its parameters (--instantiate)"
+            )
         theta = theta_for(m)
         from .automorphisms import theta_fixed_nilpotent
 

@@ -186,14 +186,6 @@ class GroupElement:
         return cls(ctx, mat, inv)
 
     @classmethod
-    def from_constant(cls, ctx, dense, inv_dense):
-        """A constant matrix and its inverse, as functions."""
-        F = ctx.functions
-        m = SparseMat.from_dense(F, [[F.coerce(x) for x in row] for row in dense])
-        mi = SparseMat.from_dense(F, [[F.coerce(x) for x in row] for row in inv_dense])
-        return cls(ctx, m, mi)
-
-    @classmethod
     def weyl_representative(cls, ctx, w):
         """dot-w = prod over the word of exp(E_i) exp(-F_i) exp(E_i)."""
         g = cls.identity(ctx)
@@ -232,25 +224,6 @@ class GroupElement:
             for j, f in row.items():
                 out[i][j] = f.eval_at(p) if p != INFINITY else f.eval_at_infinity()
         return out
-
-    def log_vec(self):
-        """X with exp(ad_X) = self (requires unipotent), by the log series
-        of the matrix."""
-        F = self.ctx.functions
-        n = self.mat.nrows
-        N = self.mat.add(SparseMat.identity(F, n).scale(-F.one))
-        term = N
-        total = N
-        k = 2
-        while any(term.rows[i] for i in range(n)):
-            term = term @ N
-            if not any(term.rows[i] for i in range(n)):
-                break
-            total = total.add(term.scale(F.coerce(Fraction((-1) ** (k + 1), k))))
-            k += 1
-            if k > 2 * n:
-                raise ValidationError("log series did not terminate; not unipotent")
-        return self.ctx.matrix_to_vec(total)
 
     def __eq__(self, other):
         if not isinstance(other, GroupElement):

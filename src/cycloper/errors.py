@@ -70,13 +70,10 @@ class NotOfForm(CycloperError):
 
 
 class NotInOpenCell(CycloperError):
-    """Gauss factorization failed; carries the vanishing-minor certificate."""
+    """The element is not in the big cell N B_-, or its factor failed the
+    certificate."""
 
     exit_code = 7
-
-    def __init__(self, level, message=None):
-        self.level = level
-        super().__init__(message or f"singular pivot block at grading level {level}")
 
 
 class RiccatiViolated(CycloperError):

@@ -10,7 +10,6 @@ from fractions import Fraction
 from .automorphisms import AlgebraAut
 from .connection import (
     Connection,
-    GroupElement,
     exp_gauge,
     is_equivariant,
     lift_to_cover,
@@ -472,10 +471,19 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
         raise FixedPointViolation("g0 is not vartheta-fixed")
     reg = regularize(conn2, lam_reg).with_shape("b-")
     # on the q-sheeted cover (t = u^q) the points of miura are no poles
-    Y = solve_fundamental(reg, extra_points=miura.points if q == 1 else ())
-    if isinstance(Y, MonodromyObstruction):
-        raise Y
-    logn = gauss_factorize(Y @ GroupElement.exp(ctx2, [-x for x in X0]))
+    fund = solve_fundamental(reg, extra_points=miura.points if q == 1 else ())
+    if isinstance(fund, MonodromyObstruction):
+        raise fund
+    # Y g0^-1 = D M with M = e^Z e^-X0: factor M = e^-X b from its b_-
+    # columns, then n = e^{Ad_D X} since D e^-X = e^{-Ad_D X} D
+    torus, Z = fund
+    minus_X0 = [-x for x in X0]
+    units = [[F2.one if i == j else F2.zero for i in range(alg.dim)] for j in range(alg.dim)]
+    cols = [alg.ad_series(Z, alg.ad_series(minus_X0, e, F2), F2)
+            for e, h in zip(units, alg.height_of) if h <= 0]
+    logn = gauss_factorize(ctx2, cols)
+    for mu, base in torus:
+        logn = torus_conjugate_vec(ctx2, logn, mu, base)
     # initial-value certificate: the regularised gauge parameter at 0 is
     # g0; exp is injective on n, so on logs log n(0) = X0(0)
     if [x.eval_at(K2.zero) for x in logn] != [x.eval_at(K2.zero) for x in X0]:
@@ -489,7 +497,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     # must be a Miura oper again
     for i, c in enumerate(out):
         if alg.height_of[i] > 0 and c:
-            raise NotInOpenCell(None, "generic reproduction left positive components")
+            raise NotInOpenCell("generic reproduction left positive components")
     new_u = [out[alg.index_H[j]] for j in range(alg.rank)]
     new = MiuraOper(ctx, new_u, miura.points)
     cyc = new.is_cyclotomic()

@@ -1,13 +1,15 @@
 """Fundamental solutions of Borel-valued connections as a torus factor
 times e^Z, Z integrated height by height on Lie-algebra vectors, and the
-N B_- (big cell) factorisation by block elimination in the adjoint
-representation."""
+N B_- (big cell) factor read from the columns of b_- on Lie vectors."""
 
 from __future__ import annotations
 
-from .connection import Connection, GroupElement, exp_gauge, torus_conjugate_vec
-from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell, ValidationError
-from .linalg import SparseMat, mat_inverse, mat_mul
+import math
+from fractions import Fraction
+
+from .connection import Connection, exp_gauge, torus_conjugate_vec
+from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
+from .linalg import rref
 from .ratfunc import poles_of, rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
@@ -19,9 +21,10 @@ def solve_fundamental(conn: Connection, extra_points=()):
     Y = D e^Z on B_- = H N_-: D = prod_p (1 - t/p)^-mu_p carries the h-part
     (mu_p its residue at p), and Z in n_- solves (d e^Z) e^-Z = -B with
     B = Ad_{D^-1} of the lower part, one height at a time, Z(0) = 0.
-    Returns the MonodromyObstruction value if some entry of Z' has a
-    nonzero residue.  extra_points are tried first as roots of the
-    denominators."""
+    Returns (torus, Z) with torus the list of (mu_p, 1 - t/p), so that
+    Ad_D = prod_p torus_conjugate_vec(., mu_p, 1 - t/p); or the
+    MonodromyObstruction value if some entry of Z' has a nonzero residue.
+    extra_points are tried first as roots of the denominators."""
     ctx = conn.ctx
     alg = ctx.alg
     F = ctx.functions
@@ -46,21 +49,17 @@ def solve_fundamental(conn: Connection, extra_points=()):
                 )
             if all(p != q for q in poles):
                 poles.append(p)
-    D = GroupElement.identity(ctx)
+    torus = []
     B = [c if alg.height_of[i] < 0 else F.zero for i, c in enumerate(conn.coeffs)]
     for p in poles:
-        res_vec = [c.residue_at(p) for c in h_vec]
-        full = alg.vec_zero(K)
-        for i, r in enumerate(res_vec):
-            full[i] = K.coerce(r)
+        full = [K.coerce(c.residue_at(p)) for c in h_vec]
         mu = h_to_coweight(alg, full)
         if not mu.is_integral():
             return MonodromyObstruction([(p, mu)], level=0)
         # p != 0 since A is regular at 0, and 1 - t/p is 1 there
         base = F.one - F.gen / F.coerce(p)
-        minus_mu = Coweight([-c for c in mu.coords])
-        D = D @ GroupElement.torus(ctx, minus_mu, base=base)
-        B = torus_conjugate_vec(ctx, B, minus_mu, base)
+        torus.append((mu, base))
+        B = torus_conjugate_vec(ctx, B, Coweight([-c for c in mu.coords]), base)
         lin = F.gen - F.coerce(p)
         for i in range(alg.dim):
             if alg.height_of[i] == 0 and leftover[i]:
@@ -88,63 +87,79 @@ def solve_fundamental(conn: Connection, extra_points=()):
 
     if any(exp_gauge(ctx, [-z for z in Z], B)):
         raise MalformedOper("fundamental solution verification failed")
-    return D @ GroupElement.exp(ctx, Z)
+    return torus, Z
 
 
-def gauss_factorize(M: GroupElement):
-    """X in n(M) with M = e^-X b for some b in B_-(M): the log of the
-    unipotent factor, by exact block elimination along the principal
-    grading.  Raises NotInOpenCell (with the singular grading level) when
-    M is not in the big cell, or when the log of the eliminating factor
-    does not exponentiate back to it."""
-    ctx = M.ctx
+def gauss_factorize(ctx, cols):
+    """X in n with M = e^-X b for some b in B_-, given the columns
+    cols[j] = Ad_M e_j of the b_- basis vectors (the indices j of height
+    <= 0 come first in the basis).
+
+    e^{-ad X} rho = M y for the y in b_- with Ad_b y = rho, and the rows of
+    height <= 0 of M y are rho: one linear solve, after which X is read
+    height by height.  The certificate e^{ad X} M F_i in n_- for every
+    simple i proves e^X M in B_-, since n_- is generated by the F_i and
+    its normaliser is B_-.  Raises NotInOpenCell when the solve is
+    singular or the certificate fails."""
     alg = ctx.alg
     F = ctx.functions
-    cur = M.mat.clone()
-    N_acc = SparseMat.identity(F, alg.dim)
-    heights = sorted(alg.blocks)
-
-    # classic block LU sweep along the principal filtration: for each pivot
-    # block (ascending height) eliminate every raising block below it; the
-    # accumulated row operations form the unit-raising factor n with
-    # n M in B_- (non-raising)
-    for hc in heights:
-        cols = alg.blocks[hc]
-        pivot = [[cur.rows[i].get(j, F.zero) for j in cols] for i in cols]
-        pinv = mat_inverse(F, pivot)
-        if pinv is None:
-            raise NotInOpenCell(hc)
-        for hr in heights:
-            if hr <= hc:
-                continue
-            rows = alg.blocks[hr]
-            blk = [[cur.rows[i].get(j, F.zero) for j in cols] for i in rows]
-            if not any(any(r) for r in blk):
-                continue
-            mult = mat_mul(F, blk, pinv)
-            for a, i in enumerate(rows):
-                for b2, j in enumerate(cols):
-                    m_ab = mult[a][b2]
-                    if not m_ab:
-                        continue
-                    for mat in (cur, N_acc):
-                        src = mat.rows[j]
-                        dst = mat.rows[i]
-                        for col, v in src.items():
-                            nv = dst.get(col, F.zero) - m_ab * v
-                            if nv:
-                                dst[col] = nv
-                            else:
-                                dst.pop(col, None)
-    # cur must now be non-raising
-    for i in range(alg.dim):
-        for j, v in cur.rows[i].items():
-            if v and alg.height_of[i] > alg.height_of[j]:
-                raise NotInOpenCell(alg.height_of[j], "elimination left a raising defect")
-    try:
-        X = GroupElement(ctx, N_acc, None).log_vec()
-    except (ValidationError, MalformedOper) as e:
-        raise NotInOpenCell(None, f"unipotent factor is not in N: {e}")
-    if not (GroupElement.exp(ctx, X).mat == N_acc):
-        raise NotInOpenCell(None, "unipotent factor reassembly failed")
+    m = len(cols)
+    rows = [[col[i] for col in cols] + [F.coerce(alg.rho[i])] for i in range(m)]
+    red, pivots = rref(F, rows, ncols=m)
+    if len(pivots) < m:
+        raise NotInOpenCell("Ad_M b_- meets n: M is not in the big cell")
+    w = alg.vec_zero(F)
+    for row, col in zip(red, cols):
+        w = [a + row[m] * c if c else a for a, c in zip(w, col)]
+    X = _read_log(alg, w, F)
+    # the certificate on polynomials: phi scales the coordinate of each
+    # root alpha = sum_j m_j alpha_j by prod_j s_j^m_j, an automorphism for
+    # any nonzero s_j, and phi(e^{ad X} c) = e^{ad phi(X)} phi(c); the s_j
+    # make phi(X) polynomial, and a shift by the largest m_j makes phi(c) so
+    rank = alg.rank
+    exps = [r if kind == "E" else [-e for e in r] if kind == "F" else [0] * rank
+            for kind, r in alg.basis]
+    s = [F.one] * rank
+    for r, x in zip(exps, X):
+        d = (_character(s, r) * x).den if x else ()
+        if len(d) > 1:
+            j = next(j for j, e in enumerate(r) if e)
+            s[j] = s[j] * F.from_coeffs(d)
+    top = [max(r[j] for r in alg.pos_roots) for j in range(rank)]
+    Xs = [_character(s, r) * x if x else x for r, x in zip(exps, X)]
+    shift = [_character(s, [e + t for e, t in zip(r, top)]) for r in exps]
+    for i in range(rank):
+        c = _cleared(F, cols[alg.index_F[alg.simple_root(i)]])
+        out = alg.ad_series(Xs, [f * x if x else x for f, x in zip(shift, c)], F)
+        if any(v for v, h in zip(out, alg.height_of) if h >= 0):
+            raise NotInOpenCell("e^X M is not in B_-: certificate failed")
     return X
+
+
+def _read_log(alg, w, F):
+    """X in n from w = e^{-ad X} rho: the height-k part of w is
+    k X_k + (the height-k part of e^{-ad X_<k} rho)."""
+    rho = [F.coerce(x) for x in alg.rho]
+    X = alg.vec_zero(F)
+    for k in range(1, alg.height_max + 1):
+        S = alg.ad_series([-x for x in X], rho, F) if k > 1 else rho
+        inv = F.coerce(Fraction(1, k))
+        for i in alg.blocks.get(k, []):
+            X[i] = (w[i] - S[i]) * inv
+    return X
+
+
+def _cleared(F, vec):
+    """q vec for a polynomial q that clears every denominator of vec: the
+    lcm, grown by the part of each denominator that q lacks."""
+    q = F.one
+    for x in vec:
+        d = (q * x).den
+        if len(d) > 1:
+            q = q * F.from_coeffs(d)
+    return [q * x for x in vec]
+
+
+def _character(s, exps):
+    """prod_j s_j^e_j for exponents e_j >= 0."""
+    return math.prod([sj ** e for sj, e in zip(s, exps)])

@@ -10,7 +10,9 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cycloper.automorphisms import DiagramAut
+from cycloper.connection import GroupElement
 from cycloper.context import OperContext
+from cycloper.linalg import SparseMat
 from cycloper.miura import build_miura
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight
@@ -82,3 +84,42 @@ def fSl3_seed(ctx, mu, a, b, c):
     )
     half = F.coerce(Fraction(1, 2))
     return ((ft1 + ft2) * half, (ft1 - ft2) * half, ft3)
+
+
+# -- adjoint-matrix oracles -------------------------------------------------
+
+def matrix_log(g):
+    """X with exp(ad X) = g for a unipotent GroupElement g, by the log
+    series of its matrix."""
+    F = g.ctx.functions
+    n = g.mat.nrows
+    N = g.mat.add(SparseMat.identity(F, n).scale(-F.one))
+    total = term = N
+    for k in range(2, 2 * n + 2):
+        term = term @ N
+        if not any(term.rows):
+            return g.ctx.matrix_to_vec(total)
+        total = total.add(term.scale(F.coerce(Fraction((-1) ** (k + 1), k))))
+    raise AssertionError("log series did not terminate; not unipotent")
+
+
+def fundamental_matrix(ctx, fund):
+    """Y = D e^{ad Z} as a GroupElement, from the (torus, Z) of
+    solve_fundamental: D is the product of the (1 - t/p)^-mu_p."""
+    torus, Z = fund
+    Y = GroupElement.exp(ctx, Z)
+    for mu, base in torus:
+        Y = GroupElement.torus(ctx, Coweight([-c for c in mu.coords]), base=base) @ Y
+    return Y
+
+
+def bminus_columns(g):
+    """The columns Ad_g e_j of a GroupElement g for the b_- basis indices j
+    (height <= 0), the input of gauss_factorize."""
+    alg = g.ctx.alg
+    F = g.ctx.functions
+    return [
+        [F.coerce(row.get(j, F.zero)) for row in g.mat.rows]
+        for j in range(alg.dim)
+        if alg.height_of[j] <= 0
+    ]

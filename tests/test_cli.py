@@ -181,6 +181,16 @@ def test_singular_a2_orbit_with_symbolic_lam0_exits_3(capsys):
     assert "ValidationError" in err and "--instantiate" in err
 
 
+@pytest.mark.parametrize("fixture", ["sl3_origin.json", "sl4_site.json"])
+def test_generic_route_with_symbolic_lam0_exits_3(capsys, fixture):
+    _, err = run_cli(capsys, [
+        "--problem", fx(fixture),
+        "--command", "reproduce",
+        "--g0", "1",
+    ], expect_code=3)
+    assert "ValidationError" in err and "--instantiate" in err
+
+
 def test_classify_command(capsys):
     out, _ = run_cli(capsys, [
         "--problem", fx("sl4_site.json"),

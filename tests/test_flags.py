@@ -17,7 +17,6 @@ from cycloper.flags import (
     flag_position,
     inversion_set,
 )
-from cycloper.linalg import mat_inverse
 from cycloper.miura import MiuraOper, build_miura, reproduce_generic, reproduce_orbit_A2, theta_for
 from cycloper.solve import gauss_factorize
 from cycloper.tower import ScalarTower
@@ -210,8 +209,10 @@ def _gauss_flag_point(m, X):
     wctx, Xr = _regularised_log(m, X)
     alg = wctx.alg
     K = wctx.scalars
+    F = wctx.functions
     M0 = GroupElement.exp(wctx, Xr).eval_at(K.zero)
-    logn = gauss_factorize(GroupElement.from_constant(wctx, M0, mat_inverse(K, M0)))
+    cols = [[F.coerce(row[j]) for row in M0] for j in range(alg.dim) if alg.height_of[j] <= 0]
+    logn = gauss_factorize(wctx, cols)
     coords = {alg.basis[i][1]: (-v).constant_value() for i, v in enumerate(logn) if v}
     W = wctx.weyl
     return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
@@ -245,8 +246,15 @@ def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, 
 
 @pytest.mark.parametrize(
     "label, T, cycles",
-    [("A3", 2, [[1, 3]]), ("A3", 4, [[1, 3]]), ("B2", 1, []), ("A4", 2, [[1, 4], [2, 3]])],
-    ids=["A3-T2", "A3-T4", "B2-T1", "A4-T2"],
+    [
+        ("A3", 2, [[1, 3]]),
+        ("A3", 4, [[1, 3]]),
+        ("B2", 1, []),
+        ("A4", 2, [[1, 4], [2, 3]]),
+        ("G2", 1, []),
+        ("D4", 3, [[1, 3, 4]]),
+    ],
+    ids=["A3-T2", "A3-T4", "B2-T1", "A4-T2", "G2-T1", "D4-T3"],
 )
 def test_generic_round_trip_beyond_folded_a2(label, T, cycles):
     """The generic route off A2 (lam0 pairing 1 with every simple root):

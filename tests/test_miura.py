@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import cycloper
-from conftest import fSl3_seed, run_under_O, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
+from conftest import fSl3_seed, matrix_log, run_under_O, sl3_context, sl3_miura, sl4_miura, sl4_miura_at
 from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
 from cycloper.connection import GroupElement, gauge_transform, is_equivariant
 from cycloper.context import OperContext
@@ -333,7 +333,7 @@ def test_a1_orbit_equivariance_is_the_functional_relation():
                 v1 = [f1 * c for c in alg.vec_E(alg.simple_root(0), F)]
                 v3 = [f3 * c for c in alg.vec_E(alg.simple_root(2), F)]
                 g = GroupElement.exp(ctx, v1) @ GroupElement.exp(ctx, v3)
-                assert is_equivariant((ctx, g.log_vec()), ctx.varsigma) == closes
+                assert is_equivariant((ctx, matrix_log(g)), ctx.varsigma) == closes
 
 
 def test_a1_orbit_gauge_reassembly():
@@ -545,8 +545,8 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
 
     real = miura_mod.gauss_factorize
 
-    def broken(M):
-        return [2 * x for x in real(M)]
+    def broken(ctx, cols):
+        return [2 * x for x in real(ctx, cols)]
 
     monkeypatch.setattr(miura_mod, "gauss_factorize", broken)
     ctx, m = sl3_miura(2, 1)
@@ -589,10 +589,12 @@ def test_generic_reproduction_with_sites():
 def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
     """The simple, A1-orbit and A2-orbit reproductions return their gauge
     as its log and check it by the Lie series, and a big-cell flag
-    position is read off that log: none of them builds exp(ad X).  The
-    generic route builds three: e^{-ad X0}, the e^{ad Z} of the fundamental
-    solution Y = D e^Z and the re-exp check of the Gauss factor."""
+    position is read off that log: none of them builds exp(ad X).  Nor
+    does the generic route, which builds no matrix at all: it reads the
+    Gauss factor of Y g0^-1 from the Lie vectors e^{ad Z} e^{-ad X0} e_j
+    of the b_- basis."""
     import cycloper.connection as connection
+    from cycloper.linalg import SparseMat
     from cycloper.flags import flag_position
 
     ctx1 = OperContext("A1", ScalarTower.get(1))
@@ -617,8 +619,16 @@ def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
     assert fp.w.length == 0 and fp.coordinates
     assert not calls
     basis, _ = theta_fixed_nilpotent(ctx3.alg, theta_for(m3))
+    built = []
+    real_init = SparseMat.__init__
+
+    def counted_init(self, *args, **kw):
+        built.append(args)
+        real_init(self, *args, **kw)
+
+    monkeypatch.setattr(SparseMat, "__init__", counted_init)
     reproduce_generic(m3, basis[0])
-    assert len(calls) == 3
+    assert not calls and not built
 
 
 def test_gauge_reassembly_failure_is_typed(monkeypatch):

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import sl3_context
+from conftest import bminus_columns, fundamental_matrix, sl3_context
+import cycloper.solve as solve
+from cycloper.chevalley import ChevalleyAlgebra
 from cycloper.connection import Connection, GroupElement, gauge_transform, regularize
 from cycloper.context import OperContext
 from cycloper.errors import MonodromyObstruction, NotInOpenCell
@@ -31,7 +33,7 @@ def test_sl3_fundamental_solution():
     for eta in (0, 1, 2):
         mu = eta + 1
         reg, _, _ = regularized_sl3(ctx, eta)
-        Y = solve_fundamental(reg)
+        Y = fundamental_matrix(ctx, solve_fundamental(reg))
         expected = GroupElement.exp(ctx, [(-t ** mu / mu) * F.coerce(c) for c in ctx.alg.p_minus1])
         assert Y == expected
 
@@ -46,8 +48,10 @@ def test_fundamental_with_site_torus_part():
     acw = coweight_to_h(alg, Coweight((Fraction(2),)), F)
     coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, acw)]
     conn = Connection(ctx, coeffs, "b-")
-    Y = solve_fundamental(conn)
-    assert isinstance(Y, GroupElement)
+    fund = solve_fundamental(conn)
+    assert not isinstance(fund, MonodromyObstruction)
+    assert [base for _, base in fund[0]] == [1 - t / 3]
+    Y = fundamental_matrix(ctx, fund)
     # dY Y^-1 = -A verified inside; check initial value
     d = Y.eval_at(0)
     n = alg.dim
@@ -99,7 +103,7 @@ def test_gauss_factorize_reassembly():
         b0 = GroupElement.exp(ctx, bv)
         T0 = GroupElement.torus(ctx, Coweight((Fraction(1), Fraction(0))), base=t - 2)
         M = (n0.inverse() @ (T0 @ b0))
-        X = gauss_factorize(M)
+        X = gauss_factorize(ctx, bminus_columns(M))
         # e^X M is in B_-: no entry raises the height
         nM = (GroupElement.exp(ctx, X) @ M).mat
         assert not any(
@@ -108,7 +112,7 @@ def test_gauss_factorize_reassembly():
             for j, v in row.items()
         )
         assert X == nv  # uniqueness picks out the original factor
-        assert gauss_factorize(M) == X  # determinism
+        assert gauss_factorize(ctx, bminus_columns(M)) == X  # determinism
 
 
 def test_gauss_factorize_reproduces_paper_h_functions():
@@ -120,13 +124,13 @@ def test_gauss_factorize_reproduces_paper_h_functions():
     eta = 2
     mu = eta + 1
     reg, nabla, lam0 = regularized_sl3(ctx, eta)
-    Y = solve_fundamental(reg)
+    Y = fundamental_matrix(ctx, solve_fundamental(reg))
     a, b, c = Fraction(1), Fraction(2), Fraction(1, 2)
     E1 = alg.vec_E(alg.simple_root(0), F)
     E2 = alg.vec_E(alg.simple_root(1), F)
     E12 = alg.bracket_vec(E1, E2, F)
     X0 = [a * x + b * y + c * z for x, y, z in zip(E1, E2, E12)]
-    logn = gauss_factorize(Y @ GroupElement.exp(ctx, [-x for x in X0]))
+    logn = gauss_factorize(ctx, bminus_columns(Y @ GroupElement.exp(ctx, [-x for x in X0])))
 
     def dnm(cc, aa):
         return (a * b + 2 * cc) * t ** (2 * mu) + 4 * mu * aa * t ** mu + F.coerce(4 * mu * mu)
@@ -152,23 +156,50 @@ def test_gauss_not_in_open_cell():
     ctx = sl3_context(2)
     wd = GroupElement.weyl_representative(ctx, ctx.weyl.simple(0))
     with pytest.raises(NotInOpenCell):
-        gauss_factorize(wd)
+        gauss_factorize(ctx, bminus_columns(wd))
 
 
 def test_gauss_factorize_lets_a_bug_in_the_log_step_through(monkeypatch):
-    """Only the typed failures of the log step mean "not in the big cell";
-    any other exception there is a bug and propagates unchanged."""
+    """Only a singular solve or a failed certificate means "not in the big
+    cell"; any other exception in the vector read of X is a bug and
+    propagates unchanged."""
     ctx = sl3_context(2)
     F = ctx.functions
     alg = ctx.alg
     M = GroupElement.exp(ctx, [F.gen * x for x in alg.vec_E(alg.simple_root(0), F)])
+    cols = bminus_columns(M)
 
-    def broken(self, mat, K=None):
-        raise TypeError("bug in matrix_to_vec")
+    def broken(self, x, v, K=None, shift=0):
+        raise TypeError("bug in ad_series")
 
-    monkeypatch.setattr(OperContext, "matrix_to_vec", broken)
-    with pytest.raises(TypeError, match="bug in matrix_to_vec"):
-        gauss_factorize(M)
+    monkeypatch.setattr(ChevalleyAlgebra, "ad_series", broken)
+    with pytest.raises(TypeError, match="bug in ad_series"):
+        gauss_factorize(ctx, cols)
+
+
+def test_gauss_certificate_catches_a_wrong_log(monkeypatch):
+    """A read of X with the top-height entry moved by t fails the
+    certificate e^{ad X} M F_i in n_- with NotInOpenCell."""
+    ctx = sl3_context(4)
+    F = ctx.functions
+    alg = ctx.alg
+    t = F.gen
+    nv = alg.vec_zero(F)
+    for n, r in enumerate(alg.pos_roots):
+        nv[alg.index_E[r]] = F.coerce(n + 1) * t / (t - 2)
+    cols = bminus_columns(GroupElement.exp(ctx, [-x for x in nv]))
+    assert gauss_factorize(ctx, cols) == nv
+    real = solve._read_log
+    top = alg.blocks[alg.height_max][0]
+
+    def perturbed(alg, w, F):
+        X = real(alg, w, F)
+        X[top] = X[top] + F.gen
+        return X
+
+    monkeypatch.setattr(solve, "_read_log", perturbed)
+    with pytest.raises(NotInOpenCell, match="certificate"):
+        gauss_factorize(ctx, cols)
 
 
 @pytest.mark.parametrize(
@@ -190,7 +221,7 @@ def test_fundamental_solution_inverse(label, T):
     coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, hv)]
     coeffs[alg.index_F[(1, 1)]] = t
     conn = Connection(ctx, coeffs, "b-")
-    Y = solve_fundamental(conn)
+    Y = fundamental_matrix(ctx, solve_fundamental(conn))
     one = SparseMat.identity(F, alg.dim)
     assert Y.mat @ Y.inv == one
     assert Y.inv @ Y.mat == one
