@@ -11,7 +11,7 @@ from .connection import Connection, exp_gauge, is_equivariant
 from .context import OperContext
 from .errors import MalformedOper, NotOfForm, NotRegularSingular
 from .finite_opers import FiniteOperClass, finite_canonical, slice_gauge
-from .ratfunc import INFINITY
+from .ratfunc import INFINITY, _common_denominator, _pdivmod
 from .weyl import (
     Coweight,
     coweight_to_h,
@@ -58,28 +58,65 @@ class CanonicalOper:
 
 def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOper:
     """Degree-by-degree construction of the unique slice representative:
-    slice_gauge with the derivative in t, and the gauge action
-    e^X . (d + A dt) of exp_gauge as its one reassembly check.
+    slice_gauge in the frame of _frame, and the gauge action e^X . (d + A dt)
+    of exp_gauge in that frame as its one reassembly check.
 
     At each height the mismatch against the current candidate splits as
     c_h + [m_{h+1}, p_-1 dt]; uniqueness of both parts certifies freeness of
-    the unipotent action."""
+    the unipotent action.  The frame is injective, so the check in it is
+    the same exact proof; m_h = X_h / D^h and u_k = c_k / D^(k+1) map the
+    result back."""
     ctx = conn.ctx
     alg = ctx.alg
     F = ctx.functions
     conn.with_shape("oper")
     if cyclotomic and not is_equivariant(conn, ctx.varsigma):
         raise MalformedOper("claimed cyclotomic but the connection is not equivariant")
-    m, u_by_height = slice_gauge(alg, conn.coeffs, F, lambda X, A: exp_gauge(ctx, X, A),
-                                 lambda f: f.derivative())
+    target, delta, Dpow = _frame(alg, F, conn.coeffs)
+    heights = alg.height_of
+    m, u_by_height = slice_gauge(
+        alg, target, F,
+        lambda X, A: exp_gauge(ctx, X, A, [delta(x, h) for x, h in zip(X, heights)]),
+        lambda vec, h: [delta(x, h) for x in vec])
+    m = [x / Dpow[h] if x else x for x, h in zip(m, heights)]
     u = []
     for k in sorted(set(alg.exponents)):
-        u.extend(u_by_height.get(k, []))
+        u.extend(c / Dpow[k + 1] for c in u_by_height.get(k, []))
     out = CanonicalOper(ctx, tuple(alg.exponents), u, m)
     if cyclotomic:
         if not is_equivariant(out.connection(), ctx.varsigma):
             raise MalformedOper("canonical form of a cyclotomic oper failed equivariance")
     return out
+
+
+def _frame(alg, F, coeffs):
+    """The frame in which the canonical solve runs on polynomials:
+    Phi(v)_h = D^(h+1) v_h on connection-like vectors and X_h -> D^h X_h on
+    gauges, D the lcm of the denominators of the components of height >= 0.
+
+    Phi = D Ad_{D^rho}, so Phi(e^X . A) = sum_k ad_Y^k Phi(A) / k!
+    - sum_k ad_Y^k delta(Y) / (k+1)! for Y the scaled X, where
+    delta(y, h) = D y' - h D' y on height h; Phi fixes p_-1.  Returns
+    (Phi(coeffs), delta, [D^0, ..., D^(height_max+1)]); each component of
+    height h >= 0 is mapped in by one exact division into D^(h+1)."""
+    D = _common_denominator(F, [c for c, h in zip(coeffs, alg.height_of) if h >= 0])
+    Dp = D.derivative()
+    Dpow = [F.one]
+    for _ in range(alg.height_max + 1):
+        Dpow.append(Dpow[-1] * D)
+    target = []
+    for c, h in zip(coeffs, alg.height_of):
+        if h >= 0 and c:
+            q, r = _pdivmod(Dpow[h + 1], F.from_coeffs(c.den))
+            if r:
+                raise MalformedOper("a denominator does not divide the common one")
+            c = F.from_coeffs(c.num) * q
+        target.append(c)
+
+    def delta(y, h):
+        return D * y.derivative() - Dp * y * h if y else y
+
+    return target, delta, Dpow
 
 
 def u1_coefficient(conn: Connection):
@@ -115,26 +152,31 @@ def is_regular_at(conn: Connection, x, cyclotomic=True) -> bool:
 
 
 def _rs_value(ctx, can: CanonicalOper, where):
-    """v(x) for the (t-x)^rho-gauged form: v = sum_k (t-x)^{k+1} u_k p_k,
-    checking the regular-singularity pole bounds."""
+    """v(x) for the (t-x)^rho-gauged form: v = sum_k c_k p_k, c_k the
+    coefficient of (t-x)^-(k+1) in u_k (of t^-(k+1) at infinity), read from
+    the pole order and the leading Laurent term; a higher pole order
+    (slower decay at infinity) is not regular singular."""
     alg = ctx.alg
-    F = ctx.functions
     K = ctx.scalars
     val = alg.vec_zero(K)
+    x = None if where == INFINITY else K.coerce(where)
     for (k, w), uk in zip(alg.centralizer_basis, can.u):
         if not uk:
             continue
-        if where == INFINITY:
-            g = uk * F.gen ** (k + 1)
-            if not g.is_regular_at(INFINITY):
+        if x is None:
+            v = uk.valuation_at_infinity()
+            if v < k + 1:
                 raise NotRegularSingular(f"u_{k} grows too fast at infinity")
-            c = g.eval_at_infinity()
+            if v > k + 1:
+                continue
+            c = uk.num[-1] / uk.den[-1]
         else:
-            x = K.coerce(where)
-            shifted = uk * (F.gen - F.coerce(x)) ** (k + 1)
-            if not shifted.is_regular_at(x):
+            pp = uk.principal_part_at(x)
+            if len(pp) > k + 1:
                 raise NotRegularSingular(f"u_{k} has a pole of order > {k+1} at {where}")
-            c = shifted.eval_at(x)
+            if len(pp) < k + 1:
+                continue
+            c = pp[k]
         for j, cw in enumerate(w):
             if cw:
                 val[j] = val[j] + c * K.coerce(cw)

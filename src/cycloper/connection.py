@@ -294,15 +294,18 @@ def gauge_transform(conn: Connection, g: GroupElement) -> Connection:
     return out
 
 
-def exp_gauge(ctx: OperContext, X, A) -> list:
+def exp_gauge(ctx: OperContext, X, A, dX=None) -> list:
     """Coefficients of e^X . (d + A dt) = d + (Ad_{e^X} A - (d e^X) e^-X) dt
     for a nilpotent X, by the Lie series on algebra vectors; no matrix is
-    built.  Agrees with gauge_transform(conn, GroupElement.exp(ctx, X))."""
+    built.  Agrees with gauge_transform(conn, GroupElement.exp(ctx, X)).
+    dX replaces X' in the series: the same action in a frame whose
+    derivation is not d/dt."""
     F = ctx.functions
     alg = ctx.alg
     X = [F.coerce(x) for x in X]
     A = [F.coerce(a) for a in A]
-    dlog = alg.ad_series(X, [x.derivative() for x in X], F, shift=1)
+    dX = [x.derivative() for x in X] if dX is None else [F.coerce(x) for x in dX]
+    dlog = alg.ad_series(X, dX, F, shift=1)
     return [a - b for a, b in zip(alg.ad_series(X, A, F), dlog)]
 
 

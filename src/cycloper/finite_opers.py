@@ -70,7 +70,8 @@ def slice_gauge(alg, target, K, gauge, deriv=None, nu=None):
     subalgebra with nu), height by height, each graded piece made once.
 
     e^m . (p_-1 + c) is the sum of the pieces of Q_k = ad_m^k (p_-1 + c) / k!
-    and, when K has a derivation deriv, of V_k = -ad_m^k m' / (k+1)!.  The
+    and, when K has a derivation, of V_k = -ad_m^k m' / (k+1)!, with m' the
+    vector deriv(m_h, h) on each height h.  The
     unknowns m_{h+1}, c_h enter height h only through [m_{h+1}, p_-1] + c_h,
     so every other height-h piece is a bracket of m_<=h with stored pieces
     of lower height.  alg.split_graded writes their mismatch D against
@@ -115,7 +116,7 @@ def slice_gauge(alg, target, K, gauge, deriv=None, nu=None):
             for j in alg.blocks[h + 1]:
                 m[j] = mh[j]
             if deriv is not None:
-                V[0][h + 1] = [deriv(x) if x else x for x in mp]
+                V[0][h + 1] = deriv(mp, h + 1)
         if any(ch):
             Q[0][h] = ch
             for j in idxs:

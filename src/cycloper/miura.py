@@ -195,6 +195,8 @@ def riccati_solve(q, mode="general", constant=0, extra_points=()):
             raise NoRationalSolution("degenerate constant: denominator vanishes identically")
         f = Q / den
     elif mode == "singular_at_0":
+        if not R.is_regular_at(K.zero):
+            raise NoRationalSolution("int exp(-int q) has a pole at 0: no solution singular at 0", R)
         den = R - F.coerce(R.eval_at(K.zero))
         f = Q / den
     else:

@@ -927,16 +927,21 @@ class RatFunc:
         # Taylor shifts: f(x + p) = n(x) / (x^k e(x)) with e(0) != 0, and
         # c_m is the coefficient of x^(k-m) in the series n/e, so k terms of
         # n and e suffice: 2k of the shifted denominator, k of the numerator.
-        # The shift keeps that many terms, doubling until k is known.
+        # The shift keeps that many terms, doubling until k is known; at the
+        # origin there is nothing to shift.
         w = R.width
-        keep = k = 1
-        while 2 * k > keep:
-            keep *= 2
-            den, sd = R.shift(self._d, p, keep)
-            k = next((i for i, x in enumerate(den) if x), keep * w) // w
+        if not p:
+            den, sd = self._d, 1
+            k = next(i for i, x in enumerate(den) if x) // w
+        else:
+            keep = k = 1
+            while 2 * k > keep:
+                keep *= 2
+                den, sd = R.shift(self._d, p, keep)
+                k = next((i for i, x in enumerate(den) if x), keep * w) // w
         if k == 0:
             return ()
-        num, sn = R.shift(self._n, p, k)
+        num, sn = (self._n[:k * w], 1) if not p else R.shift(self._n, p, k)
         n = R.unpack(num, sn * self._c)
         e = R.unpack(den[k * w:2 * k * w], sd * R.lead(self._d))
         inv = K.one / e[0]
@@ -1168,6 +1173,17 @@ def poles_of(f: RatFunc, extra_points=()):
 def _poly(F, v, rn=1, rd=1):
     """The polynomial (rn/rd) * v of F.ring as a RatFunc."""
     return _rf(F, *F.ring.canon(v, rn, rd, F.ring.one))
+
+
+def _common_denominator(F, vec):
+    """The lcm of the denominators of vec, as a polynomial: grown by the
+    part of each denominator that it lacks."""
+    q = F.one
+    for x in vec:
+        d = (q * x).den
+        if len(d) > 1:
+            q = q * F.from_coeffs(d)
+    return q
 
 
 def _pdivmod(f, g):

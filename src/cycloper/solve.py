@@ -10,7 +10,7 @@ from fractions import Fraction
 from .connection import Connection, exp_gauge, torus_conjugate_vec
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import rref
-from .ratfunc import poles_of, rational_antiderivative
+from .ratfunc import _common_denominator, poles_of, rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
 
@@ -129,7 +129,9 @@ def gauss_factorize(ctx, cols):
     Xs = [_character(s, r) * x if x else x for r, x in zip(exps, X)]
     shift = [_character(s, [e + t for e, t in zip(r, top)]) for r in exps]
     for i in range(rank):
-        c = _cleared(F, cols[alg.index_F[alg.simple_root(i)]])
+        c = cols[alg.index_F[alg.simple_root(i)]]
+        q = _common_denominator(F, c)
+        c = [q * x for x in c]
         out = alg.ad_series(Xs, [f * x if x else x for f, x in zip(shift, c)], F)
         if any(v for v, h in zip(out, alg.height_of) if h >= 0):
             raise NotInOpenCell("e^X M is not in B_-: certificate failed")
@@ -147,17 +149,6 @@ def _read_log(alg, w, F):
         for i in alg.blocks.get(k, []):
             X[i] = (w[i] - S[i]) * inv
     return X
-
-
-def _cleared(F, vec):
-    """q vec for a polynomial q that clears every denominator of vec: the
-    lcm, grown by the part of each denominator that q lacks."""
-    q = F.one
-    for x in vec:
-        d = (q * x).den
-        if len(d) > 1:
-            q = q * F.from_coeffs(d)
-    return [q * x for x in vec]
 
 
 def _character(s, exps):

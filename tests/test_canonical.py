@@ -362,3 +362,50 @@ def test_not_regular_singular():
     conn = Connection(ctx, coeffs, "oper")
     with pytest.raises(NotRegularSingular):
         oper_residue(conn, INFINITY)
+
+
+@pytest.mark.parametrize("where", [0, 2, Fraction(-3, 2), INFINITY])
+def test_rs_value_reads_the_leading_laurent_term(where):
+    """_rs_value reads the coefficient of (t-x)^-(k+1) in u_k (of t^-(k+1)
+    at infinity) without forming u_k (t-x)^(k+1); the product route is the
+    oracle.  One more order of pole (less decay) is refused with the same
+    messages."""
+    from cycloper import canonical as canonical_module
+    from cycloper.canonical import CanonicalOper
+    from cycloper.errors import NotRegularSingular
+
+    ctx = OperContext("B2", ScalarTower.get(4))
+    F, K, alg = ctx.functions, ctx.scalars, ctx.alg
+    t = F.gen
+    inf = where == INFINITY
+    # u_k = c s^n plus terms smaller at x, s = t - x (or t at infinity);
+    # the bound is n = -(k+1), and one step inside it has value 0
+    s = t if inf else t - F.coerce(where)
+    smaller = 1 / (t ** 2 + 1) if inf else s * (t + 3) / (t ** 2 + 7)
+    inside = 1 if inf else -1
+    rng = random.Random(str(where))
+    exps = [k for k, _ in alg.centralizer_basis]
+
+    def u(orders):
+        out = []
+        for n in orders:
+            c = K.coerce(Fraction(rng.randint(1, 9), rng.randint(1, 4))) * K.zeta
+            out.append(c * s ** n + s ** n * smaller)
+        return CanonicalOper(ctx, tuple(exps), out, alg.vec_zero(F))
+
+    for orders in ([-(k + 1) for k in exps], [-(k + 1) - inside for k in exps],
+                   [-(k + 1) - inside * (i % 2) for i, k in enumerate(exps)]):
+        can = u(orders)
+        want = alg.vec_zero(K)
+        for (k, w), uk in zip(alg.centralizer_basis, can.u):
+            g = uk * s ** (k + 1)
+            c = g.eval_at_infinity() if inf else g.eval_at(K.coerce(where))
+            want = [a + c * K.coerce(b) for a, b in zip(want, w)]
+        assert canonical_module._rs_value(ctx, can, where) == want
+        assert any(want) == (orders[0] == -(exps[0] + 1))
+
+    k = exps[-1]
+    can = u([-(j + 1) for j in exps[:-1]] + [-(k + 1) + inside])
+    msg = "grows too fast at infinity" if inf else f"pole of order > {k + 1} at {where}"
+    with pytest.raises(NotRegularSingular, match=msg):
+        canonical_module._rs_value(ctx, can, where)

@@ -181,6 +181,21 @@ def test_singular_a2_orbit_with_symbolic_lam0_exits_3(capsys):
     assert "ValidationError" in err and "--instantiate" in err
 
 
+@pytest.mark.parametrize("lam0", [["-3", "1"], ["-2", "0"], ["-5", "2"]])
+def test_singular_branch_without_a_solution_exits_10(tmp_path, capsys, lam0):
+    """When the antiderivative in the Riccati solve has a pole at 0, no
+    solution is singular at 0: NoRationalSolution, not a traceback."""
+    path = tmp_path / "a2_negative.json"
+    path.write_text(json.dumps({"algebra": "A2", "T": 1, "lambda0": lam0}))
+    _, err = run_cli(capsys, [
+        "--problem", str(path),
+        "--command", "reproduce",
+        "--orbit", "1",
+        "--branch", "singular",
+    ], expect_code=10)
+    assert "NoRationalSolution" in err and "pole at 0" in err
+
+
 @pytest.mark.parametrize("fixture", ["sl3_origin.json", "sl4_site.json"])
 def test_generic_route_with_symbolic_lam0_exits_3(capsys, fixture):
     _, err = run_cli(capsys, [
@@ -259,6 +274,20 @@ def test_symbolic_canonical_form_specialises_to_the_instantiated_ones():
     assert any(c.field.var == "eta" for f in symbolic for c in f.num)
     for value in ("3", "1/2", "-7/3"):
         problem = parse_problem(fx("sl3_origin.json"), {"eta": value})
+        F = problem.ctx.functions
+        eta = problem.ctx.scalars.coerce(Fraction(value))
+        bound = [RatFunc(F, [c.eval_at(eta) for c in f.num], [c.eval_at(eta) for c in f.den]) for f in symbolic]
+        assert bound == canonical_data(problem)
+
+
+def test_sl4_canonical_form_with_eta_symbolic_specialises_to_the_instantiated_ones():
+    """sl4_site with z=2, kappa=1 and eta symbolic (a solve over
+    Q(zeta_4)(eta)(t)), then eta bound coefficient by coefficient, equals
+    the canonical form of the problem instantiated at eta."""
+    symbolic = canonical_data(parse_problem(fx("sl4_site.json"), {"z": "2", "kappa": "1"}))
+    assert any(c.field.var == "eta" for f in symbolic for c in f.num)
+    for value in ("3", "1/2", "-7/3"):
+        problem = parse_problem(fx("sl4_site.json"), {"z": "2", "kappa": "1", "eta": value})
         F = problem.ctx.functions
         eta = problem.ctx.scalars.coerce(Fraction(value))
         bound = [RatFunc(F, [c.eval_at(eta) for c in f.num], [c.eval_at(eta) for c in f.den]) for f in symbolic]

@@ -18,6 +18,7 @@ from cycloper.finite_opers import (
 )
 from cycloper.linalg import QQ
 from cycloper.miura import build_miura
+from cycloper.problems import parse_problem
 from cycloper.scalars import CyclotomicField
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, WeylGroup, coroot_coweight, coweight_to_h, weyl_orbit_shifted
@@ -205,31 +206,129 @@ def test_graded_solve_matches_per_height_loop_on_scalars(label, cycles, K):
         assert any(got[0])
 
 
-@pytest.mark.parametrize("label, T, cycles, site", [
+MIURA_CASES = [
     ("A2", 2, [[1, 2]], (1, 0)),
     ("A3", 2, [[1, 3]], (1, 0, 0)),
     ("B2", 1, None, (0, 1)),
     ("G2", 1, None, (1, 0)),
     ("D4", 3, [[1, 3, 4]], (0, 1, 0, 0)),
-])
+]
+
+
+def site_miura_oper(label, T, cycles, site):
+    """The oper of the Miura oper with lam0 = (1, ..., 1) and a site at 3/2."""
+    nu = None if cycles is None else DiagramAut.from_cycles(len(site), cycles)
+    ctx = OperContext(label, ScalarTower.get(T), nu)
+    lam0 = Coweight(tuple(Fraction(1) for _ in site))
+    miura = build_miura(ctx, lam0, sites=[(Fraction(3, 2), Coweight(tuple(map(Fraction, site))))])
+    return ctx, miura.connection()
+
+
+@pytest.mark.parametrize("label, T, cycles, site", MIURA_CASES)
 def test_graded_solve_matches_per_height_loop_on_miura_opers(label, T, cycles, site):
     """Over Q(zeta_T)(t), on the oper of a Miura oper with a site at 3/2:
     the graded solve (with the derivative series) gives the same m and u as
     the per-height loop over exp_gauge, and canonical_representative
     returns them."""
-    nu = None if cycles is None else DiagramAut.from_cycles(len(site), cycles)
-    ctx = OperContext(label, ScalarTower.get(T), nu)
+    ctx, conn = site_miura_oper(label, T, cycles, site)
     g, F = ctx.alg, ctx.functions
-    lam0 = Coweight(tuple(Fraction(1) for _ in site))
-    miura = build_miura(ctx, lam0, sites=[(Fraction(3, 2), Coweight(tuple(map(Fraction, site))))])
-    conn = miura.connection()
     gauge = lambda X, A: exp_gauge(ctx, X, A)
-    m, coeffs = slice_gauge(g, conn.coeffs, F, gauge, lambda f: f.derivative())
+    m, coeffs = slice_gauge(g, conn.coeffs, F, gauge, lambda vec, h: [x.derivative() for x in vec])
     assert (m, coeffs) == per_height_slice_gauge(g, conn.coeffs, F, gauge)
     assert any(m)
     can = canonical_representative(conn)
     assert can.gauge_vec == m
     assert can.u == [c for k in sorted(set(g.exponents)) for c in coeffs.get(k, [])]
+
+
+@pytest.mark.parametrize("label, T, cycles, site", MIURA_CASES)
+def test_frame_route_matches_the_t_level_route(label, T, cycles, site, monkeypatch):
+    """canonical_representative solves in the frame D Ad_{D^rho}: its graded
+    pieces and its reassembly check are polynomials, and mapped back it
+    gives the u and the gauge of the per-height loop over exp_gauge in t."""
+    ctx, conn = site_miura_oper(label, T, cycles, site)
+    g, F = ctx.alg, ctx.functions
+    seen = {}
+    real_slice_gauge = canonical_module.slice_gauge
+
+    def recorded(alg, target, K, gauge, deriv):
+        def check(X, A):
+            seen["check"] = gauge(X, A)
+            return seen["check"]
+
+        seen["target"] = target
+        seen["m"], seen["c"] = out = real_slice_gauge(alg, target, K, check, deriv)
+        return out
+
+    monkeypatch.setattr(canonical_module, "slice_gauge", recorded)
+    can = canonical_representative(conn)
+    assert seen["check"] == seen["target"] and any(seen["m"])
+    pieces = [*seen["check"], *seen["m"], *(c for cs in seen["c"].values() for c in cs)]
+    assert all(f.is_polynomial() for f in pieces)
+    assert any(not f.is_polynomial() for f in conn.coeffs)
+    m, coeffs = per_height_slice_gauge(g, conn.coeffs, F, lambda X, A: exp_gauge(ctx, X, A))
+    assert can.gauge_vec == m
+    assert can.u == [c for k in sorted(set(g.exponents)) for c in coeffs.get(k, [])]
+
+
+def test_frame_derivation_without_its_height_term_fails_reassembly():
+    """In the frame a height-h gauge y has the derivation D y' - h D' y.
+    Pieces built with the -h D' y term dropped give an m and c that the
+    reassembly check, run with the true derivation, rejects."""
+    ctx, conn = site_miura_oper("A3", 2, [[1, 3]], (1, 0, 0))
+    g, F = ctx.alg, ctx.functions
+    target, delta, Dpow = canonical_module._frame(g, F, conn.coeffs)
+    D = Dpow[1]
+    assert D.derivative()
+    gauge = lambda X, A: exp_gauge(ctx, X, A, [delta(x, h) for x, h in zip(X, g.height_of)])
+    assert slice_gauge(g, target, F, gauge, lambda vec, h: [delta(x, h) for x in vec])
+    with pytest.raises(MalformedOper, match="reassembly"):
+        slice_gauge(g, target, F, gauge, lambda vec, h: [D * x.derivative() for x in vec])
+
+
+@pytest.mark.parametrize("case", ["A3-T2", "A2-T2-eta"])
+def test_frame_solve_runs_no_t_level_gcd(case, monkeypatch):
+    """Inside canonical_representative's slice_gauge the polynomial ring in
+    t runs no gcd (a PackedRing over Q(zeta_T), a FieldRing over the
+    parameter eta), and no cached gcd of two non-constant polynomials in t
+    is asked for; the map back to reduced functions still runs them."""
+    if case == "A2-T2-eta":
+        problem = parse_problem({"algebra": "A2", "T": 2, "nu": [[1, 2]], "parameters": ["eta"],
+                                 "lambda0": ["eta", "eta"], "sites": [{"z": "3/2", "coweight": ["1", "0"]}]})
+        miura = build_miura(problem.ctx, problem.lam0, sites=problem.sites)
+        ctx, conn = problem.ctx, miura.connection()
+    else:
+        ctx, conn = site_miura_oper("A3", 2, [[1, 3]], (1, 0, 0))
+    F = ctx.functions
+    R = F.ring
+    calls, inside = [], []
+    real_gcd, real_cached_gcd = R.gcd, F.cached_gcd
+
+    def gcd(a, b):
+        calls.append(("gcd", bool(inside)))
+        return real_gcd(a, b)
+
+    def cached_gcd(a, b):
+        if len(a) > R.width and len(b) > R.width:
+            calls.append(("cached_gcd", bool(inside)))
+        return real_cached_gcd(a, b)
+
+    real_slice_gauge = canonical_module.slice_gauge
+
+    def tracked(*a, **k):
+        inside.append(True)
+        try:
+            return real_slice_gauge(*a, **k)
+        finally:
+            inside.clear()
+
+    monkeypatch.setattr(R, "gcd", gcd)
+    monkeypatch.setattr(F, "cached_gcd", cached_gcd)
+    monkeypatch.setattr(canonical_module, "slice_gauge", tracked)
+    can = canonical_representative(conn, cyclotomic=True)
+    assert any(can.gauge_vec)
+    assert not [c for c in calls if c[1]]
+    assert ("cached_gcd", False) in calls
 
 
 def test_corrupted_piece_fails_reassembly(monkeypatch):
@@ -260,7 +359,7 @@ def test_each_solve_runs_one_full_series(monkeypatch):
     calls = []
     real_exp_gauge = canonical_module.exp_gauge
     monkeypatch.setattr(canonical_module, "exp_gauge",
-                        lambda *a: calls.append("exp_gauge") or real_exp_gauge(*a))
+                        lambda *a, **k: calls.append("exp_gauge") or real_exp_gauge(*a, **k))
     ctx = OperContext("A3", ScalarTower.get(2), DiagramAut.from_cycles(3, [[1, 3]]))
     lam0 = Coweight((Fraction(1), Fraction(2), Fraction(1)))
     miura = build_miura(ctx, lam0, sites=[(Fraction(3, 2), Coweight((Fraction(1), Fraction(0), Fraction(0))))])
