@@ -7,11 +7,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .connection import GroupElement, torus_conjugate_vec
+from .connection import torus_conjugate_vec
 from .context import OperContext
-from .errors import LimitUndefined, ValidationError
-from .linalg import kernel_basis, mat_inverse, mat_mul, mat_vec, rref, solve_linear
+from .errors import LimitUndefined, NotInOpenCell, ValidationError
 from .miura import MiuraOper
+from .solve import gauss_factorize
 from .weyl import Coweight
 
 
@@ -64,53 +64,6 @@ class FlagPoint:
         return f"FlagPoint(w={self.w!r}, coords={coords})"
 
 
-def _limit_span(ctx, cols):
-    """Limit at t -> 0 of the span of the given RatFunc columns: a list of
-    scalar vectors spanning the limit subspace."""
-    K = ctx.scalars
-    F = ctx.functions
-    t = F.gen
-    work = [[F.coerce(x) for x in c] for c in cols]
-    for _ in range(500):
-        scaled = []
-        for c in work:
-            vals = [x.valuation_at(K.zero) for x in c if x]
-            if not vals:
-                raise LimitUndefined("zero column in flag limit")
-            v = min(vals)
-            scaled.append([x * t ** (-v) if x else x for x in c])
-        M0 = [[x.eval_at(K.zero) for x in c] for c in scaled]
-        if _subspace_rank(K, M0) == len(scaled):
-            return M0
-        # a kernel combination raises valuation; fold it into one column
-        kb = _kernel_of_columns(K, M0)
-        j = max(i for i, c in enumerate(kb) if c)
-        comb = [F.zero] * len(scaled[0])
-        for i, c in enumerate(kb):
-            if c:
-                for r in range(len(comb)):
-                    comb[r] = comb[r] + scaled[i][r] * F.coerce(c)
-        work[j] = comb
-        for i in range(len(work)):
-            if i != j:
-                work[i] = scaled[i]
-    raise LimitUndefined("flag limit did not stabilise")
-
-
-def _kernel_of_columns(K, cols):
-    m = len(cols)
-    n = len(cols[0])
-    rows = [[cols[c][i] for c in range(m)] for i in range(n)]
-    kb = kernel_basis(K, rows, ncols=m)
-    if not kb:
-        raise LimitUndefined("no kernel though rank deficient")
-    return kb[0]
-
-
-def _subspace_rank(K, vecs):
-    return len(rref(K, [list(v) for v in vecs])[1])
-
-
 def _regularised_log(base: MiuraOper, X):
     """X_r = Ad_{t^-lam0} X with lam0 = -(residue coweight of base at 0),
     over the working context: the q-sheeted cover when lam0 has
@@ -132,7 +85,7 @@ def flag_position(base: MiuraOper, X) -> FlagPoint:
     with X_r = Ad_{t^-lam0} X, on the cover when lam0 is fractional.  When
     X_r is regular at 0 the point is e^{X_r(0)} B_- in the big cell, with
     coordinates X_r(0); otherwise it is the limit of the flag spanned by
-    the columns of exp(ad X_r)."""
+    the columns Ad_{e^{X_r}} e_j of b_-, built on Lie vectors."""
     alg = base.ctx.alg
     if any(x for (kind, _), x in zip(alg.basis, X) if kind != "E"):
         raise ValidationError("flag_position needs the log of a unipotent gauge (supported on n)")
@@ -146,152 +99,85 @@ def flag_position(base: MiuraOper, X) -> FlagPoint:
                 coords[r] = v
         W = wctx.weyl
         return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
-    return _limit_flag_point(wctx, GroupElement.exp(wctx, Xr).mat)
+    F = wctx.functions
+    units = [[F.one if i == j else F.zero for i in range(alg.dim)] for j in range(alg.dim)]
+    cols = [alg.ad_series(Xr, e, F) for e, h in zip(units, alg.height_of) if h <= 0]
+    return _limit_flag_point(wctx, cols)
 
 
-def _limit_flag_point(ctx, mat):
-    """The flag point lim_{t->0} g B_- of the adjoint matrix g = mat over
-    ctx.functions: the limit of the flag spanned by its columns, taken in
-    ascending height, matched to a Bruhat cell of W^nu (all of W when nu
-    is trivial)."""
+def _limit_flag_point(ctx, cols):
+    """The flag point lim_{t->0} g B_- from the columns cols[j] = Ad_g e_j
+    of the b_- basis vectors over ctx.functions, in basis order (the input
+    of gauss_factorize).
+
+    One t-adic column echelon: each column, divided by its lowest t-power,
+    is reduced at 0 against the earlier pivots by the same constant
+    combination of t-columns, and divided by t again while its value at 0
+    vanishes.  The values at 0 of the reduced columns span the limit of
+    every prefix.  The limit is n w-dot B_- with Ad_n adding only higher
+    rows, so the pivots (earliest nonzero rows) are the rows of h and the
+    e_{w beta}, beta < 0: the positive roots among them are R(w).  The
+    coordinates of n come from gauss_factorize on the limit columns moved
+    by Ad_{w-dot^-1} into the big cell."""
     alg = ctx.alg
+    K = ctx.scalars
     F = ctx.functions
-    heights = sorted(alg.blocks)
-    order = []
-    for h in heights:
-        order.extend(alg.blocks[h])
-    cols = [[mat.rows[r].get(idx, F.zero) for r in range(alg.dim)] for idx in order]
-    flags = []
-    acc = 0
-    for h in heights:
-        acc += len(alg.blocks[h])
-        flags.append((h, _limit_span(ctx, cols[:acc])))
-    return _match_cell(ctx, flags)
-
-
-def _match_cell(ctx, flags):
-    """Identify the Bruhat cell of the limit flag by its intersection
-    pattern with the reference flag, then solve for the unipotent
-    coordinates."""
-    alg = ctx.alg
-    K = ctx.scalars
-    W = ctx.weyl
-    heights = sorted(alg.blocks)
-    # the cells are B-orbits, so the relative-position invariant is taken
-    # against the B-stable ascending flag F+_h = sum of heights >= h
-    ref_plus = {}
-    acc = []
-    for h in sorted(heights, reverse=True):
-        acc = acc + alg.blocks[h]
-        ref_plus[h] = list(acc)
-    lower_ref = {}
-    acc = []
-    for h in heights:
-        acc = acc + alg.blocks[h]
-        lower_ref[h] = list(acc)
-
-    def plus_vecs(h):
-        out = []
-        for i in ref_plus[h]:
-            v = [K.zero] * alg.dim
-            v[i] = K.one
-            out.append(v)
-        return out
-
-    for w in sorted(W.nu_invariant_elements(ctx.nu), key=lambda x: (x.length, x.word)):
-        wdot = GroupElement.weyl_representative(ctx, w)
-        Wd = wdot.eval_at(K.zero, K)
-        ok = True
-        for (h1, Vbasis) in flags:
-            for h2 in heights:
-                pv = plus_vecs(h2)
-                vr = _subspace_rank(K, [list(v) for v in Vbasis] + pv)
-                wv = [[Wd[r][i] for r in range(alg.dim)] for i in lower_ref[h1]]
-                wr = _subspace_rank(K, wv + pv)
-                if vr != wr:
-                    ok = False
-                    break
-            if not ok:
+    t = F.gen
+    limit, echelon = [], {}
+    for col in cols:
+        col = [F.coerce(x) for x in col]
+        for _ in range(500):
+            vals = [x.valuation_at(K.zero) for x in col if x]
+            if not vals:
+                raise LimitUndefined("zero column in flag limit")
+            v = min(vals)
+            if v:
+                col = [x * t ** (-v) if x else x for x in col]
+            val = [x.eval_at(K.zero) if x else K.zero for x in col]
+            # in ascending pivot row: lim is zero above its pivot p
+            for p in sorted(echelon):
+                lim, red = echelon[p]
+                if val[p]:
+                    c = val[p] / lim[p]
+                    val = [a - c * b if b else a for a, b in zip(val, lim)]
+                    col = [a - F.coerce(c) * b if b else a for a, b in zip(col, red)]
+            if any(val):
                 break
-        if not ok:
-            # the block-level dimension pattern rules this cell out
-            continue
-        # the pattern is only a prefilter at block resolution; membership is
-        # decided by the coordinate solve itself (cells are disjoint, so at
-        # most one candidate survives)
-        try:
-            coords = _cell_coordinates(ctx, w, Wd, flags)
-        except LimitUndefined:
-            continue
-        wo = W.longest
-        return FlagPoint(w=w, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.mult(wo, w))))
-    raise LimitUndefined("no Bruhat cell matched the limit flag")
-
-
-def _cell_coordinates(ctx, w, Wd, flags):
-    """Unipotent coordinates of a point in the cell of w: translate by
-    w-dot^-1 into the big cell (w^-1 R(w_o w) is positive, so the translate
-    of the coordinate group lies in N), solve there, conjugate back."""
-    alg = ctx.alg
-    K = ctx.scalars
+        else:
+            raise LimitUndefined("flag limit did not stabilise")
+        limit.append(val)
+        echelon[next(i for i, x in enumerate(val) if x)] = (val, col)
+    R = {alg.basis[p][1] for p in echelon if alg.basis[p][0] == "E"}
     W = ctx.weyl
-    roots = inversion_set(alg, W.mult(W.longest, w))
-    if not roots:
-        return {}
-    Winv = mat_inverse(K, Wd)
-    chosen = []
-    col_height = []
-    for h, Vbasis in flags:
-        for v in Vbasis:
-            cand = chosen + [list(v)]
-            if _subspace_rank(K, cand) > len(chosen):
-                chosen.append(list(v))
-                col_height.append(h)
-    # big-cell translate: columns of Wd^-1 P
-    Pp = mat_mul(K, Winv, list(zip(*chosen)))
-    Pcols = list(zip(*Pp))
-
-    def defects(xvec, level=None):
-        negx = [-c for c in xvec]
-        Q = [alg.ad_series(negx, col, K) for col in Pcols]  # Ad_{e^-x} of each column
-        out = []
-        for i in range(alg.dim):
-            for c in range(len(chosen)):
-                d = alg.height_of[i] - col_height[c]
-                if d > 0 and (level is None or d == level):
-                    out.append(Q[c][i])
-        return out
-
-    x = alg.vec_zero(K)
-    for k in range(1, alg.height_max + 1):
-        base = defects(x, k)
-        if not any(base):
-            continue
-        gens = [
-            r for r in alg.pos_roots if sum(r) == k
-        ]
-        cols = []
-        for r in gens:
-            xe = list(x)
-            xe[alg.index_E[r]] = xe[alg.index_E[r]] + K.one
-            d = defects(xe, k)
-            cols.append([a - b for a, b in zip(d, base)])
-        A = [[cols[c][i] for c in range(len(cols))] for i in range(len(base))]
-        sol = solve_linear(K, A, [-b for b in base])
-        if sol is None:
-            raise LimitUndefined(f"level-{k} defect not solvable in the big-cell translate")
-        for r, c in zip(gens, sol):
-            x[alg.index_E[r]] = x[alg.index_E[r]] + c
-    if any(defects(x)):
-        raise LimitUndefined("cell coordinates did not close up")
-    # conjugate back: log n = Ad_wdot (log n')
-    nvec = mat_vec(K, Wd, x)
-    out = {}
+    w = next((w for w in W.nu_invariant_elements(ctx.nu) if set(inversion_set(alg, w)) == R), None)
+    if w is None:
+        raise LimitUndefined("no Bruhat cell matched the limit flag")
+    # w-dot^-1 n w-dot is in N: factor its point from the limit columns
+    for i in w.word:
+        limit = [_ad_simple_reflection(alg, i, v, K, -1) for v in limit]
+    try:
+        X = gauss_factorize(ctx, [[F.coerce(x) for x in v] for v in limit])
+    except NotInOpenCell as e:
+        raise LimitUndefined(f"the limit moved by w-dot^-1 is not in the big cell: {e}") from e
+    X = [-x.constant_value() for x in X]
+    for i in reversed(w.word):
+        X = _ad_simple_reflection(alg, i, X, K, 1)
+    # the cell group N cap w-dot N w-dot^-1: the alpha > 0 with w^-1 alpha
+    # > 0, which is R(w w_o) (R(w_o w) only where -w_o fixes the roots)
+    roots = inversion_set(alg, W.mult(w, W.longest))
     rootset = set(roots)
-    for i, v in enumerate(nvec):
+    coords = {}
+    for (kind, r), v in zip(alg.basis, X):
         if v:
-            kind, r = alg.basis[i]
             if kind != "E" or r not in rootset:
                 raise LimitUndefined("conjugated coordinates left the cell group")
-            out[r] = v
-    return out
+            coords[r] = v
+    return FlagPoint(w=w, coordinates=coords, cell_roots=tuple(roots))
+
+
+def _ad_simple_reflection(alg, i, v, K, sign):
+    """Ad of s_i-dot = e^{E_i} e^{-F_i} e^{E_i} (sign 1), or of its inverse
+    e^{-E_i} e^{F_i} e^{-E_i} (sign -1), on the vector v over K."""
+    E = [sign * x for x in alg.vec_E(alg.simple_root(i), K)]
+    F = [-sign * x for x in alg.vec_F(alg.simple_root(i), K)]
+    return alg.ad_series(E, alg.ad_series(F, alg.ad_series(E, v, K), K), K)

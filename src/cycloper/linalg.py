@@ -152,15 +152,6 @@ class SparseMat:
             m.rows[i][i] = K.one
         return m
 
-    @classmethod
-    def from_dense(cls, K, dense):
-        m = cls(K, len(dense), len(dense[0]) if dense else 0)
-        for i, row in enumerate(dense):
-            for j, v in enumerate(row):
-                if v:
-                    m.rows[i][j] = v
-        return m
-
     def clone(self):
         return SparseMat(self.K, self.nrows, self.ncols, [dict(r) for r in self.rows])
 

@@ -12,7 +12,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from cycloper.automorphisms import DiagramAut
 from cycloper.connection import GroupElement
 from cycloper.context import OperContext
-from cycloper.linalg import SparseMat
+from cycloper.errors import LimitUndefined
+from cycloper.linalg import SparseMat, kernel_basis, rref
 from cycloper.miura import build_miura
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight
@@ -123,3 +124,64 @@ def bminus_columns(g):
         for j in range(alg.dim)
         if alg.height_of[j] <= 0
     ]
+
+
+def limit_span(ctx, cols):
+    """Limit at t -> 0 of the span of the given RatFunc columns, one
+    subspace at a time: scale each column to a nonzero value at 0 and fold a
+    kernel combination of the values into one column until they are
+    independent.  A list of scalar vectors spanning the limit."""
+    K = ctx.scalars
+    F = ctx.functions
+    t = F.gen
+    work = [[F.coerce(x) for x in c] for c in cols]
+    for _ in range(500):
+        scaled = []
+        for c in work:
+            vals = [x.valuation_at(K.zero) for x in c if x]
+            if not vals:
+                raise LimitUndefined("zero column in flag limit")
+            v = min(vals)
+            scaled.append([x * t ** (-v) if x else x for x in c])
+        M0 = [[x.eval_at(K.zero) for x in c] for c in scaled]
+        if subspace_rank(K, M0) == len(scaled):
+            return M0
+        # a kernel combination raises valuation; fold it into one column
+        rows = [[c[i] for c in M0] for i in range(len(M0[0]))]
+        kb = kernel_basis(K, rows, ncols=len(M0))[0]
+        j = max(i for i, c in enumerate(kb) if c)
+        comb = [F.zero] * len(scaled[0])
+        for i, c in enumerate(kb):
+            if c:
+                comb = [a + x * F.coerce(c) for a, x in zip(comb, scaled[i])]
+        work = scaled
+        work[j] = comb
+    raise LimitUndefined("flag limit did not stabilise")
+
+
+def subspace_rank(K, vecs):
+    return len(rref(K, [list(v) for v in vecs])[1])
+
+
+def limit_flag_is(ctx, cols, fp):
+    """Whether the flag point fp = n w-dot B_- has, at every height prefix
+    of the b_- columns, the span that limit_span gives for the same prefix
+    of cols."""
+    alg = ctx.alg
+    K = ctx.scalars
+    F = ctx.functions
+    g = GroupElement.weyl_representative(ctx, fp.w)
+    if fp.coordinates:
+        lie = alg.vec_zero(F)
+        for r, c in fp.coordinates.items():
+            lie[alg.index_E[r]] = F.coerce(c)
+        g = GroupElement.exp(ctx, lie) @ g
+    point = [[x.eval_at(K.zero) for x in c] for c in bminus_columns(g)]
+    acc = 0
+    for h in sorted(h for h in alg.blocks if h <= 0):
+        acc += len(alg.blocks[h])
+        limit = limit_span(ctx, cols[:acc])
+        ranks = subspace_rank(K, limit), subspace_rank(K, point[:acc]), subspace_rank(K, limit + point[:acc])
+        if ranks != (acc, acc, acc):
+            return False
+    return True

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fSl3_seed, sl3_miura
+from conftest import bminus_columns, fSl3_seed, limit_flag_is, matrix_log, sl3_miura
 from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
 from cycloper.chevalley import build_algebra
 import cycloper.connection as connection
 from cycloper.connection import GroupElement
 from cycloper.context import OperContext
-from cycloper.errors import ValidationError
+from cycloper.errors import NoRationalSolution, ValidationError
 from cycloper.flags import (
     FlagPoint,
     _limit_flag_point,
@@ -17,7 +17,15 @@ from cycloper.flags import (
     flag_position,
     inversion_set,
 )
-from cycloper.miura import MiuraOper, build_miura, reproduce_generic, reproduce_orbit_A2, theta_for
+from cycloper.miura import (
+    MiuraOper,
+    build_miura,
+    reproduce_generic,
+    reproduce_orbit_A1,
+    reproduce_orbit_A2,
+    riccati_solve,
+    theta_for,
+)
 from cycloper.solve import gauss_factorize
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, WeylGroup
@@ -121,21 +129,27 @@ def test_phi_injective_on_fixed_grid():
     assert len(points) == 3
 
 
-def test_all_cells_recovered_synthetically():
-    """Non-cyclotomic A2: a point built as n w-dot B_- is recovered with the
-    same w and coordinates (verified by coset membership)."""
-    ctx = OperContext("A2", ScalarTower.get(1))
+@pytest.mark.parametrize(
+    "label, T, cycles",
+    [("A2", 1, None), ("B2", 1, None), ("G2", 1, None), ("D4", 3, [[1, 3, 4]])],
+    ids=["A2-T1", "B2-T1", "G2-T1", "D4-T3"],
+)
+def test_all_cells_recovered_synthetically(label, T, cycles):
+    """Non-cyclotomic points n w-dot B_-, n in the cell group of w (the
+    alpha > 0 with w^-1 alpha > 0), one per w in W^nu: each is recovered
+    with the same w and coordinates (verified by coset membership)."""
+    rank = int(label[1:])
+    ctx = OperContext(label, ScalarTower.get(T), DiagramAut.from_cycles(rank, cycles) if cycles else None)
     F = ctx.functions
     alg = ctx.alg
     W = ctx.weyl
-    for word in ([], [0], [1], [0, 1], [1, 0], [0, 1, 0]):
-        w = W.from_word(word)
-        rts = inversion_set(alg, W.mult(W.longest, w))
+    for w in W.nu_invariant_elements(ctx.nu):
+        rts = inversion_set(alg, W.mult(w, W.longest))
         n = GroupElement.identity(ctx)
         for i, al in enumerate(rts):
             n = n @ GroupElement.exp(ctx, [Fraction(i + 2, 3) * x for x in alg.vec_E(al, F)])
         wd = GroupElement.weyl_representative(ctx, w)
-        fp = _limit_flag_point(ctx, (n @ wd).mat)
+        fp = _limit_flag_point(ctx, bminus_columns(n @ wd))
         assert fp.w == w
         lie = alg.vec_zero(F)
         for al, c in fp.coordinates.items():
@@ -147,6 +161,27 @@ def test_all_cells_recovered_synthetically():
             for i, row in enumerate(test.mat.rows)
             for j, v in row.items()
         )
+
+
+def test_limit_point_off_every_prefix_of_a_singular_log():
+    """A B2 gauge log with poles of order 1 and 2 at 0, whose limit is
+    exp(-10/11 E_alpha1) s2-dot s1-dot s2-dot B_-: the flag of that point
+    equals the limit flag of the columns at every height prefix, as the
+    prefix-by-prefix limit of the test oracle takes it."""
+    ctx = OperContext("B2", ScalarTower.get(1))
+    F = ctx.functions
+    alg = ctx.alg
+    t = F.gen
+    X = alg.vec_zero(F)
+    for root, x in (((0, 1), 2 / t), ((1, 0), F.coerce(-2)), ((1, 1), F.coerce(3)), ((1, 2), -1 / t ** 2)):
+        X[alg.index_E[root]] = x
+    cols = bminus_columns(GroupElement.exp(ctx, X))
+    fp = _limit_flag_point(ctx, cols)
+    assert fp.w == ctx.weyl.from_word([1, 0, 1])
+    assert fp.coordinates == {(1, 0): Fraction(-10, 11)}
+    assert limit_flag_is(ctx, cols, fp)
+    moved = FlagPoint(w=fp.w, coordinates={(1, 0): Fraction(1)}, cell_roots=fp.cell_roots)
+    assert not limit_flag_is(ctx, cols, moved)
 
 
 def test_flag_of_antisymmetric_regular_case():
@@ -238,7 +273,7 @@ def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, 
         fp = flag_position(m, X)
     assert fp.w == ctx.weyl.identity and fp.coordinates
     wctx, Xr = _regularised_log(m, X)
-    limit = _limit_flag_point(wctx, GroupElement.exp(wctx, Xr).mat)
+    limit = _limit_flag_point(wctx, bminus_columns(GroupElement.exp(wctx, Xr)))
     gauss = _gauss_flag_point(m, X)
     assert fp == limit == gauss
     assert repr(fp) == repr(limit) == repr(gauss)
@@ -280,3 +315,55 @@ def test_generic_round_trip_beyond_folded_a2(label, T, cycles):
         news.append(res.new.u_coroot)
     assert news[0] != news[1]
     assert len(fixed_flag_cells(ctx, theta)) == WeylGroup(ctx.folded.cartan).order()
+
+
+@pytest.mark.parametrize(
+    "label, T, cycles, lam",
+    [
+        ("A2", 1, None, (1, 1)),
+        ("B2", 1, None, (1, 1)),
+        ("G2", 1, None, (1, 1)),
+        ("A3", 2, [[1, 3]], (1, 1, 1)),
+        ("D4", 3, [[1, 3, 4]], (1, 1, 1, 1)),
+    ],
+    ids=["A2-T1", "B2-T1", "G2-T1", "A3-T2", "D4-T3"],
+)
+def test_singular_reproductions_populate_every_cell(label, T, cycles, lam):
+    """The population of a Miura oper: breadth-first from build_miura(lam0),
+    a singular-at-0 reproduction along each orbit of simple roots.  The
+    walk reaches one cell per element of W^nu.  A step along orbit i from
+    the cell of w has a rational singular solution exactly when s_i w is
+    longer than w (so every step fails at the longest element), and its
+    Miura oper is cyclotomic and lies in the cell of s_i w, with -res_0 =
+    (s_i w).lam0."""
+    rank = int(label[1:])
+    ctx = OperContext(label, ScalarTower.get(T), DiagramAut.from_cycles(rank, cycles) if cycles else None)
+    W = ctx.weyl
+    folded = ctx.folded
+    lam0 = Coweight(tuple(Fraction(x) for x in lam))
+    base = build_miura(ctx, lam0)
+    reached = {W.identity}
+    frontier = [(base, W.identity, GroupElement.identity(ctx))]
+    while frontier:
+        nxt = []
+        for m, w, g in frontier:
+            for i, orbit in enumerate(folded.orbits):
+                k = orbit[0]
+                target = W.mult(folded.simple_reflections[i], w)
+                if target.length < w.length:
+                    with pytest.raises(NoRationalSolution):
+                        riccati_solve(m.pairing(k), "singular_at_0", extra_points=m.points)
+                    continue
+                f = riccati_solve(m.pairing(k), "singular_at_0", extra_points=m.points)
+                res = reproduce_orbit_A1(m, orbit, k, f, "singular")
+                assert res.cyclotomic and res.new.is_cyclotomic()
+                step = GroupElement.exp(ctx, res.gauge) @ g
+                fp = flag_position(base, matrix_log(step))
+                assert fp.w == target
+                assert Coweight([-c for c in res.new.residue_coweight(0).coords]) == target.dot(lam0)
+                if target not in reached:
+                    reached.add(target)
+                    nxt.append((res.new, target, step))
+        frontier = nxt
+    assert len(reached) == len(W.nu_invariant_elements(ctx.nu)) == WeylGroup(folded.cartan).order()
+    assert W.longest in reached
