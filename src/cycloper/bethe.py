@@ -10,13 +10,13 @@ from functools import cached_property
 
 from .automorphisms import AlgebraAut, DiagramAut
 from .chevalley import ChevalleyAlgebra, dual_algebra
-from .canonical import u1_coefficient, is_regular_at
+from .canonical import is_regular_at, u1_numerator
 from .context import OperContext
 from .errors import NoDominantRepresentative, ValidationError
 from .linalg import QQ
 from .miura import MiuraOper, _gamma_orbits_disjoint, miura_from_orbits
-from .ratfunc import INFINITY
-from .weyl import Coweight, coroot_to_coweight, coweight_to_h, dominant_shift_representative, rho_coweight
+from .ratfunc import INFINITY, LaurentRing
+from .weyl import Coweight, coroot_to_coweight, dominant_shift_representative, rho_coweight
 
 
 def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
@@ -197,24 +197,23 @@ def energies(data: BetheSystemData):
 def energy_oper_identity(data: BetheSystemData):
     """Three exact routes to each energy: the spectral formula, the residue
     of 1/2 (lam|lam) - (lam'|rho), and the residue of 2 (rho|rho) u_1 of the
-    dual Miura oper.  Returns a list of dicts."""
+    dual Miura oper.  Both residues are read at the site from Laurent
+    expansions of the coordinates of lambda and of the dual oper's
+    coefficients; neither rational function is formed.  Returns a list of
+    dicts."""
     lam, m, Lctx = lambda_function(data)
-    F = Lctx.functions
-    K = Lctx.scalars
+    L = LaurentRing(Lctx.scalars)
     alg = data.ctx.alg
     rho = rho_coweight(alg.rank)
-    lam_d = Coweight([c.derivative() for c in lam.coords])
-    half = F.coerce(Fraction(1, 2))
-    integrand = weight_form(alg, lam, lam, F) * half - weight_form(alg, lam_d, rho, F)
-    conn = m.connection()
-    u1 = u1_coefficient(conn)
-    rho_h = coweight_to_h(Lctx.alg, rho, K)
-    two_rr = Lctx.alg.form_vec(rho_h, rho_h, K) * 2
-    Es = energies(data)
+    half = Fraction(1, 2)
+    coeffs = m.connection().coeffs
     out = []
-    for (zi, _), Ei in zip(data.sites, Es):
-        r1 = K.coerce(integrand.residue_at(zi))
-        r2 = K.coerce((u1 * two_rr).residue_at(zi))
+    for (zi, _), Ei in zip(data.sites, energies(data)):
+        lam_z, coeffs_z = _expand_at(L, zi, lam.coords, coeffs)
+        lam_z = Coweight(lam_z)
+        lam_d = Coweight([c.derivative() for c in lam_z.coords])
+        r1 = (weight_form(alg, lam_z, lam_z, L) * half - weight_form(alg, lam_d, rho, L)).coeff(-1)
+        r2 = u1_numerator(Lctx.alg, coeffs_z, L).coeff(-1)
         out.append(
             {
                 "energy": Ei,
@@ -224,6 +223,21 @@ def energy_oper_identity(data: BetheSystemData):
             }
         )
     return out
+
+
+def _expand_at(L, z, *groups):
+    """The rational functions of each group as Laurent series at z over the
+    facade L, constants exact, the others to O(s^P): P the highest pole
+    order there, at least 1, so that coefficient -1 of a product of two
+    of them, and of a derivative, is known."""
+    prec = 1
+    while True:
+        out = [[L.coerce(f.constant_value()) if f.is_constant() else f.laurent_at(z, prec)
+                for f in fs] for fs in groups]
+        k = max([-x.val for xs in out for x in xs if x], default=0)
+        if k <= prec:
+            return out
+        prec = k
 
 
 def bethe_regularity(data: BetheSystemData):

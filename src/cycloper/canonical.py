@@ -122,25 +122,30 @@ def _frame(alg, F, coeffs):
 def u1_coefficient(conn: Connection):
     """Closed form of the first canonical coefficient:
     u_1 = (1/2 (v0|v0) + (rho|v0') + (p_-1|v1)) / (2 (rho|rho))."""
-    ctx = conn.ctx
-    alg = ctx.alg
-    F = ctx.functions
+    alg = conn.ctx.alg
+    F = conn.ctx.functions
     conn.with_shape("oper")
-    v0 = conn.height_component(0)
-    v1 = [F.zero] * alg.dim
-    for i in alg.blocks.get(1, []):
-        v1[i] = conn.coeffs[i]
-    # subtract p1-free part: v1 is the full height-1 coefficient of v
     rho_vec = [F.coerce(c) for c in alg.rho]
-    pm1 = [F.coerce(c) for c in alg.p_minus1]
+    return u1_numerator(alg, conn.coeffs, F) / (alg.form_vec(rho_vec, rho_vec, F) * 2)
+
+
+def u1_numerator(alg, coeffs, K):
+    """2 (rho|rho) u_1 = 1/2 (v0|v0) + (rho|v0') + (p_-1|v1) for the oper
+    coefficients coeffs, v_h their height-h part (v1 the full height-1
+    coefficient), over the field facade K (zero, coerce) of the entries:
+    rational functions, or their Laurent series at a point."""
+    v0, v1 = [K.zero] * alg.dim, [K.zero] * alg.dim
+    for v, h in ((v0, 0), (v1, 1)):
+        for i in alg.blocks.get(h, []):
+            v[i] = coeffs[i]
+    rho_vec = [K.coerce(c) for c in alg.rho]
+    pm1 = [K.coerce(c) for c in alg.p_minus1]
     v0d = [c.derivative() for c in v0]
-    num = (
-        alg.form_vec(v0, v0, F) * F.coerce(Fraction(1, 2))
-        + alg.form_vec(rho_vec, v0d, F)
-        + alg.form_vec(pm1, v1, F)
+    return (
+        alg.form_vec(v0, v0, K) * K.coerce(Fraction(1, 2))
+        + alg.form_vec(rho_vec, v0d, K)
+        + alg.form_vec(pm1, v1, K)
     )
-    den = alg.form_vec(rho_vec, rho_vec, F) * 2
-    return num / den
 
 
 def is_regular_at(conn: Connection, x, cyclotomic=True) -> bool:

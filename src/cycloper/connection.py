@@ -77,13 +77,6 @@ class Connection:
             for i, c in enumerate(self.coeffs)
         ]
 
-    def height_component(self, h):
-        alg = self.ctx.alg
-        out = [self.ctx.functions.zero] * alg.dim
-        for i in alg.blocks.get(h, []):
-            out[i] = self.coeffs[i]
-        return out
-
     def __eq__(self, other):
         if not isinstance(other, Connection):
             return NotImplemented

@@ -918,44 +918,51 @@ class RatFunc:
         return RatFunc(tf, take(self.num), take(self.den), reduce=False)
 
     # -- local data ---------------------------------------------------------------
-    def principal_part_at(self, p):
-        """Coefficients (c_1, ..., c_k) of (x-p)^-1, ..., (x-p)^-k."""
+    def laurent_at(self, p, prec):
+        """The Laurent expansion of f at the finite point p up to
+        O((x-p)^prec), a Laurent."""
         R, K = self.field.ring, self.field.coeff
         p = K.coerce(p)
         if not self._n:
-            return ()
+            return Laurent(K, math.inf, (), math.inf)
         # Taylor shifts: f(x + p) = n(x) / (x^k e(x)) with e(0) != 0, and
-        # c_m is the coefficient of x^(k-m) in the series n/e, so k terms of
-        # n and e suffice: 2k of the shifted denominator, k of the numerator.
-        # The shift keeps that many terms, doubling until k is known; at the
-        # origin there is nothing to shift.
+        # the coefficient of x^(j-k) is that of x^j in the series n/e, so
+        # the k + prec terms wanted need as many of n and e: 2k + prec of
+        # the shifted denominator.  The shift keeps that many terms for a
+        # guessed k, at least doubling them while its first nonzero term
+        # (so k) is not among them; at the origin there is nothing to
+        # shift.
         w = R.width
         if not p:
             den, sd = self._d, 1
             k = next(i for i, x in enumerate(den) if x) // w
         else:
-            keep = k = 1
-            while 2 * k > keep:
-                keep *= 2
+            keep, k = 0, 1
+            while k >= keep or 2 * k + prec > keep:
+                keep = max(2 * keep, 2 * k + prec, 1)
                 den, sd = R.shift(self._d, p, keep)
                 k = next((i for i, x in enumerate(den) if x), keep * w) // w
-        if k == 0:
-            return ()
-        num, sn = (self._n[:k * w], 1) if not p else R.shift(self._n, p, k)
+        terms = k + prec
+        if terms <= 0:
+            return Laurent(K, prec, (), prec)
+        num, sn = (self._n[:terms * w], 1) if not p else R.shift(self._n, p, terms)
         n = R.unpack(num, sn * self._c)
-        e = R.unpack(den[k * w:2 * k * w], sd * R.lead(self._d))
+        e = R.unpack(den[k * w:(k + terms) * w], sd * R.lead(self._d))
         inv = K.one / e[0]
         s = []
-        for j in range(k):
+        for j in range(terms):
             acc = n[j] if j < len(n) else K.zero
             for i in range(1, min(j, len(e) - 1) + 1):
                 acc = acc - e[i] * s[j - i]
             s.append(acc * inv)
-        return tuple(reversed(s))
+        return Laurent(K, -k, s, prec)
+
+    def principal_part_at(self, p):
+        """Coefficients (c_1, ..., c_k) of (x-p)^-1, ..., (x-p)^-k."""
+        return tuple(reversed(self.laurent_at(p, 0).cs))
 
     def residue_at(self, p):
         """Residue of f dx at p (p may be INFINITY)."""
-        K = self.field.coeff
         if p == INFINITY:
             # minus the coefficient of 1/x at infinity: with s*n == q*d + r
             # and d/L monic of degree m, f = (n/c)/(d/L) has r[m-1]/(s*c)
@@ -963,9 +970,8 @@ class RatFunc:
             m = self._degree(self._d)
             _, r, s = R.divmod(self._n, self._d)
             r = R.unpack(r, s * self._c)
-            return -r[m - 1] if len(r) >= m > 0 else K.zero
-        pp = self.principal_part_at(p)
-        return pp[0] if pp else K.zero
+            return -r[m - 1] if len(r) >= m > 0 else self.field.coeff.zero
+        return self.laurent_at(p, 0).coeff(-1)
 
     # -- rendering ------------------------------------------------------------------
     def __str__(self):
@@ -978,6 +984,97 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self})"
+
+
+class Laurent:
+    """sum_{k >= val} c_k s^k + O(s^prec) over the coefficient field K,
+    s = x - p: cs = (c_val, ..., c_(prec-1)).  prec = inf marks an exact
+    finite sum, whose cs ends in its last nonzero term.  val is the first
+    known nonzero term, or prec when there is none, so it bounds the
+    valuation from below; the exact zero has val = prec = inf and is the
+    only false series.  Scalars of K act as exact constants."""
+
+    __slots__ = ("K", "val", "cs", "prec")
+
+    def __init__(self, K, val, cs, prec):
+        lo, hi = 0, len(cs)
+        while lo < hi and not cs[lo]:
+            lo += 1
+        if prec == math.inf:
+            while hi > lo and not cs[hi - 1]:
+                hi -= 1
+        self.K, self.cs, self.prec = K, tuple(cs[lo:hi]), prec
+        self.val = val + lo if self.cs else prec
+
+    def _lift(self, x):
+        return x if isinstance(x, Laurent) else Laurent(self.K, 0, (self.K.coerce(x),), math.inf)
+
+    def coeff(self, k):
+        """c_k; ArithmeticError past the precision."""
+        if k >= self.prec:
+            raise ArithmeticError(f"coefficient {k} of a series known to O(s^{self.prec})")
+        i = k - self.val
+        return self.cs[i] if 0 <= i < len(self.cs) else self.K.zero
+
+    def __bool__(self):
+        return self.prec != math.inf or bool(self.cs)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        if not o:
+            return self
+        if not self:
+            return o
+        prec = min(self.prec, o.prec)
+        lo = min(self.val, o.val, prec)
+        hi = min(prec, max(self.val + len(self.cs), o.val + len(o.cs)))
+        return Laurent(self.K, lo, [self.coeff(k) + o.coeff(k) for k in range(lo, hi)], prec)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Laurent(self.K, self.val, [-c for c in self.cs], self.prec)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        if not isinstance(other, Laurent):
+            c = self.K.coerce(other)
+            if not c:
+                return Laurent(self.K, math.inf, (), math.inf)
+            return Laurent(self.K, self.val, [x * c for x in self.cs], self.prec)
+        if not self or not other:
+            return Laurent(self.K, math.inf, (), math.inf)
+        val = self.val + other.val
+        prec = min(self.prec + other.val, other.prec + self.val)
+        n = len(self.cs) + len(other.cs) - 1 if prec == math.inf else max(0, prec - val)
+        out = [self.K.zero] * n
+        for i, x in enumerate(self.cs[:n]):
+            if x:
+                for j, y in enumerate(other.cs[:n - i]):
+                    if y:
+                        out[i + j] = out[i + j] + x * y
+        return Laurent(self.K, val, out, prec)
+
+    __rmul__ = __mul__
+
+    def derivative(self):
+        """d/ds, known to one order less."""
+        return Laurent(self.K, self.val - 1, [c * (self.val + i) for i, c in enumerate(self.cs)],
+                       self.prec - 1)
+
+
+class LaurentRing:
+    """The facade (zero, coerce) of Laurent series over K, for code written
+    against a field: coerce keeps a Laurent and lifts a scalar to an exact
+    constant."""
+
+    def __init__(self, K):
+        self.zero = Laurent(K, math.inf, (), math.inf)
+
+    def coerce(self, x):
+        return self.zero._lift(x)
 
 
 _new_object = object.__new__

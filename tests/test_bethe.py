@@ -14,6 +14,7 @@ from cycloper.bethe import (
     energies,
     energy_oper_identity,
     lambda0_weight,
+    lambda_function,
     miura_from_bethe,
     nu_power_weight,
     weight_at_infinity,
@@ -476,3 +477,120 @@ def test_energies_and_lambda_are_computed_once_per_data_object(monkeypatch):
     assert [r["energy"] for r in rows] == Es == energies(data)
     assert len(sums) == len(data.sites)
     assert len(conversions) == 1
+
+
+# ------------------------------------------- the identity from local expansions
+
+def global_rows(data):
+    """The identity's residues read from the global rational functions
+    1/2 (lam|lam) - (lam'|rho) and 2 (rho|rho) u_1: the oracle for the
+    local Laurent route."""
+    from cycloper.canonical import u1_coefficient
+    from cycloper.weyl import coweight_to_h, rho_coweight
+
+    lam, m, Lctx = lambda_function(data)
+    F, K, alg = Lctx.functions, Lctx.scalars, data.ctx.alg
+    rho = rho_coweight(alg.rank)
+    lam_d = Coweight([c.derivative() for c in lam.coords])
+    integrand = weight_form(alg, lam, lam, F) * F.coerce(Fraction(1, 2)) - weight_form(alg, lam_d, rho, F)
+    rho_h = coweight_to_h(Lctx.alg, rho, K)
+    u1 = u1_coefficient(m.connection()) * (Lctx.alg.form_vec(rho_h, rho_h, K) * 2)
+    out = []
+    for (z, _), E in zip(data.sites, energies(data)):
+        r1, r2 = K.coerce(integrand.residue_at(z)), K.coerce(u1.residue_at(z))
+        out.append({"energy": E, "residue_lambda_squared": r1, "residue_2rr_u1": r2,
+                    "equal": E == r1 and r1 == r2})
+    return out
+
+
+def zero_weight_a3_t3():
+    """The A3, T = 3 slot of the gaudin benchmark with its one site of
+    weight 0, where lambda(t) is regular."""
+    ctx = OperContext("A3", ScalarTower.get(3))
+    return BetheSystemData(ctx, ctx.varsigma, [(Fraction(2), Coweight((Fraction(0),) * 3))], [], [])
+
+
+def param_site(alg, cycles):
+    """Q(zeta_2)(z)(t): a site at the symbolic z, one at 3, a Bethe root at 5."""
+    tw = ScalarTower.get(2, ("z",))
+    rank = int(alg[1:])
+    ctx = OperContext(alg, tw, DiagramAut.from_cycles(rank, cycles) if cycles else None)
+    sites = [(tw.param("z"), Coweight((Fraction(1),) * rank))]
+    if rank == 1:
+        sites.append((Fraction(3), Coweight((Fraction(2),))))
+    return BetheSystemData(ctx, ctx.varsigma, sites, [0], [Fraction(5)])
+
+
+def test_identity_at_a_zero_weight_site():
+    data = zero_weight_a3_t3()
+    rows = energy_oper_identity(data)
+    assert rows == global_rows(zero_weight_a3_t3())
+    assert [[str(r[k]) for k in ("energy", "residue_lambda_squared", "residue_2rr_u1")]
+            for r in rows] == [["0", "0", "0"]]
+    assert rows[0]["equal"] is True
+
+
+@pytest.mark.parametrize("alg, cycles", [("A1", None), ("A2", [[1, 2]])], ids=["A1", "A2-folded"])
+def test_identity_at_a_symbolic_site(alg, cycles):
+    rows = energy_oper_identity(param_site(alg, cycles))
+    assert rows == global_rows(param_site(alg, cycles))
+    assert all(r["equal"] for r in rows)
+    if alg == "A1":
+        assert str(rows[0]["residue_2rr_u1"]) == (
+            "((-1/4)*z^4 + (-47/2)*z^2 + (-225/4)) / (z^5 + (-34)*z^3 + 225*z)")
+        assert str(rows[1]["residue_lambda_squared"]) == "(3/4*z^2 + (-51/4)) / (z^2 + (-9))"
+
+
+def test_identity_matches_the_global_residues_on_random_configurations():
+    rng = random.Random(24)
+    for trial in range(6):
+        ctx = (OperContext("A2", ScalarTower.get(2), DiagramAut.from_cycles(2, [[1, 2]])) if trial % 3 == 0
+               else OperContext("A3", ScalarTower.get(3)) if trial % 3 == 1 else a1(4))
+        rank = ctx.alg.rank
+        zs = rng.sample([1, 2, 3, Fraction(1, 2), Fraction(5, 3)], 2)
+        sites = [(z, Coweight(tuple(Fraction(rng.randint(0, 2)) for _ in range(rank)))) for z in zs]
+        xs = rng.sample([Fraction(7), Fraction(7, 2)], rng.randint(0, 2))
+        cols = [rng.randrange(rank) for _ in xs]
+        rows = energy_oper_identity(BetheSystemData(ctx, ctx.varsigma, sites, cols, xs))
+        assert rows == global_rows(BetheSystemData(ctx, ctx.varsigma, sites, cols, xs)), trial
+        assert all(r["equal"] for r in rows), trial
+
+
+def test_identity_catches_a_wrong_constant_term_of_lambda(monkeypatch):
+    """Adding 1 to the constant term of the first coordinate of lambda(t),
+    expanded at the first site only, moves that site's residue of
+    1/2 (lam|lam) - (lam'|rho) and nothing else."""
+    from cycloper.ratfunc import RatFunc
+
+    data = solved_a1()
+    target, z0 = data.lam.coords[0], data.sites[0][0]
+    laurent_at = RatFunc.laurent_at
+
+    def perturbed(f, p, prec):
+        out = laurent_at(f, p, prec)
+        return out + 1 if f is target and p == z0 else out
+
+    monkeypatch.setattr(RatFunc, "laurent_at", perturbed)
+    rows = energy_oper_identity(data)
+    assert [r["equal"] for r in rows] == [False, True]
+    good = global_rows(solved_a1())
+    assert rows[0]["residue_lambda_squared"] != good[0]["residue_lambda_squared"]
+    assert rows[0]["residue_2rr_u1"] == good[0]["residue_2rr_u1"]
+    assert rows[1] == good[1]
+
+
+def test_identity_forms_no_global_residue(monkeypatch):
+    """The identity reads its residues from local expansions: it neither
+    builds u_1 nor asks a rational function for a residue."""
+    from cycloper import canonical
+    from cycloper.ratfunc import RatFunc
+
+    data = param_site("A1", None)
+    data.lam, energies(data)  # built before counting
+    calls = []
+    u1, residue_at = canonical.u1_coefficient, RatFunc.residue_at
+    monkeypatch.setattr(canonical, "u1_coefficient", lambda *a: calls.append("u1") or u1(*a))
+    monkeypatch.setattr(RatFunc, "residue_at", lambda *a: calls.append("residue") or residue_at(*a))
+    rows = energy_oper_identity(data)
+    assert all(r["equal"] for r in rows)
+    assert calls == []

@@ -163,3 +163,30 @@ def test_local_data_matches_sympy(params, data, T):
     for m, c in enumerate(pp, start=1):
         want = sympy.diff(h, t, k - m).subs(t, ps) / math.factorial(k - m)
         assert same(to_sympy(c, T), want)
+
+
+@pytest.mark.parametrize("params", [(), ("z",)], ids=["Q4", "Q4-z"])
+def test_laurent_expansion_matches_sympy_series(params):
+    """laurent_at over Q(zeta_4)(t) and Q(zeta_4)(z)(t): poles of order 0-3
+    at 0, 3/2 and zeta, each read to O(s^prec) for three precisions, with
+    sympy's series as the oracle."""
+    tw = ScalarTower.get(4, params)
+    t, w, K = tw.t, tw.zeta, tw.scalars
+    a = tw.param("z") if params else K.coerce(2)
+    s, ts = sympy.Symbol("s"), SYMBOLS["t"]
+    num = 2 + w * t - a * t ** 2
+    for p in (K.zero, K.coerce(3) / 2, w):
+        ps = to_sympy(p, 4)
+        for k in range(4):
+            f = num / ((t - p) ** k * (t + 1))
+            shifted = sympy.cancel(to_sympy(f, 4).subs(ts, s + ps) * s ** k)
+            series = sympy.expand(sympy.series(shifted, s, 0, k + 3).removeO())
+            full = f.laurent_at(p, 3)
+            for j in range(-k - 1, 3):
+                assert same(to_sympy(full.coeff(j), 4), series.coeff(s, j + k)), (p, k, j)
+            for prec in (0, 1, 3):
+                lau = f.laurent_at(p, prec)
+                assert lau.prec == prec and lau.val == (-k if k + prec > 0 else prec)
+                assert [lau.coeff(j) for j in range(-k - 1, prec)] == [full.coeff(j) for j in range(-k - 1, prec)]
+                with pytest.raises(ArithmeticError):
+                    lau.coeff(prec)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import subprocess
@@ -612,3 +613,70 @@ def test_truncated_taylor_shift_principal_parts(T, params):
                 full, scale = R.shift(v, p)
                 for keep in range(1, len(v) // R.width + 2):
                     assert R.shift(v, p, keep) == (full[:keep * R.width], scale)
+
+
+def test_laurent_coefficients_past_the_precision_raise():
+    tw = ScalarTower.get(4)
+    t = tw.t
+    f = (t + 2) / (t - 1) ** 2
+    lau = f.laurent_at(1, 1)
+    assert (lau.val, lau.prec) == (-2, 1)
+    assert [lau.coeff(j) for j in (-3, -2, -1, 0)] == [0, 3, 1, 0]
+    for j in (1, 2, 7):
+        with pytest.raises(ArithmeticError):
+            lau.coeff(j)
+
+
+def test_an_unknown_term_times_a_pole_stays_unknown():
+    """O(s^0) times a simple pole is O(s^-1): its residue is unknown, and
+    asking for it raises instead of reading 0."""
+    tw = ScalarTower.get(4)
+    t = tw.t
+    regular = ((t + 3) / (t - 5)).laurent_at(2, 0)
+    pole = (1 / (t - 2)).laurent_at(2, 4)
+    assert not regular.cs and (regular.val, regular.prec) == (0, 0)
+    assert regular  # an O-term is not the exact zero
+    for prod in (regular * pole, pole * regular):
+        assert prod.prec == -1
+        with pytest.raises(ArithmeticError):
+            prod.coeff(-1)
+    # one more known term of the regular factor fixes the residue
+    assert (((t + 3) / (t - 5)).laurent_at(2, 1) * pole).coeff(-1) == Fraction(-5, 3)
+
+
+def test_laurent_arithmetic_tracks_the_precision():
+    """Sums, products, scalar multiples and derivatives of expansions at
+    a point agree with the expansions of the results wherever they are
+    known, and a product is known to min(prec1 + val2, prec2 + val1)."""
+    tw = ScalarTower.get(4)
+    t, w = tw.t, tw.zeta
+    p = tw.scalars.coerce(Fraction(3, 2))
+    f = (w * t ** 2 + 1) / ((t - p) ** 2 * (t + 1))
+    g = (t - p) * (t + w) / (t - 4)
+    for pf, pg in ((0, 2), (1, 1), (3, 0)):
+        lf, lg = f.laurent_at(p, pf), g.laurent_at(p, pg)
+        assert (lf.val, lg.val) == (-2, min(1, pg))
+        cases = [
+            (lf + lg, f + g, min(pf, pg)),
+            (lf - lg, f - g, min(pf, pg)),
+            (lf * lg, f * g, min(pf + 1, pg - 2)),
+            (lg * lf, f * g, min(pf + 1, pg - 2)),
+            (lf * w, f * w, pf),
+            (lf - 3, f - 3, pf),
+            (lf.derivative(), f.derivative(), pf - 1),
+        ]
+        for got, want, prec in cases:
+            assert got.prec == prec
+            assert all(got.coeff(j) == want.laurent_at(p, prec).coeff(j) for j in range(-4, prec))
+
+
+def test_only_the_exact_zero_is_false():
+    tw = ScalarTower.get(4)
+    t = tw.t
+    zero = tw.functions.zero.laurent_at(1, 3)
+    assert not zero and zero.prec == math.inf
+    assert not (zero * (1 / (t - 1)).laurent_at(1, 0))
+    assert not (t.laurent_at(1, 2) * 0)
+    diff = t.laurent_at(1, 2) - t.laurent_at(1, 2) + zero
+    assert diff and not diff.cs and diff.prec == 2  # O(s^2) is not 0
+    assert (zero + 5).coeff(0) == 5 and (zero + 5).prec == math.inf

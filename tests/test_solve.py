@@ -8,7 +8,7 @@ import cycloper.solve as solve
 from cycloper.chevalley import ChevalleyAlgebra
 from cycloper.connection import Connection, GroupElement, gauge_transform, regularize
 from cycloper.context import OperContext
-from cycloper.errors import MonodromyObstruction, NotInOpenCell
+from cycloper.errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from cycloper.solve import gauss_factorize, solve_fundamental
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, coweight_to_h
@@ -226,3 +226,22 @@ def test_fundamental_solution_inverse(label, T):
     assert Y.mat @ Y.inv == one
     assert Y.inv @ Y.mat == one
     assert not any(gauge_transform(conn, Y.inverse()).coeffs)
+
+
+def test_fundamental_check_catches_a_wrong_antiderivative(monkeypatch):
+    """t^2 added to one entry of Z (so Z(0) = 0 still holds) fails the
+    reassembly check e^-Z . B == 0."""
+    ctx = sl3_context(2)
+    reg, _, _ = regularized_sl3(ctx, 1)
+    t = ctx.functions.gen
+    antiderivative, calls = solve.rational_antiderivative, []
+
+    def perturbed(f, extra_points=()):
+        calls.append(f)
+        out = antiderivative(f, extra_points)
+        return out + t ** 2 if len(calls) == 1 else out
+
+    monkeypatch.setattr(solve, "rational_antiderivative", perturbed)
+    with pytest.raises(MalformedOper, match="fundamental solution verification failed"):
+        solve_fundamental(reg)
+    assert len(calls) > 1
