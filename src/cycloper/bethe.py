@@ -10,7 +10,7 @@ from functools import cached_property
 
 from .automorphisms import AlgebraAut, DiagramAut
 from .chevalley import ChevalleyAlgebra, dual_algebra
-from .canonical import is_regular_at, u1_numerator
+from .canonical import canonical_representative, is_regular_at, u1_numerator
 from .context import OperContext
 from .errors import NoDominantRepresentative, ValidationError
 from .linalg import QQ
@@ -242,11 +242,12 @@ def _expand_at(L, z, *groups):
 
 def bethe_regularity(data: BetheSystemData):
     """(residuals, regular flags): Bethe residual j vanishes iff the dual
-    oper is regular at x_j (simple-reflection poles)."""
+    oper is regular at x_j (simple-reflection poles).  One canonical form
+    serves every root."""
     residuals = bethe_residuals(data)
     m, Lctx = miura_from_bethe(data)
-    conn = m.connection()
-    flags = [is_regular_at(conn, xj, cyclotomic=True) for xj in data.roots]
+    can = canonical_representative(m.connection())
+    flags = [is_regular_at(can, xj, cyclotomic=True) for xj in data.roots]
     return residuals, flags
 
 

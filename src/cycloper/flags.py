@@ -10,8 +10,9 @@ from fractions import Fraction
 from .connection import torus_conjugate_vec
 from .context import OperContext
 from .errors import LimitUndefined, NotInOpenCell, ValidationError
+from .linalg import rref
 from .miura import MiuraOper
-from .solve import gauss_factorize
+from .solve import _checked_log
 from .weyl import Coweight
 
 
@@ -107,8 +108,7 @@ def flag_position(base: MiuraOper, X) -> FlagPoint:
 
 def _limit_flag_point(ctx, cols):
     """The flag point lim_{t->0} g B_- from the columns cols[j] = Ad_g e_j
-    of the b_- basis vectors over ctx.functions, in basis order (the input
-    of gauss_factorize).
+    of the b_- basis vectors over ctx.functions, in basis order.
 
     One t-adic column echelon: each column, divided by its lowest t-power,
     is reduced at 0 against the earlier pivots by the same constant
@@ -117,8 +117,8 @@ def _limit_flag_point(ctx, cols):
     every prefix.  The limit is n w-dot B_- with Ad_n adding only higher
     rows, so the pivots (earliest nonzero rows) are the rows of h and the
     e_{w beta}, beta < 0: the positive roots among them are R(w).  The
-    coordinates of n come from gauss_factorize on the limit columns moved
-    by Ad_{w-dot^-1} into the big cell."""
+    coordinates of n come from one constant solve on the limit moved by
+    Ad_{w-dot^-1} into the big cell, and the checked read of solve."""
     alg = ctx.alg
     K = ctx.scalars
     F = ctx.functions
@@ -152,14 +152,22 @@ def _limit_flag_point(ctx, cols):
     w = next((w for w in W.nu_invariant_elements(ctx.nu) if set(inversion_set(alg, w)) == R), None)
     if w is None:
         raise LimitUndefined("no Bruhat cell matched the limit flag")
-    # w-dot^-1 n w-dot is in N: factor its point from the limit columns
+    # w-dot^-1 n w-dot = e^-X is in N: the limit moved by Ad_{w-dot^-1} is
+    # a Borel V, and V = Ad_{e^-X} b_- once V cap n = 0 (a singular solve
+    # otherwise) and V contains e^{-ad X} rho, its point of rho + n
     for i in w.word:
         limit = [_ad_simple_reflection(alg, i, v, K, -1) for v in limit]
+    m = len(limit)
+    rows = [[v[i] for v in limit] + [K.coerce(x)] for i, x in enumerate(alg.rho) if alg.height_of[i] <= 0]
+    red, pivots = rref(K, rows, ncols=m)
+    if len(pivots) < m:
+        raise LimitUndefined("the limit moved by w-dot^-1 meets n: not in the big cell")
+    point = [sum((row[m] * v[i] for row, v in zip(red, limit) if v[i]), K.zero) for i in range(alg.dim)]
     try:
-        X = gauss_factorize(ctx, [[F.coerce(x) for x in v] for v in limit])
+        X = _checked_log(alg, point, K)
     except NotInOpenCell as e:
         raise LimitUndefined(f"the limit moved by w-dot^-1 is not in the big cell: {e}") from e
-    X = [-x.constant_value() for x in X]
+    X = [-x for x in X]
     for i in reversed(w.word):
         X = _ad_simple_reflection(alg, i, X, K, 1)
     # the cell group N cap w-dot N w-dot^-1: the alpha > 0 with w^-1 alpha

@@ -476,14 +476,11 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     fund = solve_fundamental(reg, extra_points=miura.points if q == 1 else ())
     if isinstance(fund, MonodromyObstruction):
         raise fund
-    # Y g0^-1 = D M with M = e^Z e^-X0: factor M = e^-X b from its b_-
-    # columns, then n = e^{Ad_D X} since D e^-X = e^{-Ad_D X} D
+    # Y g0^-1 = D M with M = e^Z e^-X0: factor M = e^-X b from its inverse
+    # action Ad_{e^X0} Ad_{e^-Z}, then n = e^{Ad_D X} since D e^-X = e^{-Ad_D X} D
     torus, Z = fund
-    minus_X0 = [-x for x in X0]
-    units = [[F2.one if i == j else F2.zero for i in range(alg.dim)] for j in range(alg.dim)]
-    cols = [alg.ad_series(Z, alg.ad_series(minus_X0, e, F2), F2)
-            for e, h in zip(units, alg.height_of) if h <= 0]
-    logn = gauss_factorize(ctx2, cols)
+    minus_Z = [-z for z in Z]
+    logn = gauss_factorize(ctx2, lambda v: alg.ad_series(X0, alg.ad_series(minus_Z, v, F2), F2))
     for mu, base in torus:
         logn = torus_conjugate_vec(ctx2, logn, mu, base)
     # initial-value certificate: the regularised gauge parameter at 0 is

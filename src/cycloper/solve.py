@@ -1,16 +1,15 @@
 """Fundamental solutions of Borel-valued connections as a torus factor
 times e^Z, Z integrated height by height on Lie-algebra vectors, and the
-N B_- (big cell) factor read from the columns of b_- on Lie vectors."""
+N B_- (big cell) factor solved from the inverse action on Lie vectors."""
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .connection import Connection, exp_gauge, torus_conjugate_vec
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import rref
-from .ratfunc import _common_denominator, poles_of, rational_antiderivative
+from .ratfunc import poles_of, rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
 
@@ -90,51 +89,50 @@ def solve_fundamental(conn: Connection, extra_points=()):
     return torus, Z
 
 
-def gauss_factorize(ctx, cols):
-    """X in n with M = e^-X b for some b in B_-, given the columns
-    cols[j] = Ad_M e_j of the b_- basis vectors (the indices j of height
-    <= 0 come first in the basis).
+def gauss_factorize(ctx, act):
+    """X in n with M = e^-X b for some b in B_-, given the inverse action
+    act(v) = Ad_{M^-1} v on Lie vectors over ctx.functions.
 
-    e^{-ad X} rho = M y for the y in b_- with Ad_b y = rho, and the rows of
-    height <= 0 of M y are rho: one linear solve, after which X is read
-    height by height.  The certificate e^{ad X} M F_i in n_- for every
-    simple i proves e^X M in B_-, since n_- is generated by the F_i and
-    its normaliser is B_-.  Raises NotInOpenCell when the solve is
-    singular or the certificate fails."""
+    Ad_{b^-1} rho = Ad_{M^-1} e^{-ad X} rho lies in rho + n_-, and
+    e^{-ad X} rho = rho + p with p in n.  So the positive part of
+    y = act(rho) + sum_a p_a act(e_a) vanishes: one unknown and one
+    equation per positive root, ordered from the highest root down, one
+    linear solve, after which X is read height by height.
+
+    Certificate: the read gives e^{-ad X} rho = rho + p, and y lies in
+    rho + n_-.  Then the regular rho lies in the Borel Ad_{e^X M} b_-,
+    which so contains h and is Ad_w b_- for a Weyl w; the h-part of
+    y = Ad_{(e^X M)^-1} rho is then w^-1 rho = rho, so w = 1 and e^X M is
+    in B_-.  Raises NotInOpenCell when the solve is singular or the
+    certificate fails."""
     alg = ctx.alg
     F = ctx.functions
-    m = len(cols)
-    rows = [[col[i] for col in cols] + [F.coerce(alg.rho[i])] for i in range(m)]
-    red, pivots = rref(F, rows, ncols=m)
-    if len(pivots) < m:
-        raise NotInOpenCell("Ad_M b_- meets n: M is not in the big cell")
-    w = alg.vec_zero(F)
-    for row, col in zip(red, cols):
-        w = [a + row[m] * c if c else a for a, c in zip(w, col)]
-    X = _read_log(alg, w, F)
-    # the certificate on polynomials: phi scales the coordinate of each
-    # root alpha = sum_j m_j alpha_j by prod_j s_j^m_j, an automorphism for
-    # any nonzero s_j, and phi(e^{ad X} c) = e^{ad phi(X)} phi(c); the s_j
-    # make phi(X) polynomial, and a shift by the largest m_j makes phi(c) so
-    rank = alg.rank
-    exps = [r if kind == "E" else [-e for e in r] if kind == "F" else [0] * rank
-            for kind, r in alg.basis]
-    s = [F.one] * rank
-    for r, x in zip(exps, X):
-        d = (_character(s, r) * x).den if x else ()
-        if len(d) > 1:
-            j = next(j for j, e in enumerate(r) if e)
-            s[j] = s[j] * F.from_coeffs(d)
-    top = [max(r[j] for r in alg.pos_roots) for j in range(rank)]
-    Xs = [_character(s, r) * x if x else x for r, x in zip(exps, X)]
-    shift = [_character(s, [e + t for e, t in zip(r, top)]) for r in exps]
-    for i in range(rank):
-        c = cols[alg.index_F[alg.simple_root(i)]]
-        q = _common_denominator(F, c)
-        c = [q * x for x in c]
-        out = alg.ad_series(Xs, [f * x if x else x for f, x in zip(shift, c)], F)
-        if any(v for v, h in zip(out, alg.height_of) if h >= 0):
-            raise NotInOpenCell("e^X M is not in B_-: certificate failed")
+    pos = [alg.index_E[r] for r in reversed(alg.pos_roots)]
+    rho = [F.coerce(x) for x in alg.rho]
+    r = act(rho)
+    cols = [act([F.one if j == i else F.zero for j in range(alg.dim)]) for i in pos]
+    n = len(pos)
+    red, pivots = rref(F, [[c[i] for c in cols] + [-r[i]] for i in pos], ncols=n)
+    if len(pivots) < n:
+        raise NotInOpenCell("the solve for p is singular: M is not in the big cell")
+    w = list(rho)
+    y = {i: r[i] for i, h in enumerate(alg.height_of) if h >= 0}
+    for row, i, c in zip(red, pos, cols):
+        w[i] = p = row[n]
+        if p:
+            y = {k: v + p * c[k] if c[k] else v for k, v in y.items()}
+    X = _checked_log(alg, w, F)
+    if any(v != rho[k] for k, v in y.items()):
+        raise NotInOpenCell("e^X M is not in B_-: certificate failed")
+    return X
+
+
+def _checked_log(alg, w, K):
+    """X in n with e^{-ad X} rho = w, for w in rho + n: the read of
+    _read_log, checked by the series (NotInOpenCell when it fails)."""
+    X = _read_log(alg, w, K)
+    if alg.ad_series([-x for x in X], [K.coerce(x) for x in alg.rho], K) != w:
+        raise NotInOpenCell("e^{-ad X} rho != rho + p: certificate failed")
     return X
 
 
@@ -149,8 +147,3 @@ def _read_log(alg, w, F):
         for i in alg.blocks.get(k, []):
             X[i] = (w[i] - S[i]) * inv
     return X
-
-
-def _character(s, exps):
-    """prod_j s_j^e_j for exponents e_j >= 0."""
-    return math.prod([sj ** e for sj, e in zip(s, exps)])

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,11 +11,13 @@ from hypothesis import settings
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cycloper.automorphisms import DiagramAut
-from cycloper.connection import GroupElement
+from cycloper.connection import GroupElement, torus_conjugate_vec
 from cycloper.context import OperContext
-from cycloper.errors import LimitUndefined
+from cycloper.errors import LimitUndefined, NotInOpenCell
 from cycloper.linalg import SparseMat, kernel_basis, rref
 from cycloper.miura import build_miura
+from cycloper.ratfunc import _common_denominator
+from cycloper.solve import _read_log
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight
 
@@ -116,7 +119,8 @@ def fundamental_matrix(ctx, fund):
 
 def bminus_columns(g):
     """The columns Ad_g e_j of a GroupElement g for the b_- basis indices j
-    (height <= 0), the input of gauss_factorize."""
+    (height <= 0), the input of gauss_factorize_columns and of
+    flags._limit_flag_point."""
     alg = g.ctx.alg
     F = g.ctx.functions
     return [
@@ -124,6 +128,107 @@ def bminus_columns(g):
         for j in range(alg.dim)
         if alg.height_of[j] <= 0
     ]
+
+
+def inverse_action(g):
+    """v -> Ad_{g^-1} v by the inverse matrix of a GroupElement g, the
+    input of gauss_factorize."""
+    return g.inverse().ad_apply
+
+
+def gauss_factorize_columns(ctx, cols):
+    """The b_- column route to the big-cell factor: X in n with M = e^-X b,
+    b in B_-, from the columns cols[j] = Ad_M e_j of the b_- basis.
+
+    e^{-ad X} rho = M y for the y in b_- with Ad_b y = rho, and the rows of
+    height <= 0 of M y are rho: one |b_-| x |b_-| solve, the read of X, and
+    the certificate e^{ad X} M F_i in n_- for every simple i, run on
+    polynomials by scaling each root coordinate with a character."""
+    alg = ctx.alg
+    F = ctx.functions
+    m = len(cols)
+    rows = [[col[i] for col in cols] + [F.coerce(alg.rho[i])] for i in range(m)]
+    red, pivots = rref(F, rows, ncols=m)
+    if len(pivots) < m:
+        raise NotInOpenCell("Ad_M b_- meets n: M is not in the big cell")
+    w = alg.vec_zero(F)
+    for row, col in zip(red, cols):
+        w = [a + row[m] * c if c else a for a, c in zip(w, col)]
+    X = _read_log(alg, w, F)
+    # phi scales the coordinate of each root alpha = sum_j m_j alpha_j by
+    # prod_j s_j^m_j, an automorphism for any nonzero s_j, and
+    # phi(e^{ad X} c) = e^{ad phi(X)} phi(c); the s_j make phi(X)
+    # polynomial, and a shift by the largest m_j makes phi(c) so
+    rank = alg.rank
+
+    def character(s, exps):
+        return math.prod([sj ** e for sj, e in zip(s, exps)])
+
+    exps = [r if kind == "E" else [-e for e in r] if kind == "F" else [0] * rank
+            for kind, r in alg.basis]
+    s = [F.one] * rank
+    for r, x in zip(exps, X):
+        d = (character(s, r) * x).den if x else ()
+        if len(d) > 1:
+            j = next(j for j, e in enumerate(r) if e)
+            s[j] = s[j] * F.from_coeffs(d)
+    top = [max(r[j] for r in alg.pos_roots) for j in range(rank)]
+    Xs = [character(s, r) * x if x else x for r, x in zip(exps, X)]
+    shift = [character(s, [e + t for e, t in zip(r, top)]) for r in exps]
+    for i in range(rank):
+        c = cols[alg.index_F[alg.simple_root(i)]]
+        q = _common_denominator(F, c)
+        c = [q * x for x in c]
+        out = alg.ad_series(Xs, [f * x if x else x for f, x in zip(shift, c)], F)
+        if any(v for v, h in zip(out, alg.height_of) if h >= 0):
+            raise NotInOpenCell("e^X M is not in B_-: certificate failed")
+    return X
+
+
+def generic_factor_by_columns(ctx, fund, g0):
+    """reproduce_generic's factor_n by the b_- column route, from the
+    (torus, Z) of its fundamental solution over ctx (the cover when lam0
+    is fractional): the columns Ad_{e^Z} Ad_{e^-X0} e_j, the column-route
+    factor, conjugated by the torus."""
+    alg = ctx.alg
+    F = ctx.functions
+    torus, Z = fund
+    minus_X0 = [-F.coerce(x) for x in g0]
+    units = [[F.one if i == j else F.zero for i in range(alg.dim)] for j in range(alg.dim)]
+    cols = [alg.ad_series(Z, alg.ad_series(minus_X0, e, F), F)
+            for e, h in zip(units, alg.height_of) if h <= 0]
+    logn = gauss_factorize_columns(ctx, cols)
+    for mu, base in torus:
+        logn = torus_conjugate_vec(ctx, logn, mu, base)
+    return logn
+
+
+@pytest.fixture
+def column_route(monkeypatch):
+    """Checks every reproduce_generic call against the b_- column route:
+    records the working context and fundamental solution of each call;
+    check(res, g0) asserts that res.factor_n equals the column-route factor
+    entry by entry."""
+    import cycloper.miura as miura_mod
+
+    real = miura_mod.solve_fundamental
+    seen = []
+
+    def recorded(conn, *args, **kw):
+        out = real(conn, *args, **kw)
+        seen.append((conn.ctx, out))
+        return out
+
+    monkeypatch.setattr(miura_mod, "solve_fundamental", recorded)
+
+    def check(res, g0):
+        ctx, fund = seen.pop()
+        want = generic_factor_by_columns(ctx, fund, g0)
+        assert len(res.factor_n) == len(want)
+        for got, exp in zip(res.factor_n, want):
+            assert got == exp
+
+    return check
 
 
 def limit_span(ctx, cols):

@@ -114,6 +114,35 @@ def test_bethe_iff_regularity_a2():
     assert flags[0]
 
 
+@pytest.mark.parametrize("T", [1, 2])
+def test_bethe_regularity_builds_one_canonical_form(T, monkeypatch):
+    """Two Bethe roots: one canonical form of the dual oper serves both,
+    with the flags of a canonical form per root.  At T = 1 the weights
+    45/28 make the first root solve its Bethe equation, not the second."""
+    import cycloper.bethe as bethe_mod
+    import cycloper.canonical as canonical_mod
+
+    ctx = a1(T)
+    weight = Coweight((Fraction(45, 28),))
+    data = BetheSystemData(ctx, ctx.varsigma, [(2, weight), (3, weight)], [0, 0], [Fraction(1, 2), Fraction(5, 3)])
+    conn = miura_from_bethe(data)[0].connection()
+    per_root = [canonical_mod.is_regular_at(conn, x, cyclotomic=True) for x in data.roots]
+    built = []
+    real = canonical_mod.canonical_representative
+
+    def counted(*args, **kw):
+        built.append(args)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(canonical_mod, "canonical_representative", counted)
+    monkeypatch.setattr(bethe_mod, "canonical_representative", counted)
+    residuals, flags = bethe_regularity(data)
+    assert len(built) == 1
+    assert flags == per_root
+    assert flags == [not r for r in residuals]
+    assert T != 1 or flags == [True, False]
+
+
 def test_miura_from_bethe_shape():
     m, Lctx = miura_from_bethe(solved_a1())
     assert m.is_cyclotomic()

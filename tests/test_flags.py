@@ -8,7 +8,7 @@ from cycloper.chevalley import build_algebra
 import cycloper.connection as connection
 from cycloper.connection import GroupElement
 from cycloper.context import OperContext
-from cycloper.errors import NoRationalSolution, ValidationError
+from cycloper.errors import LimitUndefined, NoRationalSolution, ValidationError
 from cycloper.flags import (
     FlagPoint,
     _limit_flag_point,
@@ -184,6 +184,20 @@ def test_limit_point_off_every_prefix_of_a_singular_log():
     assert not limit_flag_is(ctx, cols, moved)
 
 
+def test_limit_span_not_transversal_to_n_is_typed():
+    """A constant span with the pivots of the cell of s1 (the rows of
+    F_{alpha1+alpha2}, F_alpha2, H_1, F_alpha1 and E_alpha1) that is no
+    point of that cell: moved by Ad_{s1-dot^-1}, F_alpha1 goes to n, so
+    the constant solve is singular and the limit raises LimitUndefined."""
+    ctx = OperContext("A2", ScalarTower.get(1))
+    F = ctx.functions
+    alg = ctx.alg
+    rows = [alg.index_F[(1, 1)], alg.index_F[(0, 1)], alg.index_F[(1, 0)], alg.index_H[0], alg.index_E[(1, 0)]]
+    cols = [[F.one if i == j else F.zero for i in range(alg.dim)] for j in rows]
+    with pytest.raises(LimitUndefined, match="meets n"):
+        _limit_flag_point(ctx, cols)
+
+
 def test_flag_of_antisymmetric_regular_case():
     """T=4, eta=1 is the omega^mu = -1 window (a = -b): the reproduction is
     regular and lands in the big cell with coordinates (a, -a)."""
@@ -239,15 +253,18 @@ def test_flag_position_on_the_cover(T, cycles):
 
 def _gauss_flag_point(m, X):
     """The big-cell point by the constant-matrix route: g_r(0) = e^{X_r}(0)
-    over the scalars, factored as e^-Y b by gauss_factorize; the
-    coordinates are -Y."""
+    over the scalars, factored as e^-Y b by gauss_factorize from the
+    inverse matrix g_r^-1(0); the coordinates are -Y."""
     wctx, Xr = _regularised_log(m, X)
     alg = wctx.alg
     K = wctx.scalars
     F = wctx.functions
-    M0 = GroupElement.exp(wctx, Xr).eval_at(K.zero)
-    cols = [[F.coerce(row[j]) for row in M0] for j in range(alg.dim) if alg.height_of[j] <= 0]
-    logn = gauss_factorize(wctx, cols)
+    M0inv = GroupElement.exp(wctx, Xr).inverse().eval_at(K.zero)
+
+    def act(v):
+        return [sum((F.coerce(a) * x for a, x in zip(row, v) if a and x), F.zero) for row in M0inv]
+
+    logn = gauss_factorize(wctx, act)
     coords = {alg.basis[i][1]: (-v).constant_value() for i, v in enumerate(logn) if v}
     W = wctx.weyl
     return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
@@ -291,11 +308,12 @@ def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, 
     ],
     ids=["A3-T2", "A3-T4", "B2-T1", "A4-T2", "G2-T1", "D4-T3"],
 )
-def test_generic_round_trip_beyond_folded_a2(label, T, cycles):
+def test_generic_round_trip_beyond_folded_a2(label, T, cycles, column_route):
     """The generic route off A2 (lam0 pairing 1 with every simple root):
     res_0 is kept and the result is cyclotomic, the flag is the big cell
     at g0, two g0 give two Miura opers, and the vartheta-fixed flag
-    variety has one cell per element of the folded Weyl group W^nu."""
+    variety has one cell per element of the folded Weyl group W^nu.  The
+    factor n equals the b_- column route's entry by entry."""
     rank = int(label[1:])
     ctx = OperContext(label, ScalarTower.get(T), DiagramAut.from_cycles(rank, cycles))
     alg = ctx.alg
@@ -307,6 +325,7 @@ def test_generic_round_trip_beyond_folded_a2(label, T, cycles):
     news = []
     for g0 in g0s:
         res = reproduce_generic(m, g0)
+        column_route(res, g0)
         before, after = res.ledger[K.zero]
         assert res.cyclotomic and before == after
         fp = flag_position(m, res.gauge)

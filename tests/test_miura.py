@@ -538,6 +538,54 @@ def test_generic_gauge_on_vectors_matches_matrix_route(T, eta):
     assert out.coeffs == res.new.connection().coeffs
 
 
+def _two_site_miura():
+    ctx = OperContext("A1", ScalarTower.get(2))
+    return ctx, build_miura(ctx, Coweight((Fraction(1),)), sites=[(3, Coweight((Fraction(2),)))])
+
+
+@pytest.mark.parametrize(
+    "case",
+    [(T, eta) for T in (2, 4) for eta in (0, 1, 2)] + [(2, Fraction(1, 2)), "sites"],
+    ids=lambda c: c if isinstance(c, str) else f"T{c[0]}-eta{c[1]}",
+)
+def test_generic_factor_matches_the_column_route(case, column_route):
+    """The factor n of Y g0^-1, solved from the inverse action with one
+    unknown per positive root, equals the b_- column route's entry by
+    entry: on the six A2 slots of the reproduce benchmark, the
+    half-integral cover and the two-site instance, two g0 each."""
+    q = 1
+    if case == "sites":
+        ctx, m = _two_site_miura()
+    elif case[1] == Fraction(1, 2):
+        ctx, m = _half_integral_miura()
+        q = 2
+    else:
+        ctx, m = sl3_miura(*case)
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
+    for g0 in ([sum(xs) for xs in zip(*basis)], [Fraction(-3, 2) * x for x in basis[-1]]):
+        column_route(reproduce_generic(m, g0), g0)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_generic_reproduction_runs_one_rref_of_one_column_per_positive_root(label, monkeypatch):
+    """The generic factor is one |n| x |n| solve: no b_- columns."""
+    import cycloper.solve as solve_mod
+
+    ctx, m = sl3_miura(2, 1) if label == "A2" else sl4_miura_at(1, 1, 1, 3)
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    calls = []
+    real = solve_mod.rref
+
+    def counted(K, rows, ncols=None):
+        calls.append((len(rows), ncols, {len(r) for r in rows}))
+        return real(K, rows, ncols)
+
+    monkeypatch.setattr(solve_mod, "rref", counted)
+    reproduce_generic(m, [sum(xs) for xs in zip(*basis)])
+    n = len(ctx.alg.pos_roots)
+    assert calls == [(n, n, {n + 1})]
+
+
 def test_generic_certificate_failure_is_typed(monkeypatch):
     """A factor n whose value at 0 is not g0 fails the initial-value
     certificate with a typed error, not an assert."""
@@ -545,8 +593,8 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
 
     real = miura_mod.gauss_factorize
 
-    def broken(ctx, cols):
-        return [2 * x for x in real(ctx, cols)]
+    def broken(ctx, act):
+        return [2 * x for x in real(ctx, act)]
 
     monkeypatch.setattr(miura_mod, "gauss_factorize", broken)
     ctx, m = sl3_miura(2, 1)
@@ -561,13 +609,8 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
 def test_generic_reproduction_with_sites():
     """The factorisation route on a two-pole instance: the fundamental
     solution picks up a torus factor from the site residues."""
-    ctx = OperContext("A1", ScalarTower.get(2))
+    ctx, m = _two_site_miura()
     K = ctx.scalars
-    m = build_miura(
-        ctx,
-        Coweight((Fraction(1),)),
-        sites=[(3, Coweight((Fraction(2),)))],
-    )
     assert m.is_cyclotomic()
     F = ctx.functions
     alg = ctx.alg
@@ -590,9 +633,9 @@ def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
     """The simple, A1-orbit and A2-orbit reproductions return their gauge
     as its log and check it by the Lie series, and a big-cell flag
     position is read off that log: none of them builds exp(ad X).  Nor
-    does the generic route, which builds no matrix at all: it reads the
-    Gauss factor of Y g0^-1 from the Lie vectors e^{ad Z} e^{-ad X0} e_j
-    of the b_- basis."""
+    does the generic route, which builds no matrix at all: it solves the
+    Gauss factor of Y g0^-1 from the inverse action e^{ad X0} e^{-ad Z}
+    on Lie vectors."""
     import cycloper.connection as connection
     from cycloper.linalg import SparseMat
     from cycloper.flags import flag_position

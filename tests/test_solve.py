@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bminus_columns, fundamental_matrix, sl3_context
+from conftest import fundamental_matrix, inverse_action, sl3_context
 import cycloper.solve as solve
 from cycloper.chevalley import ChevalleyAlgebra
 from cycloper.connection import Connection, GroupElement, gauge_transform, regularize
@@ -103,7 +103,7 @@ def test_gauss_factorize_reassembly():
         b0 = GroupElement.exp(ctx, bv)
         T0 = GroupElement.torus(ctx, Coweight((Fraction(1), Fraction(0))), base=t - 2)
         M = (n0.inverse() @ (T0 @ b0))
-        X = gauss_factorize(ctx, bminus_columns(M))
+        X = gauss_factorize(ctx, inverse_action(M))
         # e^X M is in B_-: no entry raises the height
         nM = (GroupElement.exp(ctx, X) @ M).mat
         assert not any(
@@ -112,7 +112,7 @@ def test_gauss_factorize_reassembly():
             for j, v in row.items()
         )
         assert X == nv  # uniqueness picks out the original factor
-        assert gauss_factorize(ctx, bminus_columns(M)) == X  # determinism
+        assert gauss_factorize(ctx, inverse_action(M)) == X  # determinism
 
 
 def test_gauss_factorize_reproduces_paper_h_functions():
@@ -130,7 +130,7 @@ def test_gauss_factorize_reproduces_paper_h_functions():
     E2 = alg.vec_E(alg.simple_root(1), F)
     E12 = alg.bracket_vec(E1, E2, F)
     X0 = [a * x + b * y + c * z for x, y, z in zip(E1, E2, E12)]
-    logn = gauss_factorize(ctx, bminus_columns(Y @ GroupElement.exp(ctx, [-x for x in X0])))
+    logn = gauss_factorize(ctx, inverse_action(Y @ GroupElement.exp(ctx, [-x for x in X0])))
 
     def dnm(cc, aa):
         return (a * b + 2 * cc) * t ** (2 * mu) + 4 * mu * aa * t ** mu + F.coerce(4 * mu * mu)
@@ -156,7 +156,7 @@ def test_gauss_not_in_open_cell():
     ctx = sl3_context(2)
     wd = GroupElement.weyl_representative(ctx, ctx.weyl.simple(0))
     with pytest.raises(NotInOpenCell):
-        gauss_factorize(ctx, bminus_columns(wd))
+        gauss_factorize(ctx, inverse_action(wd))
 
 
 def test_gauss_factorize_lets_a_bug_in_the_log_step_through(monkeypatch):
@@ -167,19 +167,34 @@ def test_gauss_factorize_lets_a_bug_in_the_log_step_through(monkeypatch):
     F = ctx.functions
     alg = ctx.alg
     M = GroupElement.exp(ctx, [F.gen * x for x in alg.vec_E(alg.simple_root(0), F)])
-    cols = bminus_columns(M)
+    act = inverse_action(M)
 
     def broken(self, x, v, K=None, shift=0):
         raise TypeError("bug in ad_series")
 
     monkeypatch.setattr(ChevalleyAlgebra, "ad_series", broken)
     with pytest.raises(TypeError, match="bug in ad_series"):
-        gauss_factorize(ctx, cols)
+        gauss_factorize(ctx, act)
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_every_weyl_representative_but_one_is_off_the_big_cell(label):
+    """The inverse action of w-dot, w != 1, raises NotInOpenCell: either
+    the solve for p is singular, or y = Ad_{w-dot^-1}(rho + p) is not in
+    rho + n_-; w = 1 factors with X = 0."""
+    ctx = OperContext(label, ScalarTower.get(1))
+    for w in ctx.weyl.elements:
+        act = inverse_action(GroupElement.weyl_representative(ctx, w))
+        if w == ctx.weyl.identity:
+            assert not any(gauss_factorize(ctx, act))
+            continue
+        with pytest.raises(NotInOpenCell):
+            gauss_factorize(ctx, act)
 
 
 def test_gauss_certificate_catches_a_wrong_log(monkeypatch):
-    """A read of X with the top-height entry moved by t fails the
-    certificate e^{ad X} M F_i in n_- with NotInOpenCell."""
+    """A read of X with the top-height entry moved by t fails the read
+    check e^{-ad X} rho = rho + p with NotInOpenCell."""
     ctx = sl3_context(4)
     F = ctx.functions
     alg = ctx.alg
@@ -187,8 +202,8 @@ def test_gauss_certificate_catches_a_wrong_log(monkeypatch):
     nv = alg.vec_zero(F)
     for n, r in enumerate(alg.pos_roots):
         nv[alg.index_E[r]] = F.coerce(n + 1) * t / (t - 2)
-    cols = bminus_columns(GroupElement.exp(ctx, [-x for x in nv]))
-    assert gauss_factorize(ctx, cols) == nv
+    act = inverse_action(GroupElement.exp(ctx, [-x for x in nv]))
+    assert gauss_factorize(ctx, act) == nv
     real = solve._read_log
     top = alg.blocks[alg.height_max][0]
 
@@ -199,7 +214,7 @@ def test_gauss_certificate_catches_a_wrong_log(monkeypatch):
 
     monkeypatch.setattr(solve, "_read_log", perturbed)
     with pytest.raises(NotInOpenCell, match="certificate"):
-        gauss_factorize(ctx, cols)
+        gauss_factorize(ctx, act)
 
 
 @pytest.mark.parametrize(
@@ -245,3 +260,27 @@ def test_fundamental_check_catches_a_wrong_antiderivative(monkeypatch):
     with pytest.raises(MalformedOper, match="fundamental solution verification failed"):
         solve_fundamental(reg)
     assert len(calls) > 1
+
+
+def test_gauss_certificate_catches_a_wrong_solution(monkeypatch):
+    """An entry of p moved by t (here the highest root's, the first
+    unknown) still reads a consistent X, but y = Ad_{M^-1}(rho + p) leaves
+    rho + n_-: NotInOpenCell from the certificate."""
+    ctx = sl3_context(4)
+    F = ctx.functions
+    alg = ctx.alg
+    t = F.gen
+    nv = alg.vec_zero(F)
+    for n, r in enumerate(alg.pos_roots):
+        nv[alg.index_E[r]] = F.coerce(n + 1) * t / (t - 2)
+    act = inverse_action(GroupElement.exp(ctx, [-x for x in nv]))
+    real = solve.rref
+
+    def perturbed(K, rows, ncols=None):
+        red, pivots = real(K, rows, ncols)
+        red[0][ncols] = red[0][ncols] + F.gen
+        return red, pivots
+
+    monkeypatch.setattr(solve, "rref", perturbed)
+    with pytest.raises(NotInOpenCell, match="certificate"):
+        gauss_factorize(ctx, act)
