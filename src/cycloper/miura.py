@@ -23,7 +23,6 @@ from .errors import (
     MalformedOper,
     MonodromyObstruction,
     NoRationalSolution,
-    NotInOpenCell,
     OrbitCollision,
     RiccatiViolated,
     SeedNotSolution,
@@ -69,11 +68,6 @@ class MiuraOper:
     def is_cyclotomic(self) -> bool:
         return is_equivariant(self.connection(), self.ctx.varsigma)
 
-    def add(self, k, f) -> "MiuraOper":
-        new = list(self.u_coroot)
-        new[k] = new[k] + f
-        return replace(self, u_coroot=new)
-
     def __repr__(self):
         body = "; ".join(f"coroot_{j+1}: {c}" for j, c in enumerate(self.u_coroot) if c)
         return f"MiuraOper(d + p_-1 dt + [{body}] dt)"
@@ -87,6 +81,8 @@ class ReproductionResult:
     branch: str                    # 'regular-at-0' | 'singular-at-0'
     ledger: dict                   # point -> (res before, res after) as Coweights
     cyclotomic: bool
+    factor_n: list | None = None   # generic route: log n of the factor, on the cover
+    cover_power: int = 1           # generic route: q of the cover t = u^q
 
 
 def _gamma_orbits_disjoint(ctx, points, allow_origin=False):
@@ -209,17 +205,31 @@ def riccati_residual(miura: MiuraOper, k, f):
     return f.derivative() + f * f + f * miura.pairing(k)
 
 
-def _ledger(ctx, old: MiuraOper, new: MiuraOper, points):
-    out = {}
-    for p in points:
-        out[p] = (old.residue_coweight(p), new.residue_coweight(p))
-    return out
+def _reproduced(old: MiuraOper, X):
+    """The Miura oper e^X . old for X in n, and its ledger: the residues
+    (before, after) at 0 and infinity.
 
-
-def _check_reassembly(X, old: MiuraOper, new: MiuraOper):
-    """e^X . (old Miura oper) must be the connection of the new Miura oper."""
-    if exp_gauge(old.ctx, X, old.connection().coeffs) != new.connection().coeffs:
+    Ad_{e^X} p_-1 reaches h only through [X_1, p_-1], which adds the
+    E_{alpha_j} coordinate of X to u_j, and the dlog term has heights >= 1;
+    the Lie series then proves e^X . old = new on every height."""
+    ctx = old.ctx
+    alg = ctx.alg
+    new = replace(old, u_coroot=[u + X[alg.index_E[alg.simple_root(j)]] for j, u in enumerate(old.u_coroot)])
+    if exp_gauge(ctx, X, old.connection().coeffs) != new.connection().coeffs:
         raise MalformedOper("gauge reassembly failed: g . (old Miura oper) is not the new one")
+    return new, {p: (old.residue_coweight(p), new.residue_coweight(p)) for p in (ctx.scalars.zero, INFINITY)}
+
+
+def _transport(ctx, Y, steps):
+    """Y + s(Y) + ... + s^(steps-1)(Y) with s(Y)(t) = varsigma(Y(w^-1 t)),
+    the map whose fixed points is_equivariant tests."""
+    F = ctx.functions
+    winv = ctx.scalars.one / ctx.omega
+    out = list(Y)
+    for _ in range(steps - 1):
+        Y = ctx.varsigma.apply_vec([c.subs_scale(winv) for c in Y], F)
+        out = [a + b for a, b in zip(out, Y)]
+    return out
 
 
 def reproduce_simple(miura: MiuraOper, k, f) -> ReproductionResult:
@@ -232,10 +242,8 @@ def reproduce_simple(miura: MiuraOper, k, f) -> ReproductionResult:
     if riccati_residual(miura, k, f):
         raise RiccatiViolated(f"f does not satisfy the Riccati equation in direction {k+1}")
     X = [f * c for c in alg.vec_E(alg.simple_root(k), F)]
-    new = miura.add(k, f)
-    _check_reassembly(X, miura, new)
+    new, led = _reproduced(miura, X)
     branch = "singular-at-0" if (f and not f.is_regular_at(0)) else "regular-at-0"
-    led = _ledger(ctx, miura, new, [ctx.scalars.zero, INFINITY])
     _check_simple_rules(ctx, miura, new, k, f)
     cyc = is_equivariant((ctx, X), ctx.varsigma)
     return ReproductionResult(miura, new, X, branch, led, cyc)
@@ -269,14 +277,14 @@ def _check_simple_rules(ctx, old, new, k, f):
 
 
 def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionResult:
-    """Reproduction along an orbit of type A_1^x|I|: f_i defined recursively
-    by f_i(t) = w^-1 f_{nu^-1(i)}(w^-1 t); the regular branch is cyclotomic
-    iff <alpha_k, lam0 + rho> = 0 mod T/|I|, the singular branch always."""
+    """Reproduction along an orbit of type A_1^x|I|: X = f_k E_k transported
+    around the orbit, f_i(t) = w^-1 f_{nu^-1(i)}(w^-1 t); the regular branch
+    is cyclotomic iff <alpha_k, lam0 + rho> = 0 mod T/|I|, the singular
+    branch always."""
     ctx = miura.ctx
     alg = ctx.alg
     F = ctx.functions
     K = ctx.scalars
-    nu = ctx.nu
     folded = ctx.folded
     oi = folded.orbit_index(k)
     if tuple(sorted(folded.orbits[oi])) != tuple(sorted(orbit)):
@@ -288,24 +296,20 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
         raise RiccatiViolated("f_k does not satisfy (R^k)")
     size = len(orbit)
     T = ctx.tower.order
-    w = ctx.omega
-    winv = K.one / w
-    fs = {k: f_k}
-    cur_i, cur_f = k, f_k
-    for _ in range(size - 1):
-        nxt = nu.perm[cur_i]
-        cur_f = cur_f.subs_scale(winv) * winv
-        fs[nxt] = cur_f
-        cur_i = nxt
-        if riccati_residual(miura, cur_i, cur_f):
-            raise RiccatiViolated(f"recursion produced a non-solution in direction {cur_i+1}")
+    # the nodes of the orbit are orthogonal: the factors e^{f_i E_i} commute
+    X = alg.vec_zero(F)
+    X[alg.index_E[alg.simple_root(k)]] = f_k
+    X = _transport(ctx, X, size)
+    for i in orbit:
+        if i != k and riccati_residual(miura, i, X[alg.index_E[alg.simple_root(i)]]):
+            raise RiccatiViolated(f"recursion produced a non-solution in direction {i+1}")
     # detected branch
     singular = bool(f_k) and not f_k.is_regular_at(0)
     want_singular = branch == "singular"
     if want_singular != singular:
         raise ValidationError(f"f_k is {'singular' if singular else 'regular'} at 0, not {branch}")
     # cyclotomy: the closing functional relation on f_k alone
-    wS = w ** size
+    wS = ctx.omega ** size
     closes = f_k.subs_scale(K.one / wS) * (K.one / wS) == f_k
     lam0 = Coweight([-c for c in miura.residue_coweight(0).coords])
     pairing_val = as_rational((lam0 + rho_coweight(alg.rank)).coords[k])
@@ -314,16 +318,9 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     elif not closes:
         cond = f"<alpha_{k+1}, lam0 + rho> = {pairing_val} != 0 mod {T // size}"
         raise CyclotomyObstruction(f"reproduction is not cyclotomic: {cond}", condition=cond)
-    # the nodes of the orbit are orthogonal: the factors e^{f_i E_i} commute
-    X = alg.vec_zero(F)
-    new = miura
-    for i, fi in fs.items():
-        X[alg.index_E[alg.simple_root(i)]] = fi
-        new = new.add(i, fi)
-    _check_reassembly(X, miura, new)
+    new, led = _reproduced(miura, X)
     cyc = is_equivariant((ctx, X), ctx.varsigma)
     _require(cyc, "closing relation held but g is not equivariant")
-    led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     snu = folded.simple_reflections[oi]
     r0_old, r0_new = led[K.zero]
     _check_res0_rule(r0_old, r0_new, snu, singular)
@@ -368,32 +365,14 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
     res = a2_system_residuals(miura, k, ibar, f1, f2, f3)
     if any(res):
         raise SeedNotSolution(f"seed does not solve the coupled system: {[str(r) for r in res]}")
-    w = ctx.omega
-    winv = K.one / w
-    triples = {k: (f1, f2, f3)}
-    cur = k
-    for _ in range(half - 1):
-        nxt = nu.perm[cur]
-        a, b, c = triples[cur]
-        triples[nxt] = (
-            a.subs_scale(winv) * winv,
-            b.subs_scale(winv) * winv,
-            c.subs_scale(winv) * winv * winv,
-        )
-        cur = nxt
-    # distinct pairs (i, ibar) lie in different components: their factors commute
-    X = alg.vec_zero(F)
-    new = miura
-    for i, (a, b, c) in triples.items():
-        ib = i
-        for _ in range(half):
-            ib = nu.perm[ib]
-        Ei = alg.vec_E(alg.simple_root(i), F)
-        Eib = alg.vec_E(alg.simple_root(ib), F)
-        Eibr = alg.bracket_vec(Ei, Eib, F)
-        X = [v + a * (x + y) + b * (x - y) + c * z for v, x, y, z in zip(X, Ei, Eib, Eibr)]
-        new = new.add(i, a + b).add(ib, a - b)
-    _check_reassembly(X, miura, new)
+    # f1 (E_k + E_kbar) + f2 (E_k - E_kbar) + f3 [E_k, E_kbar], transported
+    # to the other pairs (i, ibar): they lie in different components, so
+    # their factors commute
+    Ek = alg.vec_E(alg.simple_root(k), F)
+    Ekb = alg.vec_E(alg.simple_root(ibar), F)
+    X = [f1 * (x + y) + f2 * (x - y) + f3 * z for x, y, z in zip(Ek, Ekb, alg.bracket_vec(Ek, Ekb, F))]
+    X = _transport(ctx, X, half)
+    new, led = _reproduced(miura, X)
     singular = any(not f.is_regular_at(0) for f in (f1, f2, f3) if f)
     if branch is not None:
         want_singular = branch == "singular"
@@ -417,7 +396,6 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
                 "the singular A2-orbit class needs a rational lam0; bind its parameters (--instantiate)"
             )
         _require(len(pp1) == 1 and as_rational(pp1[0]) == 2 * (eta + 1), "singular class is not (ii)(a)")
-    led = _ledger(ctx, miura, new, [K.zero, INFINITY])
     snu = folded.simple_reflections[oi]
     r0_old, r0_new = led[K.zero]
     _check_res0_rule(r0_old, r0_new, snu, singular)
@@ -490,23 +468,10 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     # g = t^lam_reg n t^-lam_reg, descended from the cover, on its log
     X_g = torus_conjugate_vec(ctx2, logn, Coweight([-c for c in lam_reg.coords]))
     if q > 1:
-        base_F = ctx.functions
-        X_g = [x.descend_power(q, base_F) for x in X_g]
-    out = exp_gauge(ctx, X_g, miura.connection().coeffs)
-    # must be a Miura oper again
-    for i, c in enumerate(out):
-        if alg.height_of[i] > 0 and c:
-            raise NotInOpenCell("generic reproduction left positive components")
-    new_u = [out[alg.index_H[j]] for j in range(alg.rank)]
-    new = MiuraOper(ctx, new_u, miura.points)
+        X_g = [x.descend_power(q, ctx.functions) for x in X_g]
+    new, led = _reproduced(miura, X_g)
     cyc = new.is_cyclotomic()
     if not cyc:
         raise MalformedOper("generic reproduction must be cyclotomic for theta-fixed g0")
-    led = _ledger(ctx, miura, new, [K.zero, INFINITY])
-    r0_old, r0_new = led[K.zero]
-    if r0_new != r0_old:
-        raise MalformedOper("generic reproduction must preserve res_0")
-    res = ReproductionResult(miura, new, X_g, "regular-at-0", led, cyc)
-    res.factor_n = logn
-    res.cover_power = q
-    return res
+    _check_res0_rule(*led[K.zero], None, False)
+    return ReproductionResult(miura, new, X_g, "regular-at-0", led, cyc, logn, q)

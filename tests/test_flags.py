@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import bminus_columns, fSl3_seed, limit_flag_is, matrix_log, sl3_miura
+from conftest import bminus_columns, fSl3_seed, limit_flag_is, matrix_log, sl3_miura, sl4_miura_at
 from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
 from cycloper.chevalley import build_algebra
 import cycloper.connection as connection
@@ -386,3 +386,35 @@ def test_singular_reproductions_populate_every_cell(label, T, cycles, lam):
         frontier = nxt
     assert len(reached) == len(W.nu_invariant_elements(ctx.nu)) == WeylGroup(folded.cartan).order()
     assert W.longest in reached
+
+
+@pytest.mark.parametrize(
+    "case",
+    [("A3", 1, 0), ("A3", 1, 1), ("A3", 2, 1), ("D4", 3, None)],
+    ids=["A3-T2-eta0", "A3-T2-eta1", "A3-T4-eta1", "D4-T3"],
+)
+def test_regular_orbit_reproduction_is_generic(case):
+    """Cyclotomic generation is the action of N^vartheta: the regular branch
+    along an A1-type orbit (A3 with nu = (1 3) and a site at 1, D4 with
+    triality and lam0 = (2, 0, 2, 2)) lands in the big cell, and
+    reproduce_generic at g0 = its big-cell coordinates gives the same gauge,
+    the same new Miura oper and the same ledger."""
+    label, S, eta = case
+    if label == "A3":
+        ctx, m = sl4_miura_at(S, eta, 1, 1)
+        orbit = (0, 2)
+    else:
+        ctx = OperContext("D4", ScalarTower.get(3), DiagramAut.from_cycles(4, [[1, 3, 4]]))
+        m = build_miura(ctx, Coweight(tuple(Fraction(x) for x in (2, 0, 2, 2))))
+        orbit = (0, 2, 3)
+    alg = ctx.alg
+    f = riccati_solve(m.pairing(0), "general", constant=Fraction(1), extra_points=m.points)
+    res = reproduce_orbit_A1(m, orbit, 0, f, "regular")
+    fp = flag_position(m, res.gauge)
+    assert fp.w.length == 0 and fp.coordinates
+    g0 = alg.vec_zero(ctx.scalars)
+    for root, x in fp.coordinates.items():
+        g0[alg.index_E[root]] = x
+    gen = reproduce_generic(m, g0)
+    assert gen.gauge == res.gauge
+    assert gen.new == res.new and gen.ledger == res.ledger

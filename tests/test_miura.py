@@ -404,6 +404,24 @@ def test_a2_singular_always_cyclotomic():
         assert Coweight([-c for c in ra.coords]) == snu.dot(Coweight([-c for c in rb.coords]))
 
 
+@pytest.mark.parametrize("eta", [0, 1])
+def test_a2_orbit_of_four_nodes_transports_the_seed(eta):
+    """A2 x A2 with nu = (1 3 2 4) at T = 4: one A2-type orbit with |I|/2 = 2.
+    The singular seed at the pair (1, 2) is transported to (3, 4); every
+    coordinate of u gains 2 mu / t and -res_0 moves by the folded reflection."""
+    ctx = OperContext("A2xA2", ScalarTower.get(4), DiagramAut.from_cycles(4, [[1, 3, 2, 4]]))
+    F = ctx.functions
+    m = build_miura(ctx, Coweight((Fraction(eta),) * 4))
+    mu = eta + 1
+    seed = (F.coerce(2 * mu) / F.gen, F.zero, F.zero)
+    r = reproduce_orbit_A2(m, (0, 2, 1, 3), 0, seed=seed, branch="singular")
+    assert r.cyclotomic and r.new.is_cyclotomic() and r.branch == "singular-at-0"
+    assert [a - b for a, b in zip(r.new.u_coroot, m.u_coroot)] == [F.coerce(2 * mu) / F.gen] * 4
+    snu = ctx.folded.simple_reflections[0]
+    rb, ra = r.ledger[ctx.scalars.zero]
+    assert Coweight([-c for c in ra.coords]) == snu.dot(Coweight([-c for c in rb.coords]))
+
+
 def test_a2_singular_with_symbolic_lam0_is_typed():
     """The singular class check reads <alpha_k, lam0> as a rational; a
     symbolic lam0 is a ValidationError that says to bind it."""
@@ -674,17 +692,40 @@ def test_vector_reproductions_build_no_adjoint_matrix(monkeypatch):
     assert not calls and not built
 
 
-def test_gauge_reassembly_failure_is_typed(monkeypatch):
-    """A gauge that does not reproduce the new Miura oper fails the
+def _one_reproduction(route):
+    """A reproduction along each route, as a thunk: simple on A1, an A1-type
+    orbit of A3 with nu = (1 3) at T = 2, an A2-type orbit of A2 at T = 4,
+    and the generic route on A2 at T = 2."""
+    if route == "simple":
+        ctx = OperContext("A1", ScalarTower.get(1))
+        m = build_miura(ctx, Coweight((Fraction(1),)))
+        f = riccati_solve(m.pairing(0), "general", constant=Fraction(1))
+        return lambda: reproduce_simple(m, 0, f)
+    if route == "A1-orbit":
+        _, m = sl4_miura_at(1, 0, 1, 1)
+        f = riccati_solve(m.pairing(0), "general", constant=Fraction(1))
+        return lambda: reproduce_orbit_A1(m, (0, 2), 0, f, "regular")
+    if route == "A2-orbit":
+        ctx, m = sl3_miura(4, 1)
+        seed = fSl3_seed(ctx, 2, 2, -2, 0)
+        return lambda: reproduce_orbit_A2(m, (0, 1), 0, seed=seed, branch="regular")
+    ctx, m = sl3_miura(2, 1)
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    return lambda: reproduce_generic(m, basis[0])
+
+
+@pytest.mark.parametrize("route", ["simple", "A1-orbit", "A2-orbit", "generic"])
+def test_gauge_reassembly_failure_is_typed(route, monkeypatch):
+    """Every route builds its new Miura oper independently of the series, so
+    a gauge action that returns the old connection unchanged fails the
     reassembly check with MalformedOper."""
     import cycloper.miura as miura_mod
 
-    ctx = OperContext("A1", ScalarTower.get(1))
-    m = build_miura(ctx, Coweight((Fraction(1),)))
-    f = riccati_solve(m.pairing(0), "general", constant=Fraction(1))
-    monkeypatch.setattr(miura_mod, "exp_gauge", lambda ctx, X, A: A)
+    run = _one_reproduction(route)
+    run()
+    monkeypatch.setattr(miura_mod, "exp_gauge", lambda ctx, X, A, dX=None: A)
     with pytest.raises(MalformedOper, match="reassembly"):
-        reproduce_simple(m, 0, f)
+        run()
 
 
 _TYPED_CHECKS_UNDER_O = """
