@@ -11,7 +11,7 @@ from .connection import Connection, exp_gauge, is_equivariant
 from .context import OperContext
 from .errors import MalformedOper, NotOfForm, NotRegularSingular
 from .finite_opers import FiniteOperClass, finite_canonical, slice_gauge
-from .ratfunc import INFINITY, _common_denominator, _pdivmod
+from .ratfunc import INFINITY, _common_denominator, clear
 from .weyl import (
     Coweight,
     coweight_to_h,
@@ -101,17 +101,8 @@ def _frame(alg, F, coeffs):
     height h >= 0 is mapped in by one exact division into D^(h+1)."""
     D = _common_denominator(F, [c for c, h in zip(coeffs, alg.height_of) if h >= 0])
     Dp = D.derivative()
-    Dpow = [F.one]
-    for _ in range(alg.height_max + 1):
-        Dpow.append(Dpow[-1] * D)
-    target = []
-    for c, h in zip(coeffs, alg.height_of):
-        if h >= 0 and c:
-            q, r = _pdivmod(Dpow[h + 1], F.from_coeffs(c.den))
-            if r:
-                raise MalformedOper("a denominator does not divide the common one")
-            c = F.from_coeffs(c.num) * q
-        target.append(c)
+    Dpow = [D ** h for h in range(alg.height_max + 2)]
+    target = [clear(c, Dpow[h + 1]) if h >= 0 else c for c, h in zip(coeffs, alg.height_of)]
 
     def delta(y, h):
         return D * y.derivative() - Dp * y * h if y else y

@@ -16,7 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SparseMat
-from .ratfunc import INFINITY
+from .ratfunc import INFINITY, clear
 from .weyl import Coweight, coweight_to_h, h_to_coweight
 
 SHAPES = ("general", "b", "b-", "h", "oper")
@@ -111,9 +111,6 @@ class Connection:
         return seen
 
     # ---- transforms -----------------------------------------------------------
-    def subs_scale(self, c):
-        return Connection(self.ctx, [f.subs_scale(c) for f in self.coeffs], "general")
-
     def __repr__(self):
         alg = self.ctx.alg
         parts = []
@@ -242,6 +239,36 @@ def torus_conjugate_vec(ctx: OperContext, vec, lam: Coweight, base=None) -> list
     return out
 
 
+def torus_frame(ctx: OperContext, v):
+    """The frame Phi = Ad of prod_i s_i^omega_i in which v, a vector of
+    functions on h + n, is polynomial: E_alpha scaled by s^alpha, F_alpha
+    by 1/s^alpha, h fixed.  As that torus gauge Phi sends d + A dt to
+    d + (Phi(A) - delta) dt, delta = sum_i (s_i'/s_i) omega_i.  s_i is the
+    monic denominator of v at alpha_i, grown on the first alpha_i in alpha
+    by the part of the denominator of v_alpha that s^alpha lacks.  Returns
+    (Phi(v), spow), spow[k] = s^alpha at the index k of E_alpha, else 1."""
+    alg = ctx.alg
+    F = ctx.functions
+    s = [F.from_coeffs(v[alg.index_E[alg.simple_root(i)]].den) for i in range(alg.rank)]
+    while True:
+        out, spow = list(v), [F.one] * alg.dim
+        for r in alg.pos_roots:
+            k = alg.index_E[r]
+            a, b = alg._espair.get(r, (r, None))
+            spow[k] = spow[alg.index_E[a]] * spow[alg.index_E[b]] if b else s[r.index(1)]
+            try:
+                out[k] = clear(v[k], spow[k])  # one exact division per root
+            except MalformedOper:
+                missing = F.from_coeffs((v[k] * spow[k]).den)
+                if missing.is_constant():
+                    raise
+                i = next(i for i, n in enumerate(r) if n)
+                s[i] = s[i] * missing
+                break
+        else:
+            return out, spow
+
+
 def _integer_pairing(lam: Coweight, root):
     acc = None
     for c, q in zip(lam.coords, root):
@@ -292,7 +319,7 @@ def exp_gauge(ctx: OperContext, X, A, dX=None) -> list:
     for a nilpotent X, by the Lie series on algebra vectors; no matrix is
     built.  Agrees with gauge_transform(conn, GroupElement.exp(ctx, X)).
     dX replaces X' in the series: the same action in a frame whose
-    derivation is not d/dt."""
+    derivation is not d/dt, or times the scalar that clears A."""
     F = ctx.functions
     alg = ctx.alg
     X = [F.coerce(x) for x in X]
@@ -307,17 +334,20 @@ def is_equivariant(obj, aut: AlgebraAut) -> bool:
     aut(X(omega^-1 t)) = X(t), given as (ctx, X); for a unipotent gauge
     e^X that is the equivariance of the gauge.  A connection d + A dt is
     tested on its differential: omega^-1 aut(A(omega^-1 t)) = A(t)."""
-    if isinstance(obj, Connection):
-        ctx, vec = obj.ctx, obj.coeffs
-    else:
-        ctx, vec = obj
-    F = ctx.functions
-    winv = ctx.scalars.one / ctx.omega
-    vec = [F.coerce(c) for c in vec]
-    moved = aut.apply_vec([c.subs_scale(winv) for c in vec], F)
-    if isinstance(obj, Connection):
-        moved = [winv * c for c in moved]
-    return moved == vec
+    conn = isinstance(obj, Connection)
+    ctx, vec = (obj.ctx, obj.coeffs) if conn else obj
+    return gamma_twist(ctx, aut, vec, ctx.scalars.one / ctx.omega if conn else 1) == vec
+
+
+def gamma_twist(ctx: OperContext, aut: AlgebraAut, vec, u=1) -> list:
+    """u aut(X(omega^-1 t)) for a vector X of functions, one subs_scale per
+    entry: no canon where the factors of aut are roots of unity."""
+    K, winv = ctx.scalars, ctx.scalars.one / ctx.omega
+    out = [ctx.functions.zero] * ctx.alg.dim
+    for i, c in enumerate(vec):
+        if c:
+            out[aut.image[i]] = ctx.functions.coerce(c).subs_scale(winv, K.coerce(aut.factor[i]) * u)
+    return out
 
 
 def regularize(conn: Connection, lam0: Coweight, base=None) -> Connection:

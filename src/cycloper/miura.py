@@ -11,10 +11,12 @@ from .automorphisms import AlgebraAut
 from .connection import (
     Connection,
     exp_gauge,
+    gamma_twist,
     is_equivariant,
     lift_to_cover,
     regularize,
     torus_conjugate_vec,
+    torus_frame,
 )
 from .context import OperContext
 from .errors import (
@@ -28,7 +30,7 @@ from .errors import (
     SeedNotSolution,
     ValidationError,
 )
-from .ratfunc import INFINITY, RatFunc, partial_fractions, rational_antiderivative, as_rational
+from .ratfunc import INFINITY, RatFunc, _common_denominator, as_rational, clear, partial_fractions, rational_antiderivative
 from .solve import gauss_factorize, solve_fundamental
 from .weyl import Coweight, coroot_to_coweight, coweight_to_h, rho_coweight
 
@@ -210,12 +212,28 @@ def _reproduced(old: MiuraOper, X):
     (before, after) at 0 and infinity.
 
     Ad_{e^X} p_-1 reaches h only through [X_1, p_-1], which adds the
-    E_{alpha_j} coordinate of X to u_j, and the dlog term has heights >= 1;
-    the Lie series then proves e^X . old = new on every height."""
+    E_{alpha_j} coordinate of X to u_j, and the dlog term has heights >= 1.
+    The Lie series proves e^X . old = new on every height, on polynomials
+    in the torus frame of X: e^Y . L (Phi(old) - delta) = L (Phi(new) -
+    delta) for Y = Phi(X), derivative term L Y', L one polynomial."""
     ctx = old.ctx
     alg = ctx.alg
+    F = ctx.functions
     new = replace(old, u_coroot=[u + X[alg.index_E[alg.simple_root(j)]] for j, u in enumerate(old.u_coroot)])
-    if exp_gauge(ctx, X, old.connection().coeffs) != new.connection().coeffs:
+    Y, spow = torus_frame(ctx, X)
+    s = [spow[alg.index_E[alg.simple_root(i)]] for i in range(alg.rank)]
+    L = _common_denominator(F, [*old.u_coroot, *(x.inverse() for x in s)])
+    Ls = [clear(x.inverse(), L) for x in s]
+    Ldelta = alg.solve_cartan_transpose([q * x.derivative() for q, x in zip(Ls, s)], F)
+
+    def framed(miura):
+        v = alg.vec_zero(F)
+        for i, (q, u, d) in enumerate(zip(Ls, miura.u_coroot, Ldelta)):
+            v[alg.index_F[alg.simple_root(i)]] = q
+            v[alg.index_H[i]] = clear(u, L) - d
+        return v
+
+    if exp_gauge(ctx, Y, framed(old), [L * y.derivative() for y in Y]) != framed(new):
         raise MalformedOper("gauge reassembly failed: g . (old Miura oper) is not the new one")
     return new, {p: (old.residue_coweight(p), new.residue_coweight(p)) for p in (ctx.scalars.zero, INFINITY)}
 
@@ -223,11 +241,9 @@ def _reproduced(old: MiuraOper, X):
 def _transport(ctx, Y, steps):
     """Y + s(Y) + ... + s^(steps-1)(Y) with s(Y)(t) = varsigma(Y(w^-1 t)),
     the map whose fixed points is_equivariant tests."""
-    F = ctx.functions
-    winv = ctx.scalars.one / ctx.omega
     out = list(Y)
     for _ in range(steps - 1):
-        Y = ctx.varsigma.apply_vec([c.subs_scale(winv) for c in Y], F)
+        Y = gamma_twist(ctx, ctx.varsigma, Y)
         out = [a + b for a, b in zip(out, Y)]
     return out
 
@@ -247,6 +263,16 @@ def reproduce_simple(miura: MiuraOper, k, f) -> ReproductionResult:
     _check_simple_rules(ctx, miura, new, k, f)
     cyc = is_equivariant((ctx, X), ctx.varsigma)
     return ReproductionResult(miura, new, X, branch, led, cyc)
+
+
+def _orbit_index(ctx, orbit, k, ell, kind):
+    """The index of the orbit of k, checked to be orbit and of type A_ell."""
+    oi = ctx.folded.orbit_index(k)
+    if sorted(ctx.folded.orbits[oi]) != sorted(orbit or ()):
+        raise ValidationError("k does not belong to the given orbit")
+    if ctx.folded.ell[oi] != ell:
+        raise ValidationError(f"orbit is not of {kind} type (ell != {ell})")
+    return oi
 
 
 def _require(ok, what):
@@ -286,11 +312,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     F = ctx.functions
     K = ctx.scalars
     folded = ctx.folded
-    oi = folded.orbit_index(k)
-    if tuple(sorted(folded.orbits[oi])) != tuple(sorted(orbit)):
-        raise ValidationError("k does not belong to the given orbit")
-    if folded.ell[oi] != 1:
-        raise ValidationError("orbit is not of commuting type (ell != 1)")
+    oi = _orbit_index(ctx, orbit, k, 1, "commuting")
     f_k = F.coerce(f_k)
     if riccati_residual(miura, k, f_k):
         raise RiccatiViolated("f_k does not satisfy (R^k)")
@@ -310,7 +332,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
         raise ValidationError(f"f_k is {'singular' if singular else 'regular'} at 0, not {branch}")
     # cyclotomy: the closing functional relation on f_k alone
     wS = ctx.omega ** size
-    closes = f_k.subs_scale(K.one / wS) * (K.one / wS) == f_k
+    closes = f_k.subs_scale(K.one / wS, K.one / wS) == f_k
     lam0 = Coweight([-c for c in miura.residue_coweight(0).coords])
     pairing_val = as_rational((lam0 + rho_coweight(alg.rank)).coords[k])
     if singular:
@@ -348,14 +370,11 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
     seed's behaviour at 0.  For g0 in N^theta take reproduce_generic."""
     ctx = miura.ctx
     folded = ctx.folded
-    oi = folded.orbit_index(k)
-    if folded.ell[oi] != 2:
-        raise ValidationError("orbit is not of non-commuting type (ell != 2)")
+    oi = _orbit_index(ctx, orbit, k, 2, "non-commuting")
     alg = ctx.alg
     F = ctx.functions
     K = ctx.scalars
     nu = ctx.nu
-    orbit = tuple(folded.orbits[oi])
     size = len(orbit)
     half = size // 2
     ibar = k

@@ -17,7 +17,7 @@ import math
 import operator
 from fractions import Fraction
 
-from .errors import IrreducibleDenominator, MonodromyObstruction, PartialFractionError
+from .errors import IrreducibleDenominator, MalformedOper, MonodromyObstruction, PartialFractionError
 from .scalars import CycNum, CyclotomicField, LRUCache, _lowest, _make
 
 INFINITY = "inf"  # marker for the point at infinity
@@ -49,6 +49,8 @@ def pgcd(R, a, b):
 #                an int lead, shift(v, p, keep) = (w, s) with w the first
 #                keep coefficients (default all) of s * v(var + p),
 #                scale(v, c) = (w, s) with w = s * v(c var), c nonzero
+#   is_unit(c)   c and 1/c integral (a root of unity, say): s = 1 in
+#                scale(v, c), and a product with c keeps the content
 # ---------------------------------------------------------------------------
 
 def _vtrim(v):
@@ -341,6 +343,9 @@ class PackedRing(_Ring):
             pw = K._mul(pw, c.num)
         return _vtrim(out), c.den ** n
 
+    def is_unit(self, c):
+        return c.den == 1 and c.inverse().den == 1
+
 
 class FieldRing(_Ring):
     """K[var] over a field K of parameter functions, on coefficient tuples
@@ -350,6 +355,7 @@ class FieldRing(_Ring):
     comb's factors are +-1."""
 
     width = 1
+    is_unit = staticmethod(bool)
 
     def __init__(self, K):
         self.K = K
@@ -745,6 +751,8 @@ class RatFunc:
         n1, d1, n2, d2 = a._n, a._d, o._n, o._d
         if not n1 or not n2:
             return F.zero
+        if len(d1) == len(d2) == 1:  # two polynomials: nothing to cancel
+            return _rf(F, *R.canon(R.mul(n1, n2), 1, a._c * o._c, d1))
         # cross-cancel: products of reduced fractions reduce via the two
         # cross gcds only
         rn, rd = R.lead(d1) * R.lead(d2), a._c * o._c
@@ -878,18 +886,25 @@ class RatFunc:
     # -- substitutions ----------------------------------------------------------
     # t -> c t and t -> t^q keep a reduced num and den coprime, and so does
     # their inverse, so each rebuilds the coefficient lists without a gcd
-    def subs_scale(self, c):
-        """f(c * var) for a nonzero c: num and den scaled in the ring,
-        then one canon."""
+    def subs_scale(self, c, u=1):
+        """u * f(c * var) for nonzero c and u: num and den scaled in the
+        ring, then one canon.  For units c and u of the coefficient ring
+        (roots of unity, say) block i of num and den is turned by u c^(i-m)
+        and c^(i-m), m = deg den: content and lead stay, and no canon runs."""
         F = self.field
-        R = F.ring
+        R, K = F.ring, F.coeff
         if not self._n:
             return self
-        c = F.coeff.coerce(c)
+        c, u = K.coerce(c), K.coerce(u)
+        if R.is_unit(c) and R.is_unit(u):
+            w = (K.one / c) ** self._degree(self._d)
+            n, d = (R.mul(R.scale(v, c)[0], R.scalar(x)[0]) for v, x in ((self._n, u * w), (self._d, w)))
+            return _rf(F, n, self._c, d)
         nv, sn = R.scale(self._n, c)
         dv, sd = R.scale(self._d, c)
-        # (n/_c) / (d/L) at c var is (nv/(sn _c)) / (dv/(sd L))
-        return _rf(F, *R.canon(nv, sd * R.lead(self._d), sn * self._c, dv))
+        uv, ud = R.scalar(u)
+        # u (n/_c) / (d/L) at c var is u (nv/(sn _c)) / (dv/(sd L))
+        return _rf(F, *R.canon(R.mul(nv, uv), sd * R.lead(self._d), sn * self._c * ud, dv))
 
     def subs_power(self, q, target_field=None):
         """f(u^q) in the field of target_field (default: same field)."""
@@ -1281,6 +1296,20 @@ def _common_denominator(F, vec):
         if len(d) > 1:
             q = q * F.from_coeffs(d)
     return q
+
+
+def clear(f, g):
+    """f * g as a polynomial by one exact division in the ring, no gcd, for
+    a polynomial g that the denominator of f divides (else MalformedOper)."""
+    F = f.field
+    R = F.ring
+    if not f._n:
+        return f
+    q, r, s = R.divmod(g._n, f._d)
+    if r:
+        raise MalformedOper("a denominator does not divide its clearing polynomial")
+    # s g._n == q f._d, and f g = (f._n / f._c) lead(f._d) (g._n / g._c) / f._d
+    return _poly(F, R.mul(f._n, q), R.lead(f._d), f._c * g._c * s)
 
 
 def _pdivmod(f, g):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .connection import Connection, exp_gauge, torus_conjugate_vec
+from .connection import Connection, exp_gauge, torus_conjugate_vec, torus_frame
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import rref
 from .ratfunc import poles_of, rational_antiderivative
@@ -121,7 +121,9 @@ def gauss_factorize(ctx, act):
         w[i] = p = row[n]
         if p:
             y = {k: v + p * c[k] if c[k] else v for k, v in y.items()}
-    X = _checked_log(alg, w, F)
+    # read and checked on polynomials in the torus frame of w, which fixes rho
+    Pw, spow = torus_frame(ctx, w)
+    X = [x / p for x, p in zip(_checked_log(alg, Pw, F), spow)]
     if any(v != rho[k] for k, v in y.items()):
         raise NotInOpenCell("e^X M is not in B_-: certificate failed")
     return X

@@ -15,11 +15,12 @@ from cycloper.connection import (
     monodromy_at_origin,
     regularize,
     torus_conjugate_vec,
+    torus_frame,
 )
 from cycloper.context import OperContext
 from cycloper.errors import NonIntegralCoweight
 from cycloper.linalg import SparseMat
-from cycloper.ratfunc import INFINITY
+from cycloper.ratfunc import INFINITY, RatFunc
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, coweight_to_h
 
@@ -255,6 +256,75 @@ def test_equivariance_weight_and_group_elements():
             assert is_equivariant((ctx, vec), aut) is want
             assert is_equivariant((ctx, matrix_log(half @ half)), aut) is want
             assert _matrix_equivariant(g, aut) is want
+
+
+def _scaled_from_scratch(f, c, u):
+    """u f(c t) by the general route: the scaled coefficient lists reduced
+    from scratch."""
+    return RatFunc(f.field, [u * a * c ** i for i, a in enumerate(f.num)], [a * c ** i for i, a in enumerate(f.den)])
+
+
+def _equivariant_by_products(ctx, vec, aut, weight):
+    """weight aut(X(omega^-1 t)) == X by the general route: substitutions
+    reduced from scratch, then apply_vec's products with the factors."""
+    winv = ctx.scalars.one / ctx.omega
+    moved = aut.apply_vec([_scaled_from_scratch(c, winv, 1) for c in vec], ctx.functions)
+    return [c * weight for c in moved] == vec
+
+
+@pytest.mark.parametrize("T, params", [(1, ()), (2, ()), (3, ()), (4, ()), (6, ()), (12, ()), (4, ("z",))])
+def test_unit_scaling_and_equivariance_match_the_general_route(T, params):
+    """u f(c t) for roots of unity c and u turns the blocks of num and den
+    with no canon, and still gives the general route's canonical triple,
+    as a non-unit c (the general route) does.  is_equivariant then answers as
+    the general route does, on vectors and connections, averaged over the
+    cyclic group (equivariant) or not."""
+    nu = DiagramAut.from_cycles(2, [[1, 2]] if T % 2 == 0 else [])
+    ctx = OperContext("A2", ScalarTower.get(T, params), nu)
+    F, K = ctx.functions, ctx.scalars
+    rng = random.Random(T)
+    zeta = K.coerce(ctx.omega)
+    units = [s * zeta ** k for k in range(T) for s in (K.one, -K.one)]
+    points = [K.coerce(p) for p in (1, 2, Fraction(-3, 2))] + ([K.coerce(ctx.tower.param("z"))] if params else [])
+    for _ in range(8):
+        f = rand_function(ctx, rng, rng.choice(points)) * rand_function(ctx, rng, rng.choice(points))
+        for c in units + [K.coerce(Fraction(3, 2))]:
+            u = rng.choice(units)
+            got, want = f.subs_scale(c, u), _scaled_from_scratch(f, c, u)
+            assert (got._n, got._c, got._d) == (want._n, want._c, want._d)
+    winv = K.one / ctx.omega
+    answers = set()
+    for weight, wrap in ((K.one, lambda v: (ctx, v)), (winv, lambda v: Connection(ctx, v))):
+        for _ in range(2):
+            vec = [rand_function(ctx, rng, rng.choice(points)) if i != ctx.alg.index_H[0] else F.zero
+                   for i in range(ctx.alg.dim)]
+            avg, cur = list(vec), vec
+            for _ in range(T - 1):
+                cur = [c * weight for c in ctx.varsigma.apply_vec([_scaled_from_scratch(c, winv, 1) for c in cur], F)]
+                avg = [a + b for a, b in zip(avg, cur)]
+            for v in (avg, vec):
+                want = _equivariant_by_products(ctx, v, ctx.varsigma, weight)
+                assert is_equivariant(wrap(v), ctx.varsigma) is want
+                answers.add(want)
+    assert answers == ({True} if T == 1 else {True, False})
+
+
+def test_torus_frame_grows_by_the_missing_factor():
+    """X at alpha_1 + alpha_2 with a pole at 3 that neither simple entry
+    has: s_1 grows by t - 3, Phi(X) is a polynomial vector, and
+    X_alpha = Phi(X)_alpha / s^alpha."""
+    ctx = sl3_context(2)
+    F = ctx.functions
+    alg = ctx.alg
+    t = F.gen
+    E1, E2, E12 = (alg.index_E[r] for r in ((1, 0), (0, 1), (1, 1)))
+    X = alg.vec_zero(F)
+    X[E1], X[E2], X[E12] = 1 / (t - 1), t / (t - 2) ** 2, (t + 5) / ((t - 1) * (t - 3))
+    Y, spow = torus_frame(ctx, X)
+    assert spow[E1] == (t - 1) * (t - 3) and spow[E2] == (t - 2) ** 2
+    assert spow[E12] == spow[E1] * spow[E2]
+    assert all(y.is_polynomial() for y in Y)
+    assert [y / p for y, p in zip(Y, spow)] == X
 
 
 def test_connection_residues_sl4():

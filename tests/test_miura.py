@@ -422,6 +422,19 @@ def test_a2_orbit_of_four_nodes_transports_the_seed(eta):
     assert Coweight([-c for c in ra.coords]) == snu.dot(Coweight([-c for c in rb.coords]))
 
 
+def test_a2_orbit_must_hold_k():
+    """On A2 x A2 with nu = (1 3 2 4) the A2-type reproduction checks the
+    orbit it is given, as the A1-type one does: neither (1 2) nor a missing
+    orbit is the orbit of node 1."""
+    ctx = OperContext("A2xA2", ScalarTower.get(4), DiagramAut.from_cycles(4, [[1, 3, 2, 4]]))
+    F = ctx.functions
+    m = build_miura(ctx, Coweight((Fraction(0),) * 4))
+    seed = (F.coerce(2) / F.gen, F.zero, F.zero)
+    for orbit in ((0, 1), None):
+        with pytest.raises(ValidationError, match="does not belong to the given orbit"):
+            reproduce_orbit_A2(m, orbit, 0, seed=seed, branch="singular")
+
+
 def test_a2_singular_with_symbolic_lam0_is_typed():
     """The singular class check reads <alpha_k, lam0> as a rational; a
     symbolic lam0 is a ValidationError that says to bind it."""
@@ -728,6 +741,103 @@ def test_gauge_reassembly_failure_is_typed(route, monkeypatch):
         run()
 
 
+_FRAME_CHECKS = """
+import cycloper.miura as miura
+from conftest import sl3_miura
+from cycloper.automorphisms import theta_fixed_nilpotent
+from cycloper.errors import MalformedOper
+
+ctx, m = sl3_miura(2, 1)
+alg, F = ctx.alg, ctx.functions
+t = F.gen
+basis, _ = theta_fixed_nilpotent(alg, miura.theta_for(m))
+X = miura.reproduce_generic(m, basis[0]).gauge
+for r in ((1, 0), (1, 1)):
+    moved = list(X)
+    moved[alg.index_E[r]] = moved[alg.index_E[r]] + 1 / t
+    try:
+        miura._reproduced(m, moved)
+        raise SystemExit(f"X at {r} moved by 1/t: no error")
+    except MalformedOper:
+        pass
+real = miura.torus_frame
+
+def wrong_tau(ctx, v):
+    Y, spow = real(ctx, v)
+    k = alg.index_E[(1, 0)]
+    return Y, spow[:k] + [spow[k] * (t - 5)] + spow[k + 1:]
+
+miura.torus_frame = wrong_tau
+try:
+    miura._reproduced(m, X)
+    raise SystemExit("tau_1 times (t - 5): no error")
+except MalformedOper:
+    pass
+finally:
+    miura.torus_frame = real
+"""
+
+
+def test_frame_check_catches_a_moved_log_and_a_wrong_tau():
+    """The reassembly check in the torus frame rejects the generic gauge
+    with one X_alpha moved by 1/t (a simple root and the highest one), and
+    the right gauge proved with tau_1 replaced by tau_1 (t - 5): the frame
+    is a proof, not a rewrite that any data pass."""
+    exec(_FRAME_CHECKS, {})
+
+
+def test_frame_check_survives_python_O():
+    """The same two rejections raise MalformedOper under python -O."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    run = run_under_O(f"import sys; sys.path.insert(0, {tests!r})\n" + _FRAME_CHECKS)
+    assert run.returncode == 0, run.stdout + run.stderr
+
+
+@pytest.mark.parametrize("label, T, cycles", [("G2", 1, []), ("D4", 3, [[1, 3, 4]])], ids=["G2-T1", "D4-T3"])
+def test_frame_checks_run_no_t_level_gcd(label, T, cycles, monkeypatch):
+    """The reassembly series of _reproduced and the read check of
+    gauss_factorize run on polynomials in the torus frame: no gcd of the
+    ring in t, and no cached gcd of two non-constant polynomials, inside
+    either; the frame's set-up and map back still run them."""
+    import cycloper.miura as miura_mod
+    import cycloper.solve as solve_mod
+
+    rank = int(label[1:])
+    ctx = OperContext(label, ScalarTower.get(T), DiagramAut.from_cycles(rank, cycles))
+    m = build_miura(ctx, Coweight((Fraction(1),) * rank))
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    F = ctx.functions
+    R = F.ring
+    calls, inside = [], []
+    real_gcd, real_cached_gcd = R.gcd, F.cached_gcd
+
+    def gcd(a, b):
+        calls.append(bool(inside))
+        return real_gcd(a, b)
+
+    def cached_gcd(a, b):
+        if len(a) > R.width and len(b) > R.width:
+            calls.append(bool(inside))
+        return real_cached_gcd(a, b)
+
+    def tracked(real):
+        def run(*args, **kw):
+            inside.append(True)
+            try:
+                return real(*args, **kw)
+            finally:
+                inside.clear()
+        return run
+
+    monkeypatch.setattr(R, "gcd", gcd)
+    monkeypatch.setattr(F, "cached_gcd", cached_gcd)
+    monkeypatch.setattr(miura_mod, "exp_gauge", tracked(miura_mod.exp_gauge))
+    monkeypatch.setattr(solve_mod, "_checked_log", tracked(solve_mod._checked_log))
+    res = reproduce_generic(m, [sum(xs) for xs in zip(*basis)])
+    assert res.cyclotomic and False in calls
+    assert True not in calls
+
+
 _TYPED_CHECKS_UNDER_O = """
 from fractions import Fraction
 import cycloper.chevalley as chevalley
@@ -740,7 +850,7 @@ from cycloper.weyl import Coweight
 ctx = OperContext("A1", ScalarTower.get(1))
 m = miura.build_miura(ctx, Coweight((Fraction(1),)))
 f = miura.riccati_solve(m.pairing(0), "general", constant=Fraction(1))
-miura.exp_gauge = lambda ctx, X, A: A
+miura.exp_gauge = lambda ctx, X, A, dX=None: A
 try:
     miura.reproduce_simple(m, 0, f)
     raise SystemExit("reproduce_simple: no error")

@@ -217,6 +217,30 @@ def test_gauss_certificate_catches_a_wrong_log(monkeypatch):
         gauss_factorize(ctx, act)
 
 
+def test_gauss_frame_grows_and_reads_the_planted_log(monkeypatch):
+    """A planted log whose top entry has a pole at 3 that neither simple
+    entry has: the torus frame of w grows s_1 by t - 3, and the read in
+    that frame still returns the planted log."""
+    ctx = sl3_context(4)
+    F = ctx.functions
+    alg = ctx.alg
+    t = F.gen
+    nv = alg.vec_zero(F)
+    for r, x in (((1, 0), t / (t - 2)), ((0, 1), F.coerce(3)), ((1, 1), 1 / (t - 3))):
+        nv[alg.index_E[r]] = x
+    frames, real = [], solve.torus_frame
+
+    def recorded(ctx, v):
+        frames.append(real(ctx, v))
+        return frames[-1]
+
+    monkeypatch.setattr(solve, "torus_frame", recorded)
+    assert gauss_factorize(ctx, inverse_action(GroupElement.exp(ctx, [-x for x in nv]))) == nv
+    (Y, spow), = frames
+    assert spow[alg.index_E[(1, 0)]] == (t - 2) * (t - 3)
+    assert all(y.is_polynomial() for y in Y)
+
+
 @pytest.mark.parametrize(
     "label,T",
     [("A2", 1), ("A2", 2), ("A2", 4), ("B2", 1), ("B2", 2), ("G2", 1)],
