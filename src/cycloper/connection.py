@@ -341,7 +341,7 @@ def is_equivariant(obj, aut: AlgebraAut) -> bool:
 
 def gamma_twist(ctx: OperContext, aut: AlgebraAut, vec, u=1) -> list:
     """u aut(X(omega^-1 t)) for a vector X of functions, one subs_scale per
-    entry: no canon where the factors of aut are roots of unity."""
+    entry that carries the factor of aut and u."""
     K, winv = ctx.scalars, ctx.scalars.one / ctx.omega
     out = [ctx.functions.zero] * ctx.alg.dim
     for i, c in enumerate(vec):

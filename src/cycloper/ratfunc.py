@@ -49,8 +49,6 @@ def pgcd(R, a, b):
 #                an int lead, shift(v, p, keep) = (w, s) with w the first
 #                keep coefficients (default all) of s * v(var + p),
 #                scale(v, c) = (w, s) with w = s * v(c var), c nonzero
-#   is_unit(c)   c and 1/c integral (a root of unity, say): s = 1 in
-#                scale(v, c), and a product with c keeps the content
 # ---------------------------------------------------------------------------
 
 def _vtrim(v):
@@ -343,9 +341,6 @@ class PackedRing(_Ring):
             pw = K._mul(pw, c.num)
         return _vtrim(out), c.den ** n
 
-    def is_unit(self, c):
-        return c.den == 1 and c.inverse().den == 1
-
 
 class FieldRing(_Ring):
     """K[var] over a field K of parameter functions, on coefficient tuples
@@ -355,7 +350,6 @@ class FieldRing(_Ring):
     comb's factors are +-1."""
 
     width = 1
-    is_unit = staticmethod(bool)
 
     def __init__(self, K):
         self.K = K
@@ -751,8 +745,6 @@ class RatFunc:
         n1, d1, n2, d2 = a._n, a._d, o._n, o._d
         if not n1 or not n2:
             return F.zero
-        if len(d1) == len(d2) == 1:  # two polynomials: nothing to cancel
-            return _rf(F, *R.canon(R.mul(n1, n2), 1, a._c * o._c, d1))
         # cross-cancel: products of reduced fractions reduce via the two
         # cross gcds only
         rn, rd = R.lead(d1) * R.lead(d2), a._c * o._c
@@ -888,18 +880,12 @@ class RatFunc:
     # their inverse, so each rebuilds the coefficient lists without a gcd
     def subs_scale(self, c, u=1):
         """u * f(c * var) for nonzero c and u: num and den scaled in the
-        ring, then one canon.  For units c and u of the coefficient ring
-        (roots of unity, say) block i of num and den is turned by u c^(i-m)
-        and c^(i-m), m = deg den: content and lead stay, and no canon runs."""
+        ring, then one canon."""
         F = self.field
         R, K = F.ring, F.coeff
         if not self._n:
             return self
         c, u = K.coerce(c), K.coerce(u)
-        if R.is_unit(c) and R.is_unit(u):
-            w = (K.one / c) ** self._degree(self._d)
-            n, d = (R.mul(R.scale(v, c)[0], R.scalar(x)[0]) for v, x in ((self._n, u * w), (self._d, w)))
-            return _rf(F, n, self._c, d)
         nv, sn = R.scale(self._n, c)
         dv, sd = R.scale(self._d, c)
         uv, ud = R.scalar(u)

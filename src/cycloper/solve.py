@@ -9,7 +9,7 @@ from fractions import Fraction
 from .connection import Connection, exp_gauge, torus_conjugate_vec, torus_frame
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import rref
-from .ratfunc import poles_of, rational_antiderivative
+from .ratfunc import clear, poles_of, rational_antiderivative
 from .weyl import Coweight, h_to_coweight
 
 
@@ -116,16 +116,18 @@ def gauss_factorize(ctx, act):
     if len(pivots) < n:
         raise NotInOpenCell("the solve for p is singular: M is not in the big cell")
     w = list(rho)
-    y = {i: r[i] for i, h in enumerate(alg.height_of) if h >= 0}
-    for row, i, c in zip(red, pos, cols):
-        w[i] = p = row[n]
-        if p:
-            y = {k: v + p * c[k] if c[k] else v for k, v in y.items()}
-    # read and checked on polynomials in the torus frame of w, which fixes rho
+    for row, i in zip(red, pos):
+        w[i] = row[n]
+    # read and checked on polynomials in the torus frame of w, which fixes
+    # rho; the certificate as L y = L rho on h + n, L = s^theta, which
+    # every s^alpha divides
     Pw, spow = torus_frame(ctx, w)
     X = [x / p for x, p in zip(_checked_log(alg, Pw, F), spow)]
-    if any(v != rho[k] for k, v in y.items()):
-        raise NotInOpenCell("e^X M is not in B_-: certificate failed")
+    L = spow[pos[0]]
+    Lp = [(clear(w[i], L), c) for i, c in zip(pos, cols) if w[i]]
+    for k, h in enumerate(alg.height_of):
+        if h >= 0 and sum((q * c[k] for q, c in Lp if c[k]), L * (r[k] - rho[k])):
+            raise NotInOpenCell("e^X M is not in B_-: certificate failed")
     return X
 
 

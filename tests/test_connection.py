@@ -259,26 +259,25 @@ def test_equivariance_weight_and_group_elements():
 
 
 def _scaled_from_scratch(f, c, u):
-    """u f(c t) by the general route: the scaled coefficient lists reduced
-    from scratch."""
+    """u f(c t) from the scaled coefficient lists, reduced from scratch."""
     return RatFunc(f.field, [u * a * c ** i for i, a in enumerate(f.num)], [a * c ** i for i, a in enumerate(f.den)])
 
 
 def _equivariant_by_products(ctx, vec, aut, weight):
-    """weight aut(X(omega^-1 t)) == X by the general route: substitutions
-    reduced from scratch, then apply_vec's products with the factors."""
+    """weight aut(X(omega^-1 t)) == X from substitutions reduced from
+    scratch, then apply_vec's products with the factors."""
     winv = ctx.scalars.one / ctx.omega
     moved = aut.apply_vec([_scaled_from_scratch(c, winv, 1) for c in vec], ctx.functions)
     return [c * weight for c in moved] == vec
 
 
 @pytest.mark.parametrize("T, params", [(1, ()), (2, ()), (3, ()), (4, ()), (6, ()), (12, ()), (4, ("z",))])
-def test_unit_scaling_and_equivariance_match_the_general_route(T, params):
-    """u f(c t) for roots of unity c and u turns the blocks of num and den
-    with no canon, and still gives the general route's canonical triple,
-    as a non-unit c (the general route) does.  is_equivariant then answers as
-    the general route does, on vectors and connections, averaged over the
-    cyclic group (equivariant) or not."""
+def test_twisted_scaling_and_equivariance_match_from_scratch(T, params):
+    """u f(c t), for roots of unity u and for c a root of unity or not, gives
+    the canonical triple of num and den scaled and reduced from scratch.
+    is_equivariant then answers as products with the twist factors do, on
+    vectors and connections, averaged over the cyclic group (equivariant)
+    or not."""
     nu = DiagramAut.from_cycles(2, [[1, 2]] if T % 2 == 0 else [])
     ctx = OperContext("A2", ScalarTower.get(T, params), nu)
     F, K = ctx.functions, ctx.scalars
