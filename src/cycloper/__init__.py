@@ -64,7 +64,6 @@ from .ratfunc import (
     PrincipalPartDecomp,
     partial_fractions,
     rational_antiderivative,
-    substitute_power,
 )
 from .scalars import CycNum, CyclotomicField, scalar_reduce
 from .solve import gauss_factorize, solve_fundamental

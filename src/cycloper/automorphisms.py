@@ -220,7 +220,8 @@ def make_automorphism(alg, nu: DiagramAut, kind, tower=None, taus=None, lam0=Non
     """Build one of the named automorphism kinds.
 
     kind: 'diagram' | 'sigma' (taus) | 'varsigma' (needs tower for omega) |
-    'vartheta' (tower and integral nu-invariant coweight lam0)."""
+    'vartheta' (tower and rational nu-invariant coweight lam0, over the
+    cover of order qT with q the denominator of lam0)."""
     if kind == "diagram":
         return AlgebraAut(alg, nu, [Fraction(1)] * alg.rank, QQ, order_divides, kind="diagram")
     if kind == "sigma":
@@ -233,17 +234,15 @@ def make_automorphism(alg, nu: DiagramAut, kind, tower=None, taus=None, lam0=Non
             alg, nu, [K.one / w] * alg.rank, K, order_divides or tower.order, kind="varsigma"
         )
     if kind == "vartheta":
-        K = tower.scalars
-        if not lam0.is_integral():
-            raise NonIntegralCoweight(f"vartheta needs an integral coweight, got {lam0}")
+        # tau_i = zeta_{qT}^-(q + q <alpha_i, lam0>), the (qT)-th root on the cover
         if not lam0.is_nu_invariant(nu):
             raise ValidationError("lam0 must be nu-invariant")
-        w = tower.zeta
-        taus = []
-        for i in range(alg.rank):
-            e = 1 + int(as_int(lam0.coords[i]))
-            taus.append((K.one / w) ** e)
-        return AlgebraAut(alg, nu, taus, K, order_divides or tower.order, kind="vartheta")
+        q = lam0.denominator()
+        cover = tower.cover(q)
+        K = cover.scalars
+        w = cover.zeta
+        taus = [(K.one / w) ** (q + as_int(c * q)) for c in lam0.coords]
+        return AlgebraAut(alg, nu, taus, K, order_divides or cover.order, kind="vartheta")
     raise ValidationError(f"unknown automorphism kind {kind!r}")
 
 

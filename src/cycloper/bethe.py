@@ -80,7 +80,7 @@ class BetheSystemData:
     def lam(self) -> Coweight:
         """lambda(t) as a Coweight of rational functions (values on coroots)."""
         u = self.dual_oper.u_coroot
-        return Coweight([-c for c in coroot_to_coweight(self.ctx.alg, u).coords])
+        return -coroot_to_coweight(self.ctx.alg, u)
 
     @cached_property
     def orbits(self) -> tuple:

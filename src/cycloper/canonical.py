@@ -224,7 +224,7 @@ def classify_general_form(conn: Connection, lam0: Coweight, sites, extra_points=
     W = ctx.weyl
     nu = ctx.nu
     res0 = conn.residue_coweight(0)
-    w0 = find_shift_element(W, lam0, Coweight([-c for c in res0.coords]), nu)
+    w0 = find_shift_element(W, lam0, -res0, nu)
     if w0 is None:
         raise NotOfForm("residue at the origin is not in the shifted W^nu-orbit", res0, 0)
     out_sites = []
@@ -235,7 +235,7 @@ def classify_general_form(conn: Connection, lam0: Coweight, sites, extra_points=
         z = K.coerce(z)
         declared.extend(z * w ** r for r in range(T))
         res = conn.residue_coweight(z)
-        wi = find_shift_element(W, lam, Coweight([-c for c in res.coords]))
+        wi = find_shift_element(W, lam, -res)
         if wi is None:
             raise NotOfForm(f"residue at {z} is not in the shifted Weyl orbit of its coweight", res, z)
         # the rest of the Gamma-orbit must carry the nu-rotated residues
@@ -259,7 +259,7 @@ def classify_general_form(conn: Connection, lam0: Coweight, sites, extra_points=
         orbit = [p * w ** r for r in range(T)]
         seen.extend(orbit)
         res = conn.residue_coweight(p)
-        yj = find_shift_element(W, Coweight.zero(alg.rank), Coweight([-c for c in res.coords]))
+        yj = find_shift_element(W, Coweight.zero(alg.rank), -res)
         if yj is None:
             raise NotOfForm(f"extra pole at {p} has residue outside the shifted W-orbit of 0", res, p)
         extra.append((p, yj))

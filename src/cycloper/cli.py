@@ -125,7 +125,7 @@ def cmd_reproduce(problem, args):
     ctx = problem.ctx
     F = ctx.functions
     if args.g0:
-        if not m.residue_coweight(0).is_rational():
+        if not m.lam0.is_rational():
             raise ValidationError(
                 "the generic route (--g0) needs a rational lam0; bind its parameters (--instantiate)"
             )

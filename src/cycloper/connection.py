@@ -380,27 +380,13 @@ def lift_to_cover(conn: Connection, q: int):
     return Connection(ctx2, coeffs, conn.shape if conn.shape != "oper" else "general"), ctx2
 
 
-def cover_varsigma(ctx_cover: OperContext, q: int):
-    """The equivariance automorphism of lifted connections: rotation by the
-    (qT)-th root pairs with the BASE automorphism varsigma, whose taus are
-    omega^-1 = (zeta_{qT})^-q."""
-    from .automorphisms import make_automorphism
-
-    K = ctx_cover.scalars
-    wt = ctx_cover.tower.zeta
-    taus = [(K.one / wt) ** q] * ctx_cover.alg.rank
-    return make_automorphism(
-        ctx_cover.alg, ctx_cover.nu, "sigma", tower=ctx_cover.tower, taus=taus
-    )
-
-
 def monodromy_at_origin(ctx: OperContext, lam0: Coweight, q: int) -> GroupElement:
     """e^{2 pi i lam0} = zeta_q^{q lam0} as an exact diagonal matrix over
     Q(zeta_{qT}); needs q lam0 integral."""
     qlam = lam0.scale(Fraction(q))
     if not qlam.is_integral():
         raise NonIntegralAfterCover(f"{q} * {lam0} is not integral")
-    ctx2 = ctx.cover(q) if q > 1 else ctx
+    ctx2 = ctx.cover(q)
     # zeta_q = zeta_{qT}^T
-    zq = ctx2.tower.zeta_power(ctx.tower.order) if q > 1 else ctx2.scalars.one
+    zq = ctx2.tower.zeta_power(ctx.tower.order)
     return GroupElement.torus(ctx2, qlam, base=zq)

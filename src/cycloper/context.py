@@ -32,6 +32,7 @@ class OperContext:
         self._varsigma = None
         self._folded = None
         self._dual = None
+        self._covers = {}
 
     @property
     def functions(self):
@@ -75,7 +76,12 @@ class OperContext:
         return make_automorphism(self.alg, self.nu, "vartheta", tower=self.tower, lam0=lam0)
 
     def cover(self, q: int) -> "OperContext":
-        return OperContext(self.alg, self.tower.cover(q), self.nu)
+        """The context of the q-sheeted cover t = u^q, one per q; self for q = 1."""
+        if q == 1:
+            return self
+        if q not in self._covers:
+            self._covers[q] = OperContext(self.alg, self.tower.cover(q), self.nu)
+        return self._covers[q]
 
     def matrix_to_vec(self, M, K=None):
         """Y with ad_Y = M (M a SparseMat over K), read off M directly.

@@ -13,7 +13,6 @@ from .errors import LimitUndefined, NotInOpenCell, ValidationError
 from .linalg import rref
 from .miura import MiuraOper
 from .solve import _checked_log
-from .weyl import Coweight
 
 
 def inversion_set(alg, w):
@@ -69,13 +68,12 @@ def _regularised_log(base: MiuraOper, X):
     """X_r = Ad_{t^-lam0} X with lam0 = -(residue coweight of base at 0),
     over the working context: the q-sheeted cover when lam0 has
     denominator q > 1.  Returns (working context, X_r)."""
-    lam0 = Coweight([-c for c in base.residue_coweight(0).coords])
+    lam0 = base.lam0
     q = lam0.denominator()
     if q is None:
         raise ValidationError("lam0 must be rational")
-    ctx = base.ctx
-    wctx = ctx.cover(q) if q > 1 else ctx
-    lifted = [ctx.functions.coerce(x).subs_power(q, wctx.functions) for x in X] if q > 1 else X
+    wctx = base.ctx.cover(q)
+    lifted = [base.ctx.functions.coerce(x).subs_power(q, wctx.functions) for x in X]
     return wctx, torus_conjugate_vec(wctx, lifted, lam0.scale(Fraction(q)))
 
 

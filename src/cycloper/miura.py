@@ -6,8 +6,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cached_property
 
-from .automorphisms import AlgebraAut
 from .connection import (
     Connection,
     exp_gauge,
@@ -66,6 +66,12 @@ class MiuraOper:
     def residue_coweight(self, p) -> Coweight:
         K = self.ctx.scalars
         return coroot_to_coweight(self.ctx.alg, [K.coerce(c.residue_at(p)) for c in self.u_coroot])
+
+    @cached_property
+    def lam0(self) -> Coweight:
+        """-res_0 u, the coweight at the origin; its denominator q is the
+        power of the cover t = u^q on which the oper is monodromy-free."""
+        return -self.residue_coweight(0)
 
     def is_cyclotomic(self) -> bool:
         return is_equivariant(self.connection(), self.ctx.varsigma)
@@ -235,7 +241,8 @@ def _reproduced(old: MiuraOper, X):
 
     if exp_gauge(ctx, Y, framed(old), [L * y.derivative() for y in Y]) != framed(new):
         raise MalformedOper("gauge reassembly failed: g . (old Miura oper) is not the new one")
-    return new, {p: (old.residue_coweight(p), new.residue_coweight(p)) for p in (ctx.scalars.zero, INFINITY)}
+    return new, {ctx.scalars.zero: (-old.lam0, -new.lam0),
+                 INFINITY: (old.residue_coweight(INFINITY), new.residue_coweight(INFINITY))}
 
 
 def _transport(ctx, Y, steps):
@@ -285,8 +292,7 @@ def _check_res0_rule(r0_old, r0_new, snu, singular):
     """The singular branch moves -res_0 by the folded reflection; the regular
     branch keeps res_0."""
     if singular:
-        neg = Coweight([-c for c in r0_old.coords])
-        _require(Coweight([-c for c in r0_new.coords]) == snu.dot(neg), "res_0 rule violated")
+        _require(-r0_new == snu.dot(-r0_old), "res_0 rule violated")
     else:
         _require(r0_new == r0_old, "regular branch must not move res_0")
 
@@ -333,8 +339,7 @@ def reproduce_orbit_A1(miura: MiuraOper, orbit, k, f_k, branch) -> ReproductionR
     # cyclotomy: the closing functional relation on f_k alone
     wS = ctx.omega ** size
     closes = f_k.subs_scale(K.one / wS, K.one / wS) == f_k
-    lam0 = Coweight([-c for c in miura.residue_coweight(0).coords])
-    pairing_val = as_rational((lam0 + rho_coweight(alg.rank)).coords[k])
+    pairing_val = as_rational((miura.lam0 + rho_coweight(alg.rank)).coords[k])
     if singular:
         _require(closes, "singular solutions must close up automatically")
     elif not closes:
@@ -399,7 +404,7 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
             raise ValidationError(f"seed is {'singular' if singular else 'regular'} at 0, not {branch}")
     cyc = is_equivariant((ctx, X), ctx.varsigma)
     if not cyc:
-        mu = (Coweight([-c for c in miura.residue_coweight(0).coords]) + rho_coweight(alg.rank)).coords
+        mu = (miura.lam0 + rho_coweight(alg.rank)).coords
         cond = (
             f"<alpha_k + alpha_kbar, lam0 + rho> = {as_rational(mu[k]) + as_rational(mu[ibar])}"
             f" != 0 mod {ctx.tower.order // size}"
@@ -409,7 +414,7 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
         # only case (ii)(a) closes up: f1 ~ 2(eta+1)/t, f2 regular, f3 at
         # most a simple pole with zero residue
         pp1 = f1.principal_part_at(K.zero) if not f1.is_regular_at(0) else ()
-        eta = as_rational(Coweight([-c for c in miura.residue_coweight(0).coords]).coords[k])
+        eta = as_rational(miura.lam0.coords[k])
         if eta is None:
             raise ValidationError(
                 "the singular A2-orbit class needs a rational lam0; bind its parameters (--instantiate)"
@@ -421,22 +426,10 @@ def reproduce_orbit_A2(miura: MiuraOper, orbit, k, seed, branch=None):
     return ReproductionResult(miura, new, X, "singular-at-0" if singular else "regular-at-0", led, cyc)
 
 
-def theta_for(miura: MiuraOper, q=1):
+def theta_for(miura: MiuraOper):
     """The twist vartheta = Ad_{w^-lam0} o varsigma for this Miura oper,
-    built over the q-sheeted cover when lam0 is not integral."""
-    ctx = miura.ctx
-    lam0 = Coweight([-c for c in miura.residue_coweight(0).coords])
-    ctx2 = ctx.cover(q) if q > 1 else ctx
-    K2 = ctx2.scalars
-    wt = ctx2.tower.zeta  # primitive (qT)-th root
-    taus = []
-    for i in range(ctx.alg.rank):
-        e = as_rational(lam0.coords[i])
-        qe = e * q
-        if qe.denominator != 1:
-            raise ValidationError("q lam0 must be integral")
-        taus.append((K2.one / wt) ** (q + int(qe)))
-    return AlgebraAut(ctx.alg, ctx.nu, taus, K2, order_divides=ctx2.tower.order, kind="vartheta")
+    over the cover on which lam0 is integral."""
+    return miura.ctx.vartheta(miura.lam0)
 
 
 def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
@@ -447,20 +440,15 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     ctx = miura.ctx
     alg = ctx.alg
     K = ctx.scalars
-    lam0 = Coweight([-c for c in miura.residue_coweight(0).coords])
+    lam0 = miura.lam0
     if not lam0.is_rational():
         raise ValidationError("lam0 must be rational")
     if not lam0.is_dominant():
         raise ValidationError("lam0 must be dominant")
     q = lam0.denominator()
-    conn = miura.connection()
-    if q > 1:
-        conn2, ctx2 = lift_to_cover(conn, q)
-        lam_reg = lam0.scale(Fraction(q))
-    else:
-        conn2, ctx2 = conn, ctx
-        lam_reg = lam0
-    theta = theta_for(miura, q)
+    conn2, ctx2 = lift_to_cover(miura.connection(), q)
+    lam_reg = lam0.scale(Fraction(q))
+    theta = theta_for(miura)
     F2 = ctx2.functions
     K2 = ctx2.scalars
     X0 = [F2.coerce(c) for c in g0]
@@ -485,9 +473,7 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     if [x.eval_at(K2.zero) for x in logn] != [x.eval_at(K2.zero) for x in X0]:
         raise MalformedOper("g_r(0) != g0")
     # g = t^lam_reg n t^-lam_reg, descended from the cover, on its log
-    X_g = torus_conjugate_vec(ctx2, logn, Coweight([-c for c in lam_reg.coords]))
-    if q > 1:
-        X_g = [x.descend_power(q, ctx.functions) for x in X_g]
+    X_g = [x.descend_power(q, ctx.functions) for x in torus_conjugate_vec(ctx2, logn, -lam_reg)]
     new, led = _reproduced(miura, X_g)
     cyc = new.is_cyclotomic()
     if not cyc:

@@ -893,7 +893,11 @@ class RatFunc:
         return _rf(F, *R.canon(R.mul(nv, uv), sd * R.lead(self._d), sn * self._c * ud, dv))
 
     def subs_power(self, q, target_field=None):
-        """f(u^q) in the field of target_field (default: same field)."""
+        """f(u^q) in the field of target_field (default: same field), the
+        q-sheeted-cover pullback of the bare function (the caller owns the
+        q u^(q-1) du Jacobian for differentials)."""
+        if q < 1:
+            raise ValueError("q must be >= 1")
         tf = target_field or self.field
         K = tf.coeff
 
@@ -1442,11 +1446,3 @@ def rational_antiderivative(f: RatFunc, extra_points=()):
             residues.append((p, r))
     bad = _unsplit(F, leftover)
     return MonodromyObstruction(residues, [bad] if bad else [])
-
-
-def substitute_power(f: RatFunc, q: int, target_field=None) -> RatFunc:
-    """f(u^q), the q-sheeted-cover pullback of the bare function (the caller
-    owns the q u^(q-1) du Jacobian for differentials)."""
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    return f.subs_power(q, target_field)

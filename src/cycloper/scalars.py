@@ -324,9 +324,6 @@ class CyclotomicField:
                     out[i + j] += x * y
         return self._reduce(out)
 
-    def _scale(self, a, c):
-        return tuple(x * c for x in a)
-
     def _inv(self, a):
         """(num, den) of the inverse of the nonzero integer vector a, by the
         extended Euclidean algorithm in Q[x] against the modulus."""

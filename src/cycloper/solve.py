@@ -10,7 +10,7 @@ from .connection import Connection, exp_gauge, torus_conjugate_vec, torus_frame
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
 from .linalg import rref
 from .ratfunc import clear, poles_of, rational_antiderivative
-from .weyl import Coweight, h_to_coweight
+from .weyl import h_to_coweight
 
 
 def solve_fundamental(conn: Connection, extra_points=()):
@@ -58,7 +58,7 @@ def solve_fundamental(conn: Connection, extra_points=()):
         # p != 0 since A is regular at 0, and 1 - t/p is 1 there
         base = F.one - F.gen / F.coerce(p)
         torus.append((mu, base))
-        B = torus_conjugate_vec(ctx, B, Coweight([-c for c in mu.coords]), base)
+        B = torus_conjugate_vec(ctx, B, -mu, base)
         lin = F.gen - F.coerce(p)
         for i in range(alg.dim):
             if alg.height_of[i] == 0 and leftover[i]:

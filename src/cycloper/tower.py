@@ -83,7 +83,9 @@ class ScalarTower:
         )
 
     def cover(self, q: int) -> "ScalarTower":
-        """Tower for the q-sheeted cover: order qT, coordinate 'u'."""
+        """Tower for the q-sheeted cover: order qT, coordinate 'u'; self for q = 1."""
+        if q == 1:
+            return self
         return self.extended(order_multiple=q, var="u" if self.var == "t" else self.var + "c")
 
     def __repr__(self):

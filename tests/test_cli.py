@@ -171,6 +171,31 @@ def test_reproduce_generic_command(capsys):
     assert data["ledger"]["0"]["before"] == data["ledger"]["0"]["after"]
 
 
+def test_reproduce_generic_command_on_the_cover(capsys):
+    """lam0 = (1/2, 1/2): the generic route works on the 2-sheeted cover."""
+    out, _ = run_cli(capsys, [
+        "--problem", fx("sl3_origin.json"),
+        "--command", "reproduce",
+        "--g0", "2",
+        "--instantiate", "eta=1/2",
+        "--output", "json",
+    ])
+    data = json.loads(out)
+    assert data["mode"] == "generic" and data["cyclotomic"]
+    assert data["ledger"]["0"]["before"] == data["ledger"]["0"]["after"] == ["-1/2", "-1/2"]
+
+
+def test_flag_cells_command_on_the_cover(capsys):
+    out, _ = run_cli(capsys, [
+        "--problem", fx("sl3_origin.json"),
+        "--command", "flag-cells",
+        "--instantiate", "eta=1/2",
+        "--output", "json",
+    ])
+    data = json.loads(out)
+    assert [c["dimension"] for c in data["cells"]] == [1, 0]
+
+
 def test_singular_a2_orbit_with_symbolic_lam0_exits_3(capsys):
     _, err = run_cli(capsys, [
         "--problem", fx("sl3_origin.json"),

@@ -413,11 +413,13 @@ def test_lift_to_cover():
     assert c_same is ctx and same.coeffs == pm1.coeffs
     # equivariance survives: rotation by omega^{1/q} paired with the base
     # automorphism (taus omega^-1 = zeta_{qT}^-q)
-    from cycloper.connection import cover_varsigma
-
     nabla, _ = sl3_nabla(ctx, 1)
     lifted3, ctx4 = lift_to_cover(nabla, 2)
-    assert is_equivariant(lifted3, cover_varsigma(ctx4, 2))
+    K4 = ctx4.scalars
+    base_varsigma = make_automorphism(
+        ctx4.alg, ctx4.nu, "sigma", tower=ctx4.tower, taus=[(K4.one / ctx4.omega) ** 2] * ctx4.alg.rank
+    )
+    assert is_equivariant(lifted3, base_varsigma)
     assert not is_equivariant(lifted3, ctx4.varsigma)
 
 

@@ -242,13 +242,51 @@ def test_flag_position_on_the_cover(T, cycles):
     F = ctx.functions
     m = build_miura(ctx, Coweight((Fraction(1, 2), Fraction(1, 2))))
     assert m.residue_coweight(0) == Coweight((Fraction(-1, 2), Fraction(-1, 2)))
-    (basis,), _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, 2))
+    (basis,), _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
     theta = ctx.alg.index_E[(1, 1)]
     assert [i for i, x in enumerate(basis) if x] == [theta] and basis[theta] == 1
     res = reproduce_generic(m, [3 * x for x in ctx.alg.vec_E((1, 1), F)])
     fp = flag_position(m, res.gauge)
     assert fp.w == ctx.weyl.identity
     assert fp.coordinates == {(1, 1): 3}
+
+
+@pytest.mark.parametrize("T, cycles", [(2, [[1, 2]]), (1, None)])
+def test_theta_for_derives_the_cover_power(T, cycles):
+    """lam0 = (1/2, 1/2) has denominator 2, so vartheta lives on the
+    2-sheeted cover: tau_i = zeta_{2T}^-(2 + 2 <alpha_i, lam0>) = zeta_{2T}^-3."""
+    nu = DiagramAut.from_cycles(2, cycles) if cycles else None
+    ctx = OperContext("A2", ScalarTower.get(T), nu)
+    m = build_miura(ctx, Coweight((Fraction(1, 2), Fraction(1, 2))))
+    cover = ctx.cover(2)
+    K = cover.scalars
+    th = theta_for(m)
+    assert th.kind == "vartheta" and th.K is K
+    assert th.taus == [(K.one / cover.omega) ** 3] * 2
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
+def test_origin_coweight_is_read_once_per_oper(lam, monkeypatch):
+    """theta_for, reproduce_generic and flag_position on one Miura oper
+    read its residue coweight at 0 once, through MiuraOper.lam0; the cover
+    context is kept per q."""
+    ctx = OperContext("A2", ScalarTower.get(2), DiagramAut.from_cycles(2, [[1, 2]]))
+    assert ctx.cover(1) is ctx and ctx.cover(2) is ctx.cover(2)
+    m = build_miura(ctx, Coweight((lam, lam)))
+    reads = []
+    real = MiuraOper.residue_coweight
+
+    def counted(self, p):
+        if self is m and p == 0:
+            reads.append(p)
+        return real(self, p)
+
+    monkeypatch.setattr(MiuraOper, "residue_coweight", counted)
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    res = reproduce_generic(m, [3 * sum(b[i] for b in basis) for i in range(ctx.alg.dim)])
+    flag_position(m, res.gauge)
+    assert len(reads) == 1
+    assert res.ledger[ctx.scalars.zero][0] == -m.lam0
 
 
 def _gauss_flag_point(m, X):
@@ -282,8 +320,7 @@ def test_log_path_matches_the_limit_path_and_the_gauss_route(T, cycles, lam, c, 
     nu = DiagramAut.from_cycles(2, cycles) if cycles else None
     ctx = OperContext("A2", ScalarTower.get(T), nu)
     m = build_miura(ctx, Coweight((lam, lam)))
-    q = Coweight((lam, lam)).denominator()
-    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
     X = reproduce_generic(m, [c * sum(b[i] for b in basis) for i in range(ctx.alg.dim)]).gauge
     with monkeypatch.context() as mp:
         mp.setattr(connection, "_exp_ad", None)

@@ -555,7 +555,7 @@ def test_generic_gauge_on_vectors_matches_matrix_route(T, eta):
         ctx, m = sl3_miura(T, eta)
     F = ctx.functions
     q = 2 if eta == Fraction(1, 2) else 1
-    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
     res = reproduce_generic(m, [Fraction(-3, 2) * x for x in basis[0]])
     assert res.cover_power == q
     lam0 = Coweight([-c for c in m.residue_coweight(0).coords])
@@ -584,15 +584,13 @@ def test_generic_factor_matches_the_column_route(case, column_route):
     unknown per positive root, equals the b_- column route's entry by
     entry: on the six A2 slots of the reproduce benchmark, the
     half-integral cover and the two-site instance, two g0 each."""
-    q = 1
     if case == "sites":
         ctx, m = _two_site_miura()
     elif case[1] == Fraction(1, 2):
         ctx, m = _half_integral_miura()
-        q = 2
     else:
         ctx, m = sl3_miura(*case)
-    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m, q))
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
     for g0 in ([sum(xs) for xs in zip(*basis)], [Fraction(-3, 2) * x for x in basis[-1]]):
         column_route(reproduce_generic(m, g0), g0)
 
