@@ -23,7 +23,7 @@ from .connection import (
     regularize,
 )
 from .context import OperContext
-from .automorphisms import DiagramAut, AlgebraAut, make_automorphism, theta_fixed_nilpotent
+from .automorphisms import DiagramAut, AlgebraAut, theta_fixed_nilpotent
 from .bethe import (
     BetheSystemData,
     bethe_residuals,

@@ -1,11 +1,11 @@
-"""Diagram and algebra automorphisms: nu, sigma (general tau list), the
-oper automorphism varsigma = Ad_{w^-rho} o nu, and the regularised twist
-vartheta = Ad_{w^-lam0} o varsigma."""
+"""Diagram and algebra automorphisms: nu, and the twist AlgebraAut given by
+nu and a tau per simple root.  The named twists (the diagram twist, varsigma
+= Ad_{w^-rho} o nu, vartheta = Ad_{w^-lam0} o varsigma) are built where their
+inputs live: ChevalleyAlgebra.diagram_twist and OperContext."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import NonIntegralCoweight, OrderMismatch, ValidationError
 from .linalg import QQ, kernel_basis
@@ -53,9 +53,24 @@ class DiagramAut:
 
     @classmethod
     def from_cycles(cls, rank, cycles):
-        """cycles given 1-based, e.g. [[1, 3]] for the A3 flip."""
+        """cycles given 1-based, e.g. [[1, 3]] for the A3 flip.  Each cycle
+        is a list of distinct integers in 1..rank; ValidationError names the
+        first entry that is not."""
+        if not isinstance(cycles, list):
+            raise ValidationError(f"nu must be a list of cycles, got {cycles!r}")
         perm = list(range(rank))
+        seen = set()
         for cyc in cycles:
+            if not isinstance(cyc, list):
+                raise ValidationError(f"nu: cycle {cyc!r} is not a list")
+            for a in cyc:
+                if isinstance(a, bool) or not isinstance(a, int):
+                    raise ValidationError(f"nu: letter {a!r} is not an integer")
+                if not 1 <= a <= rank:
+                    raise ValidationError(f"nu: letter {a} is outside 1..{rank}")
+                if a in seen:
+                    raise ValidationError(f"nu: letter {a} appears twice")
+                seen.add(a)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 perm[a - 1] = b - 1
         return cls(tuple(perm))
@@ -89,21 +104,21 @@ class DiagramAut:
 
 
 class AlgebraAut:
-    """An automorphism determined by sigma(E_i) = tau_i E_{nu(i)},
-    sigma(coroot_i) = coroot_{nu(i)}, sigma(F_i) = tau_i^-1 F_{nu(i)}.
+    """The automorphism sigma(E_i) = tau_i E_{nu(i)},
+    sigma(coroot_i) = coroot_{nu(i)}, sigma(F_i) = tau_i^-1 F_{nu(i)}: every
+    twist of g has this form (Kac, ch. 8).  The taus live in the scalars of
+    tower, and sigma^T = id for its order T; without a tower they are
+    rational and sigma^ord(nu) = id (the diagram twist).  OrderMismatch
+    otherwise.
 
     Stored as the scaling factor on each basis element: monomial matrices
     basis_k -> factor * basis_{image(k)}."""
 
-    def __init__(self, alg, nu: DiagramAut, taus, field=None, order_divides=None, kind="sigma"):
+    def __init__(self, alg, nu: DiagramAut, taus, tower=None):
         nu.validate(alg.cartan)
         self.alg = alg
         self.nu = nu
-        self.kind = kind
-        K = field
-        if K is None:
-            K = QQ
-        self.K = K
+        K = self.K = tower.scalars if tower is not None else QQ
         taus = [K.coerce(t) for t in taus]
         if len(taus) != alg.rank:
             raise ValidationError("need one tau per simple root")
@@ -138,8 +153,9 @@ class AlgebraAut:
                 # sigma(F_r) = -(1/N) [sigma F_a, sigma F_b]; [F,F] constant is -N
                 self.image[iff] = alg.index_F[nr]
                 self.factor[iff] = ga * gb * K.coerce(Nimg) / K.coerce(N)
-        if order_divides is not None:
-            self._check_order(order_divides)
+        T = tower.order if tower is not None else nu.order
+        if not self._power_is_identity(T):
+            raise OrderMismatch(f"automorphism order does not divide {T}")
 
     def _power_is_identity(self, k):
         """sigma^k = id: each basis vector comes back to itself with factor 1."""
@@ -151,18 +167,6 @@ class AlgebraAut:
             if i != idx or f != self.K.one:
                 return False
         return True
-
-    def _check_order(self, T):
-        if not self._power_is_identity(T):
-            raise OrderMismatch(f"automorphism order does not divide {T}")
-
-    def order(self):
-        k = 1
-        while not self._power_is_identity(k):
-            k += 1
-            if k > 10 ** 4:
-                raise OrderMismatch("automorphism order too large")
-        return k
 
     def apply_vec(self, vec, K=None):
         """Apply to a coefficient vector over a field K admitting the taus."""
@@ -213,37 +217,7 @@ class AlgebraAut:
         return True
 
     def __repr__(self):
-        return f"AlgebraAut(kind={self.kind}, nu={self.nu.perm})"
-
-
-def make_automorphism(alg, nu: DiagramAut, kind, tower=None, taus=None, lam0=None, order_divides=None):
-    """Build one of the named automorphism kinds.
-
-    kind: 'diagram' | 'sigma' (taus) | 'varsigma' (needs tower for omega) |
-    'vartheta' (tower and rational nu-invariant coweight lam0, over the
-    cover of order qT with q the denominator of lam0)."""
-    if kind == "diagram":
-        return AlgebraAut(alg, nu, [Fraction(1)] * alg.rank, QQ, order_divides, kind="diagram")
-    if kind == "sigma":
-        K = tower.scalars if tower is not None else QQ
-        return AlgebraAut(alg, nu, taus, K, order_divides or (tower.order if tower else None), kind="sigma")
-    if kind == "varsigma":
-        K = tower.scalars
-        w = tower.zeta
-        return AlgebraAut(
-            alg, nu, [K.one / w] * alg.rank, K, order_divides or tower.order, kind="varsigma"
-        )
-    if kind == "vartheta":
-        # tau_i = zeta_{qT}^-(q + q <alpha_i, lam0>), the (qT)-th root on the cover
-        if not lam0.is_nu_invariant(nu):
-            raise ValidationError("lam0 must be nu-invariant")
-        q = lam0.denominator()
-        cover = tower.cover(q)
-        K = cover.scalars
-        w = cover.zeta
-        taus = [(K.one / w) ** (q + as_int(c * q)) for c in lam0.coords]
-        return AlgebraAut(alg, nu, taus, K, order_divides or cover.order, kind="vartheta")
-    raise ValidationError(f"unknown automorphism kind {kind!r}")
+        return f"AlgebraAut(nu={self.nu.perm}, taus={self.taus})"
 
 
 def as_int(x):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .automorphisms import AlgebraAut
 from .cartan import CartanDatum
 from .errors import MalformedOper, NotFiniteType
 from .linalg import QQ, SparseMat, kernel_basis, mat_inverse, mat_mul, mat_vec, rref
@@ -104,8 +105,10 @@ class ChevalleyAlgebra:
         # ---- bilinear form -----------------------------------------------------
         self._build_form()
 
-        # splitting data for canonical forms, lazily built per (height, nu)
+        # splitting data for canonical forms, lazily built per (height, nu),
+        # and the diagram twist per nu
         self._split_cache = {}
+        self._twists = {}
 
     def solve_cartan_transpose(self, c, K=QQ):
         """m with A^T m = c, over K: the coroot coordinates of the h-element
@@ -469,6 +472,13 @@ class ChevalleyAlgebra:
                 if s:
                     out = out + x[i] * s
         return out
+
+    def diagram_twist(self, nu):
+        """The diagram automorphism of nu as an AlgebraAut (every tau 1; it
+        carries the +-1 factors on non-simple root vectors), one per nu."""
+        if nu not in self._twists:
+            self._twists[nu] = AlgebraAut(self, nu, [Fraction(1)] * self.rank)
+        return self._twists[nu]
 
     # ------------------------------------------------------------- DS splitting --
     def split_data(self, height, nu=None):

@@ -1,14 +1,15 @@
 """Bundle of the objects every oper computation needs: the algebra, the
 working scalar tower (T, parameters, coordinate), the diagram automorphism,
-and cached derived data (Weyl group, varsigma, folding, Langlands dual)."""
+and cached derived data (Weyl group, the twists varsigma and vartheta,
+folding, Langlands dual, covers)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .automorphisms import DiagramAut, make_automorphism
+from .automorphisms import AlgebraAut, DiagramAut, as_int
 from .chevalley import build_algebra, dual_algebra
-from .errors import MalformedOper
+from .errors import MalformedOper, ValidationError
 from .folding import fold
 from .tower import ScalarTower
 from .weyl import WeylGroup
@@ -23,8 +24,6 @@ class OperContext:
         self.nu = nu or DiagramAut.identity(alg.rank)
         self.nu.validate(alg.cartan)
         if tower.order % self.nu.order != 0:
-            from .errors import ValidationError
-
             raise ValidationError(
                 f"T = {tower.order} must be a multiple of ord(nu) = {self.nu.order}"
             )
@@ -33,6 +32,7 @@ class OperContext:
         self._folded = None
         self._dual = None
         self._covers = {}
+        self._varthetas = {}
 
     @property
     def functions(self):
@@ -53,9 +53,11 @@ class OperContext:
         return self._weyl
 
     @property
-    def varsigma(self):
+    def varsigma(self) -> AlgebraAut:
+        """varsigma = Ad_{w^-rho} o nu: tau_i = omega^-1."""
         if self._varsigma is None:
-            self._varsigma = make_automorphism(self.alg, self.nu, "varsigma", tower=self.tower)
+            taus = [self.scalars.one / self.omega] * self.alg.rank
+            self._varsigma = AlgebraAut(self.alg, self.nu, taus, self.tower)
         return self._varsigma
 
     @property
@@ -72,8 +74,19 @@ class OperContext:
             self._dual = OperContext(dual_algebra(self.alg), self.tower, self.nu)
         return self._dual
 
-    def vartheta(self, lam0):
-        return make_automorphism(self.alg, self.nu, "vartheta", tower=self.tower, lam0=lam0)
+    def vartheta(self, lam0) -> AlgebraAut:
+        """vartheta = Ad_{w^-lam0} o varsigma for a rational nu-invariant
+        lam0, one per lam0.  It lives on the cover of order qT, q the
+        denominator of lam0: tau_i = zeta_{qT}^-(q + q <alpha_i, lam0>)."""
+        if lam0 not in self._varthetas:
+            if not lam0.is_nu_invariant(self.nu):
+                raise ValidationError("lam0 must be nu-invariant")
+            q = lam0.denominator()
+            cover = self.cover(q)
+            w = cover.scalars.one / cover.omega
+            taus = [w ** (q + as_int(c * q)) for c in lam0.coords]
+            self._varthetas[lam0] = AlgebraAut(self.alg, self.nu, taus, cover.tower)
+        return self._varthetas[lam0]
 
     def cover(self, q: int) -> "OperContext":
         """The context of the q-sheeted cover t = u^q, one per q; self for q = 1."""

@@ -29,25 +29,13 @@ class FiniteOperClass:
         return f"{pre}[{body}]" + ("^nu" if self.folded else "")
 
 
-def _diagram_aut(alg, nu):
-    """The honest diagram automorphism as an AlgebraAut (it carries the +-1
-    factors on non-simple root vectors)."""
-    from .automorphisms import make_automorphism
-
-    cache = alg.__dict__.setdefault("_diag_aut_cache", {})
-    key = nu.perm
-    if key not in cache:
-        cache[key] = make_automorphism(alg, nu, "diagram", order_divides=nu.order)
-    return cache[key]
-
-
 def nu_fixed_block_basis(alg, nu, height):
     """Echelon basis of the nu-fixed subspace of g_height (full-dim rational
     vectors)."""
     idxs = alg.blocks.get(height, [])
     if not idxs:
         return []
-    return _diagram_aut(alg, nu).fixed_subspace(idxs, QQ)
+    return alg.diagram_twist(nu).fixed_subspace(idxs, QQ)
 
 
 def nu_fixed_centralizer_basis(alg, nu, height):
@@ -55,7 +43,7 @@ def nu_fixed_centralizer_basis(alg, nu, height):
     vecs = [w for k, w in alg.centralizer_basis if k == height]
     if not vecs:
         return []
-    aut = _diagram_aut(alg, nu)
+    aut = alg.diagram_twist(nu)
     idxs = alg.blocks.get(height, [])
     cols = []
     for w in vecs:

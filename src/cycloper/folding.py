@@ -9,7 +9,7 @@ from fractions import Fraction
 from .cartan import CartanDatum
 from .automorphisms import DiagramAut
 from .errors import ValidationError
-from .weyl import Coweight, WeylGroup
+from .weyl import WeylGroup
 
 
 @dataclass
@@ -23,7 +23,6 @@ class FoldedDatum:
     E: list                  # folded raising generators (algebra vectors)
     F: list                  # folded lowering generators (algebra vectors)
     simple_reflections: list  # elements of W (of g), per orbit
-    coweights_fundamental: list  # folded fundamental coweights as Coweights of g
 
     def orbit_index(self, i):
         """Orbit containing the (0-based) node i."""
@@ -36,7 +35,6 @@ class FoldedDatum:
 def fold(alg, nu: DiagramAut, weyl: WeylGroup = None) -> FoldedDatum:
     nu.validate(alg.cartan)
     A = alg.cartan.matrix
-    n = alg.rank
     orbits = nu.orbits()
     ell = []
     for orb in orbits:
@@ -90,10 +88,6 @@ def fold(alg, nu: DiagramAut, weyl: WeylGroup = None) -> FoldedDatum:
                 word += [i, ib, i]
         refl.append(weyl.from_word(word))
 
-    fw = []
-    for orb in orbits:
-        fw.append(Coweight(tuple(Fraction(1) if i in orb else Fraction(0) for i in range(n))))
-
     return FoldedDatum(
         alg=alg,
         nu=nu,
@@ -104,5 +98,4 @@ def fold(alg, nu: DiagramAut, weyl: WeylGroup = None) -> FoldedDatum:
         E=Es,
         F=Fs,
         simple_reflections=refl,
-        coweights_fundamental=fw,
     )

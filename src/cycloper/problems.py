@@ -8,7 +8,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .automorphisms import DiagramAut, make_automorphism
+from .automorphisms import AlgebraAut, DiagramAut
 from .bethe import BetheSystemData
 from .cartan import CartanDatum
 from .chevalley import build_algebra
@@ -254,7 +254,7 @@ def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
         b = raw["bethe"]
         if b.get("sigma_taus"):
             taus = [parse_scalar(x, tower, env) for x in b["sigma_taus"]]
-            sigma = make_automorphism(alg, nu, "sigma", tower=tower, taus=taus)
+            sigma = AlgebraAut(alg, nu, taus, tower)
         else:
             sigma = ctx.varsigma
         bsites = []

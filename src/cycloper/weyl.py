@@ -260,8 +260,7 @@ def weyl_orbit_shifted(group: WeylGroup, lam: Coweight, nu=None):
 
 def linkage_equal(group: WeylGroup, lam: Coweight, mu: Coweight, nu=None) -> bool:
     """True iff mu = w . lam for some w in W (resp. W^nu)."""
-    els = group.nu_invariant_elements(nu) if nu is not None else group.elements
-    return any(w.dot(lam) == mu for w in els)
+    return find_shift_element(group, lam, mu, nu) is not None
 
 
 def find_shift_element(group: WeylGroup, lam: Coweight, target: Coweight, nu=None):

@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from cycloper.automorphisms import DiagramAut, make_automorphism, theta_fixed_nilpotent
+from cycloper.automorphisms import AlgebraAut, DiagramAut, theta_fixed_nilpotent
 from cycloper.chevalley import build_algebra
+from cycloper.context import OperContext
 from cycloper.errors import OrderMismatch, ValidationError
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight
@@ -18,7 +19,7 @@ def test_diagram_aut_validation():
 
 def test_identity_automorphism():
     g = build_algebra("A2")
-    aut = make_automorphism(g, DiagramAut.identity(2), "diagram", order_divides=1)
+    aut = g.diagram_twist(DiagramAut.identity(2))
     v = g.vec_E(g.simple_root(0))
     assert aut.apply_vec(v) == v
     assert aut.verify_bracket_preservation()
@@ -28,7 +29,7 @@ def test_varsigma_action():
     g = build_algebra("A2")
     nu = DiagramAut.from_cycles(2, [[1, 2]])
     tw = ScalarTower.get(2)
-    vs = make_automorphism(g, nu, "varsigma", tower=tw)
+    vs = OperContext(g, tw, nu).varsigma
     K = tw.scalars
     # varsigma(E_i) = omega^-1 E_nu(i)
     v = g.vec_E(g.simple_root(0), K)
@@ -43,14 +44,14 @@ def test_varsigma_action():
     rho = [K.coerce(c) for c in g.rho]
     assert vs.apply_vec(rho, K) == rho
     assert vs.verify_bracket_preservation()
-    assert vs.order() == 2
+    assert vs._power_is_identity(2) and not vs._power_is_identity(1)
 
 
 def test_varsigma_preserves_grading_and_centralizer():
     g = build_algebra("A3")
     nu = DiagramAut.from_cycles(3, [[1, 3]])
     tw = ScalarTower.get(4)
-    vs = make_automorphism(g, nu, "varsigma", tower=tw)
+    vs = OperContext(g, tw, nu).varsigma
     for i in range(g.dim):
         assert g.height_of[vs.image[i]] == g.height_of[i]
     # each graded centralizer piece is stable
@@ -69,7 +70,7 @@ def test_varsigma_preserves_grading_and_centralizer():
 def test_nu_fixes_principal_sl2():
     g = build_algebra("A3")
     nu = DiagramAut.from_cycles(3, [[1, 3]])
-    aut = make_automorphism(g, nu, "diagram", order_divides=2)
+    aut = g.diagram_twist(nu)
     assert aut.apply_vec(g.p_minus1) == g.p_minus1
     assert aut.apply_vec(g.p1) == g.p1
     assert aut.apply_vec(g.rho) == g.rho
@@ -78,8 +79,19 @@ def test_nu_fixes_principal_sl2():
 def test_order_mismatch():
     g = build_algebra("A2")
     nu = DiagramAut.from_cycles(2, [[1, 2]])
+    tw = ScalarTower.get(3)
     with pytest.raises(OrderMismatch):
-        make_automorphism(g, nu, "varsigma", tower=ScalarTower.get(3))
+        AlgebraAut(g, nu, [tw.one / tw.zeta] * 2, tw)
+    # over the cover of order qT = 4: (tau_1 tau_2)^2 = -1
+    cover = ScalarTower.get(2).cover(2)
+    with pytest.raises(OrderMismatch):
+        AlgebraAut(g, nu, [cover.zeta, cover.one], cover)
+
+
+def test_vartheta_needs_a_nu_invariant_lam0():
+    ctx = OperContext("A2", ScalarTower.get(2), DiagramAut.from_cycles(2, [[1, 2]]))
+    with pytest.raises(ValidationError, match="nu-invariant"):
+        ctx.vartheta(Coweight((Fraction(1), Fraction(0))))
 
 
 def test_vartheta_on_generators():
@@ -88,9 +100,10 @@ def test_vartheta_on_generators():
     g = build_algebra("A2")
     nu = DiagramAut.from_cycles(2, [[1, 2]])
     tw = ScalarTower.get(4)
+    ctx = OperContext(g, tw, nu)
     K = tw.scalars
     for eta in (0, 1, 2):
-        th = make_automorphism(g, nu, "vartheta", tower=tw, lam0=Coweight((Fraction(eta), Fraction(eta))))
+        th = ctx.vartheta(Coweight((Fraction(eta), Fraction(eta))))
         v = [a + b for a, b in zip(g.vec_E(g.simple_root(0), K), g.vec_E(g.simple_root(1), K))]
         img = th.apply_vec(v, K)
         factor = (K.one / tw.zeta) ** (eta + 1)
@@ -115,7 +128,7 @@ def test_theta_fixed_nilpotent_dims(T, eta, dim):
     g = build_algebra("A2")
     nu = DiagramAut.from_cycles(2, [[1, 2]])
     tw = ScalarTower.get(T)
-    th = make_automorphism(g, nu, "vartheta", tower=tw, lam0=Coweight((Fraction(eta), Fraction(eta))))
+    th = OperContext(g, tw, nu).vartheta(Coweight((Fraction(eta), Fraction(eta))))
     basis, report = theta_fixed_nilpotent(g, th)
     assert len(basis) == dim
     assert report[0]["orbit"] == (1, 2)
@@ -127,8 +140,7 @@ def test_theta_fixed_nilpotent_dims(T, eta, dim):
 
 def test_theta_identity_full_n():
     g = build_algebra("A2")
-    tw = ScalarTower.get(1)
-    th = make_automorphism(g, DiagramAut.identity(2), "vartheta", tower=tw, lam0=Coweight.zero(2))
+    th = OperContext(g, ScalarTower.get(1)).vartheta(Coweight.zero(2))
     basis, _ = theta_fixed_nilpotent(g, th)
     assert len(basis) == len(g.pos_roots)
 
@@ -139,10 +151,28 @@ def test_nu_stabilizes_graded_centralizer():
 
     g = build_algebra("A3")
     nu = DiagramAut.from_cycles(3, [[1, 3]])
-    aut = make_automorphism(g, nu, "diagram", order_divides=2)
+    aut = g.diagram_twist(nu)
     for k, w in g.centralizer_basis:
         img = aut.apply_vec(w, QQ)
         others = [v for kk, v in g.centralizer_basis if kk == k]
         idxs = g.blocks[k]
         A = [[v[j] for v in others] for j in idxs]
         assert solve_linear(QQ, A, [img[j] for j in idxs]) is not None
+
+
+@pytest.mark.parametrize(
+    "label, T, cycles",
+    [("A2", 2, [[1, 2]]), ("A3", 4, [[1, 3]]), ("D4", 3, [[1, 3, 4]])],
+    ids=["A2-T2", "A3-T4", "D4-T3"],
+)
+def test_every_twist_preserves_brackets(label, T, cycles):
+    """The diagram twist, varsigma, and vartheta for an integral and a
+    half-integral lam0 (the latter over the 2-sheeted cover) are Lie
+    algebra automorphisms."""
+    rank = int(label[1:])
+    ctx = OperContext(label, ScalarTower.get(T), DiagramAut.from_cycles(rank, cycles))
+    twists = [ctx.alg.diagram_twist(ctx.nu), ctx.varsigma]
+    twists += [ctx.vartheta(Coweight((c,) * rank)) for c in (Fraction(1), Fraction(1, 2))]
+    assert twists[-1].K is ctx.cover(2).scalars
+    for aut in twists:
+        assert aut.verify_bracket_preservation()

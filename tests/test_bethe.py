@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cycloper.automorphisms import DiagramAut, make_automorphism
+from cycloper.automorphisms import AlgebraAut, DiagramAut
 from cycloper.bethe import (
     BetheSystemData,
     _gaudin_sum,
@@ -71,9 +71,7 @@ def test_lambda0_nu_invariance():
         assert lam0.coords[0] == lam0.coords[1]
     # general sigma with a tau list
     ctx = a2_folded(4)
-    sig = make_automorphism(
-        ctx.alg, ctx.nu, "sigma", tower=ctx.tower, taus=[ctx.tower.zeta, ctx.tower.zeta]
-    )
+    sig = AlgebraAut(ctx.alg, ctx.nu, [ctx.tower.zeta, ctx.tower.zeta], ctx.tower)
     lam0 = lambda0_weight(ctx.alg, sig, ctx.tower)
     assert lam0.coords[0] == lam0.coords[1]
 
@@ -365,10 +363,7 @@ def test_lambda0_folded_a2_value():
     # hand evaluation: tr_n(varsigma^-1 ad_h) = <gamma, h> * (omega^-2 * nu-sign)
     g = ctx.alg
     gamma = (1, 1)
-    from cycloper.finite_opers import _diagram_aut
-    from cycloper.linalg import QQ
-
-    aut = _diagram_aut(g, ctx.nu)
+    aut = g.diagram_twist(ctx.nu)
     iG = g.index_E[gamma]
     sign = aut.factor[iG] if aut.image[iG] == iG else None
     assert sign is not None
@@ -476,9 +471,7 @@ def test_lambda0_matches_the_walk_per_power():
     w = ctx.tower.zeta
     cases.append((ctx, [w, w ** 3, w]))
     for ctx, taus in cases:
-        sigma = ctx.varsigma if taus is None else make_automorphism(
-            ctx.alg, ctx.nu, "sigma", tower=ctx.tower, taus=taus
-        )
+        sigma = ctx.varsigma if taus is None else AlgebraAut(ctx.alg, ctx.nu, taus, ctx.tower)
         assert lambda0_weight(ctx.alg, sigma, ctx.tower) == literal_lambda0(ctx.alg, sigma, ctx.tower)
 
 

@@ -68,6 +68,24 @@ def test_bad_order_exits_with_the_validation_code(tmp_path, capsys):
     assert parse_problem({"algebra": "A1", "T": "4", "lambda0": ["1"]}).ctx.tower.order == 4
 
 
+@pytest.mark.parametrize("nu, entry", [
+    ([[1, 5]], "letter 5 is outside 1..3"),
+    ([[0, 3]], "letter 0 is outside 1..3"),
+    ([[1, "x"]], "letter 'x' is not an integer"),
+    ([[1, True]], "letter True is not an integer"),
+    ([1, 2], "cycle 1 is not a list"),
+    ([[1, 3], [3]], "letter 3 appears twice"),
+    ([[1, 3, 1]], "letter 1 appears twice"),
+    (5, "nu must be a list of cycles"),
+])
+def test_malformed_nu_exits_with_the_validation_code(nu, entry, tmp_path, capsys):
+    path = tmp_path / "bad_nu.json"
+    path.write_text(json.dumps({"algebra": "A3", "T": 2, "nu": nu, "lambda0": ["1", "1", "1"]}))
+    assert main(["--problem", str(path), "--command", "residues"]) == 3
+    err = capsys.readouterr().err
+    assert "error[ValidationError]" in err and entry in err and "Traceback" not in err
+
+
 def test_parse_problem_instantiate():
     p = parse_problem(fx("sl3_origin.json"), {"eta": "2"})
     assert p.lam0.coords == (p.ctx.scalars.coerce(2), p.ctx.scalars.coerce(2))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import matrix_log, sl3_context, sl4_miura
-from cycloper.automorphisms import DiagramAut, make_automorphism
+from cycloper.automorphisms import AlgebraAut, DiagramAut
 from cycloper.connection import (
     Connection,
     GroupElement,
@@ -181,7 +181,7 @@ def test_equivariance_examples():
     alg = ctx.alg
     pm1 = Connection(ctx, [F.coerce(c) for c in alg.p_minus1], "general")
     assert is_equivariant(pm1, ctx.varsigma)
-    sig = make_automorphism(alg, ctx.nu, "sigma", tower=ctx.tower, taus=[ctx.tower.one] * 2)
+    sig = AlgebraAut(alg, ctx.nu, [ctx.tower.one] * 2, ctx.tower)
     assert not is_equivariant(pm1, sig)
     # h-valued constant nu-invariant coweight times dt/t
     t = F.gen
@@ -416,9 +416,7 @@ def test_lift_to_cover():
     nabla, _ = sl3_nabla(ctx, 1)
     lifted3, ctx4 = lift_to_cover(nabla, 2)
     K4 = ctx4.scalars
-    base_varsigma = make_automorphism(
-        ctx4.alg, ctx4.nu, "sigma", tower=ctx4.tower, taus=[(K4.one / ctx4.omega) ** 2] * ctx4.alg.rank
-    )
+    base_varsigma = AlgebraAut(ctx4.alg, ctx4.nu, [(K4.one / ctx4.omega) ** 2] * ctx4.alg.rank, ctx4.tower)
     assert is_equivariant(lifted3, base_varsigma)
     assert not is_equivariant(lifted3, ctx4.varsigma)
 

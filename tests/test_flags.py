@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import bminus_columns, fSl3_seed, limit_flag_is, matrix_log, sl3_miura, sl4_miura_at
-from cycloper.automorphisms import DiagramAut, theta_fixed_nilpotent
+from cycloper.automorphisms import AlgebraAut, DiagramAut, theta_fixed_nilpotent
 from cycloper.chevalley import build_algebra
 import cycloper.connection as connection
 from cycloper.connection import GroupElement
@@ -261,7 +261,7 @@ def test_theta_for_derives_the_cover_power(T, cycles):
     cover = ctx.cover(2)
     K = cover.scalars
     th = theta_for(m)
-    assert th.kind == "vartheta" and th.K is K
+    assert th is ctx.vartheta(m.lam0) and th.K is K
     assert th.taus == [(K.one / cover.omega) ** 3] * 2
 
 
@@ -287,6 +287,29 @@ def test_origin_coweight_is_read_once_per_oper(lam, monkeypatch):
     flag_position(m, res.gauge)
     assert len(reads) == 1
     assert res.ledger[ctx.scalars.zero][0] == -m.lam0
+
+
+@pytest.mark.parametrize("lam", [Fraction(1), Fraction(1, 2)])
+def test_vartheta_is_built_once_per_oper(lam, monkeypatch):
+    """Once theta_for has run, a further theta_for, reproduce_generic and
+    flag_position on the same Miura oper build no twist: the context keeps
+    one vartheta per lam0."""
+    ctx = OperContext("A2", ScalarTower.get(2), DiagramAut.from_cycles(2, [[1, 2]]))
+    m = build_miura(ctx, Coweight((lam, lam)))
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    builds = []
+    real = AlgebraAut.__init__
+
+    def counted(self, *args):
+        builds.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(AlgebraAut, "__init__", counted)
+    assert theta_for(m) is ctx.vartheta(m.lam0)
+    res = reproduce_generic(m, [3 * sum(b[i] for b in basis) for i in range(ctx.alg.dim)])
+    flag_position(m, res.gauge)
+    assert builds == []
+    assert ctx.vartheta(m.lam0) is ctx.vartheta(m.lam0)
 
 
 def _gauss_flag_point(m, X):
