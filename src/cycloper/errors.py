@@ -123,8 +123,7 @@ class ModulusError(CycloperError):
 
 class PartialFractionError(CycloperError):
     """Bug trap in Hermite reduction: factors that must be coprime had a
-    non-unit extended gcd, or the fraction to split was not proper.  Exit
-    code 15."""
+    non-unit extended gcd.  Exit code 15."""
 
     exit_code = 15
 

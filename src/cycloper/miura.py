@@ -171,8 +171,12 @@ def riccati_solve(q, mode="general", constant=0, extra_points=()):
     q must have only simple finite poles with integer residues and zero
     polynomial part; extra_points (the points of the Miura oper that q
     comes from, say) are tried first as roots of its denominators.
-    general mode: f = Q/(int Q + C) with Q = exp(-int q); singular mode:
-    the unique solution with leading term (eta+1)/t where eta = -res_0 q."""
+    general mode: f = Q/(R + C) with Q = exp(-int q) and R the
+    antiderivative of Q whose polynomial part has constant term 0 and whose
+    rest is proper; singular mode: the unique solution with leading term
+    (eta+1)/t where eta = -res_0 q."""
+    if mode not in ("general", "singular_at_0"):
+        raise ValidationError(f"unknown riccati mode {mode!r}")
     F = q.field
     K = F.coeff
     if not q:
@@ -197,15 +201,10 @@ def riccati_solve(q, mode="general", constant=0, extra_points=()):
         den = R + F.coerce(constant)
         if not den:
             raise NoRationalSolution("degenerate constant: denominator vanishes identically")
-        f = Q / den
-    elif mode == "singular_at_0":
-        if not R.is_regular_at(K.zero):
-            raise NoRationalSolution("int exp(-int q) has a pole at 0: no solution singular at 0", R)
-        den = R - F.coerce(R.eval_at(K.zero))
-        f = Q / den
-    else:
-        raise ValidationError(f"unknown riccati mode {mode!r}")
-    return f
+        return Q / den
+    if not R.is_regular_at(K.zero):
+        raise NoRationalSolution("int exp(-int q) has a pole at 0: no solution singular at 0", R)
+    return Q / (R - F.coerce(R.eval_at(K.zero)))
 
 
 def riccati_residual(miura: MiuraOper, k, f):

@@ -6,9 +6,10 @@ hashing are canonical.  Everything here is written once, against the
 polynomial ring of its FunctionField (F.ring): over Q(zeta_T) a PackedRing of
 integer vectors with one content, over a parameter field a FieldRing of
 coefficient tuples.  RatFunc arithmetic, local data and root splitting work
-on the ring's polynomials; Yun's squarefree decomposition, the extended
-Euclid and Hermite reduction work on polynomials held as RatFuncs with
-denominator 1, dividing through _pdivmod.
+on the ring's polynomials.  Antiderivatives come from Hermite reduction in
+Mack's linear form: ring gcds and one extended Euclid per multiplicity, no
+factoring, on polynomials held as RatFuncs with denominator 1, dividing
+through _pdivmod.
 """
 
 from __future__ import annotations
@@ -1268,8 +1269,8 @@ def poles_of(f: RatFunc, extra_points=()):
 
 
 # ---------------------------------------------------------------------------
-# squarefree decomposition, Hermite reduction and antiderivatives, on
-# polynomials held as RatFuncs with denominator 1
+# Hermite reduction and antiderivatives, on polynomials held as RatFuncs
+# with denominator 1
 # ---------------------------------------------------------------------------
 
 def _poly(F, v, rn=1, rd=1):
@@ -1330,56 +1331,6 @@ def _xgcd(a, b):
     return r0 / lc, s0 / lc, t0 / lc
 
 
-def squarefree_decomposition(f):
-    """Yun's algorithm on the nonzero polynomial f: ([(P_i, i)], lc) with
-    f == lc * prod P_i^i, the P_i monic, squarefree, pairwise coprime."""
-    if not f:
-        raise ZeroDivisionError("squarefree decomposition of 0")
-    F = f.field
-    R = F.ring
-
-    def gcd(a, b):
-        g = pgcd(R, a._n, b._n)
-        return _poly(F, g, 1, R.lead(g))
-
-    lc = f.num[-1]
-    f = f / lc
-    if f.is_constant():
-        return [], lc
-    fp = f.derivative()
-    a = gcd(f, fp)
-    if a.is_constant():
-        return [(f, 1)], lc
-    b = _pdivmod(f, a)[0]
-    d = _pdivmod(fp, a)[0] - b.derivative()
-    out = []
-    i = 1
-    while b.degree() > 0:
-        ai = gcd(b, d)
-        if ai.degree() > 0:
-            out.append((ai, i))
-        b = _pdivmod(b, ai)[0]
-        d = _pdivmod(d, ai)[0] - b.derivative()
-        i += 1
-    return out, lc
-
-
-def _coprime_split(num, dens):
-    """num / prod(dens) = poly + sum_i num_i/dens_i with the dens pairwise
-    coprime.  Returns (poly_part, [num_i])."""
-    if len(dens) == 1:
-        q, r = _pdivmod(num, dens[0])
-        return q, [r]
-    d0, rest = dens[0], math.prod(dens[1:])
-    g, s, t = _xgcd(d0, rest)
-    if g.degree() != 0:
-        raise PartialFractionError("squarefree factors are not coprime")
-    # 1 = s*d0 + t*rest  =>  num/(d0*rest) = num*t/d0 + num*s/rest
-    q0, r0 = _pdivmod(num * t, d0)
-    poly, rems = _coprime_split(num * s, dens[1:])
-    return q0 + poly, [r0] + rems
-
-
 def _integral(q):
     """The antiderivative of the polynomial q with constant term 0."""
     K = q.field.coeff
@@ -1388,61 +1339,63 @@ def _integral(q):
 
 
 def hermite_reduce(num, den):
-    """Hermite reduction (Bronstein, Symbolic Integration I, 2.2) of the
-    proper fraction num/den of polynomials.
+    """Hermite reduction in Mack's linear form (Bronstein, Symbolic
+    Integration I, 2.2) of num/den, for polynomials num and den != 0.
 
-    Returns (rational_part: RatFunc, log_parts: list of (numer, squarefree
-    monic denom)) with num/den = rational_part' + sum numer/denom.  No root
-    finding involved."""
-    sqf, lc = squarefree_decomposition(den)
-    poly, nums = _coprime_split(num / lc, [P ** i for P, i in sqf])
-    if poly:
-        raise PartialFractionError("input fraction was not proper")
-    rational = num.field.zero
-    logs = []
-    for (P, i), A in zip(sqf, nums):
-        if i >= 2:
-            # 1 = u*P + v*P'
-            g, u, v = _xgcd(P, P.derivative())
-            if g.degree() != 0:
-                raise PartialFractionError("a squarefree factor shares a root with its derivative")
-        for k in range(i, 1, -1):
-            Av = A * v
-            # A/P^k = (A*u)/P^(k-1) + Av*P'/P^k
-            # int Av*P'/P^k = Av/((1-k)P^(k-1)) - int Av'/((1-k)P^(k-1))
-            c = Fraction(1, 1 - k)
-            rational = rational + Av * c / P ** (k - 1)
-            A = A * u - Av.derivative() * c
-        # deg A may exceed deg P: split A = q*P + r and integrate q
-        q, r = _pdivmod(A, P)
-        rational = rational + _integral(q)
-        if r:
-            logs.append((r, P))
-    return rational, logs
+    Returns (R, A, S) with num/den = R' + A/S, R proper and S squarefree.
+    One multiplicity at a time comes off D- = gcd(D, D'), by one Bezout
+    solve each; no factoring, no root finding."""
+    F = num.field
+    R = F.ring
+
+    def gcd(a, b):
+        g = pgcd(R, a._n, b._n)
+        return _poly(F, g, 1, R.lead(g))
+
+    def quo(a, b):
+        return _pdivmod(a, b)[0]
+
+    rational = F.zero
+    dm = gcd(den, den.derivative())
+    ds = quo(den, dm)
+    while dm.degree() > 0:
+        dm2 = gcd(dm, dm.derivative())
+        dms = quo(dm, dm2)
+        # D-* divides D* and D-2 divides D-': D* D-'/D- = (D*/D-*) (D-'/D-2)
+        e = quo(ds, dms)
+        a = -e * quo(dm.derivative(), dm2)
+        # B a + C D-* = A with deg B < deg D-*
+        g, s, t = _xgcd(a, dms)
+        if g.degree() != 0:
+            raise PartialFractionError("a Bezout solve of Hermite reduction has a non-unit gcd")
+        q, B = _pdivmod(num * s, dms)
+        C = num * t + q * a
+        # (B/D-)' = (B' D* + B a) / (D* D-), and D* D- = D* D-2 D-*
+        rational = rational + B / dm
+        num = C - B.derivative() * e
+        dm = dm2
+    return rational, num, ds
 
 
 def rational_antiderivative(f: RatFunc, extra_points=()):
-    """An exact antiderivative F with F' = f, when one exists in the field;
-    otherwise the MonodromyObstruction value listing the poles (with nonzero
-    residues) that obstruct it."""
+    """The antiderivative F of f whose polynomial part has constant term 0
+    and whose rest is proper, when one exists in the field; otherwise the
+    MonodromyObstruction value listing the poles (with nonzero residues)
+    that obstruct it."""
     F = f.field
     R = F.ring
-    num, den = _rf(F, f._n, f._c, R.one), _rf(F, f._d, R.lead(f._d), R.one)
-    poly, rem = _pdivmod(num, den)
-    out = _integral(poly)
-    if not rem:
-        return out
-    rational, logs = hermite_reduce(rem, den)
-    if not logs:
-        return out + rational
-    # the log integrands are pairwise coprime proper fractions: their sum is
-    # nonzero, and its residues obstruct
-    total = sum((numer / denom for numer, denom in logs), F.zero)
+    rational, A, S = hermite_reduce(_rf(F, f._n, f._c, R.one), _rf(F, f._d, R.lead(f._d), R.one))
+    q, r = _pdivmod(A, S)
+    if not r:
+        return rational + _integral(q)
+    # r/S is a nonzero proper fraction with squarefree denominator: its
+    # residues obstruct
+    total = r / S
     roots, leftover = linear_split(F, total._d, extra_points)
     residues = []
     for p, m in roots:
-        r = total.residue_at(p)
-        if r:
-            residues.append((p, r))
+        res = total.residue_at(p)
+        if res:
+            residues.append((p, res))
     bad = _unsplit(F, leftover)
     return MonodromyObstruction(residues, [bad] if bad else [])

@@ -241,6 +241,16 @@ def test_riccati_rejects_bad_q():
         riccati_solve(tw.functions.coerce(Fraction(1, 2)) / t)  # non-integer residue
 
 
+@pytest.mark.parametrize("make_q", [lambda t: 1 / (t ** 2 + 2), lambda t: 1 / t ** 2, lambda t: 2 / t],
+                         ids=["t2+2", "t2", "2_t"])
+def test_riccati_checks_the_mode_before_q(make_q):
+    """An unknown mode is a ValidationError whatever q is: one q that does
+    not split, one with a double pole, one that would solve."""
+    q = make_q(ScalarTower.get(1).t)
+    with pytest.raises(ValidationError, match="unknown riccati mode 'bogus'"):
+        riccati_solve(q, "bogus")
+
+
 # ---------------------------------------------------------------- simple
 
 def test_reproduce_simple():

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.integrals.rationaltools import ratint_ratpart
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
@@ -284,14 +285,53 @@ def _non_unit_xgcd(a, b):
 def test_hermite_reduction_failures_are_typed(monkeypatch):
     tw = ScalarTower.get(1)
     t1 = tw.t
-    with pytest.raises(PartialFractionError, match="not proper"):
-        hermite_reduce(t1 + 1, t1)
+    # a numerator of any degree: the polynomial part comes out of the loop
+    assert rational_antiderivative((t1 ** 3 + 1) / t1 ** 2) == t1 ** 2 / 2 - 1 / t1
+    ob = rational_antiderivative((t1 + 1) / t1)
+    assert isinstance(ob, MonodromyObstruction)
+    assert ob.residues == [(tw.zero, tw.one)] and ob.unresolved == []
     monkeypatch.setattr(ratfunc, "_xgcd", _non_unit_xgcd)
-    with pytest.raises(PartialFractionError, match="not coprime"):
-        rational_antiderivative(1 / (t1 ** 2 * (t1 - 1)))
-    with pytest.raises(PartialFractionError, match="derivative"):
-        rational_antiderivative(1 / t1 ** 2)
+    for f in (1 / (t1 ** 2 * (t1 - 1)), 1 / t1 ** 2, (t1 ** 3 + 1) / t1 ** 2):
+        with pytest.raises(PartialFractionError, match="non-unit gcd"):
+            rational_antiderivative(f)
     assert PartialFractionError.exit_code == 15
+
+
+def _polynomial_part(f):
+    """The polynomial part of f, and the rest f - part."""
+    F = f.field
+    q, _ = ratfunc._pdivmod(F.from_coeffs(f.num), F.from_coeffs(f.den))
+    return q, f - q
+
+
+def test_antiderivative_is_normalized():
+    """The antiderivative is the one whose polynomial part has constant
+    term 0 and whose rest is proper, whatever the shape of the integrand:
+    derivatives of pinned random fractions, with and without simple poles
+    and polynomial parts added, over Q(zeta_T) for T in 1, 2, 3, 4, 6."""
+    t1 = ScalarTower.get(1).t
+    g = 1 / (t1 ** 2 - 1)
+    assert rational_antiderivative(g.derivative()) == g
+    rng = random.Random(29)
+    for T in (1, 2, 3, 4, 6):
+        tw = ScalarTower.get(T)
+        F, t = tw.functions, tw.t
+        pool = [F.zero, F.one, -F.one, F.coerce(tw.zeta), F.coerce(2)]
+        count = 0
+        for _ in range(30):
+            g = small_ratfunc(rng, tw, pool) * small_ratfunc(rng, tw, pool)
+            poly = sum((F.coerce(Fraction(rng.randint(-3, 3), rng.randint(1, 2))) * t ** i
+                        for i in range(rng.randint(0, 3))), F.zero)
+            f = g.derivative() + poly + (F.coerce(rng.choice((0, 0, 0, 1))) / (t - pool[rng.randrange(5)]))
+            out = rational_antiderivative(f)
+            if isinstance(out, MonodromyObstruction):
+                continue
+            count += 1
+            assert out.derivative() == f
+            part, rest = _polynomial_part(out)
+            assert not part or not part.eval_at(tw.zero)
+            assert not rest or rest.valuation_at_infinity() >= 1
+        assert count >= 15
 
 
 # -- Hermite reduction on denominators that do not split ----------------------
@@ -382,13 +422,10 @@ from cycloper.tower import ScalarTower
 
 tw = ScalarTower.get(1)
 t = tw.t
-calls = [lambda: ratfunc.hermite_reduce(t + 1, t)]
 ratfunc._xgcd = lambda a, b: (a.field.gen, a.field.one, a.field.one)
-calls += [lambda: ratfunc.rational_antiderivative(1 / (t ** 2 * (t - 1))),
-          lambda: ratfunc.rational_antiderivative(1 / t ** 2)]
-for call in calls:
+for f in (1 / (t ** 2 * (t - 1)), 1 / t ** 2, (t ** 3 + 1) / t ** 2):
     try:
-        call()
+        ratfunc.rational_antiderivative(f)
         raise SystemExit("no error")
     except PartialFractionError:
         pass
@@ -681,3 +718,52 @@ def test_only_the_exact_zero_is_false():
     diff = t.laurent_at(1, 2) - t.laurent_at(1, 2) + zero
     assert diff and not diff.cs and diff.prec == 2  # O(s^2) is not 0
     assert (zero + 5).coeff(0) == 5 and (zero + 5).prec == math.inf
+
+
+# -- Hermite reduction against sympy's ratint_ratpart --------------------------
+
+SYMPY_ZETA = {1: sympy.Integer(1), 2: sympy.Integer(-1), 4: sympy.I}
+
+
+def sympy_poly(cs, T):
+    """The polynomial with coefficients cs over Q(zeta_T), T in 1, 2, 4, as
+    a sympy Poly in t over Q or Q(i)."""
+    expr = sum((sum((sympy.Rational(c.numerator, c.denominator) * SYMPY_ZETA[T] ** u
+                     for u, c in enumerate(x.coeffs)), sympy.Integer(0)) * TS ** i
+                for i, x in enumerate(cs)), sympy.Integer(0))
+    return sympy.Poly(expr, TS, extension=sympy.I) if T == 4 else sympy.Poly(expr, TS, domain=sympy.QQ)
+
+
+def as_sympy_fraction(f, T):
+    return sympy_poly(f.num, T).as_expr() / sympy_poly(f.den, T).as_expr()
+
+
+@pytest.mark.parametrize("T", [1, 2, 4])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_hermite_reduction_matches_sympy_ratint_ratpart(T, data):
+    """Proper fractions whose denominators carry repeated linear factors
+    and squared quadratics with no root in Q(zeta_T): the rational part R
+    equals sympy's Horowitz-Ostrogradsky rational part and A/S its log
+    part, exactly."""
+    tw = ScalarTower.get(T)
+    F, t = tw.functions, tw.t
+    zeta = F.coerce(tw.zeta)
+    small = st.integers(-3, 3)
+    coeff = st.builds(lambda a, b: F.coerce(a) + F.coerce(b) * zeta, small, small)
+    # the first linear factor repeated, the first quadratic squared
+    den = F.one
+    for k, p in enumerate(data.draw(st.lists(st.sampled_from([F.zero, F.one, -F.one, zeta]),
+                                             min_size=1, max_size=2, unique=True))):
+        den = den * (t - p) ** data.draw(st.integers(2 if k == 0 else 1, 3))
+    for Q in data.draw(st.lists(st.sampled_from([t ** 2 + 2, t ** 2 + t + 1]), min_size=1, max_size=2,
+                                unique_by=str)):
+        den = den * Q ** 2
+    num = sum((data.draw(coeff) * t ** i for i in range(den.degree())), F.zero)
+    f = num / den
+    if not f:
+        return
+    rational, A, S = hermite_reduce(F.from_coeffs(f.num), F.from_coeffs(f.den))
+    theirs_rational, theirs_log = ratint_ratpart(sympy_poly(f.num, T), sympy_poly(f.den, T), TS)
+    assert sympy.cancel(as_sympy_fraction(rational, T) - theirs_rational) == 0
+    assert sympy.cancel(as_sympy_fraction(A / S, T) - theirs_log) == 0
