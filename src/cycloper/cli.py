@@ -296,6 +296,22 @@ def render_text(result):
     return "\n".join(lines) + "\n"
 
 
+# options whose value may start with "-" (a negative --constant or first
+# --g0 coordinate): argparse reads such a word as an option unless it is a
+# plain negative number, so it is attached as --option=value
+FREE_VALUE_OPTIONS = ("--instantiate", "--orbit", "--direction", "--constant", "--g0", "--q")
+
+
+def _attach_dash_values(argv):
+    out = []
+    for word in argv:
+        if out and out[-1] in FREE_VALUE_OPTIONS and word.startswith("-") and not word.startswith("--"):
+            out[-1] = f"{out[-1]}={word}"
+        else:
+            out.append(word)
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(
         prog="cycloper",
@@ -311,7 +327,7 @@ def main(argv=None):
     ap.add_argument("--constant", default=None, help="Riccati integration constant")
     ap.add_argument("--g0", default=None, help="coordinates on the theta-fixed nilpotent basis")
     ap.add_argument("--q", default=None, help="cover power for lift-cover")
-    args = ap.parse_args(argv)
+    args = ap.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
     try:
         problem = parse_problem(args.problem, parse_instantiate(args.instantiate))
         result = HANDLERS[args.command](problem, args)

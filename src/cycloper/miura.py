@@ -73,6 +73,28 @@ class MiuraOper:
         power of the cover t = u^q on which the oper is monodromy-free."""
         return -self.residue_coweight(0)
 
+    @cached_property
+    def generic_half(self):
+        """The g0-independent half of reproduce_generic, for a rational
+        dominant lam0 with denominator q: (fund, images).  fund is the
+        solve_fundamental result (torus, Z) of the regularised connection
+        on the cover t = u^q, or its MonodromyObstruction; images maps each
+        index i of h + n to e^{-ad Z} e_i (None with the obstruction)."""
+        lam0 = self.lam0
+        q = lam0.denominator()
+        conn2, ctx2 = lift_to_cover(self.connection(), q)
+        reg = regularize(conn2, lam0.scale(Fraction(q))).with_shape("b-")
+        # on the q-sheeted cover (t = u^q) the points of the oper are no poles
+        fund = solve_fundamental(reg, extra_points=self.points if q == 1 else ())
+        if isinstance(fund, MonodromyObstruction):
+            return fund, None
+        alg = ctx2.alg
+        F2 = ctx2.functions
+        minus_Z = [-z for z in fund[1]]
+        images = {i: alg.ad_series(minus_Z, [F2.one if j == i else F2.zero for j in range(alg.dim)], F2)
+                  for i, h in enumerate(alg.height_of) if h >= 0}
+        return fund, images
+
     def is_cyclotomic(self) -> bool:
         return is_equivariant(self.connection(), self.ctx.varsigma)
 
@@ -435,7 +457,10 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     """Thm-style generic reproduction: solve the regularised connection,
     factor Y g0^-1 = n^-1 Y~, and conjugate n back by the torus.
 
-    g0: the log X0 of g0 = e^X0, an algebra vector in n^theta."""
+    g0: the log X0 of g0 = e^X0, a constant algebra vector in n^theta.
+    The solve and e^{-ad Z} on h + n depend on the oper alone and are
+    computed once per oper object (MiuraOper.generic_half); each call
+    checks g0 before it reads them."""
     ctx = miura.ctx
     alg = ctx.alg
     K = ctx.scalars
@@ -445,26 +470,36 @@ def reproduce_generic(miura: MiuraOper, g0) -> ReproductionResult:
     if not lam0.is_dominant():
         raise ValidationError("lam0 must be dominant")
     q = lam0.denominator()
-    conn2, ctx2 = lift_to_cover(miura.connection(), q)
     lam_reg = lam0.scale(Fraction(q))
-    theta = theta_for(miura)
+    ctx2 = ctx.cover(q)
     F2 = ctx2.functions
     K2 = ctx2.scalars
     X0 = [F2.coerce(c) for c in g0]
     if any(X0[i] for i in range(alg.dim) if alg.height_of[i] <= 0):
         raise FixedPointViolation("g0 must be unipotent (supported on n)")
-    if theta.apply_vec(X0, F2) != X0:
+    for i, x in enumerate(X0):
+        if not x.is_constant():
+            raise FixedPointViolation(f"g0 must be constant: its E{list(alg.basis[i][1])} entry is {x}")
+    if theta_for(miura).apply_vec(X0, F2) != X0:
         raise FixedPointViolation("g0 is not vartheta-fixed")
-    reg = regularize(conn2, lam_reg).with_shape("b-")
-    # on the q-sheeted cover (t = u^q) the points of miura are no poles
-    fund = solve_fundamental(reg, extra_points=miura.points if q == 1 else ())
+    fund, images = miura.generic_half
     if isinstance(fund, MonodromyObstruction):
-        raise fund
+        # one cached value, raised on every call: drop the last call's frames
+        raise fund.with_traceback(None)
+
+    def act(v):
+        """Ad_{e^X0} Ad_{e^-Z} v for v in h + n, from the images of the basis."""
+        w = alg.vec_zero(F2)
+        for i, c in enumerate(v):
+            if c:
+                img = images[i] if c == F2.one else [c * b if b else b for b in images[i]]
+                w = [a + b if b else a for a, b in zip(w, img)]
+        return alg.ad_series(X0, w, F2)
+
     # Y g0^-1 = D M with M = e^Z e^-X0: factor M = e^-X b from its inverse
     # action Ad_{e^X0} Ad_{e^-Z}, then n = e^{Ad_D X} since D e^-X = e^{-Ad_D X} D
     torus, Z = fund
-    minus_Z = [-z for z in Z]
-    logn = gauss_factorize(ctx2, lambda v: alg.ad_series(X0, alg.ad_series(minus_Z, v, F2), F2))
+    logn = gauss_factorize(ctx2, act)
     for mu, base in torus:
         logn = torus_conjugate_vec(ctx2, logn, mu, base)
     # initial-value certificate: the regularised gauge parameter at 0 is

@@ -91,7 +91,8 @@ def solve_fundamental(conn: Connection, extra_points=()):
 
 def gauss_factorize(ctx, act):
     """X in n with M = e^-X b for some b in B_-, given the inverse action
-    act(v) = Ad_{M^-1} v on Lie vectors over ctx.functions.
+    act(v) = Ad_{M^-1} v on Lie vectors over ctx.functions, which is
+    called on rho and on the e_alpha of n only (v in h + n).
 
     Ad_{b^-1} rho = Ad_{M^-1} e^{-ad X} rho lies in rho + n_-, and
     e^{-ad X} rho = rho + p with p in n.  So the positive part of

@@ -206,24 +206,26 @@ def generic_factor_by_columns(ctx, fund, g0):
 @pytest.fixture
 def column_route(monkeypatch):
     """Checks every reproduce_generic call against the b_- column route:
-    records the working context and fundamental solution of each call;
-    check(res, g0) asserts that res.factor_n equals the column-route factor
-    entry by entry."""
+    records the fundamental solution solved on each working context (the
+    oper's context, or its cover); check(res, g0) reads the one of
+    res.old's working context, without consuming it, since later calls on
+    the same oper reuse that solve, and asserts that res.factor_n equals
+    the column-route factor entry by entry."""
     import cycloper.miura as miura_mod
 
     real = miura_mod.solve_fundamental
-    seen = []
+    seen = {}
 
     def recorded(conn, *args, **kw):
         out = real(conn, *args, **kw)
-        seen.append((conn.ctx, out))
+        seen[conn.ctx] = out
         return out
 
     monkeypatch.setattr(miura_mod, "solve_fundamental", recorded)
 
     def check(res, g0):
-        ctx, fund = seen.pop()
-        want = generic_factor_by_columns(ctx, fund, g0)
+        ctx = res.old.ctx.cover(res.cover_power)
+        want = generic_factor_by_columns(ctx, seen[ctx], g0)
         assert len(res.factor_n) == len(want)
         for got, exp in zip(res.factor_n, want):
             assert got == exp

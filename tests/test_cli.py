@@ -203,6 +203,24 @@ def test_reproduce_generic_command_on_the_cover(capsys):
     assert data["ledger"]["0"]["before"] == data["ledger"]["0"]["after"] == ["-1/2", "-1/2"]
 
 
+@pytest.mark.parametrize(
+    "problem, extra, option, value",
+    [
+        ("minimal_a1.json", ["--orbit", "1"], "--constant", "-1/3"),
+        ("sl3_origin.json", ["--instantiate", "eta=1"], "--g0", "-1"),
+        ("sl3_origin.json", ["--instantiate", "eta=1"], "--g0", "-1,2"),
+    ],
+)
+def test_option_values_may_start_with_a_minus(capsys, problem, extra, option, value):
+    """A value that starts with "-" may follow its option as a word of its
+    own: the same stdout and exit code as the --option=value form."""
+    head = ["--problem", fx(problem), "--command", "reproduce", *extra]
+    got = main(head + [option, value]), capsys.readouterr()
+    want = main(head + [f"{option}={value}"]), capsys.readouterr()
+    assert got[0] == want[0] and got[1].out == want[1].out
+    assert "expected one argument" not in got[1].err
+
+
 def test_flag_cells_command_on_the_cover(capsys):
     out, _ = run_cli(capsys, [
         "--problem", fx("sl3_origin.json"),

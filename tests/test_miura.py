@@ -645,6 +645,104 @@ def test_generic_certificate_failure_is_typed(monkeypatch):
         reproduce_generic(m, [x + y for x, y in zip(E1, E2)])
 
 
+def _reuse_case(case):
+    """(a fresh oper, three vartheta-fixed g0) for the reuse test."""
+    if case == "sites":
+        ctx, m = _two_site_miura()
+    elif case == "cover":
+        ctx, m = _half_integral_miura()
+    else:
+        ctx, m = sl3_miura(2, 1)
+    basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    return m, [[c * x for x in basis[0]] for c in (Fraction(1), Fraction(-3, 2), Fraction(2))]
+
+
+@pytest.mark.parametrize("case", ["A2-T2", "cover", "sites"])
+def test_generic_half_is_solved_once_per_oper(case, monkeypatch):
+    """Three g0 in two orders on one MiuraOper give what a fresh oper per
+    g0 gives; the fundamental solution is solved once per oper object,
+    while the read check and the reassembly run on every call; an oper
+    made by dataclasses.replace solves its own."""
+    import dataclasses
+
+    import cycloper.miura as miura_mod
+    import cycloper.solve as solve_mod
+
+    def fields(res):
+        return res.gauge, res.new.u_coroot, res.ledger, res.factor_n
+
+    m, g0s = _reuse_case(case)
+    fresh = [fields(reproduce_generic(_reuse_case(case)[0], g0)) for g0 in g0s]
+    calls = {"solve_fundamental": 0, "_checked_log": 0, "_reproduced": 0}
+    for mod, name in ((miura_mod, "solve_fundamental"), (solve_mod, "_checked_log"),
+                      (miura_mod, "_reproduced")):
+        def counted(*args, _real=getattr(mod, name), _name=name, **kw):
+            calls[_name] += 1
+            return _real(*args, **kw)
+        monkeypatch.setattr(mod, name, counted)
+    for order in (range(3), reversed(range(3))):
+        for i in order:
+            assert fields(reproduce_generic(m, g0s[i])) == fresh[i]
+    assert calls == {"solve_fundamental": 1, "_checked_log": 6, "_reproduced": 6}
+    copy = dataclasses.replace(m)
+    assert fields(reproduce_generic(copy, g0s[1])) == fresh[1]
+    assert calls["solve_fundamental"] == 2
+    assert copy.generic_half is not m.generic_half
+
+
+def test_generic_rejects_a_t_dependent_g0_before_solving(monkeypatch):
+    """A non-constant entry of g0 is a FixedPointViolation (exit 11) that
+    names the entry, raised before the oper's fundamental solution."""
+    import cycloper.miura as miura_mod
+
+    def unreachable(*args, **kw):
+        raise AssertionError("solve_fundamental ran for a t-dependent g0")
+
+    monkeypatch.setattr(miura_mod, "solve_fundamental", unreachable)
+    ctx, m = sl3_miura(2, 1)
+    F = ctx.functions
+    alg = ctx.alg
+    E1 = alg.vec_E(alg.simple_root(0), F)
+    E2 = alg.vec_E(alg.simple_root(1), F)
+    with pytest.raises(FixedPointViolation, match=r"constant: its E\[0, 1\] entry is t\^2 \+ 1") as info:
+        reproduce_generic(m, [(1 + F.gen ** 2) * (x + y) for x, y in zip(E1, E2)])
+    assert info.value.exit_code == 11
+    assert "generic_half" not in vars(m)
+
+
+def test_generic_errors_keep_their_order(monkeypatch):
+    """lam0 errors, then g0 errors, then the MonodromyObstruction of the
+    fundamental solution, which is solved once and raised on every call."""
+    import cycloper.miura as miura_mod
+    from cycloper.errors import MonodromyObstruction
+
+    real = miura_mod.solve_fundamental
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(miura_mod, "solve_fundamental", counted)
+    ctx = OperContext("A1", ScalarTower.get(1))
+    F = ctx.functions
+    E = ctx.alg.vec_E(ctx.alg.simple_root(0), F)
+    # the half-integral site residue obstructs the torus part of Y
+    m = build_miura(ctx, Coweight((Fraction(1),)), sites=[(3, Coweight((Fraction(1, 2),)))])
+    with pytest.raises(FixedPointViolation, match="unipotent"):
+        reproduce_generic(m, [F.one] * ctx.alg.dim)
+    assert not calls
+    for _ in range(2):
+        with pytest.raises(MonodromyObstruction, match="res_"):
+            reproduce_generic(m, E)
+    assert len(calls) == 1
+    with pytest.raises(FixedPointViolation, match="constant"):
+        reproduce_generic(m, [F.gen * x for x in E])
+    bad = build_miura(ctx, Coweight((Fraction(-1),)), sites=[(3, Coweight((Fraction(1, 2),)))])
+    with pytest.raises(ValidationError, match="dominant"):
+        reproduce_generic(bad, [F.gen * x for x in E])
+
+
 def test_generic_reproduction_with_sites():
     """The factorisation route on a two-pole instance: the fundamental
     solution picks up a torus factor from the site residues."""
