@@ -156,6 +156,8 @@ class AlgebraAut:
         T = tower.order if tower is not None else nu.order
         if not self._power_is_identity(T):
             raise OrderMismatch(f"automorphism order does not divide {T}")
+        # theta_fixed_nilpotent's (basis, report), built on its first call
+        self._fixed_nilpotent = None
 
     def _power_is_identity(self, k):
         """sigma^k = id: each basis vector comes back to itself with factor 1."""
@@ -231,7 +233,16 @@ def as_int(x):
 
 def theta_fixed_nilpotent(alg, theta: AlgebraAut):
     """Exact basis of the theta-fixed subspace of n, plus a per-nu-orbit
-    report of whether the orbit's root subgroup contributes a fixed vector."""
+    report of whether the orbit's root subgroup contributes a fixed vector,
+    for a twist theta of alg.  Built once per twist; each call returns
+    fresh lists, so a caller may change them."""
+    if theta._fixed_nilpotent is None:
+        theta._fixed_nilpotent = _build_fixed_nilpotent(alg, theta)
+    basis, report = theta._fixed_nilpotent
+    return [list(v) for v in basis], [dict(r, fixed_basis=[list(v) for v in r["fixed_basis"]]) for r in report]
+
+
+def _build_fixed_nilpotent(alg, theta):
     pos_indices = [alg.index_E[r] for r in alg.pos_roots]
     basis = theta.fixed_subspace(pos_indices)
     report = []

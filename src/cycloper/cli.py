@@ -302,10 +302,20 @@ def render_text(result):
 FREE_VALUE_OPTIONS = ("--instantiate", "--orbit", "--direction", "--constant", "--g0", "--q")
 
 
-def _attach_dash_values(argv):
+def _attach_dash_values(argv, names):
+    """argv with each free-value option followed by a word that starts
+    with a single "-" joined to it by "=".  An option may be abbreviated
+    as argparse allows, to a prefix of exactly one of the parser's option
+    names; an ambiguous prefix is left for argparse to reject."""
+    def full_name(word):
+        if word in names:
+            return word
+        hits = [n for n in names if n.startswith(word)] if word.startswith("--") else []
+        return hits[0] if len(hits) == 1 else None
+
     out = []
     for word in argv:
-        if out and out[-1] in FREE_VALUE_OPTIONS and word.startswith("-") and not word.startswith("--"):
+        if out and word.startswith("-") and not word.startswith("--") and full_name(out[-1]) in FREE_VALUE_OPTIONS:
             out[-1] = f"{out[-1]}={word}"
         else:
             out.append(word)
@@ -327,7 +337,9 @@ def main(argv=None):
     ap.add_argument("--constant", default=None, help="Riccati integration constant")
     ap.add_argument("--g0", default=None, help="coordinates on the theta-fixed nilpotent basis")
     ap.add_argument("--q", default=None, help="cover power for lift-cover")
-    args = ap.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv))
+    # argparse keeps every option string of the parser in this dict
+    names = list(ap._option_string_actions)
+    args = ap.parse_args(_attach_dash_values(sys.argv[1:] if argv is None else argv, names))
     try:
         problem = parse_problem(args.problem, parse_instantiate(args.instantiate))
         result = HANDLERS[args.command](problem, args)

@@ -97,7 +97,8 @@ def flag_position(base: MiuraOper, X) -> FlagPoint:
             if v:
                 coords[r] = v
         W = wctx.weyl
-        return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(inversion_set(alg, W.longest)))
+        # the big cell's roots R(w_o) are all the positive roots
+        return FlagPoint(w=W.identity, coordinates=coords, cell_roots=tuple(alg.pos_roots))
     F = wctx.functions
     units = [[F.one if i == j else F.zero for i in range(alg.dim)] for j in range(alg.dim)]
     cols = [alg.ad_series(Xr, e, F) for e, h in zip(units, alg.height_of) if h <= 0]

@@ -81,6 +81,36 @@ def rref(K, rows, ncols=None):
     return rows, pivots
 
 
+def solve_square(K, A, b):
+    """The solution x of the square system A x = b, or None when A is
+    singular (some column has no pivot).  Forward elimination with rref's
+    pivot rule (the first nonzero entry at or below the diagonal), then back
+    substitution.  Pivot rows are not scaled: each elimination divides by
+    the pivot once, and so does each unknown."""
+    n = len(A)
+    rows = [list(A[i]) + [b[i]] for i in range(n)]
+    for c in range(n):
+        pr = next((i for i in range(c, n) if rows[i][c]), None)
+        if pr is None:
+            return None
+        rows[c], rows[pr] = rows[pr], rows[c]
+        piv = rows[c]
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            if f:
+                f = f / piv[c]
+                rows[i] = [a - f * p if p else a for a, p in zip(rows[i], piv)]
+    x = [K.zero] * n
+    for c in range(n - 1, -1, -1):
+        row = rows[c]
+        acc = row[n]
+        for j in range(c + 1, n):
+            if row[j] and x[j]:
+                acc = acc - row[j] * x[j]
+        x[c] = acc / row[c]
+    return x
+
+
 def solve_linear(K, A, b):
     """One solution x of A x = b, or None if inconsistent.  Free variables
     are set to zero."""

@@ -746,6 +746,14 @@ class RatFunc:
         n1, d1, n2, d2 = a._n, a._d, o._n, o._d
         if not n1 or not n2:
             return F.zero
+        if isinstance(R, PackedRing):
+            # a constant factor is a unit of K[t]: the other factor keeps its
+            # canonical denominator, and only the integer content is reduced
+            w = R.width
+            if len(d2) == 1 and len(n2) <= w:
+                return _rf(F, *_vlowest(R.mul(n1, n2), 1, a._c * o._c), d1)
+            if len(d1) == 1 and len(n1) <= w:
+                return _rf(F, *_vlowest(R.mul(n1, n2), 1, a._c * o._c), d2)
         # cross-cancel: products of reduced fractions reduce via the two
         # cross gcds only
         rn, rd = R.lead(d1) * R.lead(d2), a._c * o._c
@@ -896,10 +904,13 @@ class RatFunc:
     def subs_power(self, q, target_field=None):
         """f(u^q) in the field of target_field (default: same field), the
         q-sheeted-cover pullback of the bare function (the caller owns the
-        q u^(q-1) du Jacobian for differentials)."""
+        q u^(q-1) du Jacobian for differentials).  For q = 1 into its own
+        field it is self."""
         if q < 1:
             raise ValueError("q must be >= 1")
         tf = target_field or self.field
+        if q == 1 and tf is self.field:
+            return self
         K = tf.coeff
 
         def spread(cs):
@@ -912,8 +923,11 @@ class RatFunc:
 
     def descend_power(self, q, target_field=None):
         """Inverse of subs_power: rewrite f(u) as g(t) with t = u^q.
-        Requires every exponent of num and den to be divisible by q."""
+        Requires every exponent of num and den to be divisible by q.  For
+        q = 1 into its own field it is self."""
         tf = target_field or self.field
+        if q == 1 and tf is self.field:
+            return self
         K = tf.coeff
 
         def take(cs):

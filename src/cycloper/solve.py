@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .connection import Connection, exp_gauge, torus_conjugate_vec, torus_frame
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
-from .linalg import rref
+from .linalg import solve_square
 from .ratfunc import clear, poles_of, rational_antiderivative
 from .weyl import h_to_coweight
 
@@ -112,13 +112,12 @@ def gauss_factorize(ctx, act):
     rho = [F.coerce(x) for x in alg.rho]
     r = act(rho)
     cols = [act([F.one if j == i else F.zero for j in range(alg.dim)]) for i in pos]
-    n = len(pos)
-    red, pivots = rref(F, [[c[i] for c in cols] + [-r[i]] for i in pos], ncols=n)
-    if len(pivots) < n:
+    ps = solve_square(F, [[c[i] for c in cols] for i in pos], [-r[i] for i in pos])
+    if ps is None:
         raise NotInOpenCell("the solve for p is singular: M is not in the big cell")
     w = list(rho)
-    for row, i in zip(red, pos):
-        w[i] = row[n]
+    for x, i in zip(ps, pos):
+        w[i] = x
     # read and checked on polynomials in the torus frame of w, which fixes
     # rho; the certificate as L y = L rho on h + n, L = s^theta, which
     # every s^alpha divides

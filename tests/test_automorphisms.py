@@ -176,3 +176,37 @@ def test_every_twist_preserves_brackets(label, T, cycles):
     assert twists[-1].K is ctx.cover(2).scalars
     for aut in twists:
         assert aut.verify_bracket_preservation()
+
+
+def test_theta_basis_is_built_once_per_twist(monkeypatch):
+    """theta_fixed_nilpotent runs fixed_subspace once for n and once per
+    nu-orbit on its first call for a twist, and never again for it; what
+    it returns is the caller's own, so changing it leaves the next call's
+    result unchanged.  A second twist builds its own."""
+    g = build_algebra("A3")
+    nu = DiagramAut.from_cycles(3, [[1, 3]])
+    ctx = OperContext(g, ScalarTower.get(4), nu)
+    th = ctx.vartheta(Coweight((Fraction(1),) * 3))
+    calls = []
+    real = AlgebraAut.fixed_subspace
+
+    def counted(self, indices, K=None):
+        calls.append(self)
+        return real(self, indices, K)
+
+    monkeypatch.setattr(AlgebraAut, "fixed_subspace", counted)
+    basis, report = theta_fixed_nilpotent(g, th)
+    assert calls == [th] * (1 + len(nu.orbits()))
+    want = ([list(v) for v in basis], [dict(r, fixed_basis=[list(v) for v in r["fixed_basis"]]) for r in report])
+    assert basis and any(r["fixed_basis"] for r in report)
+    basis[0][0] = th.K.one
+    basis.append(basis[0])
+    next(r for r in report if r["fixed_basis"])["fixed_basis"][0].clear()
+    report[0]["orbit"] = ()
+    report.pop()
+    assert theta_fixed_nilpotent(g, th) == want
+    assert theta_fixed_nilpotent(g, th) == want
+    assert len(calls) == 1 + len(nu.orbits())
+    other = ctx.vartheta(Coweight((Fraction(2),) * 3))
+    theta_fixed_nilpotent(g, other)
+    assert calls[1 + len(nu.orbits()):] == [other] * (1 + len(nu.orbits()))

@@ -209,16 +209,29 @@ def test_reproduce_generic_command_on_the_cover(capsys):
         ("minimal_a1.json", ["--orbit", "1"], "--constant", "-1/3"),
         ("sl3_origin.json", ["--instantiate", "eta=1"], "--g0", "-1"),
         ("sl3_origin.json", ["--instantiate", "eta=1"], "--g0", "-1,2"),
+        ("minimal_a1.json", ["--orbit", "1"], "--const", "-1/3"),
+        ("minimal_a1.json", ["--orbit", "1"], "--con", "-1/3"),
+        ("sl3_origin.json", ["--instantiate", "eta=1"], "--g", "-1"),
+        ("sl3_origin.json", ["--instantiate", "eta=1"], "--g", "-1,2"),
     ],
 )
 def test_option_values_may_start_with_a_minus(capsys, problem, extra, option, value):
     """A value that starts with "-" may follow its option as a word of its
-    own: the same stdout and exit code as the --option=value form."""
+    own, the option abbreviated as argparse allows: the same stdout and
+    exit code as the --option=value form."""
     head = ["--problem", fx(problem), "--command", "reproduce", *extra]
     got = main(head + [option, value]), capsys.readouterr()
     want = main(head + [f"{option}={value}"]), capsys.readouterr()
     assert got[0] == want[0] and got[1].out == want[1].out
     assert "expected one argument" not in got[1].err
+
+
+def test_an_ambiguous_option_prefix_is_left_to_argparse(capsys):
+    """--c matches --command and --constant: argparse's own error, exit 2."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--problem", fx("minimal_a1.json"), "--command", "reproduce", "--orbit", "1", "--c", "-1/3"])
+    assert exc.value.code == 2
+    assert "ambiguous option: --c could match --command, --constant" in capsys.readouterr().err
 
 
 def test_flag_cells_command_on_the_cover(capsys):

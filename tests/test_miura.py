@@ -606,23 +606,23 @@ def test_generic_factor_matches_the_column_route(case, column_route):
 
 
 @pytest.mark.parametrize("label", ["A2", "A3"])
-def test_generic_reproduction_runs_one_rref_of_one_column_per_positive_root(label, monkeypatch):
+def test_generic_reproduction_runs_one_square_solve_per_positive_root(label, monkeypatch):
     """The generic factor is one |n| x |n| solve: no b_- columns."""
     import cycloper.solve as solve_mod
 
     ctx, m = sl3_miura(2, 1) if label == "A2" else sl4_miura_at(1, 1, 1, 3)
     basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
     calls = []
-    real = solve_mod.rref
+    real = solve_mod.solve_square
 
-    def counted(K, rows, ncols=None):
-        calls.append((len(rows), ncols, {len(r) for r in rows}))
-        return real(K, rows, ncols)
+    def counted(K, A, b):
+        calls.append((len(A), {len(r) for r in A}, len(b)))
+        return real(K, A, b)
 
-    monkeypatch.setattr(solve_mod, "rref", counted)
+    monkeypatch.setattr(solve_mod, "solve_square", counted)
     reproduce_generic(m, [sum(xs) for xs in zip(*basis)])
     n = len(ctx.alg.pos_roots)
-    assert calls == [(n, n, {n + 1})]
+    assert calls == [(n, {n}, n)]
 
 
 def test_generic_certificate_failure_is_typed(monkeypatch):
@@ -1032,3 +1032,25 @@ def test_zero_miura_oper_pairs_in_its_field(tmp_path):
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_a2_cover_route_answers_are_pinned():
+    """A2 at T = 2 with lam0 = (1/2, 1/2) goes through the cover t = u^2,
+    where no q = 1 substitution applies: its answers for two g0 stay as
+    recorded (new u, the gauge and the flag position)."""
+    from cycloper.flags import flag_position
+
+    ctx, m = sl3_miura(2, Fraction(1, 2))
+    (b,), _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
+    want = {
+        1: (["(5/2*t^3 + 9/4) / (t^4 + (-9/2)*t)", "(5/2*t^3 + (-9/4)) / (t^4 + 9/2*t)"],
+            "3*t^2 / (t^3 + 9/2)", "3*t^2 / (t^3 + (-9/2))", "(-81/4)*t / (t^6 + (-81/4))", "1"),
+        Fraction(-3, 2): (["(5/2*t^3 + (-3/2)) / (t^4 + 3*t)", "(5/2*t^3 + 3/2) / (t^4 + (-3)*t)"],
+                          "3*t^2 / (t^3 + (-3))", "3*t^2 / (t^3 + 3)", "27/2*t / (t^6 + (-9))", "-3/2"),
+    }
+    for c, (u, *gauge, coord) in want.items():
+        res = reproduce_generic(m, [c * x for x in b])
+        assert res.cover_power == 2
+        assert [str(x) for x in res.new.u_coroot] == u
+        assert [str(x) for x in res.gauge] == ["0"] * 5 + gauge
+        assert repr(flag_position(m, res.gauge)) == f"FlagPoint(w=W<e>, coords={{(1, 1): '{coord}'}})"

@@ -722,15 +722,22 @@ def test_only_the_exact_zero_is_false():
 
 # -- Hermite reduction against sympy's ratint_ratpart --------------------------
 
-SYMPY_ZETA = {1: sympy.Integer(1), 2: sympy.Integer(-1), 4: sympy.I}
+SYMPY_ZETA = {1: sympy.Integer(1), 2: sympy.Integer(-1), 3: (sympy.sqrt(3) * sympy.I - 1) / 2, 4: sympy.I,
+              6: (sympy.sqrt(3) * sympy.I + 1) / 2, 12: (sympy.sqrt(3) + sympy.I) / 2}
+
+
+def sympy_expr(cs, T):
+    """The polynomial with coefficients cs over Q(zeta_T) as a sympy
+    expression in t, zeta_T written out."""
+    return sum((sum((sympy.Rational(c.numerator, c.denominator) * SYMPY_ZETA[T] ** u
+                     for u, c in enumerate(x.coeffs)), sympy.Integer(0)) * TS ** i
+                for i, x in enumerate(cs)), sympy.Integer(0))
 
 
 def sympy_poly(cs, T):
     """The polynomial with coefficients cs over Q(zeta_T), T in 1, 2, 4, as
     a sympy Poly in t over Q or Q(i)."""
-    expr = sum((sum((sympy.Rational(c.numerator, c.denominator) * SYMPY_ZETA[T] ** u
-                     for u, c in enumerate(x.coeffs)), sympy.Integer(0)) * TS ** i
-                for i, x in enumerate(cs)), sympy.Integer(0))
+    expr = sympy_expr(cs, T)
     return sympy.Poly(expr, TS, extension=sympy.I) if T == 4 else sympy.Poly(expr, TS, domain=sympy.QQ)
 
 
@@ -767,3 +774,55 @@ def test_hermite_reduction_matches_sympy_ratint_ratpart(T, data):
     theirs_rational, theirs_log = ratint_ratpart(sympy_poly(f.num, T), sympy_poly(f.den, T), TS)
     assert sympy.cancel(as_sympy_fraction(rational, T) - theirs_rational) == 0
     assert sympy.cancel(as_sympy_fraction(A / S, T) - theirs_log) == 0
+
+
+# -- products with a constant factor and substitutions at q = 1 -----------------
+
+@pytest.mark.parametrize("T", [1, 2, 3, 4, 6, 12])
+def test_constant_factor_matches_the_general_product_and_sympy(T):
+    """c * f and f * c over Q(zeta_T) for rational, non-rational, negative
+    and zero constants c, on pinned draws of f whose numerator content
+    the product must reduce: equal, with equal hash, to the reduced
+    constructor on the coefficientwise product (a gcd and canon, the
+    general route), with f's denominator kept; and sympy's cancel of the
+    difference, zeta_T written out, is 0."""
+    rng = random.Random(T)
+    tw = ScalarTower.get(T)
+    F, K, t = tw.functions, tw.scalars, tw.t
+    zeta = K.coerce(tw.zeta)
+    q = lambda n, d: K.coerce(Fraction(n, d))
+    consts = [K.zero, q(3, 2), q(-6, 1), q(-2, 9), 3 * zeta, q(1, 4) - q(5, 6) * zeta]
+    consts += [q(rng.randint(-12, 12), rng.randint(1, 12)) + q(rng.randint(-6, 6), rng.randint(1, 6)) * zeta
+               for _ in range(6)]
+    pool = [F.zero, F.one, -F.one, F.coerce(zeta), F.coerce(2)]
+    pinned = (2 * t + 4) / (3 * (t - 1))
+    draws = [small_ratfunc(rng, tw, pool) * F.coerce(rng.choice((2, 6, Fraction(3, 4)))) for _ in consts]
+    for c, f in [(q(3, 2), pinned), (K.zero, pinned)] + list(zip(consts, draws)):
+        if not f:
+            continue
+        want = RatFunc(F, tuple(c * x for x in f.num), f.den)
+        for got in (F.coerce(c) * f, f * F.coerce(c)):
+            assert got == want and hash(got) == hash(want)
+            if c:
+                assert got._d is f._d
+        got_s = sympy_expr(got.num, T) / sympy_expr(got.den, T)
+        f_s = sympy_expr(f.num, T) / sympy_expr(f.den, T)
+        assert sympy.cancel(got_s - sympy_expr((c,), T) * f_s, extension=True) == 0
+    assert F.coerce(q(3, 2)) * pinned == (t + 2) / (t - 1)
+
+
+def test_power_substitutions_at_q1_are_the_identity():
+    """subs_power(1) and descend_power(1) into the element's own field are
+    the element itself; into another field they still convert it."""
+    f = (t ** 2 + 3) / (t ** 4 - z)
+    for g in (f, F.zero, F.one):
+        assert g.subs_power(1) is g and g.subs_power(1, F) is g
+        assert g.descend_power(1) is g and g.descend_power(1, F) is g
+    tw2 = ScalarTower.get(2)
+    F2, t2 = tw2.functions, tw2.t
+    F4 = tw2.cover(2).functions
+    h = (t2 ** 2 - 3) / (t2 + F2.coerce(Fraction(1, 2)))
+    up = h.subs_power(1, F4)
+    assert up.field is F4 and up == F4.from_coeffs(h.num, h.den)
+    down = up.descend_power(1, F2)
+    assert down.field is F2 and down == h

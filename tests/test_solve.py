@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fundamental_matrix, inverse_action, sl3_context
+from conftest import fundamental_matrix, inverse_action, run_under_O, sl3_context
 import cycloper.solve as solve
 from cycloper.chevalley import ChevalleyAlgebra
 from cycloper.connection import Connection, GroupElement, gauge_transform, regularize
 from cycloper.context import OperContext
 from cycloper.errors import MalformedOper, MonodromyObstruction, NotInOpenCell
+from cycloper.linalg import rref, solve_square
 from cycloper.solve import gauss_factorize, solve_fundamental
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, coweight_to_h
@@ -298,13 +299,69 @@ def test_gauss_certificate_catches_a_wrong_solution(monkeypatch):
     for n, r in enumerate(alg.pos_roots):
         nv[alg.index_E[r]] = F.coerce(n + 1) * t / (t - 2)
     act = inverse_action(GroupElement.exp(ctx, [-x for x in nv]))
-    real = solve.rref
+    real = solve.solve_square
 
-    def perturbed(K, rows, ncols=None):
-        red, pivots = real(K, rows, ncols)
-        red[0][ncols] = red[0][ncols] + F.gen
-        return red, pivots
+    def perturbed(K, A, b):
+        x = real(K, A, b)
+        x[0] = x[0] + F.gen
+        return x
 
-    monkeypatch.setattr(solve, "rref", perturbed)
+    monkeypatch.setattr(solve, "solve_square", perturbed)
     with pytest.raises(NotInOpenCell, match="certificate"):
         gauss_factorize(ctx, act)
+
+
+@pytest.mark.parametrize("T", [1, 3, 4, 12])
+def test_square_solve_matches_rref(T):
+    """solve_square gives the last column of rref on pinned nonsingular
+    systems over Q(zeta_T)(t): the first needs a row swap in its first
+    column, the third one in its second.  Singular systems give None."""
+    tw = ScalarTower.get(T)
+    F, t = tw.functions, tw.t
+    zeta, one, zero = F.coerce(tw.zeta), F.one, F.zero
+    systems = [
+        ([[zero, t, one], [t - zeta, one, zero], [one, zeta, t ** 2]], [one, t, zeta]),
+        ([[t / (t - 1), zeta, zero], [one, (t + zeta) / t, F.coerce(2)], [zeta * t, zero, one / (t + 2)]],
+         [zero, one, t]),
+        ([[one, one, t], [one, one, zeta], [zeta, t, one]], [t, one, zero]),
+    ]
+    for A, b in systems:
+        x = solve_square(F, A, b)
+        red, pivots = rref(F, [row + [c] for row, c in zip(A, b)], ncols=len(A))
+        assert pivots == list(range(len(A)))
+        assert x == [row[-1] for row in red]
+        assert [sum((a * y for a, y in zip(row, x)), zero) for row in A] == b
+    assert solve_square(F, [[one, t], [t, t ** 2]], [one, zero]) is None
+    assert solve_square(F, [[zero, one], [zero, zeta]], [one, t]) is None
+
+
+_SINGULAR_GAUSS_UNDER_O = """
+from cycloper.automorphisms import DiagramAut
+from cycloper.context import OperContext
+from cycloper.errors import NotInOpenCell
+from cycloper.solve import gauss_factorize
+from cycloper.tower import ScalarTower
+
+ctx = OperContext("A2", ScalarTower.get(2), DiagramAut.from_cycles(2, [[1, 2]]))
+F = ctx.functions
+heights = ctx.alg.height_of
+try:
+    gauss_factorize(ctx, lambda v: [x if h <= 0 else F.zero for x, h in zip(v, heights)])
+except NotInOpenCell as e:
+    if "singular" not in str(e):
+        raise SystemExit(f"wrong failure: {e}")
+else:
+    raise SystemExit("a singular Gauss solve went through")
+"""
+
+
+def test_singular_gauss_solve_is_not_in_the_open_cell():
+    """An inverse action that kills n makes the solve for p singular:
+    NotInOpenCell from the solve, in this process and under python -O."""
+    ctx = sl3_context(2)
+    F = ctx.functions
+    heights = ctx.alg.height_of
+    with pytest.raises(NotInOpenCell, match="singular"):
+        gauss_factorize(ctx, lambda v: [x if h <= 0 else F.zero for x, h in zip(v, heights)])
+    run = run_under_O(_SINGULAR_GAUSS_UNDER_O)
+    assert run.returncode == 0, run.stdout + run.stderr
