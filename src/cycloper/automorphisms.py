@@ -156,8 +156,10 @@ class AlgebraAut:
         T = tower.order if tower is not None else nu.order
         if not self._power_is_identity(T):
             raise OrderMismatch(f"automorphism order does not divide {T}")
-        # theta_fixed_nilpotent's (basis, report), built on its first call
+        # theta_fixed_nilpotent's (basis, report), built on its first call,
+        # and bethe.lambda0_weight per tower
         self._fixed_nilpotent = None
+        self._trace_weights = {}
 
     def _power_is_identity(self, k):
         """sigma^k = id: each basis vector comes back to itself with factor 1."""

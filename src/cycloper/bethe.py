@@ -99,10 +99,17 @@ class BetheSystemData:
 
 
 def lambda0_weight(alg, sigma: AlgebraAut, tower) -> Coweight:
-    """The trace weight lam0(h) = sum_{r=1}^{T-1} tr_n(sigma^-r ad_h)/(1-w^r).
+    """The trace weight lam0(h) = sum_{r=1}^{T-1} tr_n(sigma^-r ad_h)/(1-w^r),
+    for sigma a twist of alg: computed once per tower and kept on sigma."""
+    if tower not in sigma._trace_weights:
+        sigma._trace_weights[tower] = _trace_weight(alg, sigma, tower)
+    return sigma._trace_weights[tower]
 
-    sigma^-r maps the line of E_root to itself when the walk of E_root
-    along sigma^-1 is back after r steps: one walk per root serves every r."""
+
+def _trace_weight(alg, sigma, tower):
+    """lambda0_weight's sum.  sigma^-r maps the line of E_root to itself
+    when the walk of E_root along sigma^-1 is back after r steps: one walk
+    per root serves every r."""
     T = tower.order
     K = tower.scalars
     # sigma^-1 as (image, factor) data

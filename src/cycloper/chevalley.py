@@ -19,6 +19,7 @@ from .automorphisms import AlgebraAut
 from .cartan import CartanDatum
 from .errors import MalformedOper, NotFiniteType
 from .linalg import QQ, SparseMat, kernel_basis, mat_inverse, mat_mul, mat_vec, rref
+from .scalars import LRUCache
 
 
 class ChevalleyAlgebra:
@@ -106,9 +107,11 @@ class ChevalleyAlgebra:
         self._build_form()
 
         # splitting data for canonical forms, lazily built per (height, nu),
-        # and the diagram twist per nu
+        # the diagram twist per nu, and finite_canonical's (class, m) per
+        # (K, nu, X)
         self._split_cache = {}
         self._twists = {}
+        self._finite_classes = LRUCache()
 
     def solve_cartan_transpose(self, c, K=QQ):
         """m with A^T m = c, over K: the coroot coordinates of the h-element

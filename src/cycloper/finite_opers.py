@@ -136,21 +136,30 @@ def finite_canonical(alg, X, K=QQ, nu=None):
     """Unique representative of X in p_-1 + a (or p_-1 + a^nu) under N
     (resp. N^nu), plus the gauge parameter m with exp(ad_m)(canonical) = X.
 
-    The scalar case of slice_gauge: the gauge is exp(ad_m), with no
-    derivative term."""
-    X = [K.coerce(x) for x in X]
+    Kept per algebra: the first call for (K, nu, X) solves and checks, and
+    later calls read alg._finite_classes; each call returns a fresh list m.
+    Nothing is kept when the solve raises, so a malformed X raises on every
+    call."""
+    X = tuple(K.coerce(x) for x in X)
+    cls, m = alg._finite_classes.lookup((K, nu, X), lambda: _finite_canonical(alg, X, K, nu))
+    return cls, list(m)
+
+
+def _finite_canonical(alg, X, K, nu):
+    """The scalar case of slice_gauge: the gauge is exp(ad_m), with no
+    derivative term.  (class, m as a tuple)."""
     _check_oper_shape(alg, X, K)
     m, coeff_log = slice_gauge(alg, X, K, lambda m, v: alg.ad_series(m, v, K), nu=nu)
     if nu is None:
         coeffs = []
         for k in sorted(set(alg.exponents)):
             coeffs.extend(coeff_log.get(k, []))
-        return FiniteOperClass(tuple(alg.exponents), tuple(coeffs)), m
+        return FiniteOperClass(tuple(alg.exponents), tuple(coeffs)), tuple(m)
     exps, coeffs = [], []
     for h in range(1, alg.height_max + 1):
         exps.extend([h] * len(coeff_log[h]))
         coeffs.extend(coeff_log[h])
-    return FiniteOperClass(tuple(exps), tuple(coeffs), folded=True), m
+    return FiniteOperClass(tuple(exps), tuple(coeffs), folded=True), tuple(m)
 
 
 def class_of_coweight(alg, lam: Coweight, K=QQ, nu=None):

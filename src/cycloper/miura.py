@@ -74,6 +74,11 @@ class MiuraOper:
         return -self.residue_coweight(0)
 
     @cached_property
+    def res_inf(self) -> Coweight:
+        """The residue coweight at infinity, read once per oper."""
+        return self.residue_coweight(INFINITY)
+
+    @cached_property
     def generic_half(self):
         """The g0-independent half of reproduce_generic, for a rational
         dominant lam0 with denominator q: (fund, images).  fund is the
@@ -263,7 +268,7 @@ def _reproduced(old: MiuraOper, X):
     if exp_gauge(ctx, Y, framed(old), [L * y.derivative() for y in Y]) != framed(new):
         raise MalformedOper("gauge reassembly failed: g . (old Miura oper) is not the new one")
     return new, {ctx.scalars.zero: (-old.lam0, -new.lam0),
-                 INFINITY: (old.residue_coweight(INFINITY), new.residue_coweight(INFINITY))}
+                 INFINITY: (old.res_inf, new.res_inf)}
 
 
 def _transport(ctx, Y, steps):
@@ -322,8 +327,7 @@ def _check_simple_rules(ctx, old, new, k, f):
     """Residue bookkeeping of the single-direction reproduction."""
     W = ctx.weyl
     sk = W.simple(k)
-    before = old.residue_coweight(INFINITY)
-    after = new.residue_coweight(INFINITY)
+    before, after = old.res_inf, new.res_inf
     # the DIFFERENTIAL f dt has a pole at infinity iff val_inf(f) <= 1
     has_pole = bool(f) and f.valuation_at_infinity() <= 1
     _require(after == (sk.dot(before) if has_pole else before), "res_inf rule violated")

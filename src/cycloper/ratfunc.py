@@ -332,13 +332,18 @@ class PackedRing(_Ring):
 
     def scale(self, v, c):
         """(w, cd^n) with w = cd^n * v(c t), c = cn/cd, n = deg v: block i
-        times cn^i cd^(n-i)."""
+        times cn^i cd^(n-i); a zero block stays zero."""
         K, d = self.K, self.width
         n = (len(v) - 1) // d
+        zero = (0,) * d
         out, pw = [], K.one.num
         for i in range(n + 1):
-            f = c.den ** (n - i)
-            out += [x * f for x in K._mul((v[i * d:i * d + d] + (0,) * d)[:d], pw)]
+            block = v[i * d:i * d + d]
+            if any(block):
+                f = c.den ** (n - i)
+                out += [x * f for x in K._mul((block + zero)[:d], pw)]
+            else:
+                out += zero
             pw = K._mul(pw, c.num)
         return _vtrim(out), c.den ** n
 

@@ -124,12 +124,13 @@ def rho_coweight(rank):
 
 
 class WeylElement:
-    __slots__ = ("group", "word", "matrix")
+    __slots__ = ("group", "word", "matrix", "_inverse")
 
     def __init__(self, group, word, matrix):
         self.group = group
         self.word = tuple(word)  # 0-based generator indices
         self.matrix = matrix  # tuple of tuples (Fraction), acts on coords
+        self._inverse = None  # found on the first call of inverse()
 
     def __matmul__(self, other):
         if isinstance(other, WeylElement):
@@ -153,7 +154,9 @@ class WeylElement:
         return self.apply(lam + rho) - rho
 
     def inverse(self):
-        return self.group.by_matrix[_key(mat_inverse(QQ, self.matrix))]
+        if self._inverse is None:
+            self._inverse = self.group.by_matrix[_key(mat_inverse(QQ, self.matrix))]
+        return self._inverse
 
     @property
     def length(self):
@@ -213,6 +216,7 @@ class WeylGroup:
             frontier = new
         self.elements = sorted(elements, key=lambda w: (w.length, w.word))
         self.longest = max(elements, key=lambda w: w.length)
+        self._nu_invariant = {}  # W^nu per nu, found on first use
 
     def mult(self, w1, w2):
         return self.by_matrix[_key(mat_mul(QQ, w1.matrix, w2.matrix))]
@@ -238,7 +242,11 @@ class WeylGroup:
                                     for i in range(self.rank))]
 
     def nu_invariant_elements(self, nu):
-        return [w for w in self.elements if self.nu_action(nu, w) == w]
+        """W^nu in the order of self.elements: found once per nu, a fresh
+        list on each call."""
+        if nu not in self._nu_invariant:
+            self._nu_invariant[nu] = tuple(w for w in self.elements if self.nu_action(nu, w) == w)
+        return list(self._nu_invariant[nu])
 
     def __repr__(self):
         return f"WeylGroup(rank={self.rank}, order={len(self.elements)})"

@@ -295,6 +295,26 @@ def test_lambda0_is_computed_once_per_data_object(monkeypatch):
     assert len(builds) == 1
 
 
+def test_trace_weight_is_kept_per_twist_and_tower(monkeypatch):
+    """Two data objects on one context compute lam0 once, kept on their
+    twist; the same twist over a second tower computes its own."""
+    from cycloper import bethe
+
+    ctx = a2_folded(4)
+    towers = []
+    real = bethe._trace_weight
+    monkeypatch.setattr(bethe, "_trace_weight", lambda *a: towers.append(a[2]) or real(*a))
+    fund = Coweight((Fraction(1), Fraction(0)))
+    first = BetheSystemData(ctx, ctx.varsigma, [(1, fund)], [0], [3])
+    second = BetheSystemData(ctx, ctx.varsigma, [(2, fund)], [], [])
+    assert first.lam0 == second.lam0 == real(ctx.alg, ctx.varsigma, ctx.tower)
+    assert towers == [ctx.tower]
+    other = ScalarTower.get(4, ("z",))
+    assert lambda0_weight(ctx.alg, ctx.varsigma, other) == first.lam0
+    assert lambda0_weight(ctx.alg, ctx.varsigma, other) == first.lam0
+    assert towers == [ctx.tower, other]
+
+
 def test_dual_algebra_double():
     for lbl in ("A2", "B2", "G2", "D4"):
         g = build_algebra(lbl)

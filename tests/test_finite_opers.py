@@ -3,7 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import run_under_O
+
 from cycloper import canonical as canonical_module
+from cycloper import finite_opers
 from cycloper.automorphisms import DiagramAut
 from cycloper.canonical import canonical_representative
 from cycloper.chevalley import build_algebra
@@ -101,7 +104,8 @@ def test_malformed():
 
 def test_reassembly_failure_is_typed(monkeypatch):
     """A wrong graded split (centraliser part dropped) fails the reassembly
-    check with MalformedOper, which survives python -O."""
+    check with MalformedOper, which survives python -O.  The failure is
+    not kept: every call raises, and the true split then solves X."""
     g = build_algebra("A2")
     split = g.split_graded
 
@@ -112,8 +116,75 @@ def test_reassembly_failure_is_typed(monkeypatch):
     monkeypatch.setattr(g, "split_graded", drop_centraliser)
     X = [Fraction(c) for c in g.p_minus1]
     X[g.index_E[(1, 1)]] = Fraction(1)
-    with pytest.raises(MalformedOper, match="reassembly"):
+    for _ in range(2):
+        with pytest.raises(MalformedOper, match="reassembly"):
+            finite_canonical(g, X)
+    assert not g._finite_classes
+    monkeypatch.setattr(g, "split_graded", split)
+    cls, _ = finite_canonical(g, X)
+    assert cls == finite_opers._finite_canonical(build_algebra("A2"), tuple(X), QQ, None)[0]
+
+
+_REASSEMBLY_UNDER_O = """
+from fractions import Fraction
+from cycloper.chevalley import build_algebra
+from cycloper.errors import MalformedOper
+from cycloper.finite_opers import finite_canonical
+
+g = build_algebra("A2")
+split = g.split_graded
+
+
+def drop_centraliser(X, height, K, nu=None):
+    m, c, a = split(X, height, K, nu)
+    return m, g.vec_zero(K), a
+
+
+g.split_graded = drop_centraliser
+X = [Fraction(c) for c in g.p_minus1]
+X[g.index_E[(1, 1)]] = Fraction(1)
+for _ in range(2):
+    try:
         finite_canonical(g, X)
+    except MalformedOper as e:
+        print("MalformedOper", e)
+    else:
+        print("no error")
+"""
+
+
+def test_reassembly_failure_is_typed_under_O():
+    """The first call on a fresh algebra still solves and checks under
+    python -O, and so does the second."""
+    run = run_under_O(_REASSEMBLY_UNDER_O)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["MalformedOper canonical-form reassembly failed"] * 2
+
+
+def test_finite_classes_are_kept_per_algebra(monkeypatch):
+    """finite_canonical solves once per (K, nu, X) on an algebra: the same
+    class and m as the solve on a fresh algebra, a fresh m on every call,
+    and one entry per nu and per field."""
+    g = build_algebra("A3")
+    nu = DiagramAut.from_cycles(3, [[1, 3]])
+    K4 = CyclotomicField.get(4)
+    X = random_slice_target(g, QQ, nu, random.Random(7))
+    want_cls, want_m = finite_opers._finite_canonical(build_algebra("A3"), tuple(X), QQ, nu)
+    solves = []
+    real = finite_opers.slice_gauge
+    monkeypatch.setattr(finite_opers, "slice_gauge", lambda *a, **k: solves.append(1) or real(*a, **k))
+    cls, m = finite_canonical(g, X, QQ, nu)
+    assert (cls, m) == (want_cls, list(want_m)) and any(m)
+    m[0] = Fraction(99)
+    m.append(Fraction(1))
+    cls2, m2 = finite_canonical(g, [Fraction(x) for x in X], QQ, nu)
+    assert cls2 is cls and m2 == list(want_m) and len(solves) == 1
+    assert finite_canonical(g, X, QQ, nu)[1] is not m2
+    unfolded, _ = finite_canonical(g, X, QQ, None)
+    cls4, m4 = finite_canonical(g, X, K4, nu)
+    assert len(solves) == 3 and len(g._finite_classes) == 3
+    assert not unfolded.folded and cls.folded and cls4 == cls
+    assert m4 == [K4.coerce(x) for x in want_m]
 
 
 @pytest.mark.parametrize("label", ["A1", "A2", "A3", "A4", "B2", "G2", "D4"])

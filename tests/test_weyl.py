@@ -190,6 +190,33 @@ def test_w_nu_a2():
     assert W.from_word([0, 1, 0]) in els
 
 
+def test_w_nu_is_handed_out_fresh():
+    """W^nu is found once per nu and each call gets a list of its own."""
+    W = WeylGroup(CartanDatum.from_label("A3"))
+    nu = DiagramAut.from_cycles(3, [[1, 3]])
+    want = [w for w in W.elements if W.nu_action(nu, w) == w]
+    els = W.nu_invariant_elements(nu)
+    assert els == want and len(els) == 8
+    els.reverse()
+    els.append(W.simple(0))
+    again = W.nu_invariant_elements(nu)
+    assert again == want and again is not W.nu_invariant_elements(nu)
+    assert W.nu_invariant_elements(DiagramAut.identity(3)) == W.elements
+
+
+@pytest.mark.parametrize("label", ["A3", "B2", "G2"])
+def test_inverse_matches_the_matrix_inverse(label):
+    """The inverse kept on each element is the element of the inverse
+    matrix, on every element of the group."""
+    from cycloper.linalg import QQ, mat_inverse
+
+    W = WeylGroup(CartanDatum.from_label(label))
+    for w in W.elements:
+        inv = w.inverse()
+        assert inv is W.by_matrix[tuple(map(tuple, mat_inverse(QQ, w.matrix)))]
+        assert w.inverse() is inv and w @ inv == W.identity
+
+
 def test_coroot_to_coweight_keeps_the_field_of_its_input():
     """A zero input gives the zero of its own field, not Fraction(0)."""
     from cycloper.tower import ScalarTower
