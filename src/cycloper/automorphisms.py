@@ -181,25 +181,14 @@ class AlgebraAut:
                 out[self.image[i]] = c * K.coerce(self.factor[i])
         return out
 
-    def fixed_subspace(self, indices, K=None):
-        """Basis of the fixed subspace of span(basis[indices])."""
+    def fixed_subspace(self, vecs, K=None):
+        """Echelon basis of the fixed subspace of the sigma-stable span of the
+        independent vectors vecs: the kernel of the columns sigma v - v, on
+        the coordinates where one of them is nonzero, spread over vecs."""
         K = K or self.K
-        idx_pos = {idx: p for p, idx in enumerate(indices)}
-        # (sigma - 1) as a matrix acting on coordinate vectors over indices
-        m2 = [[K.zero] * len(indices) for _ in range(len(indices))]
-        for p, idx in enumerate(indices):
-            img, f = self.image[idx], self.factor[idx]
-            if img in idx_pos:
-                m2[idx_pos[img]][p] = m2[idx_pos[img]][p] + K.coerce(f)
-            m2[p][p] = m2[p][p] - K.one
-        kb = kernel_basis(K, m2, ncols=len(indices))
-        out = []
-        for v in kb:
-            w = self.alg.vec_zero(K)
-            for p, idx in enumerate(indices):
-                w[idx] = v[p]
-            out.append(w)
-        return out
+        moved = [[a - b for a, b in zip(self.apply_vec(v, K), v)] for v in vecs]
+        rows = [list(r) for r in zip(*moved) if any(r)]
+        return [self.alg.span_vec(x, vecs, K) for x in kernel_basis(K, rows, ncols=len(vecs))]
 
     def verify_bracket_preservation(self, samples=None):
         """sigma[x,y] = [sigma x, sigma y] on basis pairs (exact)."""
@@ -245,8 +234,7 @@ def theta_fixed_nilpotent(alg, theta: AlgebraAut):
 
 
 def _build_fixed_nilpotent(alg, theta):
-    pos_indices = [alg.index_E[r] for r in alg.pos_roots]
-    basis = theta.fixed_subspace(pos_indices)
+    basis = theta.fixed_subspace([alg.unit(alg.index_E[r], theta.K) for r in alg.pos_roots])
     report = []
     for orb in theta.nu.orbits():
         # indices of the orbit subalgebra: simple roots of the orbit, plus the
@@ -261,6 +249,6 @@ def _build_fixed_nilpotent(alg, theta):
                     k = alg.index_E[s]
                     if k not in idxs:
                         idxs.append(k)
-        fixed = theta.fixed_subspace(idxs)
+        fixed = theta.fixed_subspace([alg.unit(k, theta.K) for k in idxs])
         report.append({"orbit": tuple(i + 1 for i in orb), "fixed_dim": len(fixed), "fixed_basis": fixed})
     return basis, report

@@ -93,13 +93,17 @@ class CartanDatum:
                         raise NotFiniteType("off-diagonal entries must be <= 0")
                     if (A[i][j] == 0) != (A[j][i] == 0):
                         raise NotFiniteType("a_ij = 0 iff a_ji = 0 violated")
-        d = self._symmetrizer()
-        # positive definiteness of diag(d) A via leading principal minors
-        S = [[Fraction(d[i]) * A[i][j] for j in range(n)] for i in range(n)]
-        for k in range(1, n + 1):
-            minor = _det([row[:k] for row in S[:k]])
-            if minor <= 0:
+        # diag(d) A is positive definite iff its leading principal minors,
+        # those of A times positive d's, are positive (Sylvester), iff the
+        # pivots of elimination without row exchange, ratios of consecutive
+        # minors, are (Kac, Infinite-Dimensional Lie Algebras, ch. 4)
+        M = [[Fraction(x) for x in row] for row in A]
+        for c in range(n):
+            if M[c][c] <= 0:
                 raise NotFiniteType("symmetrized Cartan matrix is not positive definite")
+            for r in range(c + 1, n):
+                f = M[r][c] / M[c][c]
+                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
 
     @property
     def rank(self):
@@ -175,26 +179,3 @@ class CartanDatum:
             blocks.append(_type_matrix(letter, int(num)))
         return cls.from_rows(_block_diag(blocks))
 
-
-def _det(M):
-    M = [[Fraction(x) for x in row] for row in M]
-    n = len(M)
-    det = Fraction(1)
-    for c in range(n):
-        p = None
-        for r in range(c, n):
-            if M[r][c]:
-                p = r
-                break
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            M[c], M[p] = M[p], M[c]
-            det = -det
-        det *= M[c][c]
-        inv = 1 / M[c][c]
-        for r in range(c + 1, n):
-            if M[r][c]:
-                f = M[r][c] * inv
-                M[r] = [a - f * b for a, b in zip(M[r], M[c])]
-    return det

@@ -1,7 +1,8 @@
 """Semisimple Lie algebras from Cartan matrices.
 
-The Chevalley basis is built combinatorially: positive roots by height
-closure, then all structure constants N_{a,b} by Carter's extraspecial-pair
+The Chevalley basis is built combinatorially: the roots as the closure of
+the simple roots under the simple reflections (Humphreys, Lie Algebras,
+10.3), then all structure constants N_{a,b} by Carter's extraspecial-pair
 induction (extraspecial pairs get N = p+1; every other special pair follows
 from the standard triple/quadruple identities).  Elements are coefficient
 vectors over the graded basis
@@ -30,33 +31,22 @@ class ChevalleyAlgebra:
         A = cartan.matrix
         self.d = list(cartan.symmetrizer)  # (alpha_i, alpha_i)/2, long roots d=1
 
-        # ---- positive roots by height closure --------------------------------
-        pos = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
-        posset = set(pos)
-        frontier = list(pos)
+        # ---- roots: the simple roots closed under s_i b = b - <b, coroot_i> a_i
+        roots = {self.simple_root(i) for i in range(n)}
+        frontier = list(roots)
         while frontier:
             new = []
             for beta in frontier:
                 for i in range(n):
-                    pairing = sum(beta[j] * A[i][j] for j in range(n))  # <beta, coroot_i>
-                    q = 0
-                    cur = beta
-                    while True:
-                        cur = tuple(c - (1 if j == i else 0) for j, c in enumerate(cur))
-                        if cur in posset or (sum(cur) == 0 and all(c == 0 for c in cur)):
-                            q += 1
-                            if all(c == 0 for c in cur):
-                                break
-                        else:
-                            break
-                    if q - pairing > 0:
-                        cand = tuple(c + (1 if j == i else 0) for j, c in enumerate(beta))
-                        if cand not in posset:
-                            posset.add(cand)
-                            new.append(cand)
+                    pairing = sum(beta[j] * A[i][j] for j in range(n))
+                    cand = tuple(c - pairing if j == i else c for j, c in enumerate(beta))
+                    if cand not in roots:
+                        roots.add(cand)
+                        new.append(cand)
             frontier = new
-        self.pos_roots = sorted(posset, key=lambda r: (sum(r), r))
-        self._posset = posset
+        self._roots = roots
+        self._posset = {r for r in roots if min(r) >= 0}
+        self.pos_roots = sorted(self._posset, key=lambda r: (sum(r), r))
         self.n_pos = len(self.pos_roots)
         self.dim = 2 * self.n_pos + n
         self.height_max = sum(self.pos_roots[-1])
@@ -121,9 +111,7 @@ class ChevalleyAlgebra:
 
     # ------------------------------------------------------------------ roots --
     def is_root(self, r):
-        if r in self._posset:
-            return True
-        return tuple(-c for c in r) in self._posset
+        return r in self._roots
 
     def root_pairing(self, r, i):
         """<r, coroot_i> (0-based i)."""
@@ -157,7 +145,7 @@ class ChevalleyAlgebra:
         cur = b
         while True:
             cur = tuple(x - y for x, y in zip(cur, a))
-            if self.is_root(cur) and any(cur):
+            if self.is_root(cur):
                 k += 1
             else:
                 return k
@@ -186,13 +174,13 @@ class ChevalleyAlgebra:
                 # quadruple identity on (a1, b1, -a, -b)
                 total = Fraction(0)
                 s1 = tuple(x - y for x, y in zip(b1, a))  # b1 - a
-                if any(s1) and self.is_root(s1):
+                if self.is_root(s1):
                     t1 = self._N_any(b1, tuple(-x for x in a)) * self._N_any(
                         a1, tuple(-x for x in b)
                     )
                     total += t1 / self.root_form(s1, s1)
                 s2 = tuple(x - y for x, y in zip(a1, a))  # a1 - a
-                if any(s2) and self.is_root(s2):
+                if self.is_root(s2):
                     t2 = self._N_any(tuple(-x for x in a), a1) * self._N_any(
                         b1, tuple(-x for x in b)
                     )
@@ -364,8 +352,7 @@ class ChevalleyAlgebra:
                 self.p_minus1[self.index_F[r]] = Fraction(1)
         self.p1 = self.vec_zero()
         for i in range(n):
-            r = tuple(1 if j == i else 0 for j in range(n))
-            self.p1[self.index_E[r]] = self.two_rho_coeffs[i]
+            self.p1[self.index_E[self.simple_root(i)]] = self.two_rho_coeffs[i]
         self.rho = self.vec_zero()
         for i in range(n):
             self.rho[self.index_H[i]] = self.two_rho_coeffs[i] / 2
@@ -376,21 +363,9 @@ class ChevalleyAlgebra:
         self.centralizer_basis = []  # list of (k, vector)
         for k in range(1, self.height_max + 1):
             idxs = self.blocks.get(k, [])
-            nxt = self.blocks.get(k + 1, [])
-            rows = []
-            for t in nxt:
-                row = []
-                for j in idxs:
-                    col = ad_p1.rows[t]
-                    row.append(col.get(j, Fraction(0)))
-                rows.append(row)
-            kb = kernel_basis(QQ, rows, ncols=len(idxs)) if idxs else []
-            vecs = []
-            for v in kb:
-                w = self.vec_zero()
-                for j, c in zip(idxs, v):
-                    w[j] = c
-                vecs.append(w)
+            rows = [[ad_p1.rows[t].get(j, Fraction(0)) for j in idxs] for t in self.blocks.get(k + 1, [])]
+            units = [self.unit(j) for j in idxs]
+            vecs = [self.span_vec(v, units) for v in kernel_basis(QQ, rows, ncols=len(idxs))]
             if k == 1 and vecs:
                 # p1 itself is the distinguished grade-1 vector; extend by
                 # independent kernel vectors when the exponent has multiplicity
@@ -411,20 +386,20 @@ class ChevalleyAlgebra:
     def vec_zero(self, K=QQ):
         return [K.zero] * self.dim
 
-    def vec_E(self, r, K=QQ):
+    def unit(self, i, K=QQ):
+        """The basis vector of index i over K."""
         v = self.vec_zero(K)
-        v[self.index_E[tuple(r)]] = K.one
+        v[i] = K.one
         return v
+
+    def vec_E(self, r, K=QQ):
+        return self.unit(self.index_E[tuple(r)], K)
 
     def vec_F(self, r, K=QQ):
-        v = self.vec_zero(K)
-        v[self.index_F[tuple(r)]] = K.one
-        return v
+        return self.unit(self.index_F[tuple(r)], K)
 
     def vec_H(self, i, K=QQ):
-        v = self.vec_zero(K)
-        v[self.index_H[i]] = K.one
-        return v
+        return self.unit(self.index_H[i], K)
 
     def simple_root(self, i):
         """0-based i -> coefficient tuple."""
@@ -503,8 +478,7 @@ class ChevalleyAlgebra:
             return self._split_cache[key]
         idxs = self.blocks.get(height, [])
         if nu is None:
-            m_basis = [[Fraction(int(i == j)) for i in range(self.dim)]
-                       for j in self.blocks.get(height + 1, [])]
+            m_basis = [self.unit(j) for j in self.blocks.get(height + 1, [])]
             a_basis = [w for k, w in self.centralizer_basis if k == height]
         else:
             from .finite_opers import nu_fixed_block_basis, nu_fixed_centralizer_basis
@@ -590,14 +564,7 @@ def fundamental_rep(alg: ChevalleyAlgebra):
         return m
 
     def lie(a, b):
-        out = [[Fraction(0)] * size for _ in range(size)]
-        for i in range(size):
-            for j in range(size):
-                acc = Fraction(0)
-                for k in range(size):
-                    acc += a[i][k] * b[k][j] - b[i][k] * a[k][j]
-                out[i][j] = acc
-        return out
+        return [[x - y for x, y in zip(r, q)] for r, q in zip(mat_mul(QQ, a, b), mat_mul(QQ, b, a))]
 
     img = {}
     for i in range(n):

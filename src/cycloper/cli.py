@@ -21,7 +21,7 @@ from .miura import (
     riccati_solve,
     theta_for,
 )
-from .problems import parse_cover_power, parse_instantiate, parse_problem, parse_scalar
+from .problems import node_indices, parse_cover_power, parse_instantiate, parse_problem, parse_scalar
 from .ratfunc import INFINITY
 
 COMMANDS = (
@@ -120,6 +120,15 @@ def cmd_classify(problem, args):
     }
 
 
+def _option_node(word, rank, option):
+    """The 0-based node of the 1-based letter word of option, in 1..rank."""
+    try:
+        letter = int(word)
+    except ValueError:
+        raise ValidationError(f"{option}: letter {word!r} is not an integer") from None
+    return node_indices([letter], rank, option)[0]
+
+
 def cmd_reproduce(problem, args):
     m = _miura_of(problem)
     ctx = problem.ctx
@@ -148,8 +157,9 @@ def cmd_reproduce(problem, args):
     else:
         if not args.orbit:
             raise ValidationError("reproduce needs --orbit or --g0")
-        orbit = tuple(int(i) - 1 for i in args.orbit.split(","))
-        k = orbit[0] if args.direction is None else int(args.direction) - 1
+        rank = ctx.alg.rank
+        orbit = [_option_node(word, rank, "--orbit") for word in args.orbit.split(",")]
+        k = orbit[0] if args.direction is None else _option_node(args.direction, rank, "--direction")
         branch = args.branch or "regular"
         fold = ctx.folded
         oi = fold.orbit_index(k)

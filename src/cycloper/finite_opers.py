@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import MalformedOper
-from .linalg import QQ, kernel_basis
+from .linalg import QQ
 from .weyl import Coweight, coweight_to_h, rho_coweight
 
 
@@ -32,25 +32,12 @@ class FiniteOperClass:
 def nu_fixed_block_basis(alg, nu, height):
     """Echelon basis of the nu-fixed subspace of g_height (full-dim rational
     vectors)."""
-    idxs = alg.blocks.get(height, [])
-    if not idxs:
-        return []
-    return alg.diagram_twist(nu).fixed_subspace(idxs, QQ)
+    return alg.diagram_twist(nu).fixed_subspace([alg.unit(i) for i in alg.blocks.get(height, [])])
 
 
 def nu_fixed_centralizer_basis(alg, nu, height):
     """Echelon basis of a^nu cap g_height."""
-    vecs = [w for k, w in alg.centralizer_basis if k == height]
-    if not vecs:
-        return []
-    aut = alg.diagram_twist(nu)
-    idxs = alg.blocks.get(height, [])
-    cols = []
-    for w in vecs:
-        img = aut.apply_vec(w, QQ)
-        cols.append([img[idx] - w[idx] for idx in idxs])
-    mat = [[cols[j][i] for j in range(len(vecs))] for i in range(len(idxs))]
-    return [alg.span_vec(x, vecs) for x in kernel_basis(QQ, mat, ncols=len(vecs))]
+    return alg.diagram_twist(nu).fixed_subspace([w for k, w in alg.centralizer_basis if k == height])
 
 
 def slice_gauge(alg, target, K, gauge, deriv=None, nu=None):

@@ -10,7 +10,7 @@ from fractions import Fraction
 from .connection import torus_conjugate_vec
 from .context import OperContext
 from .errors import LimitUndefined, NotInOpenCell, ValidationError
-from .linalg import rref
+from .linalg import solve_linear
 from .miura import MiuraOper
 from .solve import _checked_log
 
@@ -46,8 +46,7 @@ def fixed_flag_cells(ctx: OperContext, theta) -> list:
     for w in W.nu_invariant_elements(ctx.nu):
         wow = W.mult(wo, w)
         roots = inversion_set(alg, wow)
-        idxs = [alg.index_E[r] for r in roots]
-        fixed = theta.fixed_subspace(idxs) if idxs else []
+        fixed = theta.fixed_subspace([alg.unit(alg.index_E[r], theta.K) for r in roots])
         cells.append(FlagCell(w=w, roots=tuple(roots), fixed_basis=fixed))
     cells.sort(key=lambda c: c.w.length)
     return cells
@@ -156,12 +155,11 @@ def _limit_flag_point(ctx, cols):
     # otherwise) and V contains e^{-ad X} rho, its point of rho + n
     for i in w.word:
         limit = [_ad_simple_reflection(alg, i, v, K, -1) for v in limit]
-    m = len(limit)
-    rows = [[v[i] for v in limit] + [K.coerce(x)] for i, x in enumerate(alg.rho) if alg.height_of[i] <= 0]
-    red, pivots = rref(K, rows, ncols=m)
-    if len(pivots) < m:
+    low = [i for i, h in enumerate(alg.height_of) if h <= 0]
+    x = solve_linear(K, [[v[i] for v in limit] for i in low], [K.coerce(alg.rho[i]) for i in low])
+    if x is None:
         raise LimitUndefined("the limit moved by w-dot^-1 meets n: not in the big cell")
-    point = [sum((row[m] * v[i] for row, v in zip(red, limit) if v[i]), K.zero) for i in range(alg.dim)]
+    point = [sum((c * v[i] for c, v in zip(x, limit) if v[i]), K.zero) for i in range(alg.dim)]
     try:
         X = _checked_log(alg, point, K)
     except NotInOpenCell as e:

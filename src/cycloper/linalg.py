@@ -81,15 +81,17 @@ def rref(K, rows, ncols=None):
     return rows, pivots
 
 
-def solve_square(K, A, b):
-    """The solution x of the square system A x = b, or None when A is
-    singular (some column has no pivot).  Forward elimination with rref's
-    pivot rule (the first nonzero entry at or below the diagonal), then back
-    substitution.  Pivot rows are not scaled: each elimination divides by
-    the pivot once, and so does each unknown."""
+def solve_linear(K, A, b):
+    """The solution x of A x = b for an n x m matrix A of rank m (n >= m),
+    or None when A has smaller rank (some column has no pivot) or the system
+    is inconsistent.  Forward elimination with rref's pivot rule (the first
+    nonzero entry at or below the diagonal), the consistency test on the
+    rows past m, then back substitution.  Pivot rows are not scaled: each
+    elimination divides by the pivot once, and so does each unknown."""
     n = len(A)
+    m = len(A[0]) if A else 0
     rows = [list(A[i]) + [b[i]] for i in range(n)]
-    for c in range(n):
+    for c in range(m):
         pr = next((i for i in range(c, n) if rows[i][c]), None)
         if pr is None:
             return None
@@ -100,40 +102,16 @@ def solve_square(K, A, b):
             if f:
                 f = f / piv[c]
                 rows[i] = [a - f * p if p else a for a, p in zip(rows[i], piv)]
-    x = [K.zero] * n
-    for c in range(n - 1, -1, -1):
+    if any(rows[i][m] for i in range(m, n)):
+        return None
+    x = [K.zero] * m
+    for c in range(m - 1, -1, -1):
         row = rows[c]
-        acc = row[n]
-        for j in range(c + 1, n):
+        acc = row[m]
+        for j in range(c + 1, m):
             if row[j] and x[j]:
                 acc = acc - row[j] * x[j]
         x[c] = acc / row[c]
-    return x
-
-
-def solve_linear(K, A, b):
-    """One solution x of A x = b, or None if inconsistent.  Free variables
-    are set to zero."""
-    n = len(A)
-    m = len(A[0]) if A else 0
-    aug = [list(A[i]) + [b[i]] for i in range(n)]
-    red, pivots = rref(K, aug, ncols=m)
-    x = [K.zero] * m
-    for i, c in enumerate(pivots):
-        x[c] = red[i][m]
-    # rows past the pivots are zero on A's m columns: a nonzero b there is
-    # inconsistent
-    for i in range(len(pivots), n):
-        if red[i][m]:
-            return None
-    # verify (cheap, exact)
-    for i in range(n):
-        acc = K.zero
-        for a, xx in zip(A[i], x):
-            if a and xx:
-                acc = acc + a * xx
-        if acc != b[i]:
-            return None
     return x
 
 

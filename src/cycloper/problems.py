@@ -164,14 +164,34 @@ class ProblemFile:
     sites: list          # (z, Coweight, WeylElement|None)
     extra: list          # (x, WeylElement)
     bethe: BetheSystemData
-    options: dict
-    raw: dict
+
+
+def _of(value, kind, key):
+    """value when its JSON type is kind (list or dict); ParseError naming
+    key otherwise."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{key} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def _require(d, key, where):
-    if key not in d:
+    if key not in _of(d, dict, where):
         raise ParseError(f"missing key {key!r} in {where}")
     return d[key]
+
+
+def node_indices(letters, rank, key):
+    """The 0-based indices of a list of 1-based letters (a Weyl word, Bethe
+    colours): ParseError when a letter is not an integer, ValidationError
+    when it is outside 1..rank, both naming key."""
+    out = []
+    for a in _of(letters, list, key):
+        if type(a) is not int:
+            raise ParseError(f"{key}: letter {a!r} is not an integer")
+        if not 1 <= a <= rank:
+            raise ValidationError(f"{key}: letter {a} is outside 1..{rank}")
+        out.append(a - 1)
+    return out
 
 
 def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
@@ -190,11 +210,17 @@ def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
     alg_spec = _require(raw, "algebra", "problem")
     form_scales = None
     if "form_scales" in raw:
-        form_scales = [Fraction(s) for s in raw["form_scales"]]
+        try:
+            form_scales = [Fraction(s) for s in _of(raw["form_scales"], list, "form_scales")]
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ParseError(f"form_scales must be rationals, got {raw['form_scales']!r}") from None
     if isinstance(alg_spec, str):
         alg = build_algebra(CartanDatum.from_label(alg_spec), form_scales)
     elif isinstance(alg_spec, dict) and "cartan" in alg_spec:
-        alg = build_algebra(CartanDatum.from_rows(alg_spec["cartan"]), form_scales)
+        rows = _of(alg_spec["cartan"], list, "cartan")
+        if not all(isinstance(r, list) and all(type(x) is int for x in r) for r in rows):
+            raise ParseError(f"cartan must be rows of integers, got {rows!r}")
+        alg = build_algebra(CartanDatum.from_rows(rows), form_scales)
     else:
         raise ParseError("algebra must be a type label or {'cartan': rows}")
 
@@ -207,7 +233,7 @@ def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
         raise ValidationError(f"T must be an integer, got {raw['T']!r}") from None
     if not 1 <= T <= MAX_ORDER:
         raise ValidationError(f"T = {T} is outside 1..{MAX_ORDER}")
-    declared = list(raw.get("parameters", []))
+    declared = _of(raw.get("parameters", []), list, "parameters")
     params = tuple(p for p in declared if p not in instantiate)
     tower = ScalarTower.get(T, params)
     env = {}
@@ -224,58 +250,41 @@ def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
     W = ctx.weyl
 
     def coweight(coords, where):
-        if len(coords) != rank:
+        if len(_of(coords, list, where)) != rank:
             raise ValidationError(f"{where}: expected {rank} coordinates")
         return Coweight(tuple(parse_scalar(c, tower, env) for c in coords))
 
-    def word(entry):
-        if entry is None:
-            return None
-        for i in entry:
-            if not 1 <= int(i) <= rank:
-                raise ValidationError(f"Weyl word letter {i} out of range")
-        return W.from_word([int(i) - 1 for i in entry])
+    def word(entry, key):
+        return None if entry is None else W.from_word(node_indices(entry, rank, key))
 
     lam0 = coweight(raw.get("lambda0", ["0"] * rank), "lambda0")
-    w0 = word(raw.get("w0"))
+    w0 = word(raw.get("w0"), "w0")
     sites = []
-    for s in raw.get("sites", []):
+    for s in _of(raw.get("sites", []), list, "sites"):
         z = parse_scalar(_require(s, "z", "site"), tower, env)
         cw = coweight(_require(s, "coweight", "site"), "site coweight")
-        sites.append((z, cw, word(s.get("w"))))
+        sites.append((z, cw, word(s.get("w"), "site w")))
     extra = []
-    for s in raw.get("extra_poles", []):
+    for s in _of(raw.get("extra_poles", []), list, "extra_poles"):
         x = parse_scalar(_require(s, "x", "extra pole"), tower, env)
-        y = word(_require(s, "y", "extra pole"))
+        y = word(_require(s, "y", "extra pole"), "extra pole y")
         extra.append((x, y))
 
     bethe = None
     if "bethe" in raw:
-        b = raw["bethe"]
+        b = _of(raw["bethe"], dict, "bethe")
         if b.get("sigma_taus"):
-            taus = [parse_scalar(x, tower, env) for x in b["sigma_taus"]]
+            taus = [parse_scalar(x, tower, env) for x in _of(b["sigma_taus"], list, "sigma_taus")]
             sigma = AlgebraAut(alg, nu, taus, tower)
         else:
             sigma = ctx.varsigma
         bsites = []
-        for s in b.get("sites", []):
+        for s in _of(b.get("sites", []), list, "bethe sites"):
             z = parse_scalar(_require(s, "z", "bethe site"), tower, env)
             wcoords = coweight(_require(s, "weight", "bethe site"), "bethe weight")
             bsites.append((z, wcoords))
-        colours = [int(c) - 1 for c in b.get("colours", [])]
-        for c in colours:
-            if not 0 <= c < rank:
-                raise ValidationError(f"colour {c+1} out of range")
-        roots = [parse_scalar(x, tower, env) for x in b.get("roots", [])]
+        colours = node_indices(b.get("colours", []), rank, "colours")
+        roots = [parse_scalar(x, tower, env) for x in _of(b.get("roots", []), list, "roots")]
         bethe = BetheSystemData(ctx, sigma, bsites, colours, roots)
 
-    return ProblemFile(
-        ctx=ctx,
-        lam0=lam0,
-        w0=w0,
-        sites=sites,
-        extra=extra,
-        bethe=bethe,
-        options=raw.get("options", {}),
-        raw=raw,
-    )
+    return ProblemFile(ctx, lam0, w0, sites, extra, bethe)

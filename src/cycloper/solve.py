@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .connection import Connection, exp_gauge, torus_conjugate_vec, torus_frame
 from .errors import MalformedOper, MonodromyObstruction, NotInOpenCell
-from .linalg import solve_square
+from .linalg import solve_linear
 from .ratfunc import clear, poles_of, rational_antiderivative
 from .weyl import h_to_coweight
 
@@ -112,7 +112,7 @@ def gauss_factorize(ctx, act):
     rho = [F.coerce(x) for x in alg.rho]
     r = act(rho)
     cols = [act([F.one if j == i else F.zero for j in range(alg.dim)]) for i in pos]
-    ps = solve_square(F, [[c[i] for c in cols] for i in pos], [-r[i] for i in pos])
+    ps = solve_linear(F, [[c[i] for c in cols] for i in pos], [-r[i] for i in pos])
     if ps is None:
         raise NotInOpenCell("the solve for p is singular: M is not in the big cell")
     w = list(rho)

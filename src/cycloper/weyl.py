@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 
 from .errors import GroupTooLarge
-from .linalg import QQ, mat_inverse, mat_mul
+from .linalg import QQ, mat_mul
 from .ratfunc import as_rational
 
 
@@ -155,7 +155,7 @@ class WeylElement:
 
     def inverse(self):
         if self._inverse is None:
-            self._inverse = self.group.by_matrix[_key(mat_inverse(QQ, self.matrix))]
+            self._inverse = self.group.from_word(reversed(self.word))
         return self._inverse
 
     @property

@@ -210,3 +210,31 @@ def test_theta_basis_is_built_once_per_twist(monkeypatch):
     other = ctx.vartheta(Coweight((Fraction(2),) * 3))
     theta_fixed_nilpotent(g, other)
     assert calls[1 + len(nu.orbits()):] == [other] * (1 + len(nu.orbits()))
+
+
+@pytest.mark.parametrize("label, cycles, dims", [
+    ("A3", [[1, 3]], {1: 1, 2: 0, 3: 1}),
+    ("D4", [[1, 3, 4]], {1: 1, 3: 0, 5: 1}),
+], ids=["A3-flip", "D4-triality"])
+def test_fixed_subspace_of_a_span_matches_a_coordinate_kernel(label, cycles, dims):
+    """On each height's centralizer basis, a span that is not a coordinate
+    span, fixed_subspace equals the kernel of (sigma - 1) written on every
+    coordinate and spread over the basis by hand; the fixed dimensions are
+    those of the folded algebra's exponents (C2: 1, 3; G2: 1, 5)."""
+    from cycloper.linalg import QQ, rref
+
+    g = build_algebra(label)
+    aut = g.diagram_twist(DiagramAut.from_cycles(g.rank, cycles))
+    for k, dim in dims.items():
+        vecs = [w for kk, w in g.centralizer_basis if kk == k]
+        moved = [aut.apply_vec(v, QQ) for v in vecs]
+        rows = [[m[j] - v[j] for m, v in zip(moved, vecs)] for j in range(g.dim)]
+        red, pivots = rref(QQ, rows, ncols=len(vecs))
+        want = []
+        for f in (c for c in range(len(vecs)) if c not in pivots):
+            coeffs = [Fraction(int(c == f)) for c in range(len(vecs))]
+            for row, c in zip(red, pivots):
+                coeffs[c] = -row[f]
+            want.append([sum(x * v[j] for x, v in zip(coeffs, vecs)) for j in range(g.dim)])
+        assert aut.fixed_subspace(vecs) == want
+        assert len(want) == dim

@@ -25,6 +25,11 @@ TABLE = {
     # exceptional types build through the same generic machinery
     "F4": (52, [1, 5, 7, 11]),
     "E6": (78, [1, 4, 5, 7, 8, 11]),
+    # dim = 2 |Phi+| + rank: |Phi+| = 16, 16, 20, 63
+    "B4": (36, [1, 3, 5, 7]),
+    "C4": (36, [1, 3, 5, 7]),
+    "D5": (45, [1, 3, 4, 5, 7]),
+    "E7": (133, [1, 5, 7, 9, 11, 13, 17]),
 }
 
 
@@ -201,11 +206,47 @@ def test_type_a_matrix_realization():
                 assert got == want, (g.basis[i], g.basis[j])
 
 
+def _leading_minors(A):
+    minors = [A[0][0], A[0][0] * A[1][1] - A[0][1] * A[1][0]]
+    if len(A) == 3:
+        minors.append(sum(A[0][p[0]] * A[1][p[1]] * A[2][p[2]] * s for p, s in
+                          (((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                           ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1))))
+    return minors
+
+
+def _generalized_cartan_matrices(n):
+    """Every n x n matrix with diagonal 2, off-diagonal entries in
+    {0, -1, -2, -3} and a_ij = 0 exactly when a_ji = 0."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    links = [(0, 0)] + list(itertools.product((-1, -2, -3), repeat=2))
+    for choice in itertools.product(links, repeat=len(pairs)):
+        A = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
+        for (i, j), (a, b) in zip(pairs, choice):
+            A[i][j], A[j][i] = a, b
+        yield A
+
+
 def test_not_finite_type():
     with pytest.raises(NotFiniteType):
         CartanDatum.from_rows([[2, -2], [-2, 2]])  # affine A1
     with pytest.raises(NotFiniteType):
         CartanDatum.from_rows([[2, -1], [0, 2]])   # asymmetric zero pattern
+    for rows in ([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]],  # affine A2
+                 [[2, -3], [-3, 2]], [[2, -1], [-4, 2]]):
+        with pytest.raises(NotFiniteType, match="not positive definite"):
+            CartanDatum.from_rows(rows)
+    # the leading minors of diag(d) A are those of A times positive d's: a
+    # matrix is rejected exactly when one of A's own is <= 0
+    for n in (2, 3):
+        for A in _generalized_cartan_matrices(n):
+            finite = all(m > 0 for m in _leading_minors(A))
+            try:
+                CartanDatum.from_rows(A)
+            except NotFiniteType as e:
+                assert not finite and "not positive definite" in str(e), A
+            else:
+                assert finite, A
 
 
 def test_fundamental_rep_attached_for_type_a():

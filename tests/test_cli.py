@@ -86,6 +86,44 @@ def test_malformed_nu_exits_with_the_validation_code(nu, entry, tmp_path, capsys
     assert "error[ValidationError]" in err and entry in err and "Traceback" not in err
 
 
+_A2 = {"algebra": "A2", "T": 1}
+
+
+@pytest.mark.parametrize("fields, flags, named", [
+    ({"sites": ["z"]}, [], "site must be a dict"),
+    ({"sites": {"z": "1"}}, [], "sites must be a list"),
+    ({"sites": [{"z": "1", "coweight": 5}]}, [], "site coweight must be a list"),
+    ({"extra_poles": [3]}, [], "extra pole must be a dict"),
+    ({"lambda0": 5}, [], "lambda0 must be a list"),
+    ({"lambda0": "12"}, [], "lambda0 must be a list"),
+    ({"parameters": 5}, [], "parameters must be a list"),
+    ({"form_scales": ["x"]}, [], "form_scales"),
+    ({"w0": ["x"]}, [], "w0: letter 'x' is not an integer"),
+    ({"w0": [1.5]}, [], "w0: letter 1.5 is not an integer"),
+    ({"w0": [3]}, [], "w0: letter 3 is outside 1..2"),
+    ({"bethe": [1]}, [], "bethe must be a dict"),
+    ({"bethe": {"colours": ["x"], "roots": ["1"]}}, [], "colours: letter 'x' is not an integer"),
+    ({"bethe": {"sites": [{"z": "1", "weight": "12"}]}}, [], "bethe weight must be a list"),
+    ({"algebra": {"cartan": "x"}}, [], "cartan must be a list"),
+    ({"algebra": {"cartan": [[2, -1.5], [-1, 2]]}}, [], "cartan must be rows of integers"),
+    ({}, ["--orbit", "a"], "--orbit: letter 'a' is not an integer"),
+    ({}, ["--orbit", "1,,2"], "--orbit: letter '' is not an integer"),
+    ({}, ["--orbit", "0"], "--orbit: letter 0 is outside 1..2"),
+    ({}, ["--orbit", "1", "--direction", "x"], "--direction: letter 'x' is not an integer"),
+    ({}, ["--orbit", "1", "--direction", "3"], "--direction: letter 3 is outside 1..2"),
+])
+def test_malformed_fields_and_letters_end_in_a_typed_error(fields, flags, named, tmp_path, capsys):
+    """A field of the wrong JSON type, a Weyl letter or colour that is not
+    an integer in 1..rank, and a bad --orbit or --direction letter exit
+    with the parse (2) or validation (3) code and name the key."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**_A2, **fields}))
+    command = "reproduce" if flags else "classify"
+    code = main(["--problem", str(path), "--command", command, *flags])
+    err = capsys.readouterr().err
+    assert code in (2, 3) and err.startswith("error[") and named in err, (code, err)
+
+
 def test_parse_problem_instantiate():
     p = parse_problem(fx("sl3_origin.json"), {"eta": "2"})
     assert p.lam0.coords == (p.ctx.scalars.coerce(2), p.ctx.scalars.coerce(2))

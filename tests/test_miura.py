@@ -613,13 +613,13 @@ def test_generic_reproduction_runs_one_square_solve_per_positive_root(label, mon
     ctx, m = sl3_miura(2, 1) if label == "A2" else sl4_miura_at(1, 1, 1, 3)
     basis, _ = theta_fixed_nilpotent(ctx.alg, theta_for(m))
     calls = []
-    real = solve_mod.solve_square
+    real = solve_mod.solve_linear
 
     def counted(K, A, b):
         calls.append((len(A), {len(r) for r in A}, len(b)))
         return real(K, A, b)
 
-    monkeypatch.setattr(solve_mod, "solve_square", counted)
+    monkeypatch.setattr(solve_mod, "solve_linear", counted)
     reproduce_generic(m, [sum(xs) for xs in zip(*basis)])
     n = len(ctx.alg.pos_roots)
     assert calls == [(n, {n}, n)]

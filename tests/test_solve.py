@@ -9,7 +9,7 @@ from cycloper.chevalley import ChevalleyAlgebra
 from cycloper.connection import Connection, GroupElement, gauge_transform, regularize
 from cycloper.context import OperContext
 from cycloper.errors import MalformedOper, MonodromyObstruction, NotInOpenCell
-from cycloper.linalg import rref, solve_square
+from cycloper.linalg import QQ, rref, solve_linear
 from cycloper.solve import gauss_factorize, solve_fundamental
 from cycloper.tower import ScalarTower
 from cycloper.weyl import Coweight, coweight_to_h
@@ -299,23 +299,26 @@ def test_gauss_certificate_catches_a_wrong_solution(monkeypatch):
     for n, r in enumerate(alg.pos_roots):
         nv[alg.index_E[r]] = F.coerce(n + 1) * t / (t - 2)
     act = inverse_action(GroupElement.exp(ctx, [-x for x in nv]))
-    real = solve.solve_square
+    real = solve.solve_linear
 
     def perturbed(K, A, b):
         x = real(K, A, b)
         x[0] = x[0] + F.gen
         return x
 
-    monkeypatch.setattr(solve, "solve_square", perturbed)
+    monkeypatch.setattr(solve, "solve_linear", perturbed)
     with pytest.raises(NotInOpenCell, match="certificate"):
         gauss_factorize(ctx, act)
 
 
 @pytest.mark.parametrize("T", [1, 3, 4, 12])
 def test_square_solve_matches_rref(T):
-    """solve_square gives the last column of rref on pinned nonsingular
+    """solve_linear gives the last column of rref on pinned nonsingular
     systems over Q(zeta_T)(t): the first needs a row swap in its first
-    column, the third one in its second.  Singular systems give None."""
+    column, the third one in its second.  Singular systems give None.  A
+    tall system of full column rank, over Q(zeta_T)(t) and over Q, gives
+    rref's last column when it is consistent and None when it is not; a
+    tall system of smaller rank gives None even when it is consistent."""
     tw = ScalarTower.get(T)
     F, t = tw.functions, tw.t
     zeta, one, zero = F.coerce(tw.zeta), F.one, F.zero
@@ -326,13 +329,28 @@ def test_square_solve_matches_rref(T):
         ([[one, one, t], [one, one, zeta], [zeta, t, one]], [t, one, zero]),
     ]
     for A, b in systems:
-        x = solve_square(F, A, b)
+        x = solve_linear(F, A, b)
         red, pivots = rref(F, [row + [c] for row, c in zip(A, b)], ncols=len(A))
         assert pivots == list(range(len(A)))
         assert x == [row[-1] for row in red]
         assert [sum((a * y for a, y in zip(row, x)), zero) for row in A] == b
-    assert solve_square(F, [[one, t], [t, t ** 2]], [one, zero]) is None
-    assert solve_square(F, [[zero, one], [zero, zeta]], [one, t]) is None
+    assert solve_linear(F, [[one, t], [t, t ** 2]], [one, zero]) is None
+    assert solve_linear(F, [[zero, one], [zero, zeta]], [one, t]) is None
+
+    q = [Fraction(c) for c in (0, 1, 2, 3, -1, Fraction(1, 2))]
+    tall = {
+        F: [[zero, t], [one, zeta], [t, one], [zeta, t ** 2]],
+        QQ: [[q[0], q[1]], [q[0], q[2]], [q[3], q[4]], [q[5], q[1]]],
+    }
+    for K, A in tall.items():
+        x0 = [A[2][0] + A[1][1], A[3][0] - A[0][1]]
+        b = [sum((a * y for a, y in zip(row, x0)), K.zero) for row in A]
+        red, pivots = rref(K, [row + [c] for row, c in zip(A, b)], ncols=2)
+        assert pivots == [0, 1] and not any(row[-1] for row in red[2:])
+        assert solve_linear(K, A, b) == [row[-1] for row in red[:2]] == x0
+        assert solve_linear(K, A, b[:-1] + [b[-1] + K.one]) is None
+        deficient = [[a, 2 * a] for a, _ in A]
+        assert solve_linear(K, deficient, [a for a, _ in A]) is None
 
 
 _SINGULAR_GAUSS_UNDER_O = """
