@@ -21,15 +21,23 @@ from .weyl import Coweight, coroot_to_coweight, dominant_shift_representative, r
 
 def weight_form(alg: ChevalleyAlgebra, lam: Coweight, mu: Coweight, K=None):
     """(lam | mu) on h^* for weights given by their values on the coroots:
-    sum_i lam_i (sum_j G_ij mu_j) with G = alg.weight_gram, coerced into K
-    once (rational sums stay Fraction)."""
+    sum_i lam_i (G mu)_i with G mu = gram_row(alg, mu), coerced into K once
+    (rational sums stay Fraction)."""
+    return _pair(K or QQ, lam, gram_row(alg, mu))
+
+
+def gram_row(alg: ChevalleyAlgebra, mu: Coweight) -> tuple:
+    """G mu for G = alg.weight_gram."""
+    return tuple(sum(g * y for g, y in zip(row, mu.coords) if g and y) for row in alg.weight_gram)
+
+
+def _pair(K, lam: Coweight, row):
+    """(lam | mu) in K from row = gram_row(alg, mu)."""
     out = 0
-    for row, x in zip(alg.weight_gram, lam.coords):
-        if x:
-            s = sum(g * y for g, y in zip(row, mu.coords) if g and y)
-            if s:
-                out = out + x * s
-    return (K or QQ).coerce(out)
+    for x, s in zip(lam.coords, row):
+        if x and s:
+            out = out + x * s
+    return K.coerce(out)
 
 
 def nu_power_weight(nu: DiagramAut, lam: Coweight, r: int) -> Coweight:
@@ -84,13 +92,16 @@ class BetheSystemData:
 
     @cached_property
     def orbits(self) -> tuple:
-        """(m, e, rows) for the orbit sums of _gaudin_sum: m = T/ord nu,
-        e[s] = w^(s m) for s < ord nu, and a row (q^m, [nu^s wt]) per pole."""
-        o = self.ctx.nu.order
+        """(m, e, rows, top) for the orbit sums of _gaudin_sum: m = T/ord nu,
+        e[s] = w^(s m) for s < ord nu, a row (q^m, [G nu^s wt]) per pole and
+        top = G lam0, with G nu^s wt the Gram row of weight_form, so that
+        (mu | nu^s wt) = sum_i mu_i (G nu^s wt)_i."""
+        alg, nu = self.ctx.alg, self.ctx.nu
+        o = nu.order
         m = self.ctx.tower.order // o
         e = [self.ctx.tower.zeta_power(s * m) for s in range(o)]
-        rows = [(q ** m, [nu_power_weight(self.ctx.nu, wt, s) for s in range(o)]) for q, wt in self.poles]
-        return m, e, rows
+        rows = [(q ** m, [gram_row(alg, nu_power_weight(nu, wt, s)) for s in range(o)]) for q, wt in self.poles]
+        return m, e, rows, gram_row(alg, self.lam0)
 
     @cached_property
     def site_energies(self) -> list:
@@ -146,16 +157,15 @@ def _gaudin_sum(data: BetheSystemData, k, mu: Coweight):
     (mu | wt)(m-1)/(2p) at s = 0, as sum_(0<j<m) 1/(1 - w^(o j)) = (m-1)/2,
     and (mu | nu^s wt) m/(p(1 - e[s])) at 0 < s < o.  A T = 1 Bethe root at
     p = 0 has m = 1 and lam0 = 0: no term divides by p."""
-    alg = data.ctx.alg
     K = data.ctx.scalars
-    m, e, rows = data.orbits
+    m, e, rows, lam0_row = data.orbits
     p = data.poles[k][0]
     pm = rows[k][0]
     lead = p ** (m - 1) * m
     acc = K.zero
     for l, (qm, wts) in enumerate(rows):
-        for s, wt in enumerate(wts):
-            c = weight_form(alg, mu, wt, K)
+        for s, row in enumerate(wts):
+            c = _pair(K, mu, row)
             if not c:
                 continue
             if l != k:
@@ -164,7 +174,7 @@ def _gaudin_sum(data: BetheSystemData, k, mu: Coweight):
                 acc = acc + c * m / (p * (K.one - e[s]))
             elif m > 1:
                 acc = acc + c * Fraction(m - 1, 2) / p
-    top = weight_form(alg, mu, data.lam0, K)
+    top = _pair(K, mu, lam0_row)
     if top:
         acc = acc + top / p
     return acc

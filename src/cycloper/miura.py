@@ -162,7 +162,7 @@ def miura_from_orbits(ctx: OperContext, top: Coweight, poles) -> MiuraOper:
 
     sub_pole(top, K.zero, 1)
     for p, cw in poles:
-        orbit = [K.coerce(p) * ctx.omega ** r for r in range(ctx.tower.order)]
+        orbit = [K.coerce(p) * ctx.tower.zeta_power(r) for r in range(ctx.tower.order)]
         for s in range(o):
             sub_pole(cw, orbit[s], ctx.tower.order // o)
             cw = ctx.nu.apply_coweight(cw)

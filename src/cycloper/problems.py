@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import ast
 import json
+import keyword
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -194,6 +195,22 @@ def node_indices(letters, rank, key):
     return out
 
 
+def parameter_names(names):
+    """The declared parameter names: ParseError naming parameters when one
+    is not a string, ValidationError naming the name when it is not an
+    identifier, repeats, or is zeta or the coordinate t."""
+    for i, name in enumerate(_of(names, list, "parameters")):
+        if not isinstance(name, str):
+            raise ParseError(f"parameters: name {name!r} is not a string")
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise ValidationError(f"parameters: name {name!r} is not an identifier")
+        if name in ("zeta", "t"):
+            raise ValidationError(f"parameters: name {name!r} is reserved for zeta and the coordinate")
+        if name in names[:i]:
+            raise ValidationError(f"parameters: name {name!r} appears twice")
+    return names
+
+
 def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
     instantiate = instantiate or {}
     if isinstance(path_or_dict, dict):
@@ -233,7 +250,7 @@ def parse_problem(path_or_dict, instantiate=None) -> ProblemFile:
         raise ValidationError(f"T must be an integer, got {raw['T']!r}") from None
     if not 1 <= T <= MAX_ORDER:
         raise ValidationError(f"T = {T} is outside 1..{MAX_ORDER}")
-    declared = _of(raw.get("parameters", []), list, "parameters")
+    declared = parameter_names(raw.get("parameters", []))
     params = tuple(p for p in declared if p not in instantiate)
     tower = ScalarTower.get(T, params)
     env = {}

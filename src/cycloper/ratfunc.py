@@ -313,9 +313,23 @@ class PackedRing(_Ring):
 
     def shift(self, v, p, keep=None):
         """(the first keep coefficients of pd^n * v(t + p), pd^n), n = deg v,
-        p = pn/pd: Horner on blocks, truncated to keep blocks."""
+        p = pn/pd: Horner, truncated to keep blocks.  At a rational p each
+        zeta-lane is an integer polynomial, shifted on the flat vector; at
+        any other p the blocks are multiplied in K."""
         K, d = self.K, self.width
         pn, pd = p.num, p.den
+        if not any(pn[1:]):
+            pn, z = pn[0], [0] * d
+            stop = None if keep is None else keep * d
+            w = list(v) + z[:-len(v) % d]
+            top = len(w) - d
+            acc, scale = w[top:], 1
+            for i in range(top - d, -1, -d):
+                scale *= pd
+                # acc * (pd t + pn) + block * scale
+                acc = [x * pn + y * pd for x, y in zip(acc + z, z + acc)][:stop]
+                acc[:d] = [x + y * scale for x, y in zip(acc, w[i:i + d])]
+            return tuple(acc), scale
         pad = (0,) * d
         blocks = [(v[i:i + d] + pad)[:d] for i in range(0, len(v), d)]
         acc = [blocks.pop()]

@@ -53,31 +53,31 @@ def _trim(p):
     return p
 
 
-def _poly_divmod(p, q):
-    """Quotient and trimmed remainder of p by q in Q[x] (ascending
-    coefficient lists, q[-1] != 0)."""
-    p = [Fraction(c) for c in p]
-    lead = q[-1]
-    out = [Fraction(0)] * max(0, len(p) - len(q) + 1)
+def _exact_quotient(p, q):
+    """The quotient p/q of integer polynomials (ascending coefficient lists)
+    for q monic, or None when q does not divide p."""
+    p = list(p)
+    n = len(q) - 1
+    out = [0] * (len(p) - n)
     for i in range(len(out) - 1, -1, -1):
-        c = out[i] = p[i + len(q) - 1] / lead
+        c = out[i] = p[i + n]
         if c:
             for j, qc in enumerate(q):
                 p[i + j] -= c * qc
-    return out, _trim(p)
+    return None if any(p) else out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple:
-    """Coefficients (ascending) of Phi_n over Q, computed by the recursive
-    exact division of x^n - 1 by the Phi_d with d | n, d < n."""
+    """Coefficients (ascending, ints) of Phi_n, computed by the recursive
+    exact division of x^n - 1 by the Phi_d with d | n, d < n (all monic)."""
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, cyclotomic_polynomial(d))
-            if rem:
+            num = _exact_quotient(num, cyclotomic_polynomial(d))
+            if num is None:
                 raise ModulusError(f"Phi_{d} does not divide x^{n} - 1 exactly")
-    return tuple(Fraction(c) for c in num)
+    return tuple(num)
 
 
 def split_prime(T: int):
@@ -86,7 +86,7 @@ def split_prime(T: int):
     p = (2**30 - 2) // T * T + 1
     while not (p % 2 and all(p % q for q in range(3, math.isqrt(p) + 1, 2))):
         p -= T
-    phi = [int(c) for c in cyclotomic_polynomial(T)]
+    phi = cyclotomic_polynomial(T)
     for a in range(2, p):
         w = pow(a, (p - 1) // T, p)
         if not sum(c * pow(w, i, p) for i, c in enumerate(phi)) % p:
@@ -279,9 +279,10 @@ class CyclotomicField:
         self.degree = d = euler_phi(order)
         self.modulus = cyclotomic_polynomial(order)
         # Phi_T is monic with integer coefficients: x^d = -sum_j m_j x^j
-        self._mod_terms = tuple((j, int(m)) for j, m in enumerate(self.modulus[:d]) if m)
+        self._mod_terms = tuple((j, m) for j, m in enumerate(self.modulus[:d]) if m)
         self._inv_cache = LRUCache()
         self._split = None
+        self._zeta_powers = None
         self._zeros = (0,) * (d - 1)
         self.zero = _make(self, (0,) * d, 1)
         self.one = _make(self, (1,) + self._zeros, 1)
@@ -325,25 +326,40 @@ class CyclotomicField:
         return self._reduce(out)
 
     def _inv(self, a):
-        """(num, den) of the inverse of the nonzero integer vector a, by the
-        extended Euclidean algorithm in Q[x] against the modulus."""
-        r0, r1 = list(self.modulus), _trim([Fraction(c) for c in a])
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            # s0, s1 = s1, s0 - q*s1
-            new = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
-            for i, x in enumerate(s0):
-                new[i] += x
-            for i, x in enumerate(q):
+        """(num, den) of the inverse of the nonzero integer vector a: an
+        extended primitive pseudo-remainder sequence against the modulus
+        (Collins 1967) on integer vectors.  Each remainder r carries its
+        cofactor s, with r = s*a mod Phi_T.  A step scales the dividend only
+        when a leading entry is not divisible, as PackedRing.divmod does,
+        and divides r and s by their joint content.  The last remainder is
+        a nonzero int c = s*a, so a^-1 = s/c."""
+        r0, r1 = [int(c) for c in self.modulus], _trim(list(a))
+        s0, s1 = [], [1]
+        while len(r1) > 1:
+            n, L = len(r1) - 1, r1[-1]
+            r, s = r0, s0 + [0] * (len(r0) - len(r1) + len(s1) - len(s0))
+            for i in range(len(r) - 1, n - 1, -1):
+                c = r[i]
+                if not c:
+                    continue
+                f = abs(L) // math.gcd(L, c)
+                if f != 1:
+                    r, s, c = [x * f for x in r], [x * f for x in s], c * f
+                q = c // L
+                for j, y in enumerate(r1):
+                    r[i - n + j] -= q * y
                 for j, y in enumerate(s1):
-                    new[i + j] -= x * y
-            s0, s1 = s1, _trim(new)
-        if len(r0) != 1:
+                    s[i - n + j] -= q * y
+            r, s = _trim(r[:n]), _trim(s)
+            g = math.gcd(*r, *s)
+            if g != 1:
+                r, s = [x // g for x in r], [x // g for x in s]
+            r0, s0, r1, s1 = r1, s1, r, s
+        if not r1:
             raise ModulusError(f"{a} has a non-unit gcd with the modulus {self.modulus}")
-        c = r0[0]
-        return _integral(self._reduce([x / c for x in s0]))
+        c = r1[0]
+        num = self._reduce(s1)
+        return (num, c) if c > 0 else (tuple([-x for x in num]), -c)
 
     # -- residues modulo a degree-1 prime -------------------------------------
     @property
@@ -405,7 +421,13 @@ class CyclotomicField:
         return _lowest(self, out.num, out.den * x.den)
 
     def zeta_power(self, k: int):
-        return self.zeta ** (k % self.order)
+        """zeta^k, read from the table of the T powers, built on first use."""
+        if self._zeta_powers is None:
+            pw = [self.one]
+            for _ in range(1, self.order):
+                pw.append(pw[-1] * self.zeta)
+            self._zeta_powers = tuple(pw)
+        return self._zeta_powers[k % self.order]
 
     def to_str(self, x: CycNum) -> str:
         """Canonical rendering: polynomial in zeta, rational coefficients in

@@ -394,6 +394,13 @@ def test_lambda0_folded_a2_value():
 
 # ------------------------------------------------- oracles: the literal sums
 
+def literal_pairing(alg, lam, mu, K):
+    """Oracle: (lam | mu) = sum_(i,j) lam_i G_ij mu_j in K, entry by entry."""
+    G = alg.weight_gram
+    n = alg.rank
+    return sum((K.coerce(lam.coords[i]) * G[i][j] * mu.coords[j] for i in range(n) for j in range(n)), K.zero)
+
+
 def literal_gaudin_sum(data, k, mu):
     """Oracle: sum_r sum_(q, wt) (mu | nu^r wt)/(p - w^r q) over every pole
     w^r q but p itself, plus (mu | lam0)/p, one term per point."""
@@ -403,8 +410,8 @@ def literal_gaudin_sum(data, k, mu):
     for r in range(data.ctx.tower.order):
         for l, (q, wt) in enumerate(data.poles):
             if r or l != k:
-                acc = acc + weight_form(alg, mu, nu_power_weight(nu, wt, r), K) / (p - w ** r * q)
-    top = weight_form(alg, mu, data.lam0, K)
+                acc = acc + literal_pairing(alg, mu, nu_power_weight(nu, wt, r), K) / (p - w ** r * q)
+    top = literal_pairing(alg, mu, data.lam0, K)
     return acc + top / p if top else acc
 
 
@@ -436,28 +443,30 @@ def literal_lambda0(alg, sigma, tower):
     return Coweight(coords)
 
 
-GAUDIN_CONFIGS = (
-    [("A1", T, None) for T in (2, 3, 4, 6)]
+# (algebra, T, cycles, sites, Bethe roots, largest weight coordinate); the
+# last case has the shape of the benchmark's A3, T = 12 slot
+GAUDIN_CONFIGS = [
+    pytest.param(alg, T, cycles, 2, 2, 2, id=f"{alg}-T{T}")
+    for alg, T, cycles in [("A1", T, None) for T in (2, 3, 4, 6)]
     + [("A2", T, [[1, 2]]) for T in (2, 4, 6)]
     + [("A3", T, [[1, 3]]) for T in (4, 12)]
     + [("D4", T, [[1, 3, 4]]) for T in (3, 6)]
-)
+] + [pytest.param("A3", 12, [[1, 3]], 1, 0, 3, id="A3-T12-slot")]
 
 
-@pytest.mark.parametrize(
-    "alg, T, cycles", GAUDIN_CONFIGS, ids=[f"{a}-T{T}" for a, T, _ in GAUDIN_CONFIGS]
-)
-def test_gaudin_sums_match_the_literal_double_sum(alg, T, cycles):
+@pytest.mark.parametrize("alg, T, cycles, nsites, nroots, top", GAUDIN_CONFIGS)
+def test_gaudin_sums_match_the_literal_double_sum(alg, T, cycles, nsites, nroots, top):
     """Bethe residuals and energies summed orbit by orbit in closed form
-    equal the T-term double sum, for nu of order 1, 2 and 3."""
+    from the Gram rows of BetheSystemData.orbits equal the T-term double
+    sum with every pairing written out, for nu of order 1, 2 and 3."""
     rank = int(alg[1:])
     nu = DiagramAut.from_cycles(rank, cycles) if cycles else None
     ctx = OperContext(alg, ScalarTower.get(T), nu)
     rng = random.Random(f"gaudin:{alg}:{T}")
-    pts = rng.sample([Fraction(k, q) for k in range(1, 12) for q in (1, 2, 3) if k % q], 4)
-    sites = [(z, Coweight(tuple(Fraction(rng.randint(0, 2)) for _ in range(rank)))) for z in pts[:2]]
-    colours = [rng.randrange(rank) for _ in pts[2:]]
-    data = BetheSystemData(ctx, ctx.varsigma, sites, colours, pts[2:])
+    pts = rng.sample([Fraction(k, q) for k in range(1, 12) for q in (1, 2, 3) if k % q], nsites + nroots)
+    sites = [(z, Coweight(tuple(Fraction(rng.randint(0, top)) for _ in range(rank)))) for z in pts[:nsites]]
+    colours = [rng.randrange(rank) for _ in pts[nsites:]]
+    data = BetheSystemData(ctx, ctx.varsigma, sites, colours, pts[nsites:])
     n = len(sites)
     assert bethe_residuals(data) == [
         literal_gaudin_sum(data, n + j, _root_weight(ctx.alg, c)) for j, c in enumerate(colours)

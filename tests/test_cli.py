@@ -110,12 +110,19 @@ _A2 = {"algebra": "A2", "T": 1}
     ({}, ["--orbit", "1,,2"], "--orbit: letter '' is not an integer"),
     ({}, ["--orbit", "0"], "--orbit: letter 0 is outside 1..2"),
     ({}, ["--orbit", "1", "--direction", "x"], "--direction: letter 'x' is not an integer"),
-    ({}, ["--orbit", "1", "--direction", "3"], "--direction: letter 3 is outside 1..2"),
+    ({}, ["--orbit", "1", "--direction", "3"], "--direction: letter 3 is outside 1..2"),    ({"parameters": [5]}, [], "parameters: name 5 is not a string"),
+    ({"parameters": [""]}, [], "parameters: name '' is not an identifier"),
+    ({"parameters": ["a b"]}, [], "parameters: name 'a b' is not an identifier"),
+    ({"parameters": ["z", "z"]}, [], "parameters: name 'z' appears twice"),
+    ({"parameters": ["zeta"]}, [], "parameters: name 'zeta' is reserved"),
+    ({"parameters": ["t"]}, [], "parameters: name 't' is reserved"),
 ])
 def test_malformed_fields_and_letters_end_in_a_typed_error(fields, flags, named, tmp_path, capsys):
     """A field of the wrong JSON type, a Weyl letter or colour that is not
-    an integer in 1..rank, and a bad --orbit or --direction letter exit
-    with the parse (2) or validation (3) code and name the key."""
+    an integer in 1..rank, a bad --orbit or --direction letter, and a
+    parameter name that is not a string, not an identifier, repeated, zeta
+    or the coordinate exit with the parse (2) or validation (3) code and
+    name the key."""
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**_A2, **fields}))
     command = "reproduce" if flags else "classify"

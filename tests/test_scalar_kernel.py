@@ -5,6 +5,7 @@ Q(zeta_T) against both sympy and the coefficient-tuple ring FieldRing."""
 
 import functools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,75 @@ def test_inexact_cyclotomic_division_is_typed(monkeypatch):
     monkeypatch.setattr(scalars, "cyclotomic_polynomial", lambda d: (Fraction(2), Fraction(1)))
     with pytest.raises(ModulusError):
         uncached(4)  # x + 2 does not divide x^4 - 1
+
+
+# -- the integer inverse --------------------------------------------------------
+
+INVERSE_ORDERS = [1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 60]
+
+
+def sympy_inverse(T, a):
+    """The coefficients of a^-1 mod Phi_T over QQ by sympy's invert, as
+    Fractions in the power basis."""
+    phi = sympy.Poly(sympy.cyclotomic_poly(T, X), X, domain="QQ")
+    inv = sympy.Poly(list(reversed(a)), X, domain="QQ").invert(phi)
+    cs = [Fraction(int(c.p), int(c.q)) for c in reversed(inv.all_coeffs())]
+    return tuple(cs + [Fraction(0)] * (euler_phi(T) - len(cs)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), T=st.sampled_from(INVERSE_ORDERS))
+def test_integer_inverse_matches_sympy(data, T):
+    """_inv on integer vectors, sparse or dense, large or small entries."""
+    K = CyclotomicField.get(T)
+    entries = st.one_of(st.integers(-9, 9), st.integers(-2**70, 2**70))
+    a = tuple(data.draw(st.lists(entries, min_size=K.degree, max_size=K.degree).filter(any)))
+    num, den = K._inv(a)
+    assert den > 0 and all(isinstance(c, int) for c in num)
+    assert tuple(Fraction(c, den) for c in num) == sympy_inverse(T, a)
+    A = CycNum(K, a)
+    assert A * CycNum(K, [Fraction(c, den) for c in num]) == K.one
+    assert A.inverse() * A == K.one
+
+
+def test_integer_inverse_of_a_dense_element_at_T_420():
+    """phi(420) = 96: the Euclid on Fractions that the integer sequence
+    replaced took 19 s on this element."""
+    K = CyclotomicField.get(420)
+    rng = random.Random(420)
+    a = tuple(rng.randint(-9, 9) for _ in range(K.degree))
+    num, den = K._inv(a)
+    assert K._mul(a, num) == (den,) + (0,) * (K.degree - 1)
+    assert math.gcd(den, *num) == 1
+
+
+# -- the Taylor shift at a rational point ------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), T=st.sampled_from([1, 3, 4, 12]))
+def test_rational_shift_matches_sympy(data, T):
+    """R.shift(v, p, keep) at a rational p = pn/pd is, lane by lane,
+    sympy's Poly.shift(p) times pd^n, cut to keep coefficients, for every
+    keep."""
+    K = CyclotomicField.get(T)
+    R = PackedRing(K)
+    d = K.degree
+    n = data.draw(st.integers(0, 6))
+    v = data.draw(st.lists(st.integers(-30, 30), min_size=n * d + 1, max_size=(n + 1) * d))
+    v[-1] = v[-1] or 1
+    p = data.draw(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=7)).map(Fraction))
+    v = tuple(v)
+    full, scale = R.shift(v, K.coerce(p))
+    assert scale == p.denominator ** n and len(full) == (n + 1) * d
+    t = sympy.Symbol("t")
+    for u in range(d):
+        lane = [v[i] if i < len(v) else 0 for i in range(u, (n + 1) * d, d)]
+        want = sympy.Poly(list(reversed(lane)), t, domain="QQ").shift(sympy.Rational(p.numerator, p.denominator))
+        cs = [c * scale for c in reversed(want.all_coeffs())]
+        cs += [0] * (n + 1 - len(cs))
+        assert list(full[u::d]) == cs
+    for keep in range(1, n + 3):
+        assert R.shift(v, K.coerce(p), keep) == (full[:keep * d], scale)
 
 
 # -- the coprime certificate: residues modulo a degree-1 prime ---------------
