@@ -10,7 +10,7 @@ from fractions import Fraction
 from .connection import Connection, exp_gauge, is_equivariant
 from .context import OperContext
 from .errors import MalformedOper, NotOfForm, NotRegularSingular
-from .finite_opers import FiniteOperClass, finite_canonical, slice_gauge
+from .finite_opers import FiniteOperClass, finite_canonical, require_oper_form, slice_gauge
 from .ratfunc import INFINITY, _common_denominator, clear
 from .weyl import (
     Coweight,
@@ -40,7 +40,7 @@ class CanonicalOper:
                 for j, c in enumerate(w):
                     if c:
                         coeffs[j] = coeffs[j] + uk * F.coerce(c)
-        return Connection(ctx, coeffs, "oper")
+        return Connection(ctx, coeffs)
 
     def is_regular_at(self, x, orbit=False):
         pts = [x]
@@ -69,7 +69,7 @@ def canonical_representative(conn: Connection, cyclotomic=False) -> CanonicalOpe
     ctx = conn.ctx
     alg = ctx.alg
     F = ctx.functions
-    conn.with_shape("oper")
+    require_oper_form(alg, conn.coeffs, F)
     if cyclotomic and not is_equivariant(conn, ctx.varsigma):
         raise MalformedOper("claimed cyclotomic but the connection is not equivariant")
     target, delta, Dpow = _frame(alg, F, conn.coeffs)
@@ -115,7 +115,7 @@ def u1_coefficient(conn: Connection):
     u_1 = (1/2 (v0|v0) + (rho|v0') + (p_-1|v1)) / (2 (rho|rho))."""
     alg = conn.ctx.alg
     F = conn.ctx.functions
-    conn.with_shape("oper")
+    require_oper_form(alg, conn.coeffs, F)
     rho_vec = [F.coerce(c) for c in alg.rho]
     return u1_numerator(alg, conn.coeffs, F) / (alg.form_vec(rho_vec, rho_vec, F) * 2)
 
@@ -149,33 +149,25 @@ def is_regular_at(conn: Connection, x, cyclotomic=True) -> bool:
 
 def _rs_value(ctx, can: CanonicalOper, where):
     """v(x) for the (t-x)^rho-gauged form: v = sum_k c_k p_k, c_k the
-    coefficient of (t-x)^-(k+1) in u_k (of t^-(k+1) at infinity), read from
-    the pole order and the leading Laurent term; a higher pole order
-    (slower decay at infinity) is not regular singular."""
+    coefficient of s^e in u_k, read from the leading Laurent term at x in
+    its local coordinate s; e = -(k+1) in s = t - x, and e = k+1 in s = 1/t
+    at infinity, where dt = -ds/s^2.  A lower order (a higher pole order,
+    or slower decay at infinity) is not regular singular."""
     alg = ctx.alg
     K = ctx.scalars
     val = alg.vec_zero(K)
-    x = None if where == INFINITY else K.coerce(where)
+    sign = 1 if where == INFINITY else -1
     for (k, w), uk in zip(alg.centralizer_basis, can.u):
-        if not uk:
-            continue
-        if x is None:
-            v = uk.valuation_at_infinity()
-            if v < k + 1:
-                raise NotRegularSingular(f"u_{k} grows too fast at infinity")
-            if v > k + 1:
-                continue
-            c = uk.num[-1] / uk.den[-1]
-        else:
-            pp = uk.principal_part_at(x)
-            if len(pp) > k + 1:
-                raise NotRegularSingular(f"u_{k} has a pole of order > {k+1} at {where}")
-            if len(pp) < k + 1:
-                continue
-            c = pp[k]
-        for j, cw in enumerate(w):
-            if cw:
-                val[j] = val[j] + c * K.coerce(cw)
+        e = sign * (k + 1)
+        lau = uk.laurent_at(where, e + 1)
+        if lau.val < e:
+            raise NotRegularSingular(f"u_{k} grows too fast at infinity" if sign > 0
+                                     else f"u_{k} has a pole of order > {k + 1} at {where}")
+        c = lau.coeff(e)
+        if c:
+            for j, cw in enumerate(w):
+                if cw:
+                    val[j] = val[j] + c * K.coerce(cw)
     return val
 
 
@@ -192,7 +184,7 @@ def oper_residue(conn: Connection, where, cyclotomic=True):
     rho_h = coweight_to_h(alg, rho_coweight(alg.rank), K)
     v = _rs_value(ctx, can, where)
     X = [K.coerce(a) - b + c for a, b, c in zip(alg.p_minus1, rho_h, v)]
-    if where == INFINITY or (where != INFINITY and not K.coerce(where)):
+    if where == INFINITY or not K.coerce(where):
         nu = ctx.nu if cyclotomic else None
         cls, _ = finite_canonical(alg, X, K, nu)
         if where == INFINITY:

@@ -109,10 +109,6 @@ class CartanDatum:
     def rank(self):
         return len(self.matrix)
 
-    def a(self, i, j):
-        """1-based entry a_ij."""
-        return self.matrix[i - 1][j - 1]
-
     def components(self):
         """Connected components of the Dynkin diagram, 0-based index lists."""
         n = self.rank

@@ -16,10 +16,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SparseMat
-from .ratfunc import INFINITY, clear
+from .ratfunc import clear
 from .weyl import Coweight, coweight_to_h, h_to_coweight
-
-SHAPES = ("general", "b", "b-", "h", "oper")
 
 
 @dataclass
@@ -29,46 +27,10 @@ class Connection:
 
     ctx: OperContext
     coeffs: list
-    shape: str = "general"
 
     def __post_init__(self):
         F = self.ctx.functions
         self.coeffs = [F.coerce(c) for c in self.coeffs]
-        if self.shape not in SHAPES:
-            raise ValidationError(f"unknown shape {self.shape!r}")
-        self.validate_shape()
-
-    # ---- shape ---------------------------------------------------------------
-    def validate_shape(self):
-        alg = self.ctx.alg
-        if self.shape == "general":
-            return
-        for idx, c in enumerate(self.coeffs):
-            h = alg.height_of[idx]
-            if self.shape == "b" and h < 0 and c:
-                raise MalformedOper("claimed b-valued but has negative components")
-            if self.shape == "b-" and h > 0 and c:
-                raise MalformedOper("claimed b_- valued but has positive components")
-            if self.shape == "h" and h != 0 and c:
-                raise MalformedOper("claimed h-valued but has off-Cartan components")
-            if self.shape == "oper":
-                if h < 0:
-                    kind, r = alg.basis[idx]
-                    want = self.ctx.functions.one if sum(r) == 1 else self.ctx.functions.zero
-                    if c != want:
-                        raise MalformedOper("claimed oper form but F-part is not p_-1")
-        return True
-
-    def with_shape(self, shape):
-        return Connection(self.ctx, list(self.coeffs), shape)
-
-    # ---- algebra -------------------------------------------------------------
-    def __add__(self, other):
-        if isinstance(other, Connection):
-            return Connection(
-                self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)], "general"
-            )
-        return NotImplemented
 
     def h_part(self):
         alg = self.ctx.alg
@@ -95,9 +57,6 @@ class Connection:
         alg = self.ctx.alg
         res = self.residue_at(p)
         return h_to_coweight(alg, res)
-
-    def is_regular_at(self, p):
-        return all(c.is_regular_at(p) for c in self.coeffs)
 
     def poles(self, extra_points=()):
         from .ratfunc import poles_of
@@ -212,7 +171,7 @@ class GroupElement:
         out = [[K.zero] * n for _ in range(n)]
         for i, row in enumerate(self.mat.rows):
             for j, f in row.items():
-                out[i][j] = f.eval_at(p) if p != INFINITY else f.eval_at_infinity()
+                out[i][j] = f.eval_at(p)
         return out
 
     def __eq__(self, other):
@@ -308,10 +267,7 @@ def gauge_transform(conn: Connection, g: GroupElement) -> Connection:
     """g . (d + A dt) = d - dg g^-1 + Ad_g A."""
     new = g.ad_apply(conn.coeffs)
     dlog = g.dlog()
-    coeffs = [a - b for a, b in zip(new, dlog)]
-    shape = "general"
-    out = Connection(conn.ctx, coeffs, shape)
-    return out
+    return Connection(conn.ctx, [a - b for a, b in zip(new, dlog)])
 
 
 def exp_gauge(ctx: OperContext, X, A, dX=None) -> list:
@@ -377,7 +333,7 @@ def lift_to_cover(conn: Connection, q: int):
     u = F2.gen
     jac = q * u ** (q - 1)
     coeffs = [jac * c.subs_power(q, F2) for c in conn.coeffs]
-    return Connection(ctx2, coeffs, conn.shape if conn.shape != "oper" else "general"), ctx2
+    return Connection(ctx2, coeffs), ctx2
 
 
 def monodromy_at_origin(ctx: OperContext, lam0: Coweight, q: int) -> GroupElement:

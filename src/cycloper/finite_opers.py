@@ -107,7 +107,9 @@ def slice_gauge(alg, target, K, gauge, deriv=None, nu=None):
     return m, coeffs
 
 
-def _check_oper_shape(alg, X, K):
+def require_oper_form(alg, X, K):
+    """MalformedOper unless the vector X over the field K lies in p_-1 + b:
+    its part of negative height is p_-1."""
     for idx in range(alg.dim):
         h = alg.height_of[idx]
         if h < 0:
@@ -135,7 +137,7 @@ def finite_canonical(alg, X, K=QQ, nu=None):
 def _finite_canonical(alg, X, K, nu):
     """The scalar case of slice_gauge: the gauge is exp(ad_m), with no
     derivative term.  (class, m as a tuple)."""
-    _check_oper_shape(alg, X, K)
+    require_oper_form(alg, X, K)
     m, coeff_log = slice_gauge(alg, X, K, lambda m, v: alg.ad_series(m, v, K), nu=nu)
     if nu is None:
         coeffs = []

@@ -37,7 +37,10 @@ from .weyl import Coweight, coroot_to_coweight, coweight_to_h, rho_coweight
 
 @dataclass
 class MiuraOper:
-    """d + p_-1 dt + u dt with u stored in coroot coordinates."""
+    """d + p_-1 dt + u dt with u stored in coroot coordinates.  Its derived
+    data (lam0, res_inf, generic_half) is computed once per object: treat
+    it as immutable and derive new ones with dataclasses.replace, which
+    starts with empty caches."""
 
     ctx: OperContext
     u_coroot: list  # one RatFunc per simple index: u = sum_j u_j coroot_j
@@ -57,7 +60,7 @@ class MiuraOper:
         for j, m in enumerate(self.u_coroot):
             if m:
                 coeffs[alg.index_H[j]] = coeffs[alg.index_H[j]] + m
-        return Connection(ctx, coeffs, "oper")
+        return Connection(ctx, coeffs)
 
     def pairing(self, k):
         """<alpha_k, u(t)> (0-based k)."""
@@ -88,7 +91,7 @@ class MiuraOper:
         lam0 = self.lam0
         q = lam0.denominator()
         conn2, ctx2 = lift_to_cover(self.connection(), q)
-        reg = regularize(conn2, lam0.scale(Fraction(q))).with_shape("b-")
+        reg = regularize(conn2, lam0.scale(Fraction(q)))
         # on the q-sheeted cover (t = u^q) the points of the oper are no poles
         fund = solve_fundamental(reg, extra_points=self.points if q == 1 else ())
         if isinstance(fund, MonodromyObstruction):
@@ -329,7 +332,7 @@ def _check_simple_rules(ctx, old, new, k, f):
     sk = W.simple(k)
     before, after = old.res_inf, new.res_inf
     # the DIFFERENTIAL f dt has a pole at infinity iff val_inf(f) <= 1
-    has_pole = bool(f) and f.valuation_at_infinity() <= 1
+    has_pole = bool(f) and f.valuation_at(INFINITY) <= 1
     _require(after == (sk.dot(before) if has_pole else before), "res_inf rule violated")
 
 

@@ -6,7 +6,11 @@ hashing are canonical.  Everything here is written once, against the
 polynomial ring of its FunctionField (F.ring): over Q(zeta_T) a PackedRing of
 integer vectors with one content, over a parameter field a FieldRing of
 coefficient tuples.  RatFunc arithmetic, local data and root splitting work
-on the ring's polynomials.  Antiderivatives come from Hermite reduction in
+on the ring's polynomials.  Local data at any point of P^1, infinity
+included, come from one reader, RatFunc._local: the first terms of num and
+den in the local coordinate, by a Taylor shift, a slice at 0, or reversed
+at infinity; values, orders, Laurent series and residues are read off
+them.  Antiderivatives come from Hermite reduction in
 Mack's linear form: ring gcds and one extended Euclid per multiplicity, no
 factoring, on polynomials held as RatFuncs with denominator 1, dividing
 through _pdivmod.
@@ -46,10 +50,11 @@ def pgcd(R, a, b):
 #   gcd(a, b)    monic gcd
 #   canon(nv, rn, rd, dv)  canonical (n, c, d) of (rn/rd) * nv/dv for
 #                coprime nv, dv and nonzero ints rn, rd
-#   deriv(v), eval(v, p, c) = v(p)/c, linear(p) a multiple of var - p with
-#                an int lead, shift(v, p, keep) = (w, s) with w the first
-#                keep coefficients (default all) of s * v(var + p),
-#                scale(v, c) = (w, s) with w = s * v(c var), c nonzero
+#   deriv(v), linear(p) a multiple of var - p with an int lead,
+#                shift(v, p, keep) = (w, s) with w the first keep
+#                coefficients (default all, not trimmed) of s * v(var + p),
+#                so w[:width]/s is v(p), scale(v, c) = (w, s) with
+#                w = s * v(c var), c nonzero
 # ---------------------------------------------------------------------------
 
 def _vtrim(v):
@@ -293,21 +298,6 @@ class PackedRing(_Ring):
         d = self.width
         return tuple([k // d * v[k] for k in range(d, len(v))])
 
-    def eval(self, v, p, c):
-        """v(p)/c as a CycNum: Horner on integer blocks, scaled by powers of
-        p's denominator."""
-        K, d = self.K, self.width
-        pn, pd = p.num, p.den
-        pad = (0,) * d
-        top = (len(v) - 1) // d * d
-        acc = (v[top:] + pad)[:d]
-        scale = 1
-        for i in range(top - d, -1, -d):
-            scale *= pd
-            acc = K._mul(acc, pn)
-            acc = tuple([x + y * scale for x, y in zip(acc, (v[i:i + d] + pad)[:d])])
-        return _lowest(K, acc, c * scale)
-
     def linear(self, p):
         return tuple([-x for x in p.num]) + (p.den,)  # pd * (t - p)
 
@@ -442,12 +432,6 @@ class FieldRing(_Ring):
 
     def deriv(self, v):
         return tuple([v[i] * i for i in range(1, len(v))])
-
-    def eval(self, v, p, c):
-        out = self.K.zero
-        for x in reversed(v):
-            out = out * p + x
-        return out
 
     def linear(self, p):
         return (-p, self.K.one)
@@ -854,55 +838,6 @@ class RatFunc:
         num = R.comb(R.mul(R.deriv(n), u), s2, R.mul(n, v), -s1)
         return _rf(F, *_reduced(F, num, R.lead(d), self._c * s2, R.mul(d, u)))
 
-    def eval_at(self, p):
-        R, K = self.field.ring, self.field.coeff
-        p = K.coerce(p)
-        dv = R.eval(self._d, p, R.lead(self._d))
-        if not dv:
-            raise ZeroDivisionError(f"pole of {self} at {p}")
-        return R.eval(self._n, p, self._c) / dv if self._n else K.zero
-
-    def valuation_at(self, p):
-        """Order of vanishing at p (negative at a pole); None for the zero fn."""
-        if not self._n:
-            return None
-        R = self.field.ring
-        lin = R.linear(self.field.coeff.coerce(p))
-
-        def mult(poly):
-            m = 0
-            while True:
-                q, r, _ = R.divmod(poly, lin)
-                if r:
-                    return m
-                poly = q
-                m += 1
-
-        return mult(self._n) - mult(self._d)
-
-    def valuation_at_infinity(self):
-        if not self._n:
-            return None
-        return self._degree(self._d) - self._degree(self._n)
-
-    def is_regular_at(self, p):
-        if not self._n:
-            return True
-        if p == INFINITY:
-            return self.valuation_at_infinity() >= 0
-        v = self.valuation_at(p)
-        return v >= 0
-
-    def eval_at_infinity(self):
-        v = self.valuation_at_infinity()
-        if v is None:
-            return self.field.coeff.zero
-        if v < 0:
-            raise ZeroDivisionError(f"pole of {self} at infinity")
-        if v > 0:
-            return self.field.coeff.zero
-        return self.num[-1] / self.den[-1]
-
     # -- substitutions ----------------------------------------------------------
     # t -> c t and t -> t^q keep a reduced num and den coprime, and so does
     # their inverse, so each rebuilds the coefficient lists without a gcd
@@ -957,59 +892,101 @@ class RatFunc:
         return RatFunc(tf, take(self.num), take(self.den), reduce=False)
 
     # -- local data ---------------------------------------------------------------
-    def laurent_at(self, p, prec):
-        """The Laurent expansion of f at the finite point p up to
-        O((x-p)^prec), a Laurent."""
+    def _local(self, v, p, keep):
+        """The polynomial v of the ring near p, INFINITY included, in the
+        local coordinate s (t - p, or 1/t at INFINITY): (w, c) with w the
+        first keep coefficients of c v(p + s), by a Taylor shift (a slice at
+        0, c = 1), or at INFINITY of s^m v(1/s), m = deg v: the top
+        coefficients of v reversed, c = 1, w(0) != 0.  With (n, cn), (d, cd)
+        the reads of num, den and off = _off(p), f is s^off times
+        (n/(cn _c))/(d/(cd lead(den)))."""
+        R = self.field.ring
+        if p == INFINITY:
+            return _reversed(v, R.width, keep), 1
+        p = self.field.coeff.coerce(p)
+        if not p:
+            return v[:keep * R.width], 1
+        return R.shift(v, p, keep)
+
+    def _off(self, p):
+        """The power of s in front of the local reads: deg den - deg num at
+        INFINITY, else 0."""
+        return self._degree(self._d) - self._degree(self._n) if p == INFINITY else 0
+
+    def eval_at(self, p):
+        """f(p); ZeroDivisionError at a pole."""
         R, K = self.field.ring, self.field.coeff
-        p = K.coerce(p)
+        if not self._n:
+            return K.zero
+        off = self._off(p)
+        d, dc = self._local(self._d, p, 1)
+        # num and den are coprime, so d(0) == 0 is a pole
+        if off < 0 or not any(d):
+            raise ZeroDivisionError(f"pole of {self} at {p}")
+        if off:
+            return K.zero
+        n, nc = self._local(self._n, p, 1)
+        return R.unpack(n, nc * self._c)[0] / R.unpack(d, dc * R.lead(self._d))[0]
+
+    def valuation_at(self, p):
+        """Order of vanishing at p (negative at a pole); None for the zero fn."""
+        if not self._n:
+            return None
+        w, keep = self.field.ring.width, 1
+        while True:
+            a = _order(self._local(self._n, p, keep)[0], w, keep)
+            b = _order(self._local(self._d, p, keep)[0], w, keep)
+            if a < keep and b < keep:
+                return self._off(p) + a - b
+            keep *= 2
+
+    def is_regular_at(self, p):
+        if not self._n:
+            return True
+        return self._off(p) >= 0 and any(self._local(self._d, p, 1)[0])
+
+    def laurent_at(self, p, prec):
+        """The Laurent expansion of f at p (INFINITY included) in the local
+        coordinate s up to O(s^prec), a Laurent."""
+        R, K = self.field.ring, self.field.coeff
         if not self._n:
             return Laurent(K, math.inf, (), math.inf)
-        # Taylor shifts: f(x + p) = n(x) / (x^k e(x)) with e(0) != 0, and
-        # the coefficient of x^(j-k) is that of x^j in the series n/e, so
-        # the k + prec terms wanted need as many of n and e: 2k + prec of
-        # the shifted denominator.  The shift keeps that many terms for a
-        # guessed k, at least doubling them while its first nonzero term
-        # (so k) is not among them; at the origin there is nothing to
-        # shift.
-        w = R.width
-        if not p:
-            den, sd = self._d, 1
-            k = next(i for i, x in enumerate(den) if x) // w
-        else:
-            keep, k = 0, 1
-            while k >= keep or 2 * k + prec > keep:
-                keep = max(2 * keep, 2 * k + prec, 1)
-                den, sd = R.shift(self._d, p, keep)
-                k = next((i for i, x in enumerate(den) if x), keep * w) // w
-        terms = k + prec
+        # f = s^off n(s) / (s^k e(s)) with e(0) != 0, and the coefficient of
+        # s^(off-k+j) is that of s^j in the series n/e, so the k + prec - off
+        # terms wanted need as many of n and e: 2k + prec - off of the local
+        # denominator.  Its read keeps that many for a guessed k = 1, at
+        # least doubling them while its first nonzero term (so k) is not
+        # among them; then the numerator is read to the terms wanted.
+        w, off = R.width, self._off(p)
+        keep, k = 0, 1
+        while k >= keep or 2 * k + prec - off > keep:
+            keep = max(2 * keep, 2 * k + prec - off, 1)
+            d, dc = self._local(self._d, p, keep)
+            k = _order(d, w, keep)
+        terms = k + prec - off
         if terms <= 0:
             return Laurent(K, prec, (), prec)
-        num, sn = (self._n[:terms * w], 1) if not p else R.shift(self._n, p, terms)
-        n = R.unpack(num, sn * self._c)
-        e = R.unpack(den[k * w:(k + terms) * w], sd * R.lead(self._d))
-        inv = K.one / e[0]
+        n, nc = self._local(self._n, p, terms)
+        n = R.unpack(n, nc * self._c)
+        e = R.unpack(d[k * w:(k + terms) * w], dc * R.lead(self._d))
+        # e(0) is 1 at infinity, where d(0) is the lead of den
+        inv = None if e[0] == K.one else e[0].inverse()
         s = []
         for j in range(terms):
             acc = n[j] if j < len(n) else K.zero
             for i in range(1, min(j, len(e) - 1) + 1):
                 acc = acc - e[i] * s[j - i]
-            s.append(acc * inv)
-        return Laurent(K, -k, s, prec)
+            s.append(acc if inv is None else acc * inv)
+        return Laurent(K, off - k, s, prec)
 
     def principal_part_at(self, p):
-        """Coefficients (c_1, ..., c_k) of (x-p)^-1, ..., (x-p)^-k."""
+        """Coefficients (c_1, ..., c_k) of s^-1, ..., s^-k at p."""
         return tuple(reversed(self.laurent_at(p, 0).cs))
 
     def residue_at(self, p):
-        """Residue of f dx at p (p may be INFINITY)."""
+        """Residue of f dt at p (p may be INFINITY, where dt = -ds/s^2)."""
         if p == INFINITY:
-            # minus the coefficient of 1/x at infinity: with s*n == q*d + r
-            # and d/L monic of degree m, f = (n/c)/(d/L) has r[m-1]/(s*c)
-            R = self.field.ring
-            m = self._degree(self._d)
-            _, r, s = R.divmod(self._n, self._d)
-            r = R.unpack(r, s * self._c)
-            return -r[m - 1] if len(r) >= m > 0 else self.field.coeff.zero
+            return -self.laurent_at(p, 2).coeff(1)
         return self.laurent_at(p, 0).coeff(-1)
 
     # -- rendering ------------------------------------------------------------------
@@ -1137,6 +1114,22 @@ def _reduced(F, nv, rn, rd, dv):
             nv, dv, x, y = _cancel(R, nv, dv, g)
             rn, rd = rn * x, rd * y
     return R.canon(nv, rn, rd, dv)
+
+
+def _order(v, w, keep):
+    """The index of the first nonzero coefficient among the first keep of
+    the polynomial v of width w, else keep."""
+    return next((i for i, x in enumerate(v) if x), keep * w) // w
+
+
+def _reversed(v, w, keep):
+    """The first keep coefficients of s^m v(1/s), m = deg v, for the
+    polynomial v of width w."""
+    top = (len(v) - 1) // w * w
+    out = list(v[top:]) + [0] * (top + w - len(v))
+    for i in range(top - w, max(-1, top - keep * w), -w):
+        out += v[i:i + w]
+    return tuple(out)
 
 
 def _single_term(poly):

@@ -1,7 +1,7 @@
 """The working scalar field: Q(zeta_T) extended by named transcendental
 parameters, plus the rational-function field in the global coordinate t on
-top of it.  A ScalarTower bundles the whole stack and the coercions between
-related stacks (field-order extension for covers, added parameters)."""
+top of it.  A ScalarTower bundles the whole stack, and its cover the tower
+of the field-order extension that a q-sheeted cover needs."""
 
 from __future__ import annotations
 
@@ -73,20 +73,13 @@ class ScalarTower:
         return self.scalar(Fraction(p, q))
 
     # -- related towers -----------------------------------------------------------
-    def extended(self, order_multiple=1, extra_params=(), var=None) -> "ScalarTower":
-        """A tower with order multiplied, parameters appended, optionally a
-        different coordinate name.  Elements of self coerce into it."""
-        return ScalarTower.get(
-            self.order * order_multiple,
-            tuple(self.params) + tuple(extra_params),
-            var or self.var,
-        )
-
     def cover(self, q: int) -> "ScalarTower":
-        """Tower for the q-sheeted cover: order qT, coordinate 'u'; self for q = 1."""
+        """Tower for the q-sheeted cover: order qT, the same parameters,
+        coordinate 'u' (or the coordinate with 'c' appended); self for
+        q = 1.  Elements of self coerce into it."""
         if q == 1:
             return self
-        return self.extended(order_multiple=q, var="u" if self.var == "t" else self.var + "c")
+        return ScalarTower.get(self.order * q, self.params, "u" if self.var == "t" else self.var + "c")
 
     def __repr__(self):
         ps = ", ".join(self.params)

@@ -28,11 +28,6 @@ class Coweight:
     def zero(cls, rank):
         return cls((Fraction(0),) * rank)
 
-    @classmethod
-    def fundamental(cls, rank, i, mult=1):
-        """mult * omega-check_i (0-based i)."""
-        return cls(tuple(Fraction(mult) if j == i else Fraction(0) for j in range(rank)))
-
     @property
     def rank(self):
         return len(self.coords)

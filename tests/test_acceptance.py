@@ -157,7 +157,7 @@ def test_criterion_4_generic_round_trip():
         t = F.gen
         mu = eta + 1
         lam0 = Coweight((Fraction(eta), Fraction(eta)))
-        reg = regularize(m.connection(), lam0).with_shape("b-")
+        reg = regularize(m.connection(), lam0)
         Y = fundamental_matrix(ctx, solve_fundamental(reg))
         assert Y == GroupElement.exp(ctx, [(-t ** mu / mu) * F.coerce(c) for c in alg.p_minus1])
         theta = theta_for(m)
@@ -320,7 +320,7 @@ def test_criterion_8_property_suites():
         coeffs = [F.coerce(c) for c in g.p_minus1]
         hv = coweight_to_h(g, Coweight(tuple(Fraction(1) for _ in range(n))), F)
         coeffs = [a - b / t for a, b in zip(coeffs, hv)]
-        nabla = Connection(ctx, coeffs, "oper")
+        nabla = Connection(ctx, coeffs)
         can = canonical_representative(nabla)
         assert u1_coefficient(nabla) == can.u[0]
         back = gauge_transform(can.connection(), GroupElement.exp(ctx, can.gauge_vec))

@@ -1,10 +1,13 @@
 """Every top-level function and class of the package, and every non-dunder
-method of its classes, has a caller: its name appears somewhere in src/,
-tests/, scripts/ or perfbench/ outside its own definition and the exports
-of cycloper/__init__.py."""
+method of its classes, has a caller in src/, tests/, scripts/ or
+perfbench/, outside its own definition and the exports of
+cycloper/__init__.py.  Only code counts, not strings or comments: a
+top-level name must occur as a name token, and a method as a `.name`
+attribute access."""
 
 import ast
-import re
+import io
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -13,13 +16,19 @@ DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
-def sources():
-    """{path: lines} of every Python file that may call into the package."""
+def name_tokens():
+    """{path: [(line index, name, follows a dot)]} of the name tokens of
+    every Python file that may call into the package."""
     out = {}
     for top in ("src", "tests", "scripts", "perfbench"):
         for path in sorted((ROOT / top).rglob("*.py")):
-            if path != PACKAGE / "__init__.py":
-                out[path] = path.read_text().splitlines()
+            if path == PACKAGE / "__init__.py":
+                continue
+            toks = list(tokenize.generate_tokens(io.StringIO(path.read_text()).readline))
+            out[path] = [
+                (tok.start[0] - 1, tok.string, i > 0 and toks[i - 1].string == ".")
+                for i, tok in enumerate(toks) if tok.type == tokenize.NAME
+            ]
     return out
 
 
@@ -36,19 +45,18 @@ def methods(tree):
     ]
 
 
-def uncalled(select):
-    """Definitions picked by select(tree) whose name no line outside them
-    mentions as a whole word."""
-    files = sources()
+def uncalled(select, attribute):
+    """Definitions picked by select(tree) whose name no code outside them
+    uses: as a name token, or only as an attribute for attribute=True."""
+    files = name_tokens()
     out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in select(ast.parse(path.read_text())):
-            word = re.compile(rf"\b{re.escape(node.name)}\b")
             first = min([node.lineno] + [d.lineno for d in node.decorator_list]) - 1
             used = any(
-                word.search(line)
-                for other, lines in files.items()
-                for i, line in enumerate(lines)
+                name == node.name and (dotted or not attribute)
+                for other, toks in files.items()
+                for i, name, dotted in toks
                 if not (other == path and first <= i < node.end_lineno)
             )
             if not used:
@@ -57,10 +65,10 @@ def uncalled(select):
 
 
 def test_every_top_level_definition_has_a_caller():
-    missing = uncalled(top_level)
+    missing = uncalled(top_level, attribute=False)
     assert not missing, "no caller: " + ", ".join(missing)
 
 
 def test_every_method_has_a_caller():
-    missing = uncalled(methods)
+    missing = uncalled(methods, attribute=True)
     assert not missing, "no caller: " + ", ".join(missing)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import matrix_log, sl3_context, sl4_miura
+from conftest import matrix_log, run_under_O, sl3_context, sl4_miura
 from cycloper.canonical import (
     canonical_representative,
     classify_general_form,
@@ -15,7 +15,7 @@ from cycloper.canonical import (
 )
 from cycloper.connection import Connection, GroupElement, gauge_transform, is_equivariant
 from cycloper.context import OperContext
-from cycloper.errors import NotOfForm
+from cycloper.errors import MalformedOper, NotOfForm
 from cycloper.finite_opers import FiniteOperClass
 from cycloper.ratfunc import INFINITY
 from cycloper.tower import ScalarTower
@@ -28,7 +28,7 @@ def sl3_nabla(ctx, eta):
     t = F.gen
     lam0 = Coweight((Fraction(eta), Fraction(eta)))
     hv = coweight_to_h(alg, lam0, F)
-    return Connection(ctx, [F.coerce(a) - b / t for a, b in zip(alg.p_minus1, hv)], "oper"), lam0
+    return Connection(ctx, [F.coerce(a) - b / t for a, b in zip(alg.p_minus1, hv)]), lam0
 
 
 def random_oper(ctx, rng, max_deg=6):
@@ -44,7 +44,7 @@ def random_oper(ctx, rng, max_deg=6):
             if rng.random() < 0.5:
                 f = f / (t - rng.randint(1, 2))
             coeffs[i] = coeffs[i] + f
-    return Connection(ctx, coeffs, "oper")
+    return Connection(ctx, coeffs)
 
 
 def test_sl3_canonical_grid():
@@ -71,7 +71,7 @@ def test_a1_miura_u1():
     F = ctx.functions
     t = F.gen
     hv = coweight_to_h(ctx.alg, Coweight((Fraction(2),)), F)
-    nabla = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(ctx.alg.p_minus1, hv)], "oper")
+    nabla = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(ctx.alg.p_minus1, hv)])
     can = canonical_representative(nabla)
     assert can.u[0] == 2 / t ** 2
     assert u1_coefficient(nabla) == 2 / t ** 2
@@ -80,7 +80,7 @@ def test_a1_miura_u1():
 def test_trivial_input():
     ctx = sl3_context(2)
     F = ctx.functions
-    nabla = Connection(ctx, [F.coerce(c) for c in ctx.alg.p_minus1], "oper")
+    nabla = Connection(ctx, [F.coerce(c) for c in ctx.alg.p_minus1])
     can = canonical_representative(nabla)
     assert not any(can.gauge_vec) and all(not u for u in can.u)
     assert u1_coefficient(nabla) == F.zero
@@ -125,7 +125,7 @@ def test_pole_order_bounds():
             for i in alg.blocks.get(h, []):
                 c = Fraction(rng.randint(-2, 2))
                 coeffs[i] = coeffs[i] + F.coerce(c) / t ** (h + 1)
-        nabla = Connection(ctx, coeffs, "oper")
+        nabla = Connection(ctx, coeffs)
         can = canonical_representative(nabla)
         for k, u in zip(can.exponents, can.u):
             if u:
@@ -148,7 +148,7 @@ def test_injectivity_desk_scale():
     v[alg.index_E[alg.simple_root(1)]] = f.subs_scale(1 / w) * (1 / w)
     g = GroupElement.exp(ctx, v)
     assert is_equivariant((ctx, v), ctx.varsigma)
-    other = gauge_transform(nabla, g).with_shape("oper")
+    other = gauge_transform(nabla, g)
     can1 = canonical_representative(nabla, cyclotomic=True)
     can2 = canonical_representative(other, cyclotomic=True)
     assert can1.u == can2.u
@@ -177,7 +177,7 @@ def test_oper_residue_linkage():
     for word in ([], [0], [0, 1]):
         mu = W.from_word(word).dot(lam)
         hv = coweight_to_h(alg, mu, F)
-        conn = Connection(ctx, [F.coerce(a) - b / (t - 1) for a, b in zip(alg.p_minus1, hv)], "oper")
+        conn = Connection(ctx, [F.coerce(a) - b / (t - 1) for a, b in zip(alg.p_minus1, hv)])
         assert oper_residue(conn, ctx.scalars.one, cyclotomic=False) == residue_class_of_coweight(ctx, lam)
 
 
@@ -208,7 +208,7 @@ def test_reg_bethe_simple():
         r = [h * F.coerce(c) / (t - 5) for h in acw]
         # <alpha, r(x)> = 2c/(x-5): zero iff c = 0
         coeffs = [F.coerce(a) + b / (t - x) + rr for a, b, rr in zip(alg.p_minus1, acw, r)]
-        conn = Connection(ctx, coeffs, "oper")
+        conn = Connection(ctx, coeffs)
         assert is_regular_at(conn, ctx.scalars.coerce(x), cyclotomic=False) == regular
         s = ctx.weyl.simple(0)
         val = regularity_condition(conn, x, s)
@@ -231,7 +231,7 @@ def test_regularity_condition_matches_general_sum():
         F.coerce(a) - b / (t - F.coerce(z1)) + c / (t - F.coerce(x))
         for a, b, c in zip(alg.p_minus1, hl, ha)
     ]
-    conn = Connection(ctx, coeffs, "oper")
+    conn = Connection(ctx, coeffs)
     s = ctx.weyl.simple(0)
     val = regularity_condition(conn, x, s)
     # (s.0 | r(x)) with r = -lam/(t - z1): (-alpha-check | -lam/(x - z1))
@@ -278,7 +278,7 @@ def test_classify_rejects_bad_residue():
     alg = ctx.alg
     t = F.gen
     hv = coweight_to_h(alg, Coweight((Fraction(1), Fraction(1))), F)
-    conn = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(alg.p_minus1, hv)], "oper")
+    conn = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(alg.p_minus1, hv)])
     with pytest.raises(NotOfForm):
         classify_general_form(conn, Coweight((Fraction(2), Fraction(2))), [])
 
@@ -315,7 +315,7 @@ def test_classify_validates_gamma_orbit_residues():
     coeffs = [F.coerce(a) for a in alg.p_minus1]
     # put lam at z = 3 and at -3 WITHOUT the nu twist: breaks equivariance
     coeffs = [a - b / (t - 3) - b / (t + 3) for a, b in zip(coeffs, hv)]
-    conn = Connection(ctx, coeffs, "oper")
+    conn = Connection(ctx, coeffs)
     with pytest.raises(NotOfForm):
         classify_general_form(conn, Coweight.zero(2), [(ctx.scalars.coerce(3), lam)])
 
@@ -331,7 +331,7 @@ def test_u1_is_form_scale_invariant():
         F = ctx.functions
         t = F.gen
         hv = coweight_to_h(g, Coweight((Fraction(2), Fraction(1))), F)
-        nabla = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(g.p_minus1, hv)], "oper")
+        nabla = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(g.p_minus1, hv)])
         u1 = u1_coefficient(nabla)
         can = canonical_representative(nabla)
         assert u1 == can.u[0]
@@ -353,15 +353,51 @@ def test_not_regular_singular():
     coeffs = [F.coerce(c) for c in alg.p_minus1]
     iE = alg.index_E[alg.simple_root(0)]
     coeffs[iE] = coeffs[iE] + 1 / t ** 3
-    conn = Connection(ctx, coeffs, "oper")
+    conn = Connection(ctx, coeffs)
     with pytest.raises(NotRegularSingular):
         oper_residue(conn, 0)
     # and at infinity: u_1 growing like t is not RS there
     coeffs = [F.coerce(c) for c in alg.p_minus1]
     coeffs[iE] = coeffs[iE] + t
-    conn = Connection(ctx, coeffs, "oper")
+    conn = Connection(ctx, coeffs)
     with pytest.raises(NotRegularSingular):
         oper_residue(conn, INFINITY)
+
+
+_NON_OPERS = """
+from fractions import Fraction
+from cycloper.canonical import canonical_representative, u1_coefficient
+from cycloper.connection import Connection
+from cycloper.context import OperContext
+from cycloper.errors import MalformedOper
+from cycloper.tower import ScalarTower
+
+ctx = OperContext("A2", ScalarTower.get(1))
+alg, F = ctx.alg, ctx.functions
+t = F.gen
+f1, f2 = (alg.index_F[alg.simple_root(i)] for i in range(2))
+f12 = alg.index_F[(1, 1)]
+for idx, c in ((f1, 2), (f2, 0), (f12, t), (f12, 1 / t)):
+    coeffs = [F.coerce(x) for x in alg.p_minus1]
+    coeffs[idx] = F.coerce(c)
+    for build in (canonical_representative, u1_coefficient):
+        try:
+            build(Connection(ctx, coeffs))
+            raise SystemExit(f"{build.__name__}: no error at {alg.basis[idx]} = {c}")
+        except MalformedOper as e:
+            if "not in p_-1 + b" not in str(e):
+                raise SystemExit(f"{build.__name__}: another check failed first: {e}")
+"""
+
+
+def test_non_oper_input_raises_malformed_oper():
+    """canonical_representative and u1_coefficient refuse a connection
+    whose part of negative height is not p_-1 (a simple F scaled or
+    dropped, a higher F present) before any other check, with a
+    MalformedOper raised, not asserted, so that python -O keeps it."""
+    exec(_NON_OPERS, {})
+    run = run_under_O(_NON_OPERS)
+    assert run.returncode == 0, run.stdout + run.stderr
 
 
 @pytest.mark.parametrize("where", [0, 2, Fraction(-3, 2), INFINITY])
@@ -399,7 +435,7 @@ def test_rs_value_reads_the_leading_laurent_term(where):
         want = alg.vec_zero(K)
         for (k, w), uk in zip(alg.centralizer_basis, can.u):
             g = uk * s ** (k + 1)
-            c = g.eval_at_infinity() if inf else g.eval_at(K.coerce(where))
+            c = g.eval_at(where)
             want = [a + c * K.coerce(b) for a, b in zip(want, w)]
         assert canonical_module._rs_value(ctx, can, where) == want
         assert any(want) == (orders[0] == -(exps[0] + 1))

@@ -200,7 +200,7 @@ def test_constant_oper_canonical_form_is_finite_class(label):
     for h in range(0, g.height_max + 1):
         for i in g.blocks.get(h, []):
             X[i] += Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-    can = canonical_representative(Connection(ctx, [F.coerce(x) for x in X], "oper"))
+    can = canonical_representative(Connection(ctx, [F.coerce(x) for x in X]))
     cls, m = finite_canonical(g, X)
     assert any(cls.coefficients)
     assert can.u == [F.coerce(c) for c in cls.coefficients]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 import pytest
 
+from cycloper.ratfunc import INFINITY
 from cycloper.scalars import CycNum
 from cycloper.tower import ScalarTower
 
@@ -167,19 +168,29 @@ def test_local_data_matches_sympy(params, data, T):
 
 @pytest.mark.parametrize("params", [(), ("z",)], ids=["Q4", "Q4-z"])
 def test_laurent_expansion_matches_sympy_series(params):
-    """laurent_at over Q(zeta_4)(t) and Q(zeta_4)(z)(t): poles of order 0-3
-    at 0, 3/2 and zeta, each read to O(s^prec) for three precisions, with
-    sympy's series as the oracle."""
+    """laurent_at over Q(zeta_4)(t) and Q(zeta_4)(z)(t): a zero of order 1
+    and poles of order 0-3 at 0, 3/2, zeta and infinity, each read to
+    O(s^prec) for three precisions, with sympy's series in the local
+    coordinate s (t - p, or 1/t at infinity) as the oracle.  eval_at,
+    valuation_at, is_regular_at and residue_at are read off the same
+    series: the value is the coefficient of s^0, and the residue of f dt
+    that of s^-1 (minus that of s^1 at infinity, where dt = -ds/s^2).  The
+    zero function has value and residue 0 and no order."""
     tw = ScalarTower.get(4, params)
     t, w, K = tw.t, tw.zeta, tw.scalars
     a = tw.param("z") if params else K.coerce(2)
     s, ts = sympy.Symbol("s"), SYMBOLS["t"]
     num = 2 + w * t - a * t ** 2
-    for p in (K.zero, K.coerce(3) / 2, w):
-        ps = to_sympy(p, 4)
-        for k in range(4):
-            f = num / ((t - p) ** k * (t + 1))
-            shifted = sympy.cancel(to_sympy(f, 4).subs(ts, s + ps) * s ** k)
+    for p in (K.zero, K.coerce(3) / 2, w, INFINITY):
+        inf = p == INFINITY
+        zero = tw.functions.zero
+        assert not zero.eval_at(p) and zero.valuation_at(p) is None and zero.is_regular_at(p)
+        assert not zero.residue_at(p)
+        # base is regular and nonzero at p
+        base, local, at = (num / (t + 1) ** 2, 1 / t, 1 / s) if inf else (num / (t + 1), t - p, s + to_sympy(p, 4))
+        for k in range(-1, 4):
+            f = base / local ** k
+            shifted = sympy.cancel(to_sympy(f, 4).subs(ts, at) * s ** k)
             series = sympy.expand(sympy.series(shifted, s, 0, k + 3).removeO())
             full = f.laurent_at(p, 3)
             for j in range(-k - 1, 3):
@@ -190,3 +201,11 @@ def test_laurent_expansion_matches_sympy_series(params):
                 assert [lau.coeff(j) for j in range(-k - 1, prec)] == [full.coeff(j) for j in range(-k - 1, prec)]
                 with pytest.raises(ArithmeticError):
                     lau.coeff(prec)
+            assert f.valuation_at(p) == -k and f.is_regular_at(p) == (k <= 0), (p, k)
+            if k > 0:
+                with pytest.raises(ZeroDivisionError):
+                    f.eval_at(p)
+            else:
+                assert same(to_sympy(f.eval_at(p), 4), series.coeff(s, k)), (p, k)
+            residue = -series.coeff(s, k + 1) if inf else series.coeff(s, k - 1)
+            assert same(to_sympy(f.residue_at(p), 4), residue), (p, k)

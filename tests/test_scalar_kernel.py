@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 
 from cycloper import scalars
 from cycloper.errors import ModulusError
-from cycloper.ratfunc import FieldRing, FunctionField, PackedRing, RatFunc, _vresidues, pgcd
+from cycloper.ratfunc import INFINITY, FieldRing, FunctionField, PackedRing, RatFunc, _vresidues, pgcd
 from cycloper.scalars import (
     CACHE_SIZE,
     CycNum,
@@ -423,19 +423,41 @@ def test_ratfunc_local_data_matches_sympy_and_the_generic_helpers(data, T):
     sym = lambda cs: sympy.Poly([to_d(c) for c in reversed(cs)] or [D.zero], t, domain=D)
     # eval_at, away from the poles
     x = data.draw(core_coeffs(K))
-    dx = R.eval(f.den, x, 1)
-    if dx:
-        value = f.eval_at(x)
-        assert value == R.eval(f.num, x, 1) / dx
-        horner = lambda cs: functools.reduce(lambda acc, c: acc * to_d(x) + to_d(c), reversed(cs), D.zero)
-        assert value == from_d(horner(f.num) / horner(f.den))
+    horner = lambda cs: functools.reduce(lambda acc, c: acc * to_d(x) + to_d(c), reversed(cs), D.zero)
+    if horner(f.den):
+        assert f.eval_at(x) == from_d(horner(f.num) / horner(f.den))
+    # at 0 and at infinity, from sympy's reduced n/d: the orders, the values,
+    # and at infinity minus the coefficient of t^(m-1) in n mod d over lc(d),
+    # m = deg d, for the residue of f dt
+    g = sym(num).gcd(sym(den))
+    n, d = sym(num).quo(g), sym(den).quo(g)
+    ns, ds = n.rep.to_list()[::-1], d.rep.to_list()[::-1]
+    n0, d0 = (next(i for i, c in enumerate(cs) if c) for cs in (ns, ds))
+    assert f.valuation_at(0) == n0 - d0 and f.is_regular_at(0) == (d0 == 0)
+    if d0:
+        with pytest.raises(ZeroDivisionError):
+            f.eval_at(0)
+    else:
+        assert f.eval_at(K.zero) == from_d(ns[0] / ds[0])
+    v = d.degree() - n.degree()
+    assert f.valuation_at(INFINITY) == v and f.is_regular_at(INFINITY) == (v >= 0)
+    if v < 0:
+        with pytest.raises(ZeroDivisionError):
+            f.eval_at(INFINITY)
+    else:
+        assert f.eval_at(INFINITY) == (from_d(ns[-1] / ds[-1]) if v == 0 else K.zero)
+    r, m = n.rem(d).rep.to_list()[::-1], d.degree()
+    assert f.residue_at(INFINITY) == (-from_d(r[m - 1] / ds[-1]) if len(r) >= m > 0 else K.zero)
     # principal part at the planted pole: the generic FieldRing ...
     n, d = R.shift(f.num, pole)[0], R.shift(f.den, pole)[0]
     k = next(i for i, c in enumerate(d) if c)
     pp = f.principal_part_at(pole)
     if k == 0:
-        assert pp == ()
+        assert pp == () and f.is_regular_at(pole) and not f.residue_at(pole)
         return
+    assert not f.is_regular_at(pole)
+    with pytest.raises(ZeroDivisionError):
+        f.eval_at(pole)
     series = R.mul(n, series_inverse(K, d[k:], k))
     series = tuple(series[:k]) + (K.zero,) * (k - len(series))
     assert pp == tuple(series[k - m] for m in range(1, k + 1))
@@ -446,4 +468,5 @@ def test_ratfunc_local_data_matches_sympy_and_the_generic_helpers(data, T):
     s = (n * e.invert(xk)).rem(xk).rep.to_list()[::-1]
     s = [from_d(c) for c in s] + [K.zero] * (k - len(s))
     assert pp == tuple(s[k - m] for m in range(1, k + 1))
+    assert f.residue_at(pole) == s[k - 1]
     assert f.valuation_at(pole) == -k or not f.num

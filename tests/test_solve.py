@@ -21,8 +21,8 @@ def regularized_sl3(ctx, eta):
     t = F.gen
     lam0 = Coweight((Fraction(eta), Fraction(eta)))
     hv = coweight_to_h(alg, lam0, F)
-    nabla = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(alg.p_minus1, hv)], "oper")
-    return regularize(nabla, lam0).with_shape("b-"), nabla, lam0
+    nabla = Connection(ctx, [F.coerce(a) - b / t for a, b in zip(alg.p_minus1, hv)])
+    return regularize(nabla, lam0), nabla, lam0
 
 
 def test_sl3_fundamental_solution():
@@ -48,7 +48,7 @@ def test_fundamental_with_site_torus_part():
     t = F.gen
     acw = coweight_to_h(alg, Coweight((Fraction(2),)), F)
     coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, acw)]
-    conn = Connection(ctx, coeffs, "b-")
+    conn = Connection(ctx, coeffs)
     fund = solve_fundamental(conn)
     assert not isinstance(fund, MonodromyObstruction)
     assert [base for _, base in fund[0]] == [1 - t / 3]
@@ -69,7 +69,7 @@ def test_fundamental_monodromy_obstruction():
     # h-part with residue -1 at 3 makes the conjugated F-part have residue
     acw = coweight_to_h(alg, Coweight((Fraction(-1),)), F)
     coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, acw)]
-    conn = Connection(ctx, coeffs, "b-")
+    conn = Connection(ctx, coeffs)
     out = solve_fundamental(conn)
     assert isinstance(out, MonodromyObstruction)
     assert out.residues
@@ -82,7 +82,7 @@ def test_fundamental_nonintegral_h_residue():
     alg = ctx.alg
     t = F.gen
     acw = coweight_to_h(alg, Coweight((Fraction(1, 2),)), F)
-    conn = Connection(ctx, [F.coerce(a) - b / (t - 1) for a, b in zip(alg.p_minus1, acw)], "b-")
+    conn = Connection(ctx, [F.coerce(a) - b / (t - 1) for a, b in zip(alg.p_minus1, acw)])
     out = solve_fundamental(conn)
     assert isinstance(out, MonodromyObstruction)
 
@@ -260,7 +260,7 @@ def test_fundamental_solution_inverse(label, T):
     hv = coweight_to_h(alg, Coweight((Fraction(1), Fraction(0))), F)
     coeffs = [F.coerce(a) - b / (t - 3) for a, b in zip(alg.p_minus1, hv)]
     coeffs[alg.index_F[(1, 1)]] = t
-    conn = Connection(ctx, coeffs, "b-")
+    conn = Connection(ctx, coeffs)
     Y = fundamental_matrix(ctx, solve_fundamental(conn))
     one = SparseMat.identity(F, alg.dim)
     assert Y.mat @ Y.inv == one
